@@ -675,44 +675,40 @@ let e11_models () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* E12: dependency graph ablation                                      *)
+(* E12: dependency graph — cycle check cost per edge                  *)
 
 let e12_deps () =
   let t =
     Table.create ~title:"E12: dependency graph — cycle check cost (random CD/AD edges)"
-      ~header:[ "edges"; "cycle check"; "accepted"; "rejected"; "us/edge" ]
+      ~header:[ "edges"; "accepted"; "rejected"; "us/edge" ]
   in
   List.iter
     (fun n_edges ->
-      List.iter
-        (fun check ->
-          let g = Dg.create ~cycle_check:check () in
-          let rng = Rng.create 3 in
-          let n_nodes = max 8 (n_edges / 4) in
-          let accepted = ref 0 and rejected = ref 0 in
-          let _, dt =
-            time_of (fun () ->
-                for _ = 1 to n_edges do
-                  let a = 1 + Rng.int rng n_nodes and b = 1 + Rng.int rng n_nodes in
-                  if a <> b then
-                    match
-                      Dg.add g
-                        (if Rng.bool rng then Dt.CD else Dt.AD)
-                        ~master:(Tid.of_int a) ~dependent:(Tid.of_int b)
-                    with
-                    | () -> incr accepted
-                    | exception Dg.Cycle_rejected _ -> incr rejected
-                done)
-          in
-          Table.add_row t
-            [
-              Table.fmt_i n_edges;
-              string_of_bool check;
-              Table.fmt_i !accepted;
-              Table.fmt_i !rejected;
-              Table.fmt_f ~digits:3 (dt /. float_of_int n_edges *. 1e6);
-            ])
-        [ true; false ])
+      let g = Dg.create () in
+      let rng = Rng.create 3 in
+      let n_nodes = max 8 (n_edges / 4) in
+      let accepted = ref 0 and rejected = ref 0 in
+      let _, dt =
+        time_of (fun () ->
+            for _ = 1 to n_edges do
+              let a = 1 + Rng.int rng n_nodes and b = 1 + Rng.int rng n_nodes in
+              if a <> b then
+                match
+                  Dg.add g
+                    (if Rng.bool rng then Dt.CD else Dt.AD)
+                    ~master:(Tid.of_int a) ~dependent:(Tid.of_int b)
+                with
+                | () -> incr accepted
+                | exception Dg.Cycle_rejected _ -> incr rejected
+            done)
+      in
+      Table.add_row t
+        [
+          Table.fmt_i n_edges;
+          Table.fmt_i !accepted;
+          Table.fmt_i !rejected;
+          Table.fmt_f ~digits:3 (dt /. float_of_int n_edges *. 1e6);
+        ])
     [ 10; 100; 1_000; 10_000 ];
   Table.print t
 
@@ -779,18 +775,17 @@ let e13_increment () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* E14: ablations — latches on/off, scheduling policy                  *)
+(* E14: scheduling policy — FIFO vs seeded random                     *)
 
 let e14_ablations () =
   let t =
-    Table.create ~title:"E14: ablations (bank workload, 16 accounts, 100 transfers)"
-      ~header:[ "variant"; "committed"; "victims"; "total conserved"; "ms" ]
+    Table.create ~title:"E14: scheduling policy (bank workload, 16 accounts, 100 transfers)"
+      ~header:[ "policy"; "committed"; "victims"; "total conserved"; "ms" ]
   in
-  let run ~use_latches ~policy label =
-    let config = { E.default_config with E.use_latches } in
+  let run ~policy label =
     let store = Heap.store () in
     Bank.setup store ~accounts:16 ~balance:1_000;
-    let db = E.create ~config store in
+    let db = E.create store in
     let committed = ref 0 and aborted = ref 0 in
     let _, dt =
       time_of (fun () ->
@@ -808,10 +803,9 @@ let e14_ablations () =
         Table.fmt_f ~digits:2 (dt *. 1000.);
       ]
   in
-  run ~use_latches:true ~policy:Sched.Fifo "latches on, fifo";
-  run ~use_latches:false ~policy:Sched.Fifo "latches off, fifo";
-  run ~use_latches:true ~policy:(Sched.Random_seeded 1) "latches on, random seed 1";
-  run ~use_latches:true ~policy:(Sched.Random_seeded 2) "latches on, random seed 2";
+  run ~policy:Sched.Fifo "fifo";
+  run ~policy:(Sched.Random_seeded 1) "random seed 1";
+  run ~policy:(Sched.Random_seeded 2) "random seed 2";
   Table.print t
 
 (* ------------------------------------------------------------------ *)

@@ -108,8 +108,8 @@ if ! grep -Eq "^E25 conservation: .* \[OK\]$" /tmp/oltp_smoke.out; then
   exit 1
 fi
 
-echo "== bench smoke (E1 + E17/hotpath + E18/lockpath + E19/faults + E20/obs + E21/check + E22/mvcc) =="
-dune exec bench/main.exe -- --only e1,hotpath,lockpath,faults,obs,check,mvcc --smoke
+echo "== bench smoke (E1 + E12 + E14 + E17/hotpath + E18/lockpath + E19/faults + E20/obs + E21/check + E22/mvcc) =="
+dune exec bench/main.exe -- --only e1,e12,e14,hotpath,lockpath,faults,obs,check,mvcc --smoke
 
 echo "== bench artifact sanity (BENCH_*.json schemas) =="
 dune exec bin/bench_sanity.exe

@@ -523,33 +523,38 @@ let explore ?(options = default_options) (scenario : Scenario.t) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Mutation self-validation: seeded engine bugs the explorer + oracle
-   must catch, each paired with the bounded scenario designed to
-   expose it. *)
+(* Mutation self-validation: seeded bugs the explorer + oracle must
+   catch, each paired with the bounded scenario designed to expose it.
+   Disabled deadlock detection is a real engine option; the other two
+   bugs are rewrites of their kill scenario's main program. *)
 
 type mutation = No_deadlock_detection | Skip_remove_permits | Drop_cd_edge
 
 let mutations = [ No_deadlock_detection; Skip_remove_permits; Drop_cd_edge ]
 
-let mutation_name = function
-  | No_deadlock_detection -> "no-deadlock-detection"
-  | Skip_remove_permits -> "skip-remove-permits"
-  | Drop_cd_edge -> "drop-cd-edge"
-
-let apply_mutation m (config : E.config) =
-  match m with
-  | No_deadlock_detection -> { config with E.deadlock_detection = false }
-  | Skip_remove_permits -> { config with E.mutation_skip_remove_permits = true }
-  | Drop_cd_edge -> { config with E.mutation_drop_cd_edge = true }
-
-let mutate m (scenario : Scenario.t) =
-  {
-    scenario with
-    Scenario.name = scenario.Scenario.name ^ "+" ^ mutation_name m;
-    config = apply_mutation m scenario.Scenario.config;
-  }
-
 let kill_scenario = function
   | No_deadlock_detection -> Scenario.cross_locks
   | Skip_remove_permits -> Scenario.stale_permit_chain
   | Drop_cd_edge -> Scenario.cd_chain
+
+let mutate m (scenario : Scenario.t) =
+  let tag =
+    match m with
+    | No_deadlock_detection -> "no-deadlock-detection"
+    | Skip_remove_permits -> "skip-remove-permits"
+    | Drop_cd_edge -> "drop-cd-edge"
+  in
+  let rewrite main =
+    if scenario.Scenario.name <> (kill_scenario m).Scenario.name then
+      Fmt.invalid_arg "Explore.mutate: %s is seeded only into %s" tag
+        (kill_scenario m).Scenario.name;
+    { scenario with Scenario.main }
+  in
+  let mutated =
+    match m with
+    | No_deadlock_detection ->
+        { scenario with config = { scenario.config with E.deadlock_detection = false } }
+    | Skip_remove_permits -> rewrite Scenario.stale_permit_chain_keeping_permits
+    | Drop_cd_edge -> rewrite Scenario.cd_chain_dropping_edge
+  in
+  { mutated with name = scenario.name ^ "+" ^ tag }

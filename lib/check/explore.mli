@@ -125,12 +125,13 @@ val explore : ?options:options -> Scenario.t -> report
 type mutation = No_deadlock_detection | Skip_remove_permits | Drop_cd_edge
 
 val mutations : mutation list
-val mutation_name : mutation -> string
-val apply_mutation : mutation -> Scenario.E.config -> Scenario.E.config
 
 val mutate : mutation -> Scenario.t -> Scenario.t
-(** The scenario with the seeded engine bug switched on (name gains a
-    ["+<mutation>"] suffix). *)
+(** The scenario with the seeded bug switched on (name gains a
+    ["+<mutation>"] suffix).  [No_deadlock_detection] turns off the
+    engine's deadlock detection and applies to any scenario; the other
+    two rewrite their {!kill_scenario}'s main program and raise
+    [Invalid_argument] on any other scenario. *)
 
 val kill_scenario : mutation -> Scenario.t
 (** The canned scenario designed to expose the mutation. *)

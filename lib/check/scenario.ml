@@ -222,37 +222,60 @@ let cross_locks =
 (* Commit-dependency chain: the dependent may only commit after the
    master terminates.  Commits race from separate fibers, so dropping
    the CD edge lets some schedule commit the dependent first — a CD
-   discharge violation in the history. *)
+   discharge violation in the history.  With [~drop_cd_edge] (the
+   drop-cd-edge seeded bug) the main program only claims the edge: it
+   emits the CD trace event itself and never records it in the engine,
+   so commit never waits on the master. *)
+let cd_chain_main ~drop_cd_edge db =
+  let master = E.initiate db (body db [ W (0, 1); Y; Y ]) in
+  let dependent = E.initiate db (body db [ W (1, 2) ]) in
+  if drop_cd_edge then Trace.emit (Trace.Dep { dtype = "CD"; master; dependent })
+  else ignore (E.form_dependency db Asset_deps.Dep_type.CD master dependent);
+  ignore (E.begin_many db [ master; dependent ]);
+  E.spawn db ~label:"committer-dep" (fun () -> ignore (E.commit db dependent));
+  E.spawn db ~label:"committer-master" (fun () -> ignore (E.commit db master));
+  E.await_terminated db [ master; dependent ]
+
 let cd_chain =
-  make ~name:"cd-chain" ~objects:2 ~checks:Oracle.check_strict_history (fun db ->
-      let master = E.initiate db (body db [ W (0, 1); Y; Y ]) in
-      let dependent = E.initiate db (body db [ W (1, 2) ]) in
-      ignore (E.form_dependency db Asset_deps.Dep_type.CD master dependent);
-      ignore (E.begin_many db [ master; dependent ]);
-      E.spawn db ~label:"committer-dep" (fun () -> ignore (E.commit db dependent));
-      E.spawn db ~label:"committer-master" (fun () -> ignore (E.commit db master));
-      E.await_terminated db [ master; dependent ])
+  make ~name:"cd-chain" ~objects:2 ~checks:Oracle.check_strict_history
+    (cd_chain_main ~drop_cd_edge:false)
+
+let cd_chain_dropping_edge = cd_chain_main ~drop_cd_edge:true
 
 (* Stale transitive permit chain: t_h permits t_m, t_m permits t_3,
    then t_m aborts.  A correct engine severs the chain at the abort
    ([remove_permits]), so t_3's conflicting write waits for t_h's
    commit; an engine that skips permit removal grants it through the
    dead middleman while t_h's update is still dirty — a visibility
-   violation under the oracle's expiring, transitive permit model. *)
+   violation under the oracle's expiring, transitive permit model.
+   With [~keep_permits] (the skip-remove-permits seeded bug) the main
+   program puts both permits straight back into the lock table after
+   the abort, silently — no trace event — leaving exactly the table an
+   engine that skipped the removal would have left. *)
+let stale_permit_chain_main ~keep_permits db =
+  let o0 = Oid.of_int 0 in
+  let th = E.initiate db (body db [ W (0, 1); Y; Y ]) in
+  let tm = E.initiate db (fun () -> Sched.yield ()) in
+  let t3 = E.initiate db (body db [ W (0, 3) ]) in
+  E.permit db ~from_:th ~to_:tm ~oids:[ o0 ] ~ops:Ops.all;
+  E.permit db ~from_:tm ~to_:t3 ~oids:[ o0 ] ~ops:Ops.all;
+  ignore (E.begin_many db [ th; tm ]);
+  ignore (E.abort db tm);
+  if keep_permits then
+    List.iter
+      (fun (grantor, grantee) ->
+        Asset_lock.Lock_manager.add_permit (E.locks db) ~grantor ~grantee:(Some grantee) ~oid:o0
+          ~ops:Ops.all)
+      [ (th, tm); (tm, t3) ];
+  ignore (E.begin_ db t3);
+  E.spawn db ~label:"committer-3" (fun () -> ignore (E.commit db t3));
+  ignore (E.commit db th);
+  E.await_terminated db [ th; tm; t3 ]
+
 let stale_permit_chain =
-  make ~name:"stale-permit-chain" ~objects:1 (fun db ->
-      let o0 = Oid.of_int 0 in
-      let th = E.initiate db (body db [ W (0, 1); Y; Y ]) in
-      let tm = E.initiate db (fun () -> Sched.yield ()) in
-      let t3 = E.initiate db (body db [ W (0, 3) ]) in
-      E.permit db ~from_:th ~to_:tm ~oids:[ o0 ] ~ops:Ops.all;
-      E.permit db ~from_:tm ~to_:t3 ~oids:[ o0 ] ~ops:Ops.all;
-      ignore (E.begin_many db [ th; tm ]);
-      ignore (E.abort db tm);
-      ignore (E.begin_ db t3);
-      E.spawn db ~label:"committer-3" (fun () -> ignore (E.commit db t3));
-      ignore (E.commit db th);
-      E.await_terminated db [ th; tm; t3 ])
+  make ~name:"stale-permit-chain" ~objects:1 (stale_permit_chain_main ~keep_permits:false)
+
+let stale_permit_chain_keeping_permits = stale_permit_chain_main ~keep_permits:true
 
 (* Delegation racing a pending lock request: depending on the
    schedule, the main fiber's delegate of t1's work to t3 lands while

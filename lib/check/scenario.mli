@@ -88,6 +88,20 @@ val stale_permit_chain : t
 (** Transitive permit chain through a transaction that aborts: the
     [remove_permits] workout. *)
 
+(** {2 Seeded bugs}
+
+    Mutated main programs for the mutation self-validation: each is its
+    kill scenario's main with the bug written into the scenario rather
+    than the engine. *)
+
+val cd_chain_dropping_edge : E.t -> unit
+(** [cd_chain]'s main emitting the CD [Trace.Dep] event without forming
+    the edge, so the dependent's commit never waits for the master. *)
+
+val stale_permit_chain_keeping_permits : E.t -> unit
+(** [stale_permit_chain]'s main restoring, without a trace event, the
+    two permits the middleman's abort removed. *)
+
 val delegate_pending : t
 (** Delegation racing a pending lock request (the PR-2
     withdraw-pending behaviour), end-to-end. *)

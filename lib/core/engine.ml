@@ -1,7 +1,6 @@
 (* The ASSET engine: transaction descriptors and the complete primitive
    set of section 2 over the section-4 substrate (lock manager with
-   permits, dependency graph, before/after-image log, per-object
-   latches, object store).
+   permits, dependency graph, before/after-image log, object store).
 
    Concurrency model.  Every transaction body runs in a cooperative
    fiber ([Asset_sched.Scheduler]); a primitive that must block parks
@@ -22,7 +21,6 @@ module Dep_type = Asset_deps.Dep_type
 module Log = Asset_wal.Log
 module Record = Asset_wal.Record
 module Sched = Asset_sched.Scheduler
-module Latch = Asset_latch.Latch
 module Trace = Asset_obs.Trace
 module Fault = Asset_fault.Fault
 
@@ -76,8 +74,6 @@ type td = {
 type config = {
   max_transactions : int;
   deadlock_detection : bool;
-  use_latches : bool;
-  dep_cycle_check : bool;
   group_commit_size : int;
       (* force the log once per this many commit records; pending
          commits are also flushed at every scheduler quiescence point *)
@@ -90,31 +86,15 @@ type config = {
          segments — once this many log bytes accumulate since the last
          one, measured at commit time.  0 (the default) disables; only
          meaningful on a file- or directory-backed log *)
-  debug_invariants : bool;
-      (* cross-check the lock manager's incremental waits-for graph
-         against a from-scratch rebuild on every lock operation and
-         deadlock search — expensive, for tests only *)
-  mutation_skip_remove_permits : bool;
-      (* seeded bug for checker self-validation: terminated transactions
-         leave their permits behind instead of dropping them *)
-  mutation_drop_cd_edge : bool;
-      (* seeded bug for checker self-validation: form_dependency reports
-         a CD edge as formed (trace event included) without recording
-         it, so commit never waits on the master *)
 }
 
 let default_config =
   {
     max_transactions = 10_000;
     deadlock_detection = true;
-    use_latches = true;
-    dep_cycle_check = true;
     group_commit_size = 1;
     lock_wait_timeout_steps = 0;
     checkpoint_log_bytes = 0;
-    debug_invariants = false;
-    mutation_skip_remove_permits = false;
-    mutation_drop_cd_edge = false;
   }
 
 type t = {
@@ -131,7 +111,6 @@ type t = {
      against the requested bounds; entries move with delegation and
      clear at commit/abort. *)
   escrow_inflight : (Oid.t, (Tid.t * int) list) Hashtbl.t;
-  latches : (Oid.t, Latch.t) Hashtbl.t;
   fiber_txn : (int, Tid.t) Hashtbl.t; (* scheduler fid -> tid *)
   mutable sched : Sched.t option;
   mutable version : int; (* bumped on every observable state change *)
@@ -172,12 +151,11 @@ let create ?(config = default_config) ?log ?tid_gen store =
     store;
     log;
     locks = Lock.create ();
-    deps = Dep.create ~cycle_check:config.dep_cycle_check ();
+    deps = Dep.create ();
     config;
     tds = Hashtbl.create 128;
     tid_gen;
     escrow_inflight = Hashtbl.create 16;
-    latches = Hashtbl.create 128;
     fiber_txn = Hashtbl.create 64;
     sched = None;
     version = 0;
@@ -260,14 +238,6 @@ let is_aborted db tid = match status db tid with Status.Aborted | Status.Abortin
 let is_committed db tid = Status.equal (status db tid) Status.Committed
 let parent_of db tid = (td db tid).parent
 let failure_of db tid = (td db tid).failure
-
-let latch db oid =
-  match Hashtbl.find_opt db.latches oid with
-  | Some l -> l
-  | None ->
-      let l = Latch.create ~name:(Format.asprintf "latch:%a" Oid.pp oid) () in
-      Hashtbl.replace db.latches oid l;
-      l
 
 (* Park the current fiber until the engine version moves past [v].
    The watch snapshot lets the scheduler skip re-evaluating the
@@ -395,18 +365,13 @@ let begin_many db tids = List.for_all (fun t -> begin_ db t) tids
 (* ------------------------------------------------------------------ *)
 (* Data operations: the section 4.2 read / write algorithms            *)
 
-let check_lock_invariants db where =
-  if db.config.debug_invariants && not (Lock.check_waits_for_invariant db.locks) then
-    Fmt.failwith "debug_invariants: incremental waits-for graph diverged (%s)" where
-
 let acquire_lock db td oid mode =
   let rounds = ref 0 in
   let rec loop () =
     check_live td;
     match Lock.acquire db.locks td.tid oid mode with
-    | Lock.Acquired -> check_lock_invariants db "acquire"
+    | Lock.Acquired -> ()
     | Lock.Blocked_on blockers ->
-        check_lock_invariants db "blocked";
         let bound = db.config.lock_wait_timeout_steps in
         if bound > 0 && !rounds >= bound then begin
           (* The request has stalled past the bound: abort ourselves
@@ -437,9 +402,6 @@ let acquire_lock db td oid mode =
       td.waiting_on <- "";
       raise e)
 
-let with_latch db oid mode f =
-  if db.config.use_latches then Latch.with_latch ~spin:Sched.yield (latch db oid) mode f else f ()
-
 (* Acquire a lock without touching the data — used by layers (e.g.
    private workspaces) that want to declare intent up front and avoid
    later upgrades. *)
@@ -454,9 +416,9 @@ let read db oid =
   check_live td;
   if td.read_only then begin
     (* Lock-free snapshot read: the newest version committed at or
-       before the begin timestamp.  No lock and no latch — versions at
-       or below an active snapshot's timestamp are immutable (commits
-       only prepend newer ones, and GC never trims past them). *)
+       before the begin timestamp.  No lock — versions at or below an
+       active snapshot's timestamp are immutable (commits only prepend
+       newer ones, and GC never trims past them). *)
     let vts, value = (mvcc db).Store.read_at oid td.snapshot_ts in
     if Trace.on () then Trace.emit (Trace.Snap_read { tid = td.tid; oid; ts = vts });
     Asset_util.Stats.Counter.incr db.snapshot_reads;
@@ -466,13 +428,35 @@ let read db oid =
     acquire_lock db td oid Mode.Read;
     if Trace.on () then Trace.emit (Trace.Op { tid = td.tid; oid; op = 'R' });
     Asset_util.Stats.Counter.incr db.reads;
-    with_latch db oid Latch.S (fun () -> Store.read db.store oid)
+    Store.read db.store oid
   end
 
 let read_exn db oid =
   match read db oid with
   | Some v -> v
   | None -> Fmt.invalid_arg "Asset read: %a does not exist" Oid.pp oid
+
+(* One logged update of [oid]: read the before image, log the record
+   [f] builds from it, install the after image.  Nothing here yields, so
+   on an engine confined to one domain no other fiber can run between
+   the before-image read and the write — this fiber segment is what the
+   paper's section-4.1 X latch protects. *)
+let logged_update db td oid f =
+  let before = Store.read db.store oid in
+  (* First engine write to this oid: [before] is still its committed
+     state — seed the version chain with it so snapshot readers never
+     see the dirty base value. *)
+  (mvcc db).Store.preserve oid before;
+  let record, after = f before in
+  td.updates <- Log.append db.log record :: td.updates;
+  Store.write db.store oid after
+
+(* A counter delta, undone logically (increment and escrow alike). *)
+let increment_update db td oid delta =
+  logged_update db td oid (fun before ->
+      let current = match before with Some v -> Value.to_int v | None -> 0 in
+      let after = Value.of_int (current + delta) in
+      (Record.Increment { tid = td.tid; oid; delta; after }, after))
 
 let write db oid value =
   let td = current_td db in
@@ -481,15 +465,8 @@ let write db oid value =
   acquire_lock db td oid Mode.Write;
   if Trace.on () then Trace.emit (Trace.Op { tid = td.tid; oid; op = 'W' });
   Asset_util.Stats.Counter.incr db.writes;
-  with_latch db oid Latch.X (fun () ->
-      let before = Store.read db.store oid in
-      (* First engine write to this oid: [before] is still its
-         committed state — seed the version chain with it so snapshot
-         readers never see the dirty base value. *)
-      (mvcc db).Store.preserve oid before;
-      let lsn = Log.append db.log (Record.Update { tid = td.tid; oid; before; after = value }) in
-      td.updates <- lsn :: td.updates;
-      Store.write db.store oid value)
+  logged_update db td oid (fun before ->
+      (Record.Update { tid = td.tid; oid; before; after = value }, value))
 
 (* Read-modify-write helper: the common increment/update pattern. *)
 let modify db oid f =
@@ -511,14 +488,7 @@ let increment db oid delta =
   acquire_lock db td oid Mode.Increment;
   if Trace.on () then Trace.emit (Trace.Op { tid = td.tid; oid; op = 'I' });
   Asset_util.Stats.Counter.incr db.writes;
-  with_latch db oid Latch.X (fun () ->
-      let before = Store.read db.store oid in
-      (mvcc db).Store.preserve oid before;
-      let current = match before with Some v -> Value.to_int v | None -> 0 in
-      let after = Value.of_int (current + delta) in
-      let lsn = Log.append db.log (Record.Increment { tid = td.tid; oid; delta; after }) in
-      td.updates <- lsn :: td.updates;
-      Store.write db.store oid after)
+  increment_update db td oid delta
 
 (* Escrow update (the section-5 typed-object plan taken further): a
    bounded counter delta that commits only if the counter provably
@@ -558,14 +528,7 @@ let escrow db oid delta ~lo ~hi =
   Hashtbl.replace db.escrow_inflight oid candidate;
   (* The physical update is an increment: same logical-undo CLR on
      abort, same repeat-history treatment in recovery. *)
-  with_latch db oid Latch.X (fun () ->
-      let before = Store.read db.store oid in
-      (mvcc db).Store.preserve oid before;
-      let current = match before with Some v -> Value.to_int v | None -> 0 in
-      let after = Value.of_int (current + delta) in
-      let lsn = Log.append db.log (Record.Increment { tid = td.tid; oid; delta; after }) in
-      td.updates <- lsn :: td.updates;
-      Store.write db.store oid after)
+  increment_update db td oid delta
 
 (* Enqueue on a queue-typed object: appends commute with appends (FIFO
    order between uncommitted producers is decided at commit), so the
@@ -579,14 +542,10 @@ let enqueue db oid item =
   acquire_lock db td oid Mode.Enqueue;
   if Trace.on () then Trace.emit (Trace.Op { tid = td.tid; oid; op = 'Q' });
   Asset_util.Stats.Counter.incr db.enqueues;
-  with_latch db oid Latch.X (fun () ->
-      let before = Store.read db.store oid in
-      (mvcc db).Store.preserve oid before;
+  logged_update db td oid (fun before ->
       let current = match before with Some v -> v | None -> Value.of_queue [] in
       let after = Value.queue_push current item in
-      let lsn = Log.append db.log (Record.Enqueue { tid = td.tid; oid; item; after }) in
-      td.updates <- lsn :: td.updates;
-      Store.write db.store oid after)
+      (Record.Enqueue { tid = td.tid; oid; item; after }, after))
 
 (* ------------------------------------------------------------------ *)
 (* Savepoints: partial rollback inside a transaction                   *)
@@ -719,22 +678,13 @@ let permit ?to_ ?oids ?ops db ~from_ =
 (* form_dependency                                                     *)
 
 let form_dependency db dtype ti tj =
-  if db.config.mutation_drop_cd_edge && dtype = Dep_type.CD then begin
-    (* Seeded bug: claim the CD edge was formed (trace event and all)
-       but never record it, so commit ordering is silently lost. *)
-    if Trace.on () then
-      Trace.emit (Trace.Dep { dtype = Dep_type.to_string dtype; master = ti; dependent = tj });
-    bump db;
-    true
-  end
-  else
-    match Dep.add db.deps dtype ~master:ti ~dependent:tj with
-    | () ->
-        if Trace.on () then
-          Trace.emit (Trace.Dep { dtype = Dep_type.to_string dtype; master = ti; dependent = tj });
-        bump db;
-        true
-    | exception Dep.Cycle_rejected _ -> false
+  match Dep.add db.deps dtype ~master:ti ~dependent:tj with
+  | () ->
+      if Trace.on () then
+        Trace.emit (Trace.Dep { dtype = Dep_type.to_string dtype; master = ti; dependent = tj });
+      bump db;
+      true
+  | exception Dep.Cycle_rejected _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* abort: the section 4.2 algorithm                                    *)
@@ -811,7 +761,7 @@ let rec finalize_abort db (td : td) =
   (* Step 3: release all locks (and any pending requests). *)
   ignore (Lock.release_all db.locks td.tid);
   Lock.cancel_pending_all db.locks td.tid;
-  if not db.config.mutation_skip_remove_permits then Lock.remove_permits db.locks td.tid;
+  Lock.remove_permits db.locks td.tid;
   (* Step 4: dependencies incoming to t_i (t_i is the master) force
      AD/GC dependents to abort.  A group-commit dependency is symmetric
      ("either both commit or neither"), so GC edges where t_i is the
@@ -1052,7 +1002,7 @@ let commit_group db group =
          permissions. *)
       Dep.remove_involving db.deps tid;
       ignore (Lock.release_all db.locks tid);
-      if not db.config.mutation_skip_remove_permits then Lock.remove_permits db.locks tid)
+      Lock.remove_permits db.locks tid)
     group;
   (* Exclusion: committing excludes every EXC partner of each member.
      Partners were collected before edges were dropped — but since
@@ -1198,14 +1148,6 @@ let resolve_deadlock db () =
   let resolved =
     if not db.config.deadlock_detection then false
     else begin
-      check_lock_invariants db "stall";
-      (if db.config.debug_invariants then
-         (* The incremental and rebuild searches must agree on whether a
-            deadlock exists (the particular cycle may differ). *)
-         let live = Lock.find_cycle db.locks <> None in
-         let rebuilt = Lock.find_cycle_rebuild db.locks <> None in
-         if live <> rebuilt then
-           Fmt.failwith "debug_invariants: find_cycle (%b) disagrees with rebuild (%b)" live rebuilt);
       match Lock.find_cycle db.locks with
       | Some (victim :: _ as cycle) ->
           let youngest = List.fold_left (fun a b -> if Tid.compare a b >= 0 then a else b) victim cycle in

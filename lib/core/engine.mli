@@ -1,6 +1,6 @@
 (** The ASSET engine: the complete primitive set of section 2 over the
     section-4 substrate (lock manager with permits, dependency graph,
-    before/after-image log, per-object latches, object store).
+    before/after-image log, object store).
 
     {2 Concurrency model}
 
@@ -56,9 +56,6 @@ type config = {
   deadlock_detection : bool;
       (** Resolve lock deadlocks by aborting a victim; when off, a
           deadlock surfaces as [Scheduler.Deadlock]. *)
-  use_latches : bool;  (** Latch objects around elementary operations. *)
-  dep_cycle_check : bool;
-      (** Reject commit-wait cycles in [form_dependency]. *)
   group_commit_size : int;
       (** Force the log once per this many commit records instead of
           per commit, so concurrent committers share one force; any
@@ -80,22 +77,6 @@ type config = {
           commit group; a checkpoint that fails with a storage fault is
           skipped (the commit it rode on stays durable) and the meter
           backs off one threshold.  0 (the default) disables. *)
-  debug_invariants : bool;
-      (** Cross-check the lock manager's incremental waits-for graph
-          against a from-scratch rebuild after every lock operation and
-          at every deadlock search, failing loudly on divergence.
-          Expensive — intended for tests.  Default [false]. *)
-  mutation_skip_remove_permits : bool;
-      (** Seeded bug for checker self-validation ({!Asset_check}):
-          commit and abort skip [Lock.remove_permits], so a terminated
-          grantor's permits stay live and can sanction later conflicting
-          operations.  Default [false]; never enable outside tests. *)
-  mutation_drop_cd_edge : bool;
-      (** Seeded bug for checker self-validation: {!form_dependency}
-          reports a commit dependency as formed — trace event emitted,
-          [true] returned — without recording the edge, so commit never
-          waits for the master.  Default [false]; never enable outside
-          tests. *)
 }
 
 val default_config : config
@@ -118,8 +99,8 @@ val initiate : ?parent:Tid.t -> ?read_only:bool -> t -> (unit -> unit) -> Tid.t
 
     With [~read_only:true] the transaction runs against a multi-version
     snapshot pinned at its begin: every {!read} is lock-free and
-    latch-free, returning the newest version committed at or before the
-    begin timestamp, so it can never block, deadlock, or be aborted by
+    returns the newest version committed at or before the begin
+    timestamp, so it can never block, deadlock, or be aborted by
     the concurrency control.  Mutating operations raise
     {!Read_only_txn}. *)
 
@@ -186,14 +167,16 @@ val lock : t -> Oid.t -> Asset_lock.Mode.t -> unit
     upgrades. *)
 
 val read : t -> Oid.t -> Value.t option
-(** Read-lock (blocking), S-latch, read.  In a [~read_only:true]
+(** Read-lock (blocking), read.  In a [~read_only:true]
     transaction: a lock-free snapshot read at the begin timestamp
     instead. *)
 
 val read_exn : t -> Oid.t -> Value.t
 
 val write : t -> Oid.t -> Value.t -> unit
-(** Write-lock (blocking), X-latch, log before/after images, write. *)
+(** Write-lock (blocking), log before/after images, write.  The
+    before-image read, log append and write run without a yield point
+    in between, so no other fiber observes a half-applied update. *)
 
 val modify : t -> Oid.t -> (Value.t option -> Value.t) -> unit
 (** Read-modify-write (upgrades the lock). *)

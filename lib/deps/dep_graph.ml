@@ -31,17 +31,15 @@ type t = {
   by_master : (Tid.t, edge list ref) Hashtbl.t;
   by_dependent : (Tid.t, edge list ref) Hashtbl.t;
   mutable edge_count : int;
-  cycle_check : bool;
   formed : Asset_util.Stats.Counter.t;
   rejected : Asset_util.Stats.Counter.t;
 }
 
-let create ?(cycle_check = true) () =
+let create () =
   {
     by_master = Hashtbl.create 64;
     by_dependent = Hashtbl.create 64;
     edge_count = 0;
-    cycle_check;
     formed = Asset_util.Stats.Counter.create "deps.formed";
     rejected = Asset_util.Stats.Counter.create "deps.rejected";
   }
@@ -94,7 +92,7 @@ let add t dtype ~master ~dependent =
   if Tid.equal master dependent then invalid_arg "Dep_graph.add: self dependency";
   if mem t dtype ~master ~dependent then ()
   else begin
-    (if t.cycle_check && Dep_type.blocks_commit dtype && creates_commit_cycle t ~master ~dependent
+    (if Dep_type.blocks_commit dtype && creates_commit_cycle t ~master ~dependent
      then begin
        Asset_util.Stats.Counter.incr t.rejected;
        raise (Cycle_rejected (master, dependent))

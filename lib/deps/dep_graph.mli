@@ -18,17 +18,15 @@ type edge = {
 
 type t
 
-val create : ?cycle_check:bool -> unit -> t
-(** [cycle_check] (default true) rejects commit-wait (CD/AD) cycles at
-    [add] time, per the paper's "a check is performed to prevent
-    certain dependency cycles". *)
+val create : unit -> t
 
 exception Cycle_rejected of Tid.t * Tid.t
 
 val add : t -> Dep_type.t -> master:Tid.t -> dependent:Tid.t -> unit
 (** Idempotent per (type, master, dependent).  Raises {!Cycle_rejected}
-    when the edge would close a commit-wait cycle, [Invalid_argument]
-    on a self dependency. *)
+    when the edge would close a commit-wait (CD/AD) cycle — the paper's
+    "a check is performed to prevent certain dependency cycles" —
+    and [Invalid_argument] on a self dependency. *)
 
 val mem : t -> Dep_type.t -> master:Tid.t -> dependent:Tid.t -> bool
 

@@ -1,5 +1,5 @@
-(* Lightweight counters and summary statistics used by the engine, the
-   lock manager and the benchmark harness.  Everything is in-memory and
+(* Lightweight counters and histograms used by the engine, the lock
+   manager and the benchmark harness.  Everything is in-memory and
    allocation-light so that enabling statistics does not distort the
    benchmarks that read them. *)
 
@@ -13,53 +13,6 @@ module Counter = struct
   let reset t = t.value <- 0
   let name t = t.name
   let pp ppf t = Format.fprintf ppf "%s=%d" t.name t.value
-end
-
-module Summary = struct
-  (* Streaming summary: count, sum, min, max and sum of squares, enough
-     for mean and standard deviation without retaining samples. *)
-  type t = {
-    name : string;
-    mutable count : int;
-    mutable sum : float;
-    mutable sum_sq : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create name =
-    { name; count = 0; sum = 0.0; sum_sq = 0.0; min = infinity; max = neg_infinity }
-
-  let observe t x =
-    t.count <- t.count + 1;
-    t.sum <- t.sum +. x;
-    t.sum_sq <- t.sum_sq +. (x *. x);
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
-
-  let count t = t.count
-  let sum t = t.sum
-  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
-  let min t = if t.count = 0 then 0.0 else t.min
-  let max t = if t.count = 0 then 0.0 else t.max
-
-  let stddev t =
-    if t.count < 2 then 0.0
-    else
-      let n = float_of_int t.count in
-      let variance = (t.sum_sq /. n) -. ((t.sum /. n) ** 2.0) in
-      sqrt (Float.max 0.0 variance)
-
-  let reset t =
-    t.count <- 0;
-    t.sum <- 0.0;
-    t.sum_sq <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity
-
-  let pp ppf t =
-    Format.fprintf ppf "%s: n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f" t.name t.count
-      (mean t) (min t) (max t) (stddev t)
 end
 
 module Histogram = struct

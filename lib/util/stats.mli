@@ -1,5 +1,5 @@
-(** Lightweight counters and summary statistics for the engine, lock
-    manager and benchmark harness. *)
+(** Lightweight counters and histograms for the engine, lock manager
+    and benchmark harness. *)
 
 module Counter : sig
   type t
@@ -10,24 +10,6 @@ module Counter : sig
   val get : t -> int
   val reset : t -> unit
   val name : t -> string
-  val pp : Format.formatter -> t -> unit
-end
-
-module Summary : sig
-  (** Streaming summary: count, mean, min, max and standard deviation
-      without retaining samples. *)
-
-  type t
-
-  val create : string -> t
-  val observe : t -> float -> unit
-  val count : t -> int
-  val sum : t -> float
-  val mean : t -> float
-  val min : t -> float
-  val max : t -> float
-  val stddev : t -> float
-  val reset : t -> unit
   val pp : Format.formatter -> t -> unit
 end
 

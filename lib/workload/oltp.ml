@@ -174,9 +174,15 @@ let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~se
       (fun () ->
         let t0 = Unix.gettimeofday () in
         let read_only = snapshot_readers && read_only txn in
+        let give_up () =
+          st.s_gave_up <- st.s_gave_up + 1;
+          E.note_give_up db
+        in
         let rec attempt k =
           let t = E.initiate ~read_only db (body ~rmw db txn) in
-          if Tid.is_null t then ()
+          (* A null tid: [max_transactions] reached, the engine refused
+             the attempt. *)
+          if Tid.is_null t then give_up ()
           else begin
             ignore (E.begin_ db t);
             if E.commit db t then begin
@@ -185,20 +191,16 @@ let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~se
             end
             else begin
               st.s_aborted <- st.s_aborted + 1;
-              if Workload.retryable (E.failure_of db t) then
-                if k < max_retries then begin
-                  st.s_retries <- st.s_retries + 1;
-                  E.note_retry db;
-                  let cap = min 64 (2 lsl k) in
-                  for _ = 1 to Rng.int rng cap do
-                    Sched.yield ()
-                  done;
-                  attempt (k + 1)
-                end
-                else begin
-                  st.s_gave_up <- st.s_gave_up + 1;
-                  E.note_give_up db
-                end
+              if k < max_retries && Workload.retryable (E.failure_of db t) then begin
+                st.s_retries <- st.s_retries + 1;
+                E.note_retry db;
+                let cap = min 64 (2 lsl k) in
+                for _ = 1 to Rng.int rng cap do
+                  Sched.yield ()
+                done;
+                attempt (k + 1)
+              end
+              else give_up ()
             end
           end
         in

@@ -130,7 +130,10 @@ val run_mix :
   config ->
   (klass * class_stats) list
 (** Run [txns] generated transactions concurrently (one fiber each)
-    with typed retry; [snapshot_readers] runs stock-checks as
+    with typed retry.  Every transaction ends committed or given up —
+    retries exhausted, a non-retryable abort, or refused by
+    [max_transactions] — so per class [s_committed + s_gave_up]
+    counts its transactions.  [snapshot_readers] runs stock-checks as
     [read_only] MVCC snapshot transactions, [rmw] degrades every body
     to the plain-2PL baseline.  Must run inside a runtime fiber.
     Returns stats for all four classes in {!all_klasses} order. *)

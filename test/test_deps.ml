@@ -64,12 +64,6 @@ let test_gc_cycle_allowed () =
   Dg.add g Dt.GC ~master:(tid 2) ~dependent:(tid 1);
   Alcotest.(check int) "both edges" 2 (Dg.edge_count g)
 
-let test_cycle_check_can_be_disabled () =
-  let g = Dg.create ~cycle_check:false () in
-  Dg.add g Dt.CD ~master:(tid 1) ~dependent:(tid 2);
-  Dg.add g Dt.CD ~master:(tid 2) ~dependent:(tid 1);
-  Alcotest.(check int) "cycle admitted" 2 (Dg.edge_count g)
-
 let test_gc_group_closure () =
   let g = Dg.create () in
   Dg.add g Dt.GC ~master:(tid 1) ~dependent:(tid 2);
@@ -240,7 +234,6 @@ let () =
           Alcotest.test_case "CD cycle rejected" `Quick test_cd_cycle_rejected;
           Alcotest.test_case "AD/CD mixed cycle rejected" `Quick test_ad_cd_mixed_cycle_rejected;
           Alcotest.test_case "GC cycle allowed" `Quick test_gc_cycle_allowed;
-          Alcotest.test_case "check can be disabled" `Quick test_cycle_check_can_be_disabled;
           QCheck_alcotest.to_alcotest prop_accepted_edges_acyclic;
         ] );
       ( "gc",

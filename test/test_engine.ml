@@ -269,23 +269,151 @@ let test_deadlock_detection_disabled_raises () =
   Alcotest.(check bool) "deadlock surfaced" true outcome.R.deadlocked
 
 let test_debug_invariants_deadlock_workload () =
-  (* A deadlock-prone bank workload with the invariant cross-check on:
-     every lock operation and every stall-hook deadlock search verifies
-     the incremental waits-for graph against a from-scratch rebuild,
-     and fails the run on any divergence. *)
+  (* A deadlock-prone bank workload under a seeded random chooser that
+     cross-checks the lock manager at every scheduling step: the
+     incremental waits-for graph must carry exactly the edges a
+     from-scratch rebuild derives, and the incremental and rebuild cycle
+     searches must agree on whether a deadlock exists (the particular
+     cycle may differ). *)
   let module Bank = Asset_workload.Bank in
-  let config = { E.default_config with E.debug_invariants = true } in
+  let module Lock = Asset_lock.Lock_manager in
   let store = Asset_storage.Heap_store.store () in
   Bank.setup store ~accounts:4 ~balance:1_000;
-  let db = E.create ~config store in
-  R.run_exn db (fun () -> ignore (Bank.run_transfers db ~accounts:4 ~n_txns:24));
+  let db = E.create store in
+  let rng = Asset_util.Rng.create 7 in
+  let steps = ref 0 in
+  let check cands =
+    incr steps;
+    let locks = E.locks db in
+    if not (Lock.check_waits_for_invariant locks) then
+      Alcotest.failf "step %d: incremental waits-for graph diverged" !steps;
+    let live = Lock.find_cycle locks <> None in
+    let rebuilt = Lock.find_cycle_rebuild locks <> None in
+    if live <> rebuilt then
+      Alcotest.failf "step %d: find_cycle (%b) disagrees with rebuild (%b)" !steps live rebuilt;
+    Asset_util.Rng.int rng (Array.length cands)
+  in
+  R.run_exn ~policy:(Sched.Controlled check) db (fun () ->
+      ignore (Bank.run_transfers db ~accounts:4 ~n_txns:24));
   Alcotest.(check int) "money conserved" (4 * 1_000) (Bank.total db ~accounts:4);
   Alcotest.(check bool) "deadlocks actually exercised" true
     (List.assoc "deadlock_victims" (E.stats db) > 0);
-  (* The new counters surface through Engine.stats. *)
+  (* The engine's own deadlock searches surface through Engine.stats,
+     on top of the one per step made above. *)
   Alcotest.(check bool) "cycle_checks surfaced" true
-    (List.assoc "lock.cycle_checks" (E.stats db) > 0);
+    (List.assoc "lock.cycle_checks" (E.stats db) > !steps);
   Alcotest.(check int) "no residual waits-for edges" 0 (List.assoc "lock.waits_edges" (E.stats db))
+
+(* ------------------------------------------------------------------ *)
+(* update atomicity                                                    *)
+
+(* No latch guards an update: its before-image read, log append and
+   write must fall inside one scheduling segment.  The watched store
+   opens an update at [preserve] — the engine's first step after the
+   before-image read, which must have happened in the same segment —
+   and closes it at the write of that object; the chooser flags any
+   fiber switch that finds an update open.  Violations are recorded,
+   not raised: an exception inside a transaction body would only abort
+   that transaction. *)
+type update_watch = {
+  mutable segment : int;
+  mutable open_update : Oid.t option;
+  mutable updates : int;
+  read_in : (Oid.t, int) Hashtbl.t; (* segment of each object's last read *)
+  mutable violation : string option; (* the first one *)
+}
+
+let flag w fmt =
+  Format.kasprintf (fun msg -> if w.violation = None then w.violation <- Some msg) fmt
+
+let watched_store w =
+  let base = Asset_storage.Mvcc_store.wrap (Asset_storage.Heap_store.store ()) in
+  let m = Option.get base.Store.mvcc in
+  let preserve o before =
+    if Hashtbl.find_opt w.read_in o <> Some w.segment then
+      flag w "update of %a: before image read in an earlier segment" Oid.pp o;
+    w.open_update <- Some o;
+    w.updates <- w.updates + 1;
+    m.Store.preserve o before
+  in
+  {
+    base with
+    Store.read =
+      (fun o ->
+        Hashtbl.replace w.read_in o w.segment;
+        base.Store.read o);
+    write =
+      (fun o v ->
+        if Option.equal Oid.equal w.open_update (Some o) then w.open_update <- None;
+        base.Store.write o v);
+    mvcc = Some { m with Store.preserve };
+  }
+
+(* Eight transactions, each updating through every update path:
+   opposite-order read-modify-writes on objects 1 and 5 (lock upgrades
+   and deadlock victims), an increment, an escrow decrement that only
+   three can hold at once (violations abort), and an enqueue. *)
+let run_update_mix pick =
+  let w =
+    { segment = 0; open_update = None; updates = 0; read_in = Hashtbl.create 8; violation = None }
+  in
+  let store = watched_store w in
+  List.iter
+    (fun (o, v) -> Store.write store (oid o) v)
+    [ (1, vi 0); (2, vi 0); (3, vi 3); (4, Value.of_queue []); (5, vi 0) ];
+  let db = E.create store in
+  let choose cands =
+    Option.iter (flag w "fiber switch inside the update of %a" Oid.pp) w.open_update;
+    w.segment <- w.segment + 1;
+    pick (Array.length cands)
+  in
+  let tids = ref [] in
+  R.run_exn ~policy:(Sched.Controlled choose) db (fun () ->
+      let bump o = E.modify db (oid o) (fun v -> Value.incr_int (Option.get v) 1) in
+      let body i () =
+        let a, b = if i mod 2 = 0 then (1, 5) else (5, 1) in
+        bump a;
+        Sched.yield ();
+        E.increment db (oid 2) 1;
+        Sched.yield ();
+        E.escrow db (oid 3) (-1) ~lo:0 ~hi:100;
+        Sched.yield ();
+        E.enqueue db (oid 4) (string_of_int i);
+        Sched.yield ();
+        bump b
+      in
+      tids := List.init 8 (fun i -> E.initiate db (body i));
+      ignore (E.begin_many db !tids);
+      List.iter (fun t -> E.spawn db ~label:"committer" (fun () -> ignore (E.commit db t))) !tids;
+      E.await_terminated db !tids);
+  let committed = List.length (List.filter (E.is_committed db) !tids) in
+  (db, w, committed)
+
+let test_update_atomicity () =
+  let policies =
+    ("fifo", fun _ -> 0)
+    :: List.map
+         (fun seed ->
+           let rng = Asset_util.Rng.create seed in
+           (Printf.sprintf "random seed %d" seed, Asset_util.Rng.int rng))
+         [ 1; 2; 3; 4; 5 ]
+  in
+  List.iter
+    (fun (name, pick) ->
+      let db, w, committed = run_update_mix pick in
+      let stat k = List.assoc k (E.stats db) in
+      Alcotest.(check (option string)) (name ^ ": no split update") None w.violation;
+      Alcotest.(check bool) (name ^ ": updates watched") true (w.updates > 0);
+      Alcotest.(check bool) (name ^ ": contended") true (stat "lock_waits" > 0);
+      Alcotest.(check bool) (name ^ ": escrow ran") true (stat "escrow_ops" > 0);
+      Alcotest.(check bool) (name ^ ": some commit") true (committed > 0);
+      Alcotest.(check int) (name ^ ": increments") committed (geti db 2);
+      Alcotest.(check int) (name ^ ": escrow") (3 - committed) (geti db 3);
+      Alcotest.(check int) (name ^ ": rmw") (2 * committed) (geti db 1 + geti db 5);
+      Alcotest.(check int)
+        (name ^ ": queue") committed
+        (List.length (Value.to_queue (Store.read_exn (E.store db) (oid 4)))))
+    policies
 
 (* ------------------------------------------------------------------ *)
 (* wait / commit blocking semantics                                    *)
@@ -1110,6 +1238,7 @@ let () =
             test_deadlock_detection_disabled_raises;
           Alcotest.test_case "debug invariants under deadlock workload" `Quick
             test_debug_invariants_deadlock_workload;
+          Alcotest.test_case "updates atomic between choice points" `Quick test_update_atomicity;
         ] );
       ( "blocking",
         [

@@ -248,23 +248,6 @@ let test_counter_get_is_pure () =
   Stats.Counter.incr c;
   Alcotest.(check int) "counts again after reset" 1 (Stats.Counter.get c)
 
-let test_summary () =
-  let s = Stats.Summary.create "s" in
-  List.iter (Stats.Summary.observe s) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.Summary.count s);
-  Alcotest.(check (float 1e-9)) "mean" 2.5 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 4.0 (Stats.Summary.max s);
-  Alcotest.(check (float 1e-6)) "stddev" 1.118033989 (Stats.Summary.stddev s);
-  Stats.Summary.reset s;
-  Alcotest.(check int) "reset count" 0 (Stats.Summary.count s);
-  Alcotest.(check (float 1e-9)) "reset mean" 0.0 (Stats.Summary.mean s)
-
-let test_summary_empty () =
-  let s = Stats.Summary.create "empty" in
-  Alcotest.(check (float 1e-9)) "mean of empty" 0.0 (Stats.Summary.mean s);
-  Alcotest.(check (float 1e-9)) "stddev of empty" 0.0 (Stats.Summary.stddev s)
-
 let test_histogram () =
   let h = Stats.Histogram.create "h" ~bounds:[| 10; 100 |] in
   List.iter (Stats.Histogram.observe h) [ 1; 5; 10; 50; 99; 1000 ];
@@ -416,8 +399,6 @@ let () =
         [
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "counter get is pure" `Quick test_counter_get_is_pure;
-          Alcotest.test_case "summary" `Quick test_summary;
-          Alcotest.test_case "summary empty" `Quick test_summary_empty;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "histogram unsorted bounds" `Quick test_histogram_unsorted_bounds;
         ] );

@@ -365,6 +365,24 @@ let test_oltp_conformance ~snapshot_readers ~faulted () =
   in
   each_seed (fun seed -> check_oltp ~ctx seed (run_oltp ~snapshot_readers ~faulted seed))
 
+(* Every generated transaction ends committed or given up, including
+   those the engine refuses once [max_transactions] is reached (the
+   null tid): per class, and in the engine's own give-up counter. *)
+let test_oltp_accounts_refused () =
+  let config = { E.default_config with E.max_transactions = 10 } in
+  let stats = ref [] in
+  let db =
+    R.with_fresh_db ~config ~objects:0 (fun db ->
+        Oltp.setup (E.store db) oltp_cfg ~balance0:oltp_balance0 ~stock0:oltp_stock0;
+        stats := Oltp.run_mix db ~seed:1 ~txns:oltp_txns oltp_cfg)
+  in
+  let sum f = List.fold_left (fun acc (_, st) -> acc + f st) 0 !stats in
+  let committed = sum (fun st -> st.Oltp.s_committed) in
+  let gave_up = sum (fun st -> st.Oltp.s_gave_up) in
+  Alcotest.(check int) "committed + gave up = txns" oltp_txns (committed + gave_up);
+  Alcotest.(check bool) "some refused" true (gave_up >= oltp_txns - 10);
+  Alcotest.(check int) "engine gave_up counter" gave_up (List.assoc "gave_up" (E.stats db))
+
 (* ------------------------------------------------------------------ *)
 (* OLTP on the sharded engine: every generated transaction becomes a
    2PC group with one participant body per home shard.               *)
@@ -707,6 +725,8 @@ let () =
             (test_oltp_conformance ~snapshot_readers:true ~faulted:false);
           Alcotest.test_case "conformance: MVCC + faults" `Slow
             (test_oltp_conformance ~snapshot_readers:true ~faulted:true);
+          Alcotest.test_case "refused transactions counted as given up" `Quick
+            test_oltp_accounts_refused;
         ] );
       ( "sharded",
         [
