@@ -864,68 +864,6 @@ let e15_workspace () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* E16: index substrate — in-memory vs paged B+tree                    *)
-
-let e16_index () =
-  let t =
-    Table.create ~title:"E16: index substrate — in-memory vs paged B+tree (n inserts + n lookups)"
-      ~header:[ "n"; "structure"; "insert ms"; "lookup ms"; "scan ms" ]
-  in
-  List.iter
-    (fun n ->
-      (* In-memory. *)
-      let mem = Asset_index.Btree.create () in
-      let _, ti =
-        time_of (fun () ->
-            for k = 1 to n do
-              Asset_index.Btree.insert mem (k * 7 mod n) k
-            done)
-      in
-      let _, tl =
-        time_of (fun () ->
-            for k = 1 to n do
-              ignore (Asset_index.Btree.find mem (k mod n))
-            done)
-      in
-      let _, ts = time_of (fun () -> Asset_index.Btree.iter mem (fun _ _ -> ())) in
-      Table.add_row t
-        [
-          Table.fmt_i n;
-          "in-memory";
-          Table.fmt_f ~digits:2 (ti *. 1000.);
-          Table.fmt_f ~digits:2 (tl *. 1000.);
-          Table.fmt_f ~digits:2 (ts *. 1000.);
-        ];
-      (* Paged. *)
-      let path = Filename.temp_file "asset_bench" ".btree" in
-      let paged = Asset_index.Paged_btree.create ~page_size:4096 ~pool_capacity:256 path in
-      let _, ti =
-        time_of (fun () ->
-            for k = 1 to n do
-              Asset_index.Paged_btree.insert paged (k * 7 mod n) k
-            done)
-      in
-      let _, tl =
-        time_of (fun () ->
-            for k = 1 to n do
-              ignore (Asset_index.Paged_btree.find paged (k mod n))
-            done)
-      in
-      let _, ts = time_of (fun () -> Asset_index.Paged_btree.iter paged (fun _ _ -> ())) in
-      Asset_index.Paged_btree.close paged;
-      Sys.remove path;
-      Table.add_row t
-        [
-          Table.fmt_i n;
-          "paged (4K pages)";
-          Table.fmt_f ~digits:2 (ti *. 1000.);
-          Table.fmt_f ~digits:2 (tl *. 1000.);
-          Table.fmt_f ~digits:2 (ts *. 1000.);
-        ])
-    [ 1_000; 10_000; 100_000 ];
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* E17: hot-path gates (ISSUE 1 "E13") — scheduler step cost with many
    parked fibers, and WAL group-commit throughput.  Emits the
    machine-readable BENCH_hotpath.json so the perf trajectory is
@@ -2516,10 +2454,13 @@ let e24_recovery () =
 (* E25: the workload families (PR 9) — the TPC-C-flavoured multi-class
    mix across engine configurations (plain-2PL RMW baseline, semantic
    escrow/queue ops, semantic + MVCC stock-checks, 2-domain sharded
-   2PC) with per-class latency percentiles and abort/retry rates, plus
-   the agentic tool-call saga's compensation economics.  Emits
-   BENCH_oltp.json.  Correctness — conservation, oracle conformance —
-   is pinned by test/test_workloads.ml; this reports the cost. *)
+   2PC) with per-class commit/abort/retry counts, plus the agentic
+   tool-call saga's compensation economics.  Emits BENCH_oltp.json.
+   No latency: all transactions launch at once, so a per-transaction
+   time would be mostly queueing; perfbench's mix-* workloads measure
+   latency from submission to durable commit ack.  Correctness —
+   conservation, oracle conformance — is pinned by
+   test/test_workloads.ml; this reports the cost. *)
 
 module Oltp = Asset_workload.Oltp
 module Agentic = Asset_workload.Agentic
@@ -2529,15 +2470,6 @@ let e25_oltp () =
   let cfg = { Oltp.default_config with Oltp.accounts = 16; items = 32 } in
   let balance0 = 1_000 and stock0 = 1_000 in
   let seed = 7 in
-  let percentile p lats =
-    match lats with
-    | [] -> None
-    | l ->
-        let a = Array.of_list l in
-        Array.sort compare a;
-        let idx = min (Array.length a - 1) (int_of_float (p *. float_of_int (Array.length a - 1))) in
-        Some (a.(idx) *. 1e6)
-  in
   (* One single-engine configuration: run the mix, return per-class
      rows and the config summary. *)
   let run_single ~label ~snapshot_readers ~rmw =
@@ -2560,16 +2492,13 @@ let e25_oltp () =
             s.Oltp.s_committed,
             s.Oltp.s_aborted,
             s.Oltp.s_retries,
-            s.Oltp.s_gave_up,
-            percentile 0.50 s.Oltp.s_lat,
-            percentile 0.99 s.Oltp.s_lat ))
+            s.Oltp.s_gave_up ))
         !stats
     in
     (rows, (label, dt, conserved))
   in
   (* The sharded configuration: each generated transaction becomes a
-     cross-shard 2PC group, submitted and drained one at a time so the
-     measured latency is the full coordinator round-trip. *)
+     cross-shard 2PC group, submitted and drained one at a time. *)
   let run_sharded ~label ~domains =
     let init o =
       if o = 3 || o = 4 then Value.of_queue []
@@ -2579,7 +2508,7 @@ let e25_oltp () =
     in
     let sys = Shard.create ~domains ~objects:(2000 + cfg.Oltp.items) ~init () in
     let coord = Shard.Coord.create sys in
-    let acc = List.map (fun k -> (k, (ref 0, ref 0, ref []))) Oltp.all_klasses in
+    let acc = List.map (fun k -> (k, (ref 0, ref 0))) Oltp.all_klasses in
     let (), dt =
       time_of (fun () ->
           for j = 0 to txns - 1 do
@@ -2597,18 +2526,11 @@ let e25_oltp () =
                 (fun s ops l -> (s, fun eng -> List.iter (Oltp.apply eng) (List.rev ops)) :: l)
                 by_shard []
             in
-            let committed, aborted, lats = List.assoc txn.Oltp.t_klass acc in
+            let committed, aborted = List.assoc txn.Oltp.t_klass acc in
             let before = Shard.Coord.committed coord in
-            let (), lat =
-              time_of (fun () ->
-                  Shard.Coord.submit coord parts;
-                  Shard.Coord.drain coord)
-            in
-            if Shard.Coord.committed coord > before then begin
-              incr committed;
-              lats := lat :: !lats
-            end
-            else incr aborted
+            Shard.Coord.submit coord parts;
+            Shard.Coord.drain coord;
+            if Shard.Coord.committed coord > before then incr committed else incr aborted
           done)
     in
     Shard.shutdown sys;
@@ -2644,15 +2566,8 @@ let e25_oltp () =
     in
     let rows =
       List.map
-        (fun (k, (committed, aborted, lats)) ->
-          ( label,
-            Oltp.klass_name k,
-            !committed,
-            !aborted,
-            0,
-            0,
-            percentile 0.50 !lats,
-            percentile 0.99 !lats ))
+        (fun (k, (committed, aborted)) ->
+          (label, Oltp.klass_name k, !committed, !aborted, 0, 0))
         acc
     in
     (rows, (label, dt, conserved))
@@ -2691,11 +2606,10 @@ let e25_oltp () =
   let sum f = List.fold_left (fun a o -> a + f o) 0 os in
   let t =
     Table.create ~title:"E25: OLTP mix across engine configurations"
-      ~header:[ "config"; "class"; "committed"; "aborted"; "retries"; "gave up"; "p50 us"; "p99 us" ]
+      ~header:[ "config"; "class"; "committed"; "aborted"; "retries"; "gave up" ]
   in
-  let fmt_opt = function None -> "-" | Some v -> Table.fmt_f ~digits:1 v in
   List.iter
-    (fun (config, klass, committed, aborted, retries, gave_up, p50, p99) ->
+    (fun (config, klass, committed, aborted, retries, gave_up) ->
       Table.add_row t
         [
           config;
@@ -2704,8 +2618,6 @@ let e25_oltp () =
           string_of_int aborted;
           string_of_int retries;
           string_of_int gave_up;
-          fmt_opt p50;
-          fmt_opt p99;
         ])
     rows;
   Table.print t;
@@ -2733,14 +2645,13 @@ let e25_oltp () =
   Buffer.add_string buf "  \"experiment\": \"E25-oltp\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
   Buffer.add_string buf "  \"mix\": [\n";
-  let json_opt = function None -> "null" | Some v -> Printf.sprintf "%.1f" v in
   List.iteri
-    (fun i (config, klass, committed, aborted, retries, gave_up, p50, p99) ->
+    (fun i (config, klass, committed, aborted, retries, gave_up) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"config\": \"%s\", \"class\": \"%s\", \"committed\": %d, \"aborted\": %d, \
-            \"retries\": %d, \"gave_up\": %d, \"p50_us\": %s, \"p99_us\": %s}%s\n"
-           config klass committed aborted retries gave_up (json_opt p50) (json_opt p99)
+            \"retries\": %d, \"gave_up\": %d}%s\n"
+           config klass committed aborted retries gave_up
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
@@ -2794,7 +2705,6 @@ let experiments =
     ("e13", e13_increment);
     ("e14", e14_ablations);
     ("e15", e15_workspace);
-    ("e16", e16_index);
     ("e17", e17_hotpath);
     ("hotpath", e17_hotpath);
     ("e18", e18_lockpath);
@@ -2822,7 +2732,7 @@ let () =
       ( "--only",
         Arg.String
           (fun s -> only := !only @ String.split_on_char ',' (String.lowercase_ascii s)),
-        "KEYS  comma-separated experiment keys (f1, e1..e25, hotpath, lockpath, faults, obs, check, mvcc, shard, recovery, oltp); default: all" );
+        "KEYS  comma-separated experiment keys (f1, e1..e15, e17..e25, hotpath, lockpath, faults, obs, check, mvcc, shard, recovery, oltp); default: all" );
       ("--smoke", Arg.Set smoke, "  tiny quotas for CI smoke runs");
       ( "--domains",
         Arg.Set_int domains_cap,
@@ -2849,7 +2759,7 @@ let () =
             | None -> failwith ("unknown experiment: " ^ k))
           keys
   in
-  Format.printf "ASSET benchmark harness — experiments F1, E1-E23 (see DESIGN.md)%s@."
+  Format.printf "ASSET benchmark harness — experiments F1, E1-E15, E17-E25 (see DESIGN.md)%s@."
     (if !smoke then " [smoke]" else "");
   List.iter (fun (_, f) -> f ()) selected;
   Format.printf "@.done.@."

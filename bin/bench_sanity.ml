@@ -404,8 +404,6 @@ let schemas =
               ("aborted", Fnum);
               ("retries", Fnum);
               ("gave_up", Fnum);
-              ("p50_us", Fnum_or_null);
-              ("p99_us", Fnum_or_null);
             ] );
         ( "configs",
           Arr_of

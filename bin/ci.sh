@@ -13,6 +13,20 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+# Every example must run to completion: each asserts its own outcome
+# (warehouse, for one, checks its stock totals after cursor-stability
+# scans) and exits nonzero when it does not hold.
+echo "== examples =="
+for src in examples/*.ml; do
+  exe="examples/$(basename "$src" .ml).exe"
+  echo "-- $exe"
+  if ! dune exec "$exe" > /tmp/example.out 2>&1; then
+    cat /tmp/example.out >&2
+    echo "examples: $exe exited nonzero" >&2
+    exit 1
+  fi
+done
+
 # Model-conformance shard (E20 harness, see DESIGN.md / EXPERIMENTS.md).
 # The fixed seed set [1, 200] per model already ran under dune runtest
 # above — that is the reproducible bar.  Here: one extra time-boxed run

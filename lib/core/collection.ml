@@ -1,8 +1,8 @@
 (* Transactional collections: named, ordered sets of objects.
 
-   Ode organizes objects into clusters/sets and EOS indexes them; the
-   cursor-stability discussion in the paper (section 3.2.2) talks about
-   "moving the cursor from one record to the next within a relation".
+   Ode organizes objects into clusters/sets, and the cursor-stability
+   discussion in the paper (section 3.2.2) talks about "moving the
+   cursor from one record to the next within a relation".
    This module provides that relation: a collection is itself stored in
    objects — a root (directory) object listing chunk objects, each
    chunk holding a bounded number of member oids — so membership
@@ -14,14 +14,12 @@
    two can never collide.  The catalog (oid -1) maps collection names
    to root oids; the allocator (oid -2) hands out fresh negative oids.
 
-   Ordered iteration and range queries materialize the membership into
-   a B+tree ([Asset_index.Btree]) under the caller's transaction —
-   a query-time index, so there is no volatile structure to keep
-   coherent with aborts. *)
+   Ordered iteration and range queries read the root and every chunk
+   under the caller's transaction and sort the members they find, so
+   there is no volatile structure to keep coherent with aborts. *)
 
 module Oid = Asset_util.Id.Oid
 module Value = Asset_storage.Value
-module Btree = Asset_index.Btree
 
 let catalog_oid = Oid.of_int (-1)
 let allocator_oid = Oid.of_int (-2)
@@ -150,25 +148,17 @@ let cardinal db t =
   List.fold_left (fun acc chunk -> acc + List.length (chunk_members db chunk)) 0 (chunks db t)
 
 (* ------------------------------------------------------------------ *)
-(* Ordered access via a query-time B+tree                              *)
+(* Ordered access                                                      *)
 
-(* Build the index under the current transaction's read locks. *)
-let index db t =
-  let tree = Btree.create () in
-  List.iter
-    (fun chunk -> List.iter (fun m -> Btree.insert tree m ()) (chunk_members db chunk))
-    (chunks db t);
-  tree
-
+(* Members are unique across chunks ([add] checks every chunk first),
+   so sorting the concatenation yields the ordered relation. *)
 let members db t =
-  let tree = index db t in
-  List.map (fun (k, ()) -> Oid.of_int k) (Btree.to_list tree)
+  List.concat_map (chunk_members db) (chunks db t)
+  |> List.sort Int.compare
+  |> List.map Oid.of_int
 
 let range db t ~lo ~hi =
-  let tree = index db t in
-  let acc = ref [] in
-  Btree.range tree ~lo:(Oid.to_int lo) ~hi:(Oid.to_int hi) (fun k () -> acc := Oid.of_int k :: !acc);
-  List.rev !acc
+  List.filter (fun m -> Oid.compare lo m <= 0 && Oid.compare m hi <= 0) (members db t)
 
 (* Scan member objects in oid order, reading each under the caller's
    transaction.  [stability] selects between strict two-phase locking

@@ -5,8 +5,8 @@
     each holding a bounded number of member oids), so membership
     changes are locked, logged and undone like any other update.
     Plumbing lives at negative oids; member oids must be positive.
-    Ordered access materializes the membership into a query-time B+tree
-    under the caller's read locks.
+    Ordered access sorts the chunk members read under the caller's
+    locks.
 
     All operations must run inside a transaction body. *)
 

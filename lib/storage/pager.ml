@@ -21,11 +21,8 @@ let default_page_size = 4096
 
 type t = {
   fd : Unix.file_descr;
-  path : string;
   page_size : int;
   mutable npages : int; (* data pages allocated (excludes header page) *)
-  reads : Asset_util.Stats.Counter.t;
-  writes : Asset_util.Stats.Counter.t;
 }
 
 let pread fd buf off =
@@ -63,16 +60,7 @@ let create ?(page_size = default_page_size) path =
     Fault.protect "pager.open" (fun () ->
         Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644)
   in
-  let t =
-    {
-      fd;
-      path;
-      page_size;
-      npages = 0;
-      reads = Asset_util.Stats.Counter.create "pager.reads";
-      writes = Asset_util.Stats.Counter.create "pager.writes";
-    }
-  in
+  let t = { fd; page_size; npages = 0 } in
   write_header t;
   t
 
@@ -86,18 +74,10 @@ let open_existing path =
   end;
   let page_size = Int32.to_int (Bytes.get_int32_le header 8) in
   let npages = Int32.to_int (Bytes.get_int32_le header 12) in
-  {
-    fd;
-    path;
-    page_size;
-    npages;
-    reads = Asset_util.Stats.Counter.create "pager.reads";
-    writes = Asset_util.Stats.Counter.create "pager.writes";
-  }
+  { fd; page_size; npages }
 
 let page_size t = t.page_size
 let npages t = t.npages
-let path t = t.path
 
 let check_page_id t page_id =
   if page_id < 1 || page_id > t.npages then
@@ -114,21 +94,19 @@ let read_page t page_id =
   check_page_id t page_id;
   let b = Bytes.create t.page_size in
   Fault.io site_read (fun () -> pread t.fd b (page_id * t.page_size));
-  Asset_util.Stats.Counter.incr t.reads;
   b
 
 let write_page t page_id bytes =
   check_page_id t page_id;
   if Bytes.length bytes <> t.page_size then invalid_arg "Pager.write_page: wrong size";
-  (match Fault.check site_torn with
+  match Fault.check site_torn with
   | Some _ ->
       (* A torn page write: the first half reaches the disk, then power
          loss.  Rebuild-after-crash must cope with the mixed page. *)
       Fault.protect "pager.torn_write" (fun () ->
           pwrite ~len:(t.page_size / 2) t.fd bytes (page_id * t.page_size));
       raise (Fault.Crash "pager.torn_write")
-  | None -> Fault.io site_write (fun () -> pwrite t.fd bytes (page_id * t.page_size)));
-  Asset_util.Stats.Counter.incr t.writes
+  | None -> Fault.io site_write (fun () -> pwrite t.fd bytes (page_id * t.page_size))
 
 let sync t = Fault.io site_sync (fun () -> Unix.fsync t.fd)
 
@@ -137,6 +115,3 @@ let close t =
   Fault.protect "pager.close" (fun () ->
       Unix.fsync t.fd;
       Unix.close t.fd)
-
-let read_count t = Asset_util.Stats.Counter.get t.reads
-let write_count t = Asset_util.Stats.Counter.get t.writes

@@ -17,7 +17,6 @@ val open_existing : string -> t
 
 val page_size : t -> int
 val npages : t -> int
-val path : t -> string
 
 val alloc_page : t -> int
 (** Append a zeroed page; returns its id. *)
@@ -26,6 +25,3 @@ val read_page : t -> int -> Bytes.t
 val write_page : t -> int -> Bytes.t -> unit
 val sync : t -> unit
 val close : t -> unit
-
-val read_count : t -> int
-val write_count : t -> int

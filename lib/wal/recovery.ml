@@ -129,7 +129,7 @@ let undo_of_ckpt = function
    order, below everything the scan adds) — seeded updates join undo
    and delegation re-attribution but not redo: the checkpoint's store
    flush already covers every update logged before begin_lsn. *)
-let analyze ?(from_checkpoint = true) log =
+let analyze log =
   let updates = ref [] in
   let redo = ref [] in
   let winners = Hashtbl.create 16 in
@@ -141,9 +141,8 @@ let analyze ?(from_checkpoint = true) log =
      set is always a suffix of the loser's update history — recovery
      undoes exactly the remainder. *)
   let compensated = Hashtbl.create 16 in
-  let anchor = if from_checkpoint then find_anchor log else No_anchor in
   let scan_from, seeds =
-    match anchor with
+    match find_anchor log with
     | No_anchor -> (Log.start_lsn log, [])
     | Quiescent lsn -> (lsn, [])
     | Fuzzy (lsn, active) -> (lsn, active)
@@ -264,11 +263,11 @@ let redo_parallel store redo domains =
       | Error _ -> ())
     results
 
-let recover ?(from_checkpoint = true) ?(domains = 1) log store =
+let recover ?(domains = 1) log store =
   if domains < 1 then invalid_arg "Recovery.recover: domains must be >= 1";
   if Trace.on () then Trace.emit Trace.Recovery_start;
   let updates, redo, winners, losers, resolved, undone_before_crash, from =
-    analyze ~from_checkpoint log
+    analyze log
   in
   let winner tid = List.exists (Tid.equal tid) winners in
   (* Redo: repeat history, including the undo writes (CLRs) of aborts

@@ -31,14 +31,14 @@ type report = {
           nonzero means the log tail was corrupt, not merely torn. *)
 }
 
-val recover : ?from_checkpoint:bool -> ?domains:int -> Log.t -> Store.t -> report
+val recover : ?domains:int -> Log.t -> Store.t -> report
 (** Recover [store] from [log] and flush it.  Idempotent: recovering
-    twice leaves the same state.  [from_checkpoint] (default true)
-    starts the scan at the last completed checkpoint (quiescent or
-    fuzzy).  [domains] (default 1) > 1 replays redo in parallel:
-    actions partition by [Oid.partition] so per-OID order is
-    preserved, every domain joins at a merge barrier before undo, and
-    the result is identical to serial replay.  Failpoints
+    twice leaves the same state.  The scan starts at the last
+    completed checkpoint (quiescent or fuzzy).  [domains] (default 1)
+    > 1 replays redo in parallel: actions partition by [Oid.partition]
+    so per-OID order is preserved, every domain joins at a merge
+    barrier before undo, and the result is identical to serial
+    replay.  Failpoints
     "recovery.domain.replay" (once per partition, before spawning) and
     "recovery.domain.merge" (after the barrier, before the store
     applies) fire on the driving domain. *)

@@ -156,11 +156,9 @@ type class_stats = {
   mutable s_aborted : int;
   mutable s_retries : int;
   mutable s_gave_up : int;
-  mutable s_lat : float list;
 }
 
-let fresh_stats () =
-  { s_committed = 0; s_aborted = 0; s_retries = 0; s_gave_up = 0; s_lat = [] }
+let fresh_stats () = { s_committed = 0; s_aborted = 0; s_retries = 0; s_gave_up = 0 }
 
 let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~seed ~txns cfg =
   let stats = List.map (fun k -> (k, fresh_stats ())) all_klasses in
@@ -172,7 +170,6 @@ let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~se
     let st = stat txn.t_klass in
     E.spawn db ~label:(Printf.sprintf "oltp-%d-%s" j (klass_name txn.t_klass))
       (fun () ->
-        let t0 = Unix.gettimeofday () in
         let read_only = snapshot_readers && read_only txn in
         let give_up () =
           st.s_gave_up <- st.s_gave_up + 1;
@@ -185,10 +182,7 @@ let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~se
           if Tid.is_null t then give_up ()
           else begin
             ignore (E.begin_ db t);
-            if E.commit db t then begin
-              st.s_committed <- st.s_committed + 1;
-              st.s_lat <- (Unix.gettimeofday () -. t0) :: st.s_lat
-            end
+            if E.commit db t then st.s_committed <- st.s_committed + 1
             else begin
               st.s_aborted <- st.s_aborted + 1;
               if k < max_retries && Workload.retryable (E.failure_of db t) then begin

@@ -117,7 +117,6 @@ type class_stats = {
   mutable s_aborted : int;  (** attempts that aborted (before any retry) *)
   mutable s_retries : int;
   mutable s_gave_up : int;
-  mutable s_lat : float list;  (** per-committed-txn latency, seconds *)
 }
 
 val run_mix :

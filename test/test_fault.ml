@@ -269,41 +269,6 @@ let test_pool_crash_mid_flush () =
   Pager.close pager;
   cleanup path
 
-(* --- paged B+tree across power loss --- *)
-
-let test_btree_power_loss_invariants () =
-  Fault.reset_all ();
-  let path = tmp "btree" in
-  let bt = Asset_index.Paged_btree.create ~page_size:512 ~pool_capacity:64 path in
-  for k = 1 to 40 do
-    Asset_index.Paged_btree.insert bt k (k * 10)
-  done;
-  Asset_index.Paged_btree.flush bt;
-  (* Post-flush inserts stay in the pool (capacity 64: no eviction can
-     leak a half-updated page); power dies at the first frame write of
-     the next flush, so the disk image is exactly the flushed tree. *)
-  for k = 41 to 60 do
-    Asset_index.Paged_btree.insert bt k (k * 10)
-  done;
-  Fault.arm (Fault.register "pool.flush_frame") Fault.Crash_once;
-  (match Asset_index.Paged_btree.flush bt with
-  | () -> Alcotest.fail "expected Crash"
-  | exception Fault.Crash "pool.flush_frame" -> ());
-  Fault.reset_all ();
-  (* The dead process's handle is abandoned; reopen from disk. *)
-  let bt2 = Asset_index.Paged_btree.open_existing path in
-  Alcotest.(check (option string)) "invariants hold" None (Asset_index.Paged_btree.validate bt2);
-  Alcotest.(check int) "flushed prefix present" 40 (Asset_index.Paged_btree.size bt2);
-  for k = 1 to 40 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "key %d" k)
-      (Some (k * 10))
-      (Asset_index.Paged_btree.find bt2 k)
-  done;
-  Alcotest.(check bool) "unflushed key lost" false (Asset_index.Paged_btree.mem bt2 50);
-  Asset_index.Paged_btree.close bt2;
-  cleanup path
-
 (* --- engine-level graceful degradation --- *)
 
 let test_injected_wal_failure_aborts_txn () =
@@ -363,8 +328,6 @@ let () =
           Alcotest.test_case "crash discards staging" `Quick test_log_crash_discards_staging;
           Alcotest.test_case "torn WAL write truncated" `Quick test_torn_wal_write_truncated;
           Alcotest.test_case "torn page write" `Quick test_torn_page_write;
-          Alcotest.test_case "B+tree invariants across power loss" `Quick
-            test_btree_power_loss_invariants;
           Alcotest.test_case "pool crash mid-flush" `Quick test_pool_crash_mid_flush;
         ] );
       ( "engine",
