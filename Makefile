@@ -15,7 +15,7 @@ test: build
 ci:
 	sh bin/ci.sh
 
-# Full benchmark run (minutes; writes BENCH_hotpath.json).
+# Full benchmark run (minutes; writes every BENCH_*.json artifact).
 bench:
 	dune exec bench/main.exe
 

@@ -521,51 +521,6 @@ let e8_cursor () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* E9: recovery                                                        *)
-
-let e9_recovery () =
-  let t =
-    Table.create ~title:"E9: recovery time vs log volume"
-      ~header:[ "updates"; "loser frac"; "redone"; "undone"; "ms" ]
-  in
-  List.iter
-    (fun n_updates ->
-      List.iter
-        (fun loser_frac ->
-          let log = Log.in_memory () in
-          let store = Heap.store () in
-          let n_objects = 64 in
-          for o = 1 to n_objects do
-            Store.write store (oid o) (vi 0)
-          done;
-          let rng = Rng.create 13 in
-          let per_txn = 10 in
-          let n_txns = n_updates / per_txn in
-          for txn = 1 to n_txns do
-            let tid = Tid.of_int txn in
-            for u = 1 to per_txn do
-              let o = 1 + Rng.int rng n_objects in
-              ignore
-                (Log.append log
-                   (Record.Update
-                      { tid; oid = oid o; before = Some (vi 0); after = vi ((txn * 100) + u) }))
-            done;
-            if Rng.float rng >= loser_frac then ignore (Log.append log (Record.Commit [ tid ]))
-          done;
-          let report, dt = time_of (fun () -> Recovery.recover log store) in
-          Table.add_row t
-            [
-              Table.fmt_i n_updates;
-              Table.fmt_f ~digits:1 loser_frac;
-              Table.fmt_i report.Recovery.updates_redone;
-              Table.fmt_i report.Recovery.updates_undone;
-              Table.fmt_f ~digits:2 (dt *. 1000.);
-            ])
-        [ 0.0; 0.5 ])
-    [ 100; 1_000; 10_000; 100_000 ];
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* E10: the appendix workflow under failure injection                  *)
 
 let e10_workflow () =
@@ -895,12 +850,12 @@ let hotpath_sched_case ~parked ~yields ~versioned =
   (dt, Sched.steps s)
 
 (* [n_txns] independent single-write transactions, each committed from
-   its own fiber, over a file-backed log.  group_commit_size=1 is the
+   its own fiber, over a segment-directory log.  group_commit_size=1 is the
    force-per-commit baseline; larger sizes coalesce K commit records
    into one fsync. *)
 let hotpath_commit_case ~n_txns ~gcs =
-  let path = Filename.temp_file "asset_hotpath" ".wal" in
-  let log = Log.create_file path in
+  let dir = Filename.temp_dir "asset_hotpath" ".wal" in
+  let log = Log.create_dir dir in
   let config = { E.default_config with E.group_commit_size = gcs } in
   let store = Heap.store () in
   Heap.populate store ~n:(n_txns + 1) ~value:(fun _ -> vi 0);
@@ -919,7 +874,7 @@ let hotpath_commit_case ~n_txns ~gcs =
   let commits = stat db "commits" in
   let group_commits = stat db "group_commits" in
   Log.close log;
-  Sys.remove path;
+  Log.remove_dir dir;
   (dt, forces, commits, group_commits)
 
 let e17_hotpath () =
@@ -949,7 +904,7 @@ let e17_hotpath () =
       Table.add_row t [ Table.fmt_i parked; mode; Table.fmt_f ~digits:1 ns; Table.fmt_i steps ])
     sched_rows;
   Table.print t;
-  (* Commit throughput on a file-backed (fsynced) log. *)
+  (* Commit throughput on a fsynced segment-directory log. *)
   let commit_rows =
     List.concat_map
       (fun n_txns ->
@@ -963,7 +918,7 @@ let e17_hotpath () =
   in
   let t =
     Table.create
-      ~title:"E17b: commit throughput on a file-backed log vs group_commit_size"
+      ~title:"E17b: commit throughput on a fsynced log vs group_commit_size"
       ~header:[ "txns"; "gc size"; "committed"; "log forces"; "group commits"; "txn/s" ]
   in
   List.iter
@@ -2262,19 +2217,18 @@ let e23_shard () =
 
 (* ------------------------------------------------------------------ *)
 (* E24: durability at sustained scale — recovery time vs log volume    *)
-(* (serial vs N-domain replay, fuzzy vs quiescent anchors) and the     *)
-(* segmented WAL's bounded-log behaviour under checkpoint-driven       *)
-(* retirement.  Emits BENCH_recovery.json.                             *)
+(* with and without a checkpoint anchor, and the segmented WAL's       *)
+(* bounded-log behaviour under checkpoint-driven retirement.  Emits    *)
+(* BENCH_recovery.json.                                                *)
 
 let e24_recovery () =
   let n_objects = 256 in
-  (* A synthetic history in the e9 style: [n_updates] updates across
-     [n_txns] transactions, ~30% losers, an optional checkpoint at the
-     midpoint.  The fuzzy variant holds one transaction open across
-     the checkpoint so the ATT capture has real content; the quiescent
-     variant checkpoints at a genuinely quiescent midpoint (its
-     contract).  Returns the log and the disk image at crash time: the
-     checkpoint's flushed store for anchored logs, zeros otherwise. *)
+  (* A synthetic history: [n_updates] updates across [n_txns]
+     transactions, ~30% losers, an optional checkpoint at the midpoint
+     that captures one transaction held open across it, so the ATT
+     has real content.  Returns the log and the disk image at crash
+     time: the checkpoint's flushed store for anchored logs, zeros
+     otherwise. *)
   let build ~n_updates ~ckpt =
     let log = Log.in_memory () in
     let disk = Heap.store () in
@@ -2301,7 +2255,6 @@ let e24_recovery () =
       if txn = mid then begin
         (match ckpt with
         | `None -> ()
-        | `Quiescent -> ignore (Recovery.checkpoint log disk)
         | `Fuzzy ->
             (* Updates by a transaction that stays in flight across the
                checkpoint — captured in the ATT, never committed. *)
@@ -2326,7 +2279,7 @@ let e24_recovery () =
             let att_updates = List.rev !open_updates in
             let active = [ { Record.att_tid = open_tid; att_updates } ] in
             let dirty = List.map (fun u -> u.Record.cu_oid) att_updates in
-            ignore (Recovery.fuzzy_checkpoint log disk ~active ~dirty));
+            ignore (Recovery.checkpoint log disk ~active ~dirty));
         base := Store.dump disk
       end
     done;
@@ -2341,51 +2294,29 @@ let e24_recovery () =
     s
   in
   let sizes = if !smoke then [ 2_000; 5_000 ] else [ 10_000; 50_000; 200_000 ] in
-  let domain_counts = [ 1; 2; 4 ] in
   let t =
-    Table.create ~title:"E24: recovery time vs log volume, anchor kind, replay domains"
-      ~header:[ "updates"; "ckpt"; "domains"; "redone"; "ms"; "speedup"; "diverged" ]
+    Table.create ~title:"E24: recovery time vs log volume and checkpoint anchor"
+      ~header:[ "updates"; "ckpt"; "redone"; "ms" ]
   in
-  let rows = ref [] in
-  let total_divergence = ref 0 in
-  List.iter
-    (fun n_updates ->
-      List.iter
-        (fun (ckpt, ckpt_name) ->
-          let log, base = build ~n_updates ~ckpt in
-          (* Serial reference: the oracle every parallel run must match. *)
-          let ref_store = store_from base in
-          let _, ref_s = time_of (fun () -> Recovery.recover ~domains:1 log ref_store) in
-          let ref_dump = List.sort compare (Store.dump ref_store) in
-          List.iter
-            (fun domains ->
-              let s = store_from base in
-              let report, dt = time_of (fun () -> Recovery.recover ~domains log s) in
-              let dump = List.sort compare (Store.dump s) in
-              let diverged =
-                List.length (List.filter (fun kv -> not (List.mem kv ref_dump)) dump)
-              in
-              total_divergence := !total_divergence + diverged;
-              Table.add_row t
-                [
-                  Table.fmt_i n_updates;
-                  ckpt_name;
-                  Table.fmt_i domains;
-                  Table.fmt_i report.Recovery.updates_redone;
-                  Table.fmt_f ~digits:2 (dt *. 1000.);
-                  Table.fmt_f ~digits:2 (ref_s /. dt);
-                  Table.fmt_i diverged;
-                ];
-              rows :=
-                (n_updates, ckpt_name, domains, report.Recovery.updates_redone, dt, diverged)
-                :: !rows)
-            domain_counts)
-        [ (`None, "none"); (`Quiescent, "quiescent"); (`Fuzzy, "fuzzy") ])
-    sizes;
+  let rows =
+    List.concat_map
+      (fun n_updates ->
+        List.map
+          (fun (ckpt, ckpt_name) ->
+            let log, base = build ~n_updates ~ckpt in
+            let report, dt = time_of (fun () -> Recovery.recover log (store_from base)) in
+            Table.add_row t
+              [
+                Table.fmt_i n_updates;
+                ckpt_name;
+                Table.fmt_i report.Recovery.updates_redone;
+                Table.fmt_f ~digits:2 (dt *. 1000.);
+              ];
+            (n_updates, ckpt_name, report.Recovery.updates_redone, dt))
+          [ (`None, "none"); (`Fuzzy, "fuzzy") ])
+      sizes
+  in
   Table.print t;
-  Format.printf "E24 parallel replay: %d runs, serial/parallel divergence %d%s@."
-    (List.length !rows) !total_divergence
-    (if !total_divergence = 0 then " [OK]" else " [FAIL]");
   (* Bounded-log behaviour: sustained transfer rounds over one
      segmented WAL with the commit-path checkpoint trigger on. *)
   let round_counts = if !smoke then [ 4 ] else [ 8; 16 ] in
@@ -2396,7 +2327,7 @@ let e24_recovery () =
   let retirement =
     List.map
       (fun rounds ->
-        let s = Torture.sustained_run ~rounds Torture.default_spec in
+        let s = Torture.sustained_run ~rounds { Torture.default_spec with segment_bytes = 1024 } in
         Table.add_row t2
           [
             Table.fmt_i s.Torture.s_rounds;
@@ -2418,14 +2349,13 @@ let e24_recovery () =
   Buffer.add_string buf "  \"experiment\": \"E24-recovery\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
   Buffer.add_string buf "  \"recovery_time\": [\n";
-  let rows = List.rev !rows in
   List.iteri
-    (fun i (n, ckpt, domains, redone, dt, diverged) ->
+    (fun i (n, ckpt, redone, dt) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"log_updates\": %d, \"ckpt\": \"%s\", \"domains\": %d, \"updates_redone\": \
-            %d, \"seconds\": %.6f, \"divergence\": %d}%s\n"
-           n ckpt domains redone dt diverged
+           "    {\"log_updates\": %d, \"ckpt\": \"%s\", \"updates_redone\": %d, \"seconds\": \
+            %.6f}%s\n"
+           n ckpt redone dt
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ],\n";
@@ -2698,7 +2628,6 @@ let experiments =
     ("e6", e6_saga);
     ("e7", e7_groupcommit);
     ("e8", e8_cursor);
-    ("e9", e9_recovery);
     ("e10", e10_workflow);
     ("e11", e11_models);
     ("e12", e12_deps);
@@ -2732,7 +2661,7 @@ let () =
       ( "--only",
         Arg.String
           (fun s -> only := !only @ String.split_on_char ',' (String.lowercase_ascii s)),
-        "KEYS  comma-separated experiment keys (f1, e1..e15, e17..e25, hotpath, lockpath, faults, obs, check, mvcc, shard, recovery, oltp); default: all" );
+        "KEYS  comma-separated experiment keys (f1, e1..e8, e10..e15, e17..e25, hotpath, lockpath, faults, obs, check, mvcc, shard, recovery, oltp); default: all" );
       ("--smoke", Arg.Set smoke, "  tiny quotas for CI smoke runs");
       ( "--domains",
         Arg.Set_int domains_cap,
@@ -2759,7 +2688,7 @@ let () =
             | None -> failwith ("unknown experiment: " ^ k))
           keys
   in
-  Format.printf "ASSET benchmark harness — experiments F1, E1-E15, E17-E25 (see DESIGN.md)%s@."
+  Format.printf "ASSET benchmark harness — experiments F1, E1-E8, E10-E15, E17-E25 (see DESIGN.md)%s@."
     (if !smoke then " [smoke]" else "");
   List.iter (fun (_, f) -> f ()) selected;
   Format.printf "@.done.@."

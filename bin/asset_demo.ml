@@ -216,14 +216,14 @@ let trace_cmd =
 let recover_cmd =
   let run dir txns =
     let pages = Filename.concat dir "asset_demo.pages" in
-    let logf = Filename.concat dir "asset_demo.log" in
+    let wal = Filename.concat dir "asset_demo.wal" in
     let ps = Asset_storage.Persistent_store.create ~page_size:4096 pages in
     let store = Asset_storage.Persistent_store.to_store ps in
     for i = 1 to 8 do
       Store.write store (oid i) (vi 0)
     done;
     Store.flush store;
-    let log = Asset_wal.Log.create_file logf in
+    let log = Asset_wal.Log.create_dir wal in
     let db = E.create ~log store in
     (* Run a mix of committed, aborted and in-flight transactions, then
        "crash" before anything else reaches the data pages. *)
@@ -241,17 +241,18 @@ let recover_cmd =
     Asset_wal.Log.force log;
     Asset_wal.Log.close log;
     Asset_storage.Persistent_store.crash_and_reopen ps;
-    Format.printf "crashed: volatile cache dropped, reloading %s@." logf;
-    let recovered = Asset_wal.Log.load logf in
+    Format.printf "crashed: volatile cache dropped, reloading %s@." wal;
+    let recovered = Asset_wal.Log.load_dir wal in
     let report = Asset_wal.Recovery.recover recovered store in
     Format.printf "%a@." Asset_wal.Recovery.pp_report report;
     for i = 1 to 8 do
       Format.printf "  ob%d = %d@." i
         (Value.to_int (Option.value (Store.read store (oid i)) ~default:(vi 0)))
     done;
+    Asset_wal.Log.close recovered;
     Asset_storage.Persistent_store.close ps;
     Sys.remove pages;
-    Sys.remove logf
+    Asset_wal.Log.remove_dir wal
   in
   let dir =
     Arg.(value & opt string (Filename.get_temp_dir_name ()) & info [ "dir" ] ~doc:"Scratch directory.")

@@ -376,10 +376,8 @@ let schemas =
             [
               ("log_updates", Fnum);
               ("ckpt", Fstr);
-              ("domains", Fnum);
               ("updates_redone", Fnum);
               ("seconds", Fnum);
-              ("divergence", Fnum);
             ] );
         ( "retirement",
           Arr_of

@@ -27,6 +27,27 @@ for src in examples/*.ml; do
   fi
 done
 
+# The demo's crash-and-recover run is the CLI's one user of the
+# durable log: it must exit 0, print its recovery report and remove
+# the WAL directory it created.
+echo "== demo recover =="
+DEMO_DIR=$(mktemp -d)
+if ! dune exec bin/asset_demo.exe -- recover --dir "$DEMO_DIR" > /tmp/demo_recover.out 2>&1; then
+  cat /tmp/demo_recover.out >&2
+  echo "demo recover: exited nonzero" >&2
+  exit 1
+fi
+cat /tmp/demo_recover.out
+if ! grep -q "^recovery:" /tmp/demo_recover.out; then
+  echo "demo recover: no recovery report" >&2
+  exit 1
+fi
+if [ -e "$DEMO_DIR/asset_demo.wal" ]; then
+  echo "demo recover: WAL directory left behind in $DEMO_DIR" >&2
+  exit 1
+fi
+rm -rf "$DEMO_DIR"
+
 # Model-conformance shard (E20 harness, see DESIGN.md / EXPERIMENTS.md).
 # The fixed seed set [1, 200] per model already ran under dune runtest
 # above — that is the reproducible bar.  Here: one extra time-boxed run
@@ -87,16 +108,11 @@ if ! awk -F'|' '/^[0-9]+ +\|/ { gsub(/ /,"",$5); if ($5 != "0") exit 1 }' /tmp/s
 fi
 
 # Durability smoke shard (E24, see DESIGN.md §12).  Recovery-time
-# curves at tiny quotas, then the structural assertions: every
-# parallel replay must match serial replay object-for-object (zero
-# divergence), and the sustained-write run must show the segmented log
-# staying bounded under checkpoint-driven retirement.
-echo "== recovery smoke (E24: fuzzy ckpt anchors, N-domain replay, retirement) =="
+# curves at tiny quotas, then the structural assertion: the
+# sustained-write run must show the segmented log staying bounded
+# under checkpoint-driven retirement.
+echo "== recovery smoke (E24: checkpoint anchors, retirement) =="
 dune exec bench/main.exe -- --only recovery --smoke | tee /tmp/recovery_smoke.out
-if ! grep -Eq "^E24 parallel replay: .* divergence 0 \[OK\]$" /tmp/recovery_smoke.out; then
-  echo "recovery smoke: parallel replay diverged from serial" >&2
-  exit 1
-fi
 if ! grep -Eq "^E24 retirement: log stays bounded \[OK\]$" /tmp/recovery_smoke.out; then
   echo "recovery smoke: segmented log did not stay bounded" >&2
   exit 1

@@ -913,18 +913,18 @@ let capture_att db =
     db.tds []
 
 (* Non-quiescent checkpoint: capture the ATT, log Begin_ckpt / flush /
-   End_ckpt (see [Recovery.fuzzy_checkpoint]), then retire log
+   End_ckpt (see [Recovery.checkpoint]), then retire log
    segments wholly below the new redo watermark.  Pending group-commit
    records are forced (and acknowledged) first so the commit ack
    bookkeeping stays in step with the checkpoint's own force. *)
-let checkpoint_fuzzy db =
+let checkpoint db =
   flush_pending_commits db;
   let active = capture_att db in
   let dirty =
     List.concat_map (fun (e : Record.att_entry) -> List.map (fun u -> u.Record.cu_oid) e.att_updates) active
     |> List.sort_uniq Oid.compare
   in
-  let begin_lsn = Asset_wal.Recovery.fuzzy_checkpoint db.log db.store ~active ~dirty in
+  let begin_lsn = Asset_wal.Recovery.checkpoint db.log db.store ~active ~dirty in
   db.ckpt_bytes_mark <- Log.appended_bytes db.log;
   Asset_util.Stats.Counter.incr db.fuzzy_ckpts;
   ignore (Log.retire db.log ~below:begin_lsn);
@@ -940,7 +940,7 @@ let checkpoint_fuzzy db =
 let maybe_checkpoint db =
   let threshold = db.config.checkpoint_log_bytes in
   if threshold > 0 && Log.appended_bytes db.log - db.ckpt_bytes_mark >= threshold then
-    try ignore (checkpoint_fuzzy db)
+    try ignore (checkpoint db)
     with Fault.Storage_error _ -> db.ckpt_bytes_mark <- Log.appended_bytes db.log
 
 (* Commit the whole [group] atomically (step 4 onward), "simultaneously
@@ -1120,15 +1120,10 @@ and attempt_commit db tid =
             end)
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint and stats                                                *)
+(* Introspection and stats                                             *)
 
 let active_transactions db =
   Hashtbl.fold (fun tid td acc -> if Status.active td.status then tid :: acc else acc) db.tds []
-
-let checkpoint db =
-  match active_transactions db with
-  | [] -> Ok (Asset_wal.Recovery.checkpoint db.log db.store)
-  | l -> Error l
 
 let version db = db.version
 let store db = db.store

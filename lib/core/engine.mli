@@ -83,7 +83,7 @@ val default_config : config
 
 val create : ?config:config -> ?log:Asset_wal.Log.t -> ?tid_gen:Tid.gen -> Store.t -> t
 (** An engine over [store]; [log] defaults to a fresh in-memory log
-    (pass a file-backed one for durability).  [tid_gen] defaults to a
+    (pass a {!Asset_wal.Log.create_dir} one for durability).  [tid_gen] defaults to a
     fresh 1,2,3,... generator; the shard layer passes a strided one
     ([Tid.generator ~start:(i+1) ~stride:n ()]) so transaction ids on
     different domains never collide. *)
@@ -246,12 +246,8 @@ val spawn : t -> label:string -> (unit -> unit) -> unit
 val await_terminated : t -> Tid.t list -> unit
 (** Park until every listed transaction has terminated. *)
 
-val checkpoint : t -> (int, Tid.t list) result
-(** Quiescent checkpoint; [Error active] lists the transactions that
-    prevent it. *)
-
-val checkpoint_fuzzy : t -> int
-(** Non-quiescent checkpoint: capture the active-transaction table
+val checkpoint : t -> int
+(** Non-quiescent (fuzzy) checkpoint: capture the active-transaction table
     (with per-update undo information) and the dirty OID set, write a
     [Begin_ckpt]/[End_ckpt] pair around a store flush, then retire WAL
     segments wholly below the begin LSN.  Safe while transactions run
@@ -263,7 +259,7 @@ val flush_pending_commits : t -> unit
 (** Force the log over any commit records staged by group commit.
     Called automatically at every scheduler quiescence point (and thus
     before {!Runtime.run} returns); exposed for harnesses that hold a
-    file-backed log open across runs. *)
+    durable log open across runs. *)
 
 val active_transactions : t -> Tid.t list
 val transaction_count : t -> int

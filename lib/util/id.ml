@@ -21,9 +21,8 @@ module type S = sig
 
   val partition : t -> int -> int
   (** The system's one hash-partition function: which of [n] buckets
-      this identifier falls in.  Shared by the sharded engine (home
-      shard of an object) and parallel recovery (redo queue of an
-      object) so both sides agree on every placement. *)
+      this identifier falls in — the sharded engine's home shard of an
+      object. *)
 
   val pp : Format.formatter -> t -> unit
 

@@ -2,31 +2,27 @@
 
    Records always live in memory (a growable array) so that the engine's
    abort path can walk them without I/O; when the log is opened with a
-   backing file, every append is also encoded into a staging buffer in
-   a framed binary format (u32 length + u32 CRC-32 + body), and [force]
-   drains the buffer to the raw file descriptor and fsyncs it — only
-   then is anything durable.  Commit records are forced automatically
-   unless the caller opts out ([~force_commit:false]), which is how the
-   engine batches K commits into one force (group commit).
+   backing directory, every append is also encoded into a staging
+   buffer in a framed binary format (u32 length + u32 CRC-32 + body),
+   and [force] drains the buffer to the raw file descriptor and fsyncs
+   it — only then is anything durable.  Commit records are forced
+   automatically unless the caller opts out ([~force_commit:false]),
+   which is how the engine batches K commits into one force (group
+   commit).
 
-   Two disk layouts share the framing:
-
-   - a *single file* ([create_file]/[load]) — the original layout, kept
-     as the simple default for tests and tools;
-
-   - a *segment directory* ([create_dir]/[load_dir]) — fixed-size
-     segment files named by their base LSN plus an atomic [MANIFEST]
-     naming the live segments.  Rotation seals the full segment
-     (drain + fsync) and makes the manifest name the successor *before*
-     any record can enter it, so a forced record never lives in a file
-     the manifest does not know.  [retire] deletes sealed segments
-     wholly below a checkpoint watermark: manifest first, unlink
-     second, directory fsync last — a crash anywhere leaves either the
-     old manifest (segments still named, nothing lost) or unreferenced
-     files that the next [load_dir] sweeps, so retirement is
-     idempotent.  Retirement frees *disk*; the in-memory array keeps
-     the full suffix from [start_lsn] so the abort path and fuzzy
-     checkpoints can still resolve live transactions' update LSNs.
+   On disk the log is a *segment directory* ([create_dir]/[load_dir]):
+   fixed-size segment files named by their base LSN plus an atomic
+   [MANIFEST] naming the live segments.  Rotation seals the full
+   segment (drain + fsync) and makes the manifest name the successor
+   *before* any record can enter it, so a forced record never lives in
+   a file the manifest does not know.  [retire] deletes sealed segments
+   wholly below a checkpoint watermark: manifest first, unlink second,
+   directory fsync last — a crash anywhere leaves either the old
+   manifest (segments still named, nothing lost) or unreferenced files
+   that the next [load_dir] sweeps, so retirement is idempotent.
+   Retirement frees *disk*; the in-memory array keeps the full suffix
+   from [start_lsn] so the abort path and checkpoints can still resolve
+   live transactions' update LSNs.
 
    The sink is a raw [Unix.file_descr], not an [out_channel]: the fault
    harness's simulated power loss ([crash]) must discard exactly the
@@ -56,7 +52,6 @@ let record_kind = function
   | Record.Increment _ -> "increment"
   | Record.Enqueue _ -> "enqueue"
   | Record.Clr _ -> "clr"
-  | Record.Checkpoint -> "checkpoint"
   | Record.Begin_ckpt _ -> "begin_ckpt"
   | Record.End_ckpt _ -> "end_ckpt"
 
@@ -70,23 +65,17 @@ let site_retire_sync_dir = Fault.register "wal.retire.sync_dir"
 
 type seg = { base : int; file : string }
 
-type seg_state = {
+(* The open segment directory; [fd] writes the current segment [cur]. *)
+type sink = {
   dir : string;
   limit : int; (* rotate once the current segment holds this many bytes *)
-  mutable sealed : seg list; (* oldest first; immutable, fsynced in full *)
-  mutable cur_base : int;
-  mutable cur_bytes : int;
-  mutable retired : int;
-}
-
-type backend = Single | Segmented of seg_state
-
-type sink = {
   mutable fd : Unix.file_descr;
-  mutable path : string;
   buf : Buffer.t;
   mutable crashed : bool;
-  backend : backend;
+  mutable sealed : seg list; (* oldest first; immutable, fsynced in full *)
+  mutable cur : seg;
+  mutable cur_bytes : int;
+  mutable retired : int;
 }
 
 type t = {
@@ -104,9 +93,12 @@ type t = {
    bound memory; durability still waits for the fsync in [force]. *)
 let drain_threshold = 1 lsl 20
 
+(* Fills the record array's unused slots. *)
+let filler = Record.Begin Asset_util.Id.Tid.null
+
 let make sink =
   {
-    records = Array.make 64 Record.Checkpoint;
+    records = Array.make 64 filler;
     len = 0;
     start_lsn = 0;
     sink;
@@ -117,17 +109,9 @@ let make sink =
   }
 
 let in_memory () = make None
-let of_sink sink = make (Some sink)
-
-let create_file path =
-  let fd =
-    Fault.protect "wal.open" (fun () ->
-        Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644)
-  in
-  of_sink { fd; path; buf = Buffer.create 4096; crashed = false; backend = Single }
 
 let grow t =
-  let bigger = Array.make (2 * Array.length t.records) Record.Checkpoint in
+  let bigger = Array.make (2 * Array.length t.records) filler in
   Array.blit t.records 0 bigger 0 t.len;
   t.records <- bigger
 
@@ -149,7 +133,7 @@ let rec write_all fd b pos len =
     write_all fd b (pos + n) (len - n)
   end
 
-(* ---------- segment directory layout ---------- *)
+(* ---------- directory layout ---------- *)
 
 let seg_name base = Printf.sprintf "seg-%012d.wal" base
 let seg_path dir base = Filename.concat dir (seg_name base)
@@ -207,10 +191,13 @@ let read_manifest dir =
         let limit = ref drain_threshold and retired = ref 0 and segs = ref [] in
         List.iter
           (fun line ->
+            let num n =
+              match int_of_string_opt n with Some v -> v | None -> raise (Bad_manifest line)
+            in
             match String.split_on_char ' ' line with
-            | [ "limit"; n ] -> limit := int_of_string n
-            | [ "retired"; n ] -> retired := int_of_string n
-            | [ "seg"; base; name ] -> segs := { base = int_of_string base; file = Filename.concat dir name } :: !segs
+            | [ "limit"; n ] -> limit := num n
+            | [ "retired"; n ] -> retired := num n
+            | [ "seg"; base; name ] -> segs := { base = num base; file = Filename.concat dir name } :: !segs
             | [ "" ] | [] -> ()
             | _ -> raise (Bad_manifest line))
           rest;
@@ -219,6 +206,12 @@ let read_manifest dir =
     | [] -> raise (Bad_manifest "empty manifest")
   end
 
+(* A log writing into segment [cur] (already holding [cur_bytes]) of
+   [dir], through [fd]. *)
+let open_segments ~dir ~limit ~retired ~sealed cur cur_bytes fd =
+  let buf = Buffer.create 4096 in
+  make (Some { dir; limit; fd; buf; crashed = false; sealed; cur; cur_bytes; retired })
+
 let create_dir ?(segment_bytes = 1 lsl 20) dir =
   let limit = max 1 segment_bytes in
   Fault.protect "wal.open" (fun () ->
@@ -226,8 +219,7 @@ let create_dir ?(segment_bytes = 1 lsl 20) dir =
       let file = seg_path dir 0 in
       let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
       write_manifest dir ~limit ~retired:0 [ { base = 0; file } ];
-      let st = { dir; limit; sealed = []; cur_base = 0; cur_bytes = 0; retired = 0 } in
-      of_sink { fd; path = file; buf = Buffer.create 4096; crashed = false; backend = Segmented st })
+      open_segments ~dir ~limit ~retired:0 ~sealed:[] { base = 0; file } 0 fd)
 
 (* ---------- appending ---------- *)
 
@@ -274,22 +266,21 @@ let force t =
    between (3) and (4) leaves a named empty segment, which loads as
    zero records.  Either way no durable record is ever outside the
    manifest. *)
-let rotate t sink st =
+let rotate t sink =
   drain sink;
   Fault.protect "wal.rotate" (fun () ->
       Unix.fsync sink.fd;
       Unix.close sink.fd);
   t.forced_lsn <- max t.forced_lsn (t.start_lsn + t.len - 1);
-  st.sealed <- st.sealed @ [ { base = st.cur_base; file = sink.path } ];
+  sink.sealed <- sink.sealed @ [ sink.cur ];
   let base = t.start_lsn + t.len in
-  let file = seg_path st.dir base in
+  let file = seg_path sink.dir base in
   Fault.protect "wal.rotate" (fun () ->
       let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-      write_manifest st.dir ~limit:st.limit ~retired:st.retired (st.sealed @ [ { base; file } ]);
+      write_manifest sink.dir ~limit:sink.limit ~retired:sink.retired (sink.sealed @ [ { base; file } ]);
       sink.fd <- fd);
-  sink.path <- file;
-  st.cur_base <- base;
-  st.cur_bytes <- 0
+  sink.cur <- { base; file };
+  sink.cur_bytes <- 0
 
 let append ?(force_commit = true) t record =
   let framed =
@@ -311,12 +302,9 @@ let append ?(force_commit = true) t record =
       let frame_bytes = frame_header_size + String.length body in
       buffer_framed sink.buf body;
       t.appended_bytes <- t.appended_bytes + frame_bytes;
-      (match sink.backend with
-      | Single -> if Buffer.length sink.buf >= drain_threshold then drain sink
-      | Segmented st ->
-          st.cur_bytes <- st.cur_bytes + frame_bytes;
-          if st.cur_bytes >= st.limit then rotate t sink st
-          else if Buffer.length sink.buf >= drain_threshold then drain sink)
+      sink.cur_bytes <- sink.cur_bytes + frame_bytes;
+      if sink.cur_bytes >= sink.limit then rotate t sink
+      else if Buffer.length sink.buf >= drain_threshold then drain sink
   | _ -> ());
   (* The WAL rule: a commit record must be durable before the commit is
      acknowledged.  The engine's group-commit path opts out and forces
@@ -336,11 +324,8 @@ let force_count t = t.forces
 let corrupt_dropped t = t.corrupt_dropped
 let appended_bytes t = t.appended_bytes
 
-let segment_count t =
-  match t.sink with Some { backend = Segmented st; _ } -> List.length st.sealed + 1 | _ -> 1
-
-let segments_retired t =
-  match t.sink with Some { backend = Segmented st; _ } -> st.retired | _ -> 0
+let segment_count t = match t.sink with Some sink -> List.length sink.sealed + 1 | None -> 1
+let segments_retired t = match t.sink with Some sink -> sink.retired | None -> 0
 
 let iter ?from t f =
   let from = match from with None -> t.start_lsn | Some l -> max l t.start_lsn in
@@ -481,17 +466,6 @@ let reopen_appendable path valid_end =
       ignore (Unix.lseek fd 0 Unix.SEEK_END);
       fd)
 
-let load path =
-  let p = parse_file path in
-  let fd = reopen_appendable path p.p_valid_end in
-  let t = of_sink { fd; path; buf = Buffer.create 4096; crashed = false; backend = Single } in
-  (* Replay into memory only: the records are already in the file. *)
-  List.iter (push_mem t) p.p_records;
-  t.forced_lsn <- t.len - 1;
-  t.corrupt_dropped <- p.p_dropped;
-  t.appended_bytes <- p.p_valid_end;
-  t
-
 (* Load a segment directory for recovery.  The manifest names the live
    segments oldest first; they are parsed in order.  The first segment
    that fails to parse clean ends the trusted history: on the *last*
@@ -563,11 +537,9 @@ let load_dir dir =
         (Sys.readdir dir);
       (try fsync_dir dir with Unix.Unix_error _ -> ());
       let fd = reopen_appendable cur.file cur_end in
-      let st =
-        { dir; limit; sealed = live; cur_base = cur.base; cur_bytes = cur_end; retired }
-      in
-      let t = of_sink { fd; path = cur.file; buf = Buffer.create 4096; crashed = false; backend = Segmented st } in
+      let t = open_segments ~dir ~limit ~retired ~sealed:live cur cur_end fd in
       t.start_lsn <- start;
+      (* Replay into memory only: the records are already on disk. *)
       List.iter (push_mem t) (List.rev !records);
       t.forced_lsn <- t.start_lsn + t.len - 1;
       t.corrupt_dropped <- !dropped;
@@ -589,32 +561,37 @@ let load_dir dir =
    ignored.  Idempotent at every step. *)
 let retire t ~below =
   match t.sink with
-  | Some ({ backend = Segmented st; _ } as sink) when not sink.crashed && st.sealed <> [] ->
+  | Some sink when (not sink.crashed) && sink.sealed <> [] ->
       let next_bases =
-        List.map (fun s -> s.base) (List.tl st.sealed) @ [ st.cur_base ]
+        List.map (fun s -> s.base) (List.tl sink.sealed) @ [ sink.cur.base ]
       in
-      let paired = List.combine st.sealed next_bases in
+      let paired = List.combine sink.sealed next_bases in
       let retirable, keep = List.partition (fun (_, next) -> next <= below) paired in
       let retirable = List.map fst retirable and keep = List.map fst keep in
       if retirable = [] then 0
       else begin
         Fault.hit_io site_retire_manifest;
-        st.sealed <- keep;
-        st.retired <- st.retired + List.length retirable;
+        sink.sealed <- keep;
+        sink.retired <- sink.retired + List.length retirable;
         Fault.protect "wal.retire" (fun () ->
-            write_manifest st.dir ~limit:st.limit ~retired:st.retired
-              (keep @ [ { base = st.cur_base; file = sink.path } ]));
+            write_manifest sink.dir ~limit:sink.limit ~retired:sink.retired (keep @ [ sink.cur ]));
         Fault.hit_io site_retire_unlink;
         Fault.protect "wal.retire" (fun () ->
             List.iter
               (fun s -> try Unix.unlink s.file with Unix.Unix_error (Unix.ENOENT, _, _) -> ())
               retirable);
         Fault.hit_io site_retire_sync_dir;
-        Fault.protect "wal.retire" (fun () -> fsync_dir st.dir);
+        Fault.protect "wal.retire" (fun () -> fsync_dir sink.dir);
         if Trace.on () then Trace.emit (Trace.Wal_retire { below; segments = List.length retirable });
         List.length retirable
       end
   | _ -> 0
+
+let remove_dir dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
 
 let pp ppf t =
   iter t (fun lsn r -> Format.fprintf ppf "%4d %a@." lsn Record.pp r)

@@ -1,15 +1,14 @@
 (** The log: an append-only record sequence addressed by LSN.
 
     Records always stay in memory (the engine's abort path walks them
-    without I/O); with a backing sink every append is staged into a
-    buffer in a framed binary format (length + CRC-32 + body) and
+    without I/O); with a backing directory every append is staged into
+    a buffer in a framed binary format (length + CRC-32 + body) and
     {!force} drains and {e fsyncs} it — nothing is durable before the
     fsync.  Commit records are forced automatically (the WAL rule)
     unless the caller opts out to batch several commits into one force
     (group commit).
 
-    Two disk layouts share the framing: a single file
-    ({!create_file}/{!load}), and a {e segment directory}
+    On disk the log is a {e segment directory}
     ({!create_dir}/{!load_dir}) of fixed-size segment files plus an
     atomic [MANIFEST] naming the live ones.  Segments rotate when
     full (sealed segments are fsynced in full and never reopened) and
@@ -28,7 +27,6 @@
 type t
 
 val in_memory : unit -> t
-val create_file : string -> t
 
 val create_dir : ?segment_bytes:int -> string -> t
 (** Open a fresh segment-directory log under [dir] (created if
@@ -37,33 +35,34 @@ val create_dir : ?segment_bytes:int -> string -> t
     rotation threshold is recorded in the manifest, so {!load_dir}
     restores it. *)
 
-val load : string -> t
-(** Read a file-backed log back for recovery, stopping cleanly at a
-    torn tail (partial final record) and at the first CRC-32 mismatch.
-    The torn or corrupt bytes are truncated and the file is reopened
-    as an appendable sink, so the recovered log accepts further appends
-    and stays durable.  {!corrupt_dropped} counts the complete records
-    dropped by checksum failure (a torn tail is not corruption). *)
+exception Bad_manifest of string
+(** The [MANIFEST] is not one this module wrote: a bad magic line, an
+    unknown directive or a malformed number.  Carries the offending
+    line. *)
 
 val load_dir : string -> t
-(** {!load} for a segment directory: parses the manifest's segments in
-    order, truncates at the first unclean point (a torn tail on the
-    final segment is the normal crash signature; interior damage
-    condemns every record after it, counted in {!corrupt_dropped}),
+(** Read a segment directory back for recovery: parses the manifest's
+    segments in order and truncates at the first unclean point — a
+    torn tail (partial final record) on the final segment is the
+    normal crash signature; a CRC-32 mismatch or interior damage
+    condemns every record after it, counted in {!corrupt_dropped}.  It
     deletes segment files the manifest does not name — completing any
     retirement or rotation a crash interrupted — and reopens the last
-    live segment appendable.  Idempotent: loading twice yields the
-    same log. *)
+    live segment appendable, so the recovered log accepts further
+    appends and stays durable.  A directory without a manifest loads
+    as an empty log.  Idempotent: loading twice yields the same log.
+    Raises {!Bad_manifest} on a manifest it cannot parse. *)
 
 val corrupt_dropped : t -> int
-(** How many complete records {!load}/{!load_dir} dropped on CRC
-    mismatch or interior damage; 0 for logs not produced by a load. *)
+(** How many complete records {!load_dir} dropped on CRC mismatch or
+    interior damage (a torn tail is not corruption); 0 for logs not
+    produced by a load. *)
 
 val crash : t -> unit
 (** Simulated power loss: discard the staging buffer (everything
     appended since the last drain) and drop the descriptor without
     flushing.  The disk is left with exactly the bytes that reached
-    it; reopen with {!load}/{!load_dir}. *)
+    it; reopen with {!load_dir}. *)
 
 val append : ?force_commit:bool -> t -> Record.t -> int
 (** Append and return the record's LSN.  Appending a [Commit] record
@@ -88,7 +87,7 @@ val retire : t -> below:int -> int
     (the checkpoint redo watermark), returning how many were deleted.
     Crash-safe and idempotent: the manifest stops naming a segment
     before its file is unlinked, and {!load_dir} sweeps unreferenced
-    files.  0 for single-file and in-memory logs.  Disk-only: the
+    files.  0 for in-memory logs.  Disk-only: the
     in-memory record suffix is untouched, so live transactions' update
     LSNs still resolve through {!get}. *)
 
@@ -106,11 +105,11 @@ val appended_bytes : t -> int
 
 val segment_count : t -> int
 (** Live segment files, including the one being written (1 for
-    single-file and in-memory logs). *)
+    in-memory logs). *)
 
 val segments_retired : t -> int
 (** Segments deleted by {!retire} over the directory's lifetime
-    (persisted in the manifest across loads). *)
+    (persisted in the manifest across loads); 0 for in-memory logs. *)
 
 val get : t -> int -> Record.t
 (** Raises [Invalid_argument] on an LSN outside
@@ -124,4 +123,9 @@ val to_list : t -> Record.t list
 (** The in-memory records, oldest first (from {!start_lsn}). *)
 
 val close : t -> unit
+
+val remove_dir : string -> unit
+(** Delete a closed log's directory and every file in it; a no-op when
+    the directory does not exist. *)
+
 val pp : Format.formatter -> t -> unit

@@ -63,7 +63,6 @@ type t =
          ARIES-style: recovery replays CLRs but never undoes them, and a
          loser whose Abort record made it to the log is not re-undone —
          its CLRs already carry the undo. *)
-  | Checkpoint
   | Begin_ckpt of { active : att_entry list; dirty : Oid.t list }
       (* Fuzzy-checkpoint open: ATT snapshot + the distinct OIDs those
          in-flight transactions have touched.  The store is flushed
@@ -97,7 +96,6 @@ let pp ppf = function
       Format.fprintf ppf "CLR %a %a image=%a undo=%d" Tid.pp tid Oid.pp oid
         (Format.pp_print_option Value.pp)
         image undo_lsn
-  | Checkpoint -> Format.fprintf ppf "CHECKPOINT"
   | Begin_ckpt { active; dirty } ->
       Format.fprintf ppf "BEGIN_CKPT active=[%a] dirty=%d"
         (Format.pp_print_list
@@ -110,13 +108,14 @@ let pp ppf = function
    codec produces and parses the record body.  All integers are
    little-endian. *)
 
+(* Tag 6 is retired: an old log may still hold it, so it decodes as
+   [Corrupt] and must not be reused. *)
 let tag = function
   | Begin _ -> 1
   | Update _ -> 2
   | Commit _ -> 3
   | Abort _ -> 4
   | Delegate _ -> 5
-  | Checkpoint -> 6
   | Clr _ -> 7
   | Increment _ -> 8
   | Enqueue _ -> 9
@@ -180,7 +179,6 @@ let encode t =
       put_oid buf oid;
       put_string buf item;
       put_string buf (Value.to_string after)
-  | Checkpoint -> ()
   | Begin_ckpt { active; dirty } ->
       put_int buf (List.length active);
       List.iter
@@ -265,7 +263,6 @@ let decode data =
         else Some (List.init n (fun _ -> get_oid c))
       in
       Delegate { from_; to_; oids }
-  | 6 -> Checkpoint
   | 7 ->
       let tid = get_tid c in
       let oid = get_oid c in

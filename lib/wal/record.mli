@@ -58,7 +58,6 @@ type t =
           got and never re-undoes an already-compensated update — the
           CLR-style abort-progress record that closes the
           double-undo window for logical (delta/dequeue) undos. *)
-  | Checkpoint
   | Begin_ckpt of { active : att_entry list; dirty : Oid.t list }
       (** Fuzzy-checkpoint open: ATT snapshot plus the distinct OIDs
           those transactions have touched.  The store is flushed

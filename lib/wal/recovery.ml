@@ -15,14 +15,9 @@
    redo     —  reinstall every after image *and every CLR image* in log
                order, regardless of outcome, repeating history so the
                cache state matches the log tail whatever subset of
-               writes reached the disk.  With [domains] > 1 the redo
-               set is partitioned by OID hash (the same
-               [Oid.partition] the sharded engine routes by) and
-               replayed on parallel OCaml domains — sound because redo
-               actions are whole-value installs, so only the last
-               action per OID matters and per-OID order is preserved
-               inside one partition; a merge barrier joins every
-               domain before undo starts.
+               writes reached the disk.  Redo actions are whole-value
+               installs, so a crash part-way through redo leaves a
+               store that the next recovery's redo simply overwrites.
 
    undo     —  walk the loser updates in reverse LSN order installing
                before images (a missing before image means the object
@@ -37,23 +32,18 @@
                for logical (delta/dequeue) undos, which are not
                idempotent.
 
-   Two checkpoint flavours bound the scan:
-
-   - a *quiescent* Checkpoint record (store flushed, no active
-     transactions) — everything before it is irrelevant;
-
-   - a *fuzzy* Begin_ckpt/End_ckpt pair taken without stopping the
-     world.  Begin_ckpt carries the active-transaction table: for each
-     in-flight transaction the undo information of every update it is
-     responsible for, at its real LSN.  The store is flushed between
-     the pair, so an End_ckpt on disk guarantees every update logged
-     before its begin_lsn is in the store — redo can start at
-     begin_lsn, and undo of a transaction that was already running at
-     the checkpoint works from the captured table instead of the
-     (possibly retired) log prefix.  Tail Delegate records re-attribute
-     captured updates exactly like scanned ones.  A Begin_ckpt without
-     its End_ckpt (crash mid-checkpoint) is ignored and analysis falls
-     back to the previous anchor. *)
+   A checkpoint bounds the scan: a Begin_ckpt/End_ckpt pair taken
+   without stopping the world.  Begin_ckpt carries the
+   active-transaction table: for each in-flight transaction the undo
+   information of every update it is responsible for, at its real LSN.
+   The store is flushed between the pair, so an End_ckpt on disk
+   guarantees every update logged before its begin_lsn is in the store
+   — redo can start at begin_lsn, and undo of a transaction that was
+   already running at the checkpoint works from the captured table
+   instead of the (possibly retired) log prefix.  Tail Delegate records
+   re-attribute captured updates exactly like scanned ones.  A
+   Begin_ckpt without its End_ckpt (crash mid-checkpoint) is ignored
+   and analysis falls back to the previous checkpoint. *)
 
 module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
@@ -65,8 +55,7 @@ module Trace = Asset_obs.Trace
 let site_ckpt_begin = Fault.register "wal.ckpt.begin"
 let site_ckpt_flush = Fault.register "wal.ckpt.flush"
 let site_ckpt_end = Fault.register "wal.ckpt.end"
-let site_domain_replay = Fault.register "recovery.domain.replay"
-let site_domain_merge = Fault.register "recovery.domain.merge"
+let site_redo = Fault.register "recovery.redo"
 
 (* How an update is undone: physical installs the before image;
    logical (increments, enqueues) edits the *current* value — subtract
@@ -93,26 +82,21 @@ type report = {
 
 type redo_action = Install of Oid.t * Value.t | Remove of Oid.t
 
-(* The latest trustworthy scan anchor, found by one backward walk: an
-   End_ckpt whose backlink resolves to a live Begin_ckpt (fuzzy), or a
-   quiescent Checkpoint — whichever is latest.  An End_ckpt with a
-   dangling backlink (its Begin retired or corrupt) is skipped, as is
-   any Begin_ckpt met on the way back (its End never made it: the
-   checkpoint did not complete). *)
-type anchor = No_anchor | Quiescent of int | Fuzzy of int * Record.att_entry list
-
+(* The latest trustworthy scan anchor, found by one backward walk: the
+   begin LSN and captured table of the last End_ckpt whose backlink
+   resolves to a live Begin_ckpt.  An End_ckpt with a dangling backlink
+   (its Begin retired or corrupt) is skipped, as is any Begin_ckpt met
+   on the way back (its End never made it: the checkpoint did not
+   complete). *)
 let find_anchor log =
-  let result = ref No_anchor in
+  let result = ref None in
   (try
      Log.iter_rev log (fun lsn record ->
          match record with
-         | Record.Checkpoint ->
-             result := Quiescent lsn;
-             raise Exit
          | Record.End_ckpt { begin_lsn } when begin_lsn >= Log.start_lsn log && begin_lsn < lsn -> (
              match Log.get log begin_lsn with
              | Record.Begin_ckpt { active; _ } ->
-                 result := Fuzzy (begin_lsn, active);
+                 result := Some (begin_lsn, active);
                  raise Exit
              | _ -> ())
          | _ -> ())
@@ -124,8 +108,8 @@ let undo_of_ckpt = function
   | Record.Ckpt_delta delta -> Logical_delta delta
   | Record.Ckpt_dequeue item -> Logical_dequeue item
 
-(* One forward pass from the anchor.  With a fuzzy anchor the updates
-   list is seeded from the captured active-transaction table (in LSN
+(* One forward pass from the anchor.  With an anchor the updates list
+   is seeded from the captured active-transaction table (in LSN
    order, below everything the scan adds) — seeded updates join undo
    and delegation re-attribution but not redo: the checkpoint's store
    flush already covers every update logged before begin_lsn. *)
@@ -142,10 +126,7 @@ let analyze log =
      undoes exactly the remainder. *)
   let compensated = Hashtbl.create 16 in
   let scan_from, seeds =
-    match find_anchor log with
-    | No_anchor -> (Log.start_lsn log, [])
-    | Quiescent lsn -> (lsn, [])
-    | Fuzzy (lsn, active) -> (lsn, active)
+    match find_anchor log with None -> (Log.start_lsn log, []) | Some anchor -> anchor
   in
   let seed_updates =
     List.concat_map
@@ -162,7 +143,7 @@ let analyze log =
     (List.sort (fun a b -> compare a.lsn b.lsn) seed_updates);
   Log.iter ~from:scan_from log (fun lsn record ->
       match record with
-      | Record.Checkpoint | Record.Begin_ckpt _ | Record.End_ckpt _ ->
+      | Record.Begin_ckpt _ | Record.End_ckpt _ ->
           (* Anchoring already happened in the backward pass; nothing
              at or after the anchor changes what must be scanned. *)
           ()
@@ -214,66 +195,20 @@ let apply_action store = function
   | Install (oid, v) -> Store.write store oid v
   | Remove oid -> Store.delete store oid
 
-(* Parallel redo.  Partition by [Oid.partition] — every action on one
-   OID lands in the same queue, in log order, so replaying a queue into
-   a private last-write-wins table computes exactly the final image of
-   that partition's objects.  Partitions touch disjoint OID sets, so
-   after the merge barrier (every domain joined, errors re-raised) the
-   tables apply to the store in any order.  Failpoints fire on the
-   driving domain only — policy state is not synchronised across
-   domains. *)
-let redo_parallel store redo domains =
-  let queues = Array.make domains [] in
-  List.iter
-    (fun action ->
-      let oid = match action with Install (oid, _) | Remove oid -> oid in
-      let d = Oid.partition oid domains in
-      queues.(d) <- action :: queues.(d))
-    redo;
-  Array.iteri (fun _ _ -> Fault.hit_io site_domain_replay) queues;
-  let handles =
-    Array.map
-      (fun q ->
-        let q = List.rev q in
-        Domain.spawn (fun () ->
-            match
-              let tbl : (Oid.t, Value.t option) Hashtbl.t = Hashtbl.create 64 in
-              List.iter
-                (fun action ->
-                  match action with
-                  | Install (oid, v) -> Hashtbl.replace tbl oid (Some v)
-                  | Remove oid -> Hashtbl.replace tbl oid None)
-                q;
-              tbl
-            with
-            | tbl -> Ok tbl
-            | exception e -> Error e))
-      queues
-  in
-  (* The merge barrier: every domain joins before anything applies. *)
-  let results = Array.map Domain.join handles in
-  Fault.hit_io site_domain_merge;
-  Array.iter (function Error e -> raise e | Ok _ -> ()) results;
-  Array.iter
-    (function
-      | Ok tbl ->
-          Hashtbl.iter
-            (fun oid v -> match v with Some v -> Store.write store oid v | None -> Store.delete store oid)
-            tbl
-      | Error _ -> ())
-    results
-
-let recover ?(domains = 1) log store =
-  if domains < 1 then invalid_arg "Recovery.recover: domains must be >= 1";
+let recover log store =
   if Trace.on () then Trace.emit Trace.Recovery_start;
   let updates, redo, winners, losers, resolved, undone_before_crash, from =
     analyze log
   in
   let winner tid = List.exists (Tid.equal tid) winners in
   (* Redo: repeat history, including the undo writes (CLRs) of aborts
-     that ran before the crash. *)
-  if domains = 1 then List.iter (apply_action store) redo
-  else redo_parallel store redo domains;
+     that ran before the crash.  The failpoint lets the torture harness
+     lose power part-way through. *)
+  List.iter
+    (fun action ->
+      Fault.hit_io site_redo;
+      apply_action store action)
+    redo;
   let redone = List.length redo in
   (* Undo unresolved losers (in-flight at the crash) in reverse order.
      Resolved losers' undos were replayed as CLRs above, and so was any
@@ -315,15 +250,6 @@ let recover ?(domains = 1) log store =
     log_records_dropped = Log.corrupt_dropped log;
   }
 
-(* A quiescent checkpoint: everything committed so far is already in the
-   store; flush it and mark the log.  The caller must guarantee no
-   transaction is active (the engine's checkpoint wrapper enforces it). *)
-let checkpoint log store =
-  Store.flush store;
-  let lsn = Log.append log Record.Checkpoint in
-  Log.force log;
-  lsn
-
 (* A fuzzy checkpoint: no quiescence needed.  The caller captures the
    active-transaction table; this logs Begin_ckpt, flushes the store,
    logs End_ckpt and forces.  One force at the end suffices: log
@@ -334,7 +260,7 @@ let checkpoint log store =
    an incomplete pair that [find_anchor] skips, falling back to the
    previous checkpoint: fuzzy checkpointing never loses ground, it
    only fails to gain it. *)
-let fuzzy_checkpoint log store ~active ~dirty =
+let checkpoint log store ~active ~dirty =
   Fault.hit_io site_ckpt_begin;
   let begin_lsn = Log.append log (Record.Begin_ckpt { active; dirty }) in
   if Trace.on () then Trace.emit (Trace.Ckpt_begin { lsn = begin_lsn; active = List.length active });

@@ -1,15 +1,15 @@
 (* Crash-recovery torture harness.
 
    One torture run is a bank-transfer workload over a fully persistent
-   stack — slotted pages behind a small buffer pool, file-backed WAL —
-   with a fault armed at some I/O site.  When the fault fires as
+   stack — slotted pages behind a small buffer pool, segment-directory
+   WAL — with a fault armed at some I/O site.  When the fault fires as
    [Fault.Crash], the harness treats it as power loss with full
    fidelity:
 
      - the WAL's staging buffer and the buffer pool's dirty frames are
        discarded ([Log.crash], [Persistent_store.crash_and_reopen]) —
        only bytes that reached the files survive;
-     - the log is re-read from disk ([Log.load]: torn-tail truncation +
+     - the log is re-read from disk ([Log.load_dir]: torn-tail truncation +
        CRC verification) and [Recovery.recover] repeats history and
        undoes losers.
 
@@ -34,7 +34,6 @@ module Log = Asset_wal.Log
 module Recovery = Asset_wal.Recovery
 module Pstore = Asset_storage.Persistent_store
 module Store = Asset_storage.Store
-module Heap_store = Asset_storage.Heap_store
 module Value = Asset_storage.Value
 module Fault = Asset_fault.Fault
 module Rng = Asset_util.Rng
@@ -54,9 +53,8 @@ type spec = {
   group_commit_size : int;
   page_size : int;
   pool_capacity : int;
-  segment_bytes : int; (* > 0: segment-directory WAL with this rotation size *)
+  segment_bytes : int; (* WAL segment rotation size *)
   checkpoint_log_bytes : int; (* > 0: commit-path fuzzy-checkpoint trigger *)
-  recovery_domains : int; (* > 1: parallel redo across this many domains *)
 }
 
 let default_spec =
@@ -68,9 +66,8 @@ let default_spec =
     group_commit_size = 1;
     page_size = 512;
     pool_capacity = 4;
-    segment_bytes = 0;
+    segment_bytes = 1 lsl 20;
     checkpoint_log_bytes = 0;
-    recovery_domains = 1;
   }
 
 type transfer = { src : int; dst : int; amount : int }
@@ -104,15 +101,6 @@ let fresh_paths =
         (Printf.sprintf "asset-torture-%d-%d" (Unix.getpid ()) !counter)
     in
     (base ^ ".pages", base ^ ".wal")
-
-(* Remove a WAL path that may be a single file or a segment directory. *)
-let rm_wal path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
 
 (* [durable_commits] supplements the report's winner list: once a
    fuzzy checkpoint retires the log prefix, recovery's scan (correctly)
@@ -160,25 +148,17 @@ let sorted_snapshot store =
    run every transfer with its own committer fiber, simulate power loss
    if a crash fires, recover (retrying if a fault armed by
    [arm_recovery] crashes recovery itself — each retry is another full
-   power loss), and check the durability invariants.  With
-   [spec.recovery_domains > 1] the run additionally replays the same
-   log serially into a shadow copy of the crashed store and asserts the
-   parallel and serial results are identical. *)
+   power loss), and check the durability invariants. *)
 let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempotent = false) spec =
   Fault.reset_all ();
   let pages_path, wal_path = fresh_paths () in
-  let segmented = spec.segment_bytes > 0 in
-  let wal_path = if segmented then wal_path ^ ".d" else wal_path in
   let ps = Pstore.create ~page_size:spec.page_size ~pool_capacity:spec.pool_capacity pages_path in
   let store = Pstore.to_store ps in
   for a = 1 to spec.accounts do
     Store.write store (Bank.account a) (Value.of_int spec.balance)
   done;
   Store.flush store;
-  let log =
-    if segmented then Log.create_dir ~segment_bytes:spec.segment_bytes wal_path
-    else Log.create_file wal_path
-  in
+  let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
   let config =
     {
       E.default_config with
@@ -239,47 +219,31 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
      eviction stays — repeat-history must converge over it) and
      retries from a fresh load. *)
   arm_recovery ();
-  let load_log () = if segmented then Log.load_dir wal_path else Log.load wal_path in
-  let rlog = ref (load_log ()) in
+  let rlog = ref (Log.load_dir wal_path) in
   let recovery_crashes = ref 0 in
   let t0 = Unix.gettimeofday () in
   let rec recover_attempt n =
-    let pre = if spec.recovery_domains > 1 then Store.dump store else [] in
-    match Recovery.recover ~domains:spec.recovery_domains !rlog store with
-    | report -> (report, pre)
+    match Recovery.recover !rlog store with
+    | report -> report
     | exception Fault.Crash _ when n < 3 ->
         incr recovery_crashes;
         Fault.reset_all ();
         Log.crash !rlog;
         Pstore.crash_and_reopen ps;
-        rlog := load_log ();
+        rlog := Log.load_dir wal_path;
         recover_attempt (n + 1)
   in
-  let report, pre_recovery = recover_attempt 0 in
+  let report = recover_attempt 0 in
   let recovery_s = Unix.gettimeofday () -. t0 in
   (* Recovery survived: disarm any recovery-site fault still pending so
-     the shadow-serial and idempotence oracles below run fault-free. *)
+     the idempotence oracle below runs fault-free. *)
   Fault.reset_all ();
   let rlog = !rlog in
   let failures = check spec transfers tids acked report ~durable_commits store in
   let failures =
-    (* Serial-equivalence oracle: replay the same log with one domain
-       into a shadow of the exact pre-recovery store; the results must
-       not diverge in any object. *)
-    if spec.recovery_domains > 1 then begin
-      let shadow = Heap_store.store ~name:"shadow" () in
-      List.iter (fun (oid, v) -> Store.write shadow oid v) pre_recovery;
-      ignore (Recovery.recover ~domains:1 rlog shadow);
-      if sorted_snapshot shadow <> sorted_snapshot store then
-        failures @ [ "parallel recovery diverges from serial replay" ]
-      else failures
-    end
-    else failures
-  in
-  let failures =
     if check_idempotent then begin
       let before = sorted_snapshot store in
-      ignore (Recovery.recover ~domains:spec.recovery_domains rlog store);
+      ignore (Recovery.recover rlog store);
       if sorted_snapshot store <> before then failures @ [ "recovery not idempotent" ]
       else failures
     end
@@ -289,7 +253,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
   Log.close rlog;
   Pstore.close ps;
   Sys.remove pages_path;
-  rm_wal wal_path;
+  Log.remove_dir wal_path;
   {
     crashed;
     acked;
@@ -383,13 +347,13 @@ let random_crash_schedules ?check_idempotent ~n spec =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Durability schedules: fuzzy checkpoints, retirement, parallel redo  *)
+(* Durability schedules: fuzzy checkpoints, retirement, redo            *)
 
 (* The crash windows specific to the sustained-durability machinery.
    The wal.ckpt.* and wal.retire.* sites fire from the commit path's
-   checkpoint trigger during the workload; the recovery.domain.* sites
-   only fire during recovery itself, so schedules picking them arm
-   after power-off. *)
+   checkpoint trigger during the workload; recovery.redo only fires
+   during recovery itself, so schedules picking it arm after
+   power-off. *)
 let durability_sites =
   [|
     "wal.ckpt.begin";
@@ -398,16 +362,12 @@ let durability_sites =
     "wal.retire.manifest";
     "wal.retire.unlink";
     "wal.retire.sync_dir";
-    "recovery.domain.replay";
-    "recovery.domain.merge";
+    "recovery.redo";
   |]
 
-let is_recovery_site site =
-  String.length site >= 9 && String.sub site 0 9 = "recovery."
-
-(* One seeded durability schedule: a segmented WAL with an aggressive
-   checkpoint trigger, parallel recovery, and a crash armed at one of
-   the checkpoint / retirement / parallel-replay windows. *)
+(* One seeded durability schedule: small WAL segments, an aggressive
+   checkpoint trigger, and a crash armed at one of the checkpoint /
+   retirement / redo windows. *)
 let random_durability_schedule ?check_idempotent ~schedule_seed spec =
   let rng = Rng.create (0xd07a + schedule_seed) in
   let site = durability_sites.(Rng.int rng (Array.length durability_sites)) in
@@ -419,16 +379,15 @@ let random_durability_schedule ?check_idempotent ~schedule_seed spec =
       n_txns = max spec.n_txns 16;
       segment_bytes = 512 + (256 * Rng.int rng 4);
       checkpoint_log_bytes = 768 + (256 * Rng.int rng 4);
-      recovery_domains = 1 + Rng.int rng 3;
     }
   in
   let do_arm () = ignore (Fault.arm_name site (Fault.Crash_nth nth)) in
   let arm, arm_recovery =
-    if is_recovery_site site then ((fun () -> ()), do_arm) else (do_arm, fun () -> ())
+    if site = "recovery.redo" then ((fun () -> ()), do_arm) else (do_arm, fun () -> ())
   in
   let r = run_once ~arm ~arm_recovery ?check_idempotent spec in
-  ( Printf.sprintf "%s@%d seg=%d ckpt=%d dom=%d seed=%d" site nth spec.segment_bytes
-      spec.checkpoint_log_bytes spec.recovery_domains spec.seed,
+  ( Printf.sprintf "%s@%d seg=%d ckpt=%d seed=%d" site nth spec.segment_bytes
+      spec.checkpoint_log_bytes spec.seed,
     r )
 
 let random_durability_schedules ?check_idempotent ~n spec =
@@ -471,13 +430,11 @@ let sustained_run ?(rounds = 12) spec =
   let spec =
     {
       spec with
-      segment_bytes = (if spec.segment_bytes > 0 then spec.segment_bytes else 1024);
       checkpoint_log_bytes =
         (if spec.checkpoint_log_bytes > 0 then spec.checkpoint_log_bytes else 2048);
     }
   in
   let pages_path, wal_path = fresh_paths () in
-  let wal_path = wal_path ^ ".d" in
   let ps = Pstore.create ~page_size:spec.page_size ~pool_capacity:spec.pool_capacity pages_path in
   let store = Pstore.to_store ps in
   for a = 1 to spec.accounts do
@@ -544,7 +501,7 @@ let sustained_run ?(rounds = 12) spec =
   Log.close rlog;
   Pstore.close ps;
   Sys.remove pages_path;
-  rm_wal wal_path;
+  Log.remove_dir wal_path;
   {
     s_rounds = rounds;
     s_txns = !txns;
@@ -581,7 +538,7 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
     Store.write store (Bank.account a) (Value.of_int spec.balance)
   done;
   Store.flush store;
-  let log = Log.create_file wal_path in
+  let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
   let config = { E.default_config with group_commit_size = spec.group_commit_size } in
   let db = E.create ~config ~log store in
   let transfers = plan spec in
@@ -604,7 +561,7 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
   Fault.reset_all ();
   Log.close log;
   Pstore.crash_and_reopen ps;
-  let rlog = Log.load wal_path in
+  let rlog = Log.load_dir wal_path in
   ignore (Recovery.recover rlog store);
   let conserved =
     let total = ref 0 in
@@ -618,7 +575,7 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
   Log.close rlog;
   Pstore.close ps;
   Sys.remove pages_path;
-  Sys.remove wal_path;
+  Log.remove_dir wal_path;
   {
     committed = !metrics.Workload.r_committed;
     retries = !metrics.Workload.r_retries;

@@ -1,7 +1,8 @@
 (** Crash-recovery torture harness.
 
     Runs a deterministic bank-transfer workload over the fully
-    persistent stack (slotted pages + buffer pool + file WAL) with a
+    persistent stack (slotted pages + buffer pool + segment-directory
+    WAL) with a
     failpoint armed, simulates power loss when it fires (all volatile
     state discarded, files reopened, {!Asset_wal.Recovery.recover}),
     and checks the durability invariants: acknowledged commits durable,
@@ -24,15 +25,11 @@ type spec = {
   page_size : int;
   pool_capacity : int;
   segment_bytes : int;
-      (** > 0: use a segment-directory WAL with this rotation size
-          (0, the default, keeps the single-file WAL) *)
+      (** the WAL's segment rotation size (default 1 MiB, so a default
+          run writes one segment) *)
   checkpoint_log_bytes : int;
       (** > 0: the engine's commit-path fuzzy-checkpoint trigger
           (0, the default, disables it) *)
-  recovery_domains : int;
-      (** > 1: parallel redo across this many domains, with a
-          serial-replay shadow oracle asserting zero divergence
-          (1, the default, is serial) *)
 }
 
 val default_spec : spec
@@ -62,11 +59,8 @@ val run_once :
     workload, simulate power loss if a crash fires, recover, check
     invariants, clean up.  All failpoints are reset before and at
     power-off; [arm_recovery] runs after power-off to arm faults at
-    recovery-only sites ("recovery.domain.*") — a crash during
-    recovery is retried as another full power loss (up to 3 times).
-    With [spec.recovery_domains > 1] the run also replays the log
-    serially into a shadow of the pre-recovery store and fails on any
-    divergence from the parallel result. *)
+    recovery-only sites ("recovery.redo") — a crash during recovery is
+    retried as another full power loss (up to 3 times). *)
 
 type sweep = {
   boundaries : int;  (** WAL records in the fault-free reference run *)
@@ -90,14 +84,13 @@ val random_crash_schedules : ?check_idempotent:bool -> n:int -> spec -> sweep
 
 val durability_sites : string array
 (** The crash windows specific to fuzzy checkpoints ("wal.ckpt.*"),
-    segment retirement ("wal.retire.*") and parallel replay
-    ("recovery.domain.*"). *)
+    segment retirement ("wal.retire.*") and redo ("recovery.redo"). *)
 
 val random_durability_schedule :
   ?check_idempotent:bool -> schedule_seed:int -> spec -> string * outcome
-(** One seeded schedule over {!durability_sites}: a segmented WAL with
-    an aggressive checkpoint trigger and 1–3 recovery domains, crashing
-    at the drawn site's n-th hit.  Recovery-side sites are armed after
+(** One seeded schedule over {!durability_sites}: small WAL segments
+    and an aggressive checkpoint trigger, crashing at the drawn site's
+    n-th hit.  Recovery-side sites are armed after
     power-off so they fire during recovery itself. *)
 
 val random_durability_schedules : ?check_idempotent:bool -> n:int -> spec -> sweep
@@ -117,8 +110,9 @@ val sustained_run : ?rounds:int -> spec -> sustained
     the commit-path checkpoint trigger on: asserts checkpoints fired,
     segments were retired, the live segment count stayed within the
     un-checkpointed window's bound, and a final crash + recovery
-    preserves every acknowledged transfer.  [spec.segment_bytes] and
-    [spec.checkpoint_log_bytes] default to 1024 / 2048 when unset. *)
+    preserves every acknowledged transfer.  [spec.checkpoint_log_bytes]
+    defaults to 2048 when unset; pass a [spec.segment_bytes] well below
+    it, or no segment seals and none can retire. *)
 
 type retry_outcome = {
   committed : int;

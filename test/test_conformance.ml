@@ -627,14 +627,14 @@ let tmp =
       (Printf.sprintf "asset_conf_%d_%d.%s" (Unix.getpid ()) !n ext)
 
 let test_recovery_discharges_obligations () =
-  let pages = tmp "pages" and logf = tmp "log" in
+  let pages = tmp "pages" and logf = tmp "wal" in
   let ps = Pstore.create ~page_size:512 pages in
   let store = Pstore.to_store ps in
   for i = 1 to 8 do
     Store.write store (oid i) (vi 0)
   done;
   Store.flush store;
-  let log = Log.create_file logf in
+  let log = Log.create_dir logf in
   let db = E.create ~log store in
   let ga = ref Tid.null and gb = ref Tid.null in
   let m = ref Tid.null and d = ref Tid.null in
@@ -668,8 +668,9 @@ let test_recovery_discharges_obligations () =
   Log.crash log;
   Pstore.crash_and_reopen ps;
   let store = Pstore.to_store ps in
-  let recovered_log = Log.load logf in
+  let recovered_log = Log.load_dir logf in
   let report = Recovery.recover recovered_log store in
+  Log.close recovered_log;
   let winners = report.Recovery.winners in
   let mem tid = List.exists (Tid.equal tid) winners in
   Alcotest.(check bool) "GC pair won together" true (mem !ga && mem !gb);
@@ -686,8 +687,8 @@ let test_recovery_discharges_obligations () =
     (Oracle.check_recovered_obligations ~winners:(!d :: winners))
     tail;
   Pstore.close ps;
-  (try Sys.remove pages with Sys_error _ -> ());
-  try Sys.remove logf with Sys_error _ -> ()
+  Sys.remove pages;
+  Log.remove_dir logf
 
 (* ------------------------------------------------------------------ *)
 (* Recorder mechanics: ring retention, JSONL round-trip, engine-level

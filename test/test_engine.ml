@@ -786,12 +786,12 @@ let test_gc_group_commits_together () =
   Alcotest.(check (list int)) "all effects present" [ 1; 2; 3 ] [ geti db 1; geti db 2; geti db 3 ]
 
 let test_group_commit_coalesces_forces () =
-  (* 8 concurrent committers over a file-backed log with
+  (* 8 concurrent committers over a segment-directory log with
      [group_commit_size = 4]: the log must be forced fewer than 8
      times, yet every commit record must be durable afterwards. *)
   let module Log = Asset_wal.Log in
-  let path = Filename.temp_file "asset_gcommit" ".wal" in
-  let log = Log.create_file path in
+  let dir = Filename.temp_dir "asset_gcommit" ".wal" in
+  let log = Log.create_dir dir in
   let store = Asset_storage.Heap_store.store () in
   let config = { E.default_config with E.group_commit_size = 4 } in
   let db = E.create ~config ~log store in
@@ -808,21 +808,21 @@ let test_group_commit_coalesces_forces () =
   Alcotest.(check bool) (Printf.sprintf "forces coalesced (%d < 8)" forces) true (forces < 8);
   Alcotest.(check bool) "at least one force" true (forces >= 1);
   Log.close log;
-  let l2 = Log.load path in
+  let l2 = Log.load_dir dir in
   let commits =
     Log.fold l2 ~init:0 ~f:(fun acc _ r ->
         match r with Asset_wal.Record.Commit _ -> acc + 1 | _ -> acc)
   in
   Log.close l2;
   Alcotest.(check int) "all 8 commit records durable" 8 commits;
-  Sys.remove path
+  Log.remove_dir dir
 
 let test_group_commit_default_forces_each () =
   (* The default config (size 1) keeps the seed behavior: one force
      per commit, immediately. *)
   let module Log = Asset_wal.Log in
-  let path = Filename.temp_file "asset_gcommit1" ".wal" in
-  let log = Log.create_file path in
+  let dir = Filename.temp_dir "asset_gcommit1" ".wal" in
+  let log = Log.create_dir dir in
   let store = Asset_storage.Heap_store.store () in
   let db = E.create ~log store in
   R.run_exn db (fun () ->
@@ -833,7 +833,7 @@ let test_group_commit_default_forces_each () =
       done);
   Alcotest.(check int) "one force per commit" 3 (Log.force_count log);
   Log.close log;
-  Sys.remove path
+  Log.remove_dir dir
 
 let test_gc_member_abort_dooms_group () =
   let db =
@@ -1182,20 +1182,7 @@ let test_savepoint_wrong_owner_rejected () =
          ignore (E.commit db t1)))
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint and misc                                                 *)
-
-let test_checkpoint_requires_quiescence () =
-  ignore
-    (with_db (fun db ->
-         let t = E.initiate db (fun () -> Sched.yield ()) in
-         ignore (E.begin_ db t);
-         (match E.checkpoint db with
-         | Error active -> Alcotest.(check int) "active listed" 1 (List.length active)
-         | Ok _ -> Alcotest.fail "expected refusal while active");
-         ignore (E.commit db t);
-         match E.checkpoint db with
-         | Ok _ -> ()
-         | Error _ -> Alcotest.fail "expected checkpoint after quiescence"))
+(* Misc                                                                *)
 
 let test_stats_exposed () =
   ignore
@@ -1317,7 +1304,6 @@ let () =
         ] );
       ( "misc",
         [
-          Alcotest.test_case "checkpoint quiescence" `Quick test_checkpoint_requires_quiescence;
           Alcotest.test_case "stats" `Quick test_stats_exposed;
         ] );
       ( "group commit",

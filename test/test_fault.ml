@@ -27,6 +27,10 @@ let tmp =
 
 let cleanup path = try Sys.remove path with Sys_error _ -> ()
 
+(* The first segment of a WAL directory: the whole log while nothing
+   has rotated. *)
+let first_seg dir = Filename.concat dir "seg-000000000000.wal"
+
 (* --- policy mechanics --- *)
 
 let test_fail_nth_fires_once () =
@@ -93,9 +97,9 @@ let test_disk_full_budget () =
 let test_real_io_error_wrapped () =
   Fault.reset_all ();
   let missing = Filename.concat (Filename.get_temp_dir_name ()) "asset_no_such_dir/x.wal" in
-  match Log.load missing with
+  match Log.load_dir missing with
   | _ -> Alcotest.fail "expected Storage_error"
-  | exception Fault.Storage_error ("wal.open", Sys_error _) -> ()
+  | exception Fault.Storage_error ("wal.open", Unix.Unix_error (Unix.ENOENT, _, _)) -> ()
 
 let test_injected_error_wrapped () =
   Fault.reset_all ();
@@ -114,8 +118,8 @@ let test_injected_error_wrapped () =
 
 (* --- WAL CRC --- *)
 
-let write_sample_log path n =
-  let log = Log.create_file path in
+let write_sample_log dir n =
+  let log = Log.create_dir dir in
   for i = 1 to n do
     Log.append log (Record.Update { tid = Asset_util.Id.Tid.of_int i; oid = oid i; before = None; after = vi i })
     |> ignore
@@ -125,13 +129,13 @@ let write_sample_log path n =
 
 let test_crc_detects_bit_flip () =
   Fault.reset_all ();
-  let path = tmp "wal" in
-  write_sample_log path 6;
+  let dir = tmp "wal" in
+  write_sample_log dir 6;
   (* Flip a byte inside the 4th record's *body* (walk the framing to
      find it): a complete frame whose payload no longer matches its
      checksum — unambiguous corruption, unlike a damaged length header
      which is indistinguishable from a torn tail. *)
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  let fd = Unix.openfile (first_seg dir) [ Unix.O_RDWR ] 0o644 in
   let hdr = Bytes.create 4 in
   let off = ref 0 in
   for _ = 1 to 3 do
@@ -147,64 +151,65 @@ let test_crc_detects_bit_flip () =
   ignore (Unix.lseek fd target Unix.SEEK_SET);
   ignore (Unix.write fd b 0 1);
   Unix.close fd;
-  let log = Log.load path in
+  let log = Log.load_dir dir in
   Alcotest.(check bool) "records dropped" true (Log.corrupt_dropped log > 0);
   Alcotest.(check int) "good prefix survives" 3 (Log.length log);
-  (* The file was truncated back to the good prefix: a reload is clean. *)
+  (* The segment was truncated back to the good prefix: a reload is
+     clean. *)
   Log.close log;
-  let log2 = Log.load path in
+  let log2 = Log.load_dir dir in
   Alcotest.(check int) "truncated tail gone" 0 (Log.corrupt_dropped log2);
   Alcotest.(check int) "same prefix" (Log.length log) (Log.length log2);
   Log.close log2;
-  cleanup path
+  Log.remove_dir dir
 
 let test_crc_dropped_in_recovery_report () =
   Fault.reset_all ();
-  let path = tmp "wal" in
-  write_sample_log path 4;
-  (* Corrupt the last record's body (the file tail). *)
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  let dir = tmp "wal" in
+  write_sample_log dir 4;
+  (* Corrupt the last record's body (the segment's tail). *)
+  let fd = Unix.openfile (first_seg dir) [ Unix.O_RDWR ] 0o644 in
   let size = (Unix.fstat fd).Unix.st_size in
   ignore (Unix.lseek fd (size - 2) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "\xff") 0 1);
   Unix.close fd;
-  let log = Log.load path in
+  let log = Log.load_dir dir in
   let store = Asset_storage.Heap_store.store () in
   let report = Recovery.recover log store in
   Alcotest.(check int) "report carries dropped count" 1 report.Recovery.log_records_dropped;
   Log.close log;
-  cleanup path
+  Log.remove_dir dir
 
 let test_clean_log_drops_nothing () =
   Fault.reset_all ();
-  let path = tmp "wal" in
-  write_sample_log path 5;
-  let log = Log.load path in
+  let dir = tmp "wal" in
+  write_sample_log dir 5;
+  let log = Log.load_dir dir in
   Alcotest.(check int) "no drops" 0 (Log.corrupt_dropped log);
   Alcotest.(check int) "all records" 5 (Log.length log);
   Log.close log;
-  cleanup path
+  Log.remove_dir dir
 
 (* --- simulated power loss on the log --- *)
 
 let test_log_crash_discards_staging () =
   Fault.reset_all ();
-  let path = tmp "wal" in
-  let log = Log.create_file path in
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
   Log.append log (Record.Begin (Asset_util.Id.Tid.of_int 1)) |> ignore;
   Log.force log;
   (* Staged but never drained: must not survive the crash. *)
   Log.append log (Record.Begin (Asset_util.Id.Tid.of_int 2)) |> ignore;
   Log.crash log;
-  let log2 = Log.load path in
+  let log2 = Log.load_dir dir in
   Alcotest.(check int) "only the forced record survives" 1 (Log.length log2);
   Log.close log2;
-  cleanup path
+  Log.remove_dir dir
 
 let test_torn_wal_write_truncated () =
   Fault.reset_all ();
-  let path = tmp "wal" in
-  let log = Log.create_file path in
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
   Log.append log (Record.Begin (Asset_util.Id.Tid.of_int 1)) |> ignore;
   Log.force log;
   Log.append log (Record.Update { tid = Asset_util.Id.Tid.of_int 1; oid = oid 1; before = None; after = vi 7 })
@@ -215,12 +220,12 @@ let test_torn_wal_write_truncated () =
   | exception Fault.Crash "wal.torn_write" -> ());
   Log.crash log;
   Fault.reset_all ();
-  (* Half the staged bytes hit the file; load truncates the torn tail
-     back to the forced prefix. *)
-  let log2 = Log.load path in
+  (* Half the staged bytes hit the segment; load truncates the torn
+     tail back to the forced prefix. *)
+  let log2 = Log.load_dir dir in
   Alcotest.(check int) "torn tail truncated" 1 (Log.length log2);
   Log.close log2;
-  cleanup path
+  Log.remove_dir dir
 
 (* --- pager torn page write --- *)
 
@@ -273,8 +278,8 @@ let test_pool_crash_mid_flush () =
 
 let test_injected_wal_failure_aborts_txn () =
   Fault.reset_all ();
-  let path = tmp "wal" in
-  let log = Log.create_file path in
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
   let store = Asset_storage.Heap_store.store () in
   Asset_storage.Heap_store.populate store ~n:4 ~value:(fun _ -> vi 0);
   let db = E.create ~log store in
@@ -299,7 +304,7 @@ let test_injected_wal_failure_aborts_txn () =
   | None -> Alcotest.fail "no failure recorded");
   Alcotest.(check bool) "t2's write rolled back" true (Store.read store (oid 2) = Some (vi 0));
   Log.close log;
-  cleanup path
+  Log.remove_dir dir
 
 let () =
   Alcotest.run "asset_fault"

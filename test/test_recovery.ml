@@ -1,5 +1,5 @@
 (* End-to-end recovery: the engine running over the persistent store
-   with a file-backed log, crash injection (losing the volatile buffer
+   with a segment-directory log, crash injection (losing the volatile buffer
    cache), and log-driven recovery — including delegation across the
    crash and checkpointing. *)
 
@@ -22,23 +22,23 @@ let tmp =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "asset_rec_%d_%d.%s" (Unix.getpid ()) !n ext)
 
-(* A persistent database with a file-backed log, pre-populated with
-   [objects] zeroed objects (flushed so the baseline is durable). *)
+(* A persistent database with a segment-directory log, pre-populated
+   with [objects] zeroed objects (flushed so the baseline is durable). *)
 let make_persistent ~objects =
-  let pages = tmp "pages" and logf = tmp "log" in
+  let pages = tmp "pages" and logf = tmp "wal" in
   let ps = Pstore.create ~page_size:512 pages in
   let store = Pstore.to_store ps in
   for i = 1 to objects do
     Store.write store (oid i) (vi 0)
   done;
   Store.flush store;
-  let log = Log.create_file logf in
+  let log = Log.create_dir logf in
   let db = E.create ~log store in
   (db, ps, log, pages, logf)
 
 let cleanup pages logf =
   (try Sys.remove pages with Sys_error _ -> ());
-  try Sys.remove logf with Sys_error _ -> ()
+  Log.remove_dir logf
 
 let geti store o = Value.to_int (Store.read_exn store (oid o))
 
@@ -48,8 +48,9 @@ let crash_and_recover ps log logf =
   Log.close log;
   Pstore.crash_and_reopen ps;
   let store = Pstore.to_store ps in
-  let recovered_log = Log.load logf in
+  let recovered_log = Log.load_dir logf in
   let report = Recovery.recover recovered_log store in
+  Log.close recovered_log;
   (store, report)
 
 let test_committed_work_survives_crash () =
@@ -134,7 +135,7 @@ let test_checkpoint_bounds_recovery () =
       for i = 1 to 10 do
         ignore (Asset_models.Atomic.run db (fun () -> E.write db (oid 1) (vi i)))
       done;
-      (match E.checkpoint db with Ok _ -> () | Error _ -> Alcotest.fail "checkpoint refused");
+      ignore (E.checkpoint db);
       ignore (Asset_models.Atomic.run db (fun () -> E.write db (oid 2) (vi 99))));
   let store, report = crash_and_recover ps log logf in
   (* Only the post-checkpoint transaction is scanned. *)
@@ -212,8 +213,9 @@ let test_double_recovery_idempotent () =
       ignore (E.wait db t));
   let store, _ = crash_and_recover ps log logf in
   let snap1 = Store.dump store in
-  let recovered_log = Log.load logf in
+  let recovered_log = Log.load_dir logf in
   ignore (Recovery.recover recovered_log store);
+  Log.close recovered_log;
   Alcotest.(check bool) "second recovery is a no-op" true (Store.dump store = snap1);
   Pstore.close ps;
   cleanup pages logf
@@ -237,7 +239,7 @@ let test_large_volume_recovery () =
   cleanup pages logf
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzy checkpoints and parallel recovery                             *)
+(* Fuzzy checkpoints                                                   *)
 
 let test_fuzzy_checkpoint_with_active_txn () =
   let db, ps, log, pages, logf = make_persistent ~objects:4 in
@@ -246,13 +248,8 @@ let test_fuzzy_checkpoint_with_active_txn () =
       let t = E.initiate db (fun () -> E.write db (oid 2) (vi 99)) in
       ignore (E.begin_ db t);
       ignore (E.wait db t);
-      (* The quiescent checkpoint's contract: it refuses while t is
-         active, naming it. *)
-      (match E.checkpoint db with
-      | Error active -> Alcotest.(check bool) "refusal names t" true (List.mem t active)
-      | Ok _ -> Alcotest.fail "quiescent checkpoint ran over an active transaction");
-      (* The fuzzy checkpoint does not: it captures t instead. *)
-      let begin_lsn = E.checkpoint_fuzzy db in
+      (* The checkpoint runs over the active t and captures it. *)
+      let begin_lsn = E.checkpoint db in
       Alcotest.(check bool) "fuzzy checkpoint completed" true (begin_lsn >= 0);
       ignore (Asset_models.Atomic.run db (fun () -> E.write db (oid 3) (vi 3)))
       (* t never commits — crash with its captured update on disk. *));
@@ -275,7 +272,7 @@ let test_delegation_across_fuzzy_checkpoint () =
       ignore (E.begin_ db t1);
       ignore (E.begin_ db t2);
       ignore (E.wait db t1);
-      ignore (E.checkpoint_fuzzy db);
+      ignore (E.checkpoint db);
       E.delegate db ~from_:t1 ~to_:t2;
       ignore (E.commit db t2)
       (* t1 never terminates — crash. *));
@@ -283,37 +280,6 @@ let test_delegation_across_fuzzy_checkpoint () =
   Alcotest.(check int) "captured update delegated to winner survives" 5 (geti store 1);
   Pstore.close ps;
   cleanup pages logf
-
-(* The same history once with a fuzzy checkpoint and once with a
-   quiescent one must recover to identical stores. *)
-let run_ckpt_history ~fuzzy =
-  let db, ps, log, pages, logf = make_persistent ~objects:6 in
-  R.run_exn db (fun () ->
-      ignore (Asset_models.Atomic.run db (fun () -> E.write db (oid 1) (vi 11)));
-      ignore (Asset_models.Atomic.run db (fun () -> E.write db (oid 2) (vi 22)));
-      (if fuzzy then ignore (E.checkpoint_fuzzy db)
-       else
-         match E.checkpoint db with
-         | Ok _ -> ()
-         | Error _ -> Alcotest.fail "checkpoint refused at quiescence");
-      ignore (Asset_models.Atomic.run db (fun () -> E.write db (oid 3) (vi 33)));
-      let t = E.initiate db (fun () -> E.write db (oid 4) (vi 44)) in
-      ignore (E.begin_ db t);
-      ignore (E.wait db t);
-      Store.flush (E.store db)
-      (* t in-flight — crash. *));
-  let store, _ = crash_and_recover ps log logf in
-  let dump =
-    Store.dump store |> List.map (fun (o, v) -> (o, Value.to_string v)) |> List.sort compare
-  in
-  Pstore.close ps;
-  cleanup pages logf;
-  dump
-
-let test_fuzzy_equals_quiescent () =
-  let fuzzy = run_ckpt_history ~fuzzy:true in
-  let quiescent = run_ckpt_history ~fuzzy:false in
-  Alcotest.(check bool) "identical recovered stores" true (fuzzy = quiescent)
 
 let test_parallel_recovery_matches_serial () =
   let db, ps, log, pages, logf = make_persistent ~objects:50 in
@@ -329,19 +295,20 @@ let test_parallel_recovery_matches_serial () =
   Log.close log;
   Pstore.crash_and_reopen ps;
   let store = Pstore.to_store ps in
-  let recovered_log = Log.load logf in
-  let report = Recovery.recover ~domains:4 recovered_log store in
-  Alcotest.(check int) "all updates redone in parallel" 1000 report.Recovery.updates_redone;
+  let recovered_log = Log.load_dir logf in
+  let report = Recovery.recover recovered_log store in
+  Alcotest.(check int) "all updates redone" 1000 report.Recovery.updates_redone;
   for o = 1 to 50 do
     Alcotest.(check int) "final round value" (2000 + o) (geti store o)
   done;
   let snap = Store.dump store in
-  (* Serial recovery over the parallel result must be a no-op — the
-     parallel result is exactly serial recovery's fixpoint. *)
-  let serial = Recovery.recover ~domains:1 recovered_log store in
-  Alcotest.(check bool) "serial pass changes nothing" true (Store.dump store = snap);
+  (* A second pass over the recovered store must be a no-op: recovery
+     reached its fixpoint in one pass. *)
+  let again = Recovery.recover recovered_log store in
+  Alcotest.(check bool) "second pass changes nothing" true (Store.dump store = snap);
   Alcotest.(check int) "same winner count" (List.length report.Recovery.winners)
-    (List.length serial.Recovery.winners);
+    (List.length again.Recovery.winners);
+  Log.close recovered_log;
   Pstore.close ps;
   cleanup pages logf
 
@@ -369,7 +336,6 @@ let () =
             test_fuzzy_checkpoint_with_active_txn;
           Alcotest.test_case "delegation across fuzzy checkpoint" `Quick
             test_delegation_across_fuzzy_checkpoint;
-          Alcotest.test_case "fuzzy equals quiescent" `Quick test_fuzzy_equals_quiescent;
           Alcotest.test_case "parallel recovery matches serial" `Quick
             test_parallel_recovery_matches_serial;
         ] );

@@ -89,19 +89,13 @@ let test_recovery_idempotent_under_random_crashes () =
   let sweep = Torture.random_crash_schedules ~check_idempotent:true ~n:60 spec in
   check_sweep "idempotence" sweep
 
-(* --- durability at sustained scale: fuzzy ckpt / retirement / parallel replay --- *)
+(* --- durability at sustained scale: fuzzy ckpt / retirement / redo --- *)
 
-(* A spec that exercises the whole machine: segmented WAL, an
-   aggressive commit-path checkpoint trigger, parallel recovery with
-   the serial shadow oracle, and idempotence. *)
+(* A spec that exercises the whole machine: small WAL segments and an
+   aggressive commit-path checkpoint trigger (callers add the
+   idempotence check). *)
 let durability_spec =
-  {
-    Torture.default_spec with
-    n_txns = 20;
-    segment_bytes = 512;
-    checkpoint_log_bytes = 1024;
-    recovery_domains = 3;
-  }
+  { Torture.default_spec with n_txns = 20; segment_bytes = 512; checkpoint_log_bytes = 1024 }
 
 let test_crash_mid_fuzzy_checkpoint () =
   (* Crash inside each window of the Begin_ckpt/flush/End_ckpt
@@ -129,18 +123,21 @@ let test_crash_mid_retirement () =
         Alcotest.failf "%s: %s" site (String.concat ", " r.Torture.failures))
     [ "wal.retire.manifest"; "wal.retire.unlink"; "wal.retire.sync_dir" ]
 
-let test_crash_mid_parallel_replay () =
-  (* Crash during parallel redo and at the merge barrier: the harness
-     powers off again and retries; the retried recovery must converge
-     to the same state serial replay produces. *)
+let test_crash_mid_redo () =
+  (* Crash before the first redo action and part-way through redo: the
+     harness powers off again (redo writes the pool already evicted
+     stay on disk) and retries; the retried recovery must converge and
+     satisfy every invariant. *)
   List.iter
-    (fun site ->
-      let arm_recovery () = ignore (Fault.arm_name site Fault.Crash_once) in
+    (fun nth ->
+      let arm_recovery () = ignore (Fault.arm_name "recovery.redo" (Fault.Crash_nth nth)) in
       let r = Torture.run_once ~arm_recovery ~check_idempotent:true durability_spec in
-      Alcotest.(check bool) (site ^ " fired during recovery") true (r.Torture.recovery_crashes > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "redo hit %d crashed recovery" nth)
+        true (r.Torture.recovery_crashes > 0);
       if r.Torture.failures <> [] then
-        Alcotest.failf "%s: %s" site (String.concat ", " r.Torture.failures))
-    [ "recovery.domain.replay"; "recovery.domain.merge" ]
+        Alcotest.failf "recovery.redo@%d: %s" nth (String.concat ", " r.Torture.failures))
+    [ 1; 5 ]
 
 let test_random_durability_schedules () =
   let sweep = Torture.random_durability_schedules ~check_idempotent:true ~n:120 Torture.default_spec in
@@ -161,7 +158,7 @@ let test_disk_full_aborts_cleanly () =
     Alcotest.failf "disk full: %s" (String.concat ", " r.Torture.failures)
 
 let test_sustained_run_bounded () =
-  let s = Torture.sustained_run ~rounds:12 Torture.default_spec in
+  let s = Torture.sustained_run ~rounds:12 { Torture.default_spec with segment_bytes = 1024 } in
   if s.Torture.s_failures <> [] then
     Alcotest.failf "sustained run: %s" (String.concat ", " s.Torture.s_failures);
   Alcotest.(check bool) "checkpoints fired" true (s.Torture.s_checkpoints > 0);
@@ -313,10 +310,7 @@ let run_mid_abort ?(segment_bytes = 96) ~arm () =
   Log.close rlog;
   Pstore.close ps;
   Sys.remove pages_path;
-  if Sys.file_exists wal_path then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat wal_path f)) (Sys.readdir wal_path);
-    Sys.rmdir wal_path
-  end;
+  Log.remove_dir wal_path;
   { ma_crashed = crashed; ma_window = window; ma_boundaries = boundaries;
     ma_failures = List.rev !failures }
 
@@ -467,7 +461,7 @@ let () =
         [
           Alcotest.test_case "crash mid fuzzy checkpoint" `Quick test_crash_mid_fuzzy_checkpoint;
           Alcotest.test_case "crash mid retirement" `Quick test_crash_mid_retirement;
-          Alcotest.test_case "crash mid parallel replay" `Quick test_crash_mid_parallel_replay;
+          Alcotest.test_case "crash mid redo" `Quick test_crash_mid_redo;
           Alcotest.test_case "120 seeded durability schedules" `Slow
             test_random_durability_schedules;
           Alcotest.test_case "disk full aborts cleanly" `Quick test_disk_full_aborts_cleanly;

@@ -1,5 +1,5 @@
 (* Tests for the write-ahead log: record codec, the log itself (memory
-   and file sinks, torn-tail handling) and recovery — including the
+   and segment-directory sinks, torn-tail handling, the manifest) and recovery — including the
    delegation-aware responsibility attribution that ASSET requires. *)
 
 module Tid = Asset_util.Id.Tid
@@ -15,12 +15,16 @@ let tid = Tid.of_int
 let oid = Oid.of_int
 let vi = Value.of_int
 
-let tmp_file =
+let tmp_dir =
   let n = ref 0 in
   fun () ->
     incr n;
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "asset_wal_%d_%d.log" (Unix.getpid ()) !n)
+      (Printf.sprintf "asset_wal_%d_%d.d" (Unix.getpid ()) !n)
+
+(* The first segment of a directory log: the whole log while nothing
+   has rotated. *)
+let first_seg dir = Filename.concat dir "seg-000000000000.wal"
 
 (* ------------------------------------------------------------------ *)
 (* Record codec                                                        *)
@@ -39,7 +43,6 @@ let sample_records =
     Record.Clr { tid = tid 3; oid = oid 4; image = None; undo_lsn = 0 };
     Record.Increment { tid = tid 2; oid = oid 3; delta = -4; after = vi 6 };
     Record.Enqueue { tid = tid 2; oid = oid 7; item = "job-1"; after = Value.of_queue [ "job-1" ] };
-    Record.Checkpoint;
     Record.Begin_ckpt { active = []; dirty = [] };
     Record.Begin_ckpt
       {
@@ -167,38 +170,40 @@ let test_log_commit_forces () =
   Alcotest.(check int) "commit forces" 1 (Log.forced_lsn l)
 
 let test_log_file_roundtrip () =
-  let path = tmp_file () in
-  let l = Log.create_file path in
+  let dir = tmp_dir () in
+  let l = Log.create_dir dir in
   List.iter (fun r -> ignore (Log.append l r)) sample_records;
   Log.force l;
   Log.close l;
-  let l2 = Log.load path in
+  let l2 = Log.load_dir dir in
   Alcotest.(check int) "all records" (List.length sample_records) (Log.length l2);
   List.iteri
     (fun i r -> Alcotest.(check bool) "record" true (record_equal r (Log.get l2 i)))
     sample_records;
-  Sys.remove path
+  Log.close l2;
+  Log.remove_dir dir
 
 let test_log_load_stops_at_torn_tail () =
-  let path = tmp_file () in
-  let l = Log.create_file path in
+  let dir = tmp_dir () in
+  let l = Log.create_dir dir in
   ignore (Log.append l (Record.Begin (tid 1)));
   ignore (Log.append l (Record.Abort (tid 1)));
   Log.force l;
   Log.close l;
   (* Append a torn frame: a length header promising more bytes than
      exist. *)
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (first_seg dir) in
   output_string oc "\xff\x00\x00\x00partial";
   close_out oc;
-  let l2 = Log.load path in
+  let l2 = Log.load_dir dir in
   Alcotest.(check int) "torn tail dropped" 2 (Log.length l2);
-  Sys.remove path
+  Log.close l2;
+  Log.remove_dir dir
 
-let count_records path =
-  (* Re-scan the file through a fresh load: what a post-crash recovery
-     would actually see. *)
-  let l = Log.load path in
+let count_records dir =
+  (* Re-scan the directory through a fresh load: what a post-crash
+     recovery would actually see. *)
+  let l = Log.load_dir dir in
   let n = Log.length l in
   Log.close l;
   n
@@ -206,8 +211,8 @@ let count_records path =
 let test_log_unforced_commit_then_force () =
   (* [~force_commit:false] stages the commit record without a force;
      an explicit [force] then makes everything durable at once. *)
-  let path = tmp_file () in
-  let l = Log.create_file path in
+  let dir = tmp_dir () in
+  let l = Log.create_dir dir in
   ignore (Log.append l (Record.Begin (tid 1)));
   ignore (Log.append ~force_commit:false l (Record.Commit [ tid 1 ]));
   Alcotest.(check int) "not forced" (-1) (Log.forced_lsn l);
@@ -215,72 +220,59 @@ let test_log_unforced_commit_then_force () =
   Log.force l;
   Alcotest.(check int) "forced through commit" 1 (Log.forced_lsn l);
   Alcotest.(check int) "one force" 1 (Log.force_count l);
-  Alcotest.(check int) "both records on disk" 2 (count_records path);
+  Alcotest.(check int) "both records on disk" 2 (count_records dir);
   Log.close l;
-  Sys.remove path
+  Log.remove_dir dir
 
 let test_log_force_count_coalesces () =
   (* K staged commits + one force = one fsync, not K. *)
-  let path = tmp_file () in
-  let l = Log.create_file path in
+  let dir = tmp_dir () in
+  let l = Log.create_dir dir in
   for i = 1 to 8 do
     ignore (Log.append ~force_commit:false l (Record.Commit [ tid i ]))
   done;
   Log.force l;
   Alcotest.(check int) "one force for 8 commits" 1 (Log.force_count l);
-  Alcotest.(check int) "all durable" 8 (count_records path);
+  Alcotest.(check int) "all durable" 8 (count_records dir);
   Log.close l;
-  Sys.remove path
+  Log.remove_dir dir
 
 let test_log_load_reopens_for_append () =
   (* A loaded log must accept (and durably force) further appends —
      the restart path: recover, then keep running. *)
-  let path = tmp_file () in
-  let l = Log.create_file path in
+  let dir = tmp_dir () in
+  let l = Log.create_dir dir in
   ignore (Log.append l (Record.Begin (tid 1)));
   ignore (Log.append l (Record.Commit [ tid 1 ]));
   Log.close l;
-  let l2 = Log.load path in
+  let l2 = Log.load_dir dir in
   ignore (Log.append l2 (Record.Begin (tid 2)));
   ignore (Log.append l2 (Record.Commit [ tid 2 ]));
   Log.close l2;
-  Alcotest.(check int) "old + new records" 4 (count_records path);
-  Sys.remove path
+  Alcotest.(check int) "old + new records" 4 (count_records dir);
+  Log.remove_dir dir
 
 let test_log_load_truncates_torn_tail_before_append () =
   (* Garbage after the last complete record must not end up between
      old and new records: load truncates the torn tail, so an append
      after recovery leaves a clean log. *)
-  let path = tmp_file () in
-  let l = Log.create_file path in
+  let dir = tmp_dir () in
+  let l = Log.create_dir dir in
   ignore (Log.append l (Record.Begin (tid 1)));
   Log.force l;
   Log.close l;
-  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 (first_seg dir) in
   output_string oc "\x00\x00\x00\x09partial";
   close_out oc;
-  let l2 = Log.load path in
+  let l2 = Log.load_dir dir in
   Alcotest.(check int) "tail dropped" 1 (Log.length l2);
   ignore (Log.append l2 (Record.Commit [ tid 1 ]));
   Log.close l2;
-  Alcotest.(check int) "clean after post-recovery append" 2 (count_records path);
-  Sys.remove path
+  Alcotest.(check int) "clean after post-recovery append" 2 (count_records dir);
+  Log.remove_dir dir
 
 (* ------------------------------------------------------------------ *)
 (* Segment directories                                                 *)
-
-let tmp_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "asset_wal_%d_%d.d" (Unix.getpid ()) !n)
-
-let rm_dir dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
 
 let test_seg_rotation_roundtrip () =
   (* Tiny segments force many rotations; a reload must see every
@@ -304,7 +296,7 @@ let test_seg_rotation_roundtrip () =
   let l3 = Log.load_dir dir in
   Alcotest.(check int) "post-reload append durable" 31 (Log.length l3);
   Log.close l3;
-  rm_dir dir
+  Log.remove_dir dir
 
 let test_seg_retirement () =
   let dir = tmp_dir () in
@@ -332,7 +324,7 @@ let test_seg_retirement () =
     (record_equal (Record.Begin (tid 30)) (Log.get l2 29));
   Alcotest.(check int) "retired count persisted" retired (Log.segments_retired l2);
   Log.close l2;
-  rm_dir dir
+  Log.remove_dir dir
 
 let test_seg_orphan_sweep () =
   (* A segment file the manifest does not name — the signature of a
@@ -357,7 +349,7 @@ let test_seg_orphan_sweep () =
   let l3 = Log.load_dir dir in
   Alcotest.(check int) "idempotent load" 10 (Log.length l3);
   Log.close l3;
-  rm_dir dir
+  Log.remove_dir dir
 
 let test_seg_torn_tail () =
   let dir = tmp_dir () in
@@ -382,7 +374,7 @@ let test_seg_torn_tail () =
   let l3 = Log.load_dir dir in
   Alcotest.(check int) "clean after post-recovery append" 3 (Log.length l3);
   Log.close l3;
-  rm_dir dir
+  Log.remove_dir dir
 
 let test_seg_disk_full () =
   (* A Disk_full budget on wal.append refuses whole frames before any
@@ -409,7 +401,29 @@ let test_seg_disk_full () =
   Alcotest.(check int) "clean log on disk" 5 (Log.length l2);
   Alcotest.(check int) "no corruption" 0 (Log.corrupt_dropped l2);
   Log.close l2;
-  rm_dir dir
+  Log.remove_dir dir
+
+let test_seg_bad_manifest () =
+  (* A manifest this module did not write — a malformed number or a
+     foreign magic line — is refused with the typed exception, not a
+     stray [Failure] from number parsing. *)
+  let with_manifest body =
+    let dir = tmp_dir () in
+    Log.close (Log.create_dir dir);
+    let oc = open_out_bin (Filename.concat dir "MANIFEST") in
+    output_string oc body;
+    close_out oc;
+    Fun.protect
+      ~finally:(fun () -> Log.remove_dir dir)
+      (fun () ->
+        match Log.load_dir dir with
+        | exception Log.Bad_manifest _ -> ()
+        | l ->
+            Log.close l;
+            Alcotest.failf "loaded a manifest reading %S" body)
+  in
+  with_manifest "asset-wal v1\nlimit x\nretired 0\nseg 0 seg-000000000000.wal\n";
+  with_manifest "not-a-wal v9\nlimit 64\n"
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -620,7 +634,7 @@ let test_checkpoint_skips_prefix () =
   ignore (Log.append log (Record.Update { tid = tid 1; oid = oid 1; before = Some (vi 0); after = vi 5 }));
   ignore (Log.append log (Record.Commit [ tid 1 ]));
   Store.write s (oid 1) (vi 5);
-  ignore (Recovery.checkpoint log s);
+  ignore (Recovery.checkpoint log s ~active:[] ~dirty:[]);
   ignore (Log.append log (Record.Update { tid = tid 2; oid = oid 1; before = Some (vi 5); after = vi 9 }));
   (* t2 lost; recovery from the checkpoint must see only t2. *)
   let report = Recovery.recover log s in
@@ -712,6 +726,7 @@ let () =
           Alcotest.test_case "orphan sweep" `Quick test_seg_orphan_sweep;
           Alcotest.test_case "torn tail" `Quick test_seg_torn_tail;
           Alcotest.test_case "disk full" `Quick test_seg_disk_full;
+          Alcotest.test_case "bad manifest" `Quick test_seg_bad_manifest;
         ] );
       ( "recovery",
         [

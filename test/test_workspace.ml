@@ -15,6 +15,21 @@ let vi = Value.of_int
 let with_db ?(objects = 8) program = R.with_fresh_db ~objects program
 let geti db o = Value.to_int (Store.read_exn (E.store db) (oid o))
 
+(* Run [body] as an atomic transaction that must commit.  A failed
+   check inside the body only aborts the transaction, so re-raise the
+   body's exception afterwards and fail if it did not commit. *)
+let atomically db body =
+  let raised = ref None in
+  let outcome =
+    Asset_models.Atomic.run db (fun () ->
+        try body ()
+        with e ->
+          raised := Some e;
+          raise e)
+  in
+  Option.iter raise !raised;
+  if outcome <> `Committed then Alcotest.fail "transaction did not commit"
+
 let count_update_records db =
   let n = ref 0 in
   Log.iter (E.log db) (fun _ r -> match r with Record.Update _ -> incr n | _ -> ());
@@ -23,11 +38,10 @@ let count_update_records db =
 let test_checkout_modify_checkin () =
   let db =
     with_db (fun db ->
-        ignore
-          (Asset_models.Atomic.run db (fun () ->
-               W.with_workspace db (fun w ->
-                   W.set w (oid 1) (vi 10);
-                   W.update w (oid 2) (fun _ -> vi 20)))))
+        atomically db (fun () ->
+            W.with_workspace db (fun w ->
+                W.set w (oid 1) (vi 10);
+                W.update w (oid 2) (fun _ -> vi 20))))
   in
   Alcotest.(check int) "ob1 checked in" 10 (geti db 1);
   Alcotest.(check int) "ob2 checked in" 20 (geti db 2)
@@ -35,13 +49,12 @@ let test_checkout_modify_checkin () =
 let test_private_updates_one_log_record_each () =
   let db =
     with_db (fun db ->
-        ignore
-          (Asset_models.Atomic.run db (fun () ->
-               W.with_workspace db (fun w ->
-                   (* 100 private modifications of the same object... *)
-                   for i = 1 to 100 do
-                     W.update w (oid 1) (fun _ -> vi i)
-                   done))))
+        atomically db (fun () ->
+            W.with_workspace db (fun w ->
+                (* 100 private modifications of the same object... *)
+                for i = 1 to 100 do
+                  W.update w (oid 1) (fun _ -> vi i)
+                done)))
   in
   (* ...but exactly one logged update. *)
   Alcotest.(check int) "single update record" 1 (count_update_records db);
@@ -50,25 +63,23 @@ let test_private_updates_one_log_record_each () =
 let test_shared_mode_logs_every_write () =
   let db =
     with_db (fun db ->
-        ignore
-          (Asset_models.Atomic.run db (fun () ->
-               for i = 1 to 100 do
-                 E.write db (oid 1) (vi i)
-               done)))
+        atomically db (fun () ->
+            for i = 1 to 100 do
+              E.write db (oid 1) (vi i)
+            done))
   in
   Alcotest.(check int) "100 update records" 100 (count_update_records db)
 
 let test_clean_copies_not_written_back () =
   let db =
     with_db (fun db ->
-        ignore
-          (Asset_models.Atomic.run db (fun () ->
-               W.with_workspace db (fun w ->
-                   W.check_out w (oid 1);
-                   (* read-only: no write-back *)
-                   Alcotest.(check int) "copy readable" 0 (Value.to_int (W.get_exn w (oid 1)));
-                   W.set w (oid 2) (vi 2);
-                   Alcotest.(check int) "one dirty" 1 (W.dirty_count w)))))
+        atomically db (fun () ->
+            W.with_workspace db (fun w ->
+                W.check_out w (oid 1);
+                (* read-only: no write-back *)
+                Alcotest.(check int) "copy readable" 0 (Value.to_int (W.get_exn w (oid 1)));
+                W.set w (oid 2) (vi 2);
+                Alcotest.(check int) "one dirty" 1 (W.dirty_count w))))
   in
   Alcotest.(check int) "only the dirty object logged" 1 (count_update_records db)
 
@@ -138,19 +149,19 @@ let test_foreign_transaction_rejected () =
                | () -> Alcotest.fail "expected ownership check")
          in
          ignore (E.begin_ db t2);
-         ignore (E.commit db t2);
+         (* A failed check in t2's body would abort it. *)
+         Alcotest.(check bool) "t2 committed" true (E.commit db t2);
          ignore (E.commit db t1)))
 
 let test_discard () =
   let db =
     with_db (fun db ->
-        ignore
-          (Asset_models.Atomic.run db (fun () ->
-               let w = W.create db in
-               W.set w (oid 1) (vi 1);
-               W.discard w;
-               Alcotest.(check int) "nothing dirty" 0 (W.dirty_count w);
-               ignore (W.check_in w))))
+        atomically db (fun () ->
+            let w = W.create db in
+            W.set w (oid 1) (vi 1);
+            W.discard w;
+            Alcotest.(check int) "nothing dirty" 0 (W.dirty_count w);
+            ignore (W.check_in w)))
   in
   Alcotest.(check int) "discarded work not written" 0 (geti db 1)
 
@@ -169,16 +180,13 @@ let prop_workspace_equals_shared_mode =
     (fun updates ->
       let run_shared () =
         with_db (fun db ->
-            ignore
-              (Asset_models.Atomic.run db (fun () ->
-                   List.iter (fun (o, v) -> E.write db (oid o) (vi v)) updates)))
+            atomically db (fun () -> List.iter (fun (o, v) -> E.write db (oid o) (vi v)) updates))
       in
       let run_workspace () =
         with_db (fun db ->
-            ignore
-              (Asset_models.Atomic.run db (fun () ->
-                   W.with_workspace db (fun w ->
-                       List.iter (fun (o, v) -> W.set w (oid o) (vi v)) updates))))
+            atomically db (fun () ->
+                W.with_workspace db (fun w ->
+                    List.iter (fun (o, v) -> W.set w (oid o) (vi v)) updates)))
       in
       Store.equal_content (E.store (run_shared ())) (E.store (run_workspace ())))
 
