@@ -849,26 +849,29 @@ let hotpath_sched_case ~parked ~yields ~versioned =
   let (), dt = time_of (fun () -> Sched.run s) in
   (dt, Sched.steps s)
 
-(* [n_txns] independent single-write transactions, each committed from
-   its own fiber, over a segment-directory log.  group_commit_size=1 is the
-   force-per-commit baseline; larger sizes coalesce K commit records
-   into one fsync. *)
-let hotpath_commit_case ~n_txns ~gcs =
+(* [sessions] fibers over a segment-directory log, each committing its
+   share of [n_txns] single-write transactions one after another.  A
+   lone session pays one fsync per commit; concurrent sessions stage
+   their commit records and share the force at scheduler quiescence. *)
+let hotpath_commit_case ~n_txns ~sessions =
   let dir = Filename.temp_dir "asset_hotpath" ".wal" in
   let log = Log.create_dir dir in
-  let config = { E.default_config with E.group_commit_size = gcs } in
   let store = Heap.store () in
   Heap.populate store ~n:(n_txns + 1) ~value:(fun _ -> vi 0);
-  let db = E.create ~config ~log store in
+  let db = E.create ~log store in
+  let per_session = n_txns / sessions in
   let (), dt =
     time_of (fun () ->
         R.run_exn db (fun () ->
-            let tids =
-              List.init n_txns (fun i -> E.initiate db (fun () -> E.write db (oid (i + 1)) (vi 1)))
-            in
-            List.iter (fun t -> ignore (E.begin_ db t)) tids;
-            List.iter (fun t -> E.spawn db ~label:"c" (fun () -> ignore (E.commit db t))) tids;
-            E.await_terminated db tids))
+            for j = 0 to sessions - 1 do
+              E.spawn db ~label:"session" (fun () ->
+                  for i = 1 to per_session do
+                    let o = oid ((j * per_session) + i) in
+                    let t = E.initiate db (fun () -> E.write db o (vi 1)) in
+                    ignore (E.begin_ db t);
+                    ignore (E.commit db t)
+                  done)
+            done))
   in
   let forces = Log.force_count log in
   let commits = stat db "commits" in
@@ -880,8 +883,8 @@ let hotpath_commit_case ~n_txns ~gcs =
 let e17_hotpath () =
   let parked_counts = if !smoke then [ 10; 100 ] else [ 10; 100; 1000 ] in
   let yields = if !smoke then 2_000 else 20_000 in
-  let txn_counts = if !smoke then [ 10; 50 ] else [ 10; 100; 1000 ] in
-  let gcs_values = if !smoke then [ 1; 8 ] else [ 1; 8; 64 ] in
+  let txn_counts = if !smoke then [ 64 ] else [ 64; 1024 ] in
+  let session_counts = [ 1; 8; 64 ] in
   (* Scheduler step cost. *)
   let sched_rows =
     List.concat_map
@@ -909,24 +912,24 @@ let e17_hotpath () =
     List.concat_map
       (fun n_txns ->
         List.map
-          (fun gcs ->
-            let dt, forces, commits, group_commits = hotpath_commit_case ~n_txns ~gcs in
+          (fun sessions ->
+            let dt, forces, commits, group_commits = hotpath_commit_case ~n_txns ~sessions in
             let tps = float_of_int commits /. dt in
-            (n_txns, gcs, dt, tps, forces, commits, group_commits))
-          gcs_values)
+            (n_txns, sessions, dt, tps, forces, commits, group_commits))
+          session_counts)
       txn_counts
   in
   let t =
     Table.create
-      ~title:"E17b: commit throughput on a fsynced log vs group_commit_size"
-      ~header:[ "txns"; "gc size"; "committed"; "log forces"; "group commits"; "txn/s" ]
+      ~title:"E17b: commit throughput on a fsynced log vs concurrent sessions"
+      ~header:[ "txns"; "sessions"; "committed"; "log forces"; "group commits"; "txn/s" ]
   in
   List.iter
-    (fun (n_txns, gcs, _dt, tps, forces, commits, group_commits) ->
+    (fun (n_txns, sessions, _dt, tps, forces, commits, group_commits) ->
       Table.add_row t
         [
           Table.fmt_i n_txns;
-          Table.fmt_i gcs;
+          Table.fmt_i sessions;
           Table.fmt_i commits;
           Table.fmt_i forces;
           Table.fmt_i group_commits;
@@ -950,12 +953,12 @@ let e17_hotpath () =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf "  \"commit_throughput\": [\n";
   List.iteri
-    (fun i (n_txns, gcs, dt, tps, forces, commits, group_commits) ->
+    (fun i (n_txns, sessions, dt, tps, forces, commits, group_commits) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"txns\": %d, \"group_commit_size\": %d, \"seconds\": %.6f, \"txn_per_s\": %.1f, \
+           "    {\"txns\": %d, \"sessions\": %d, \"seconds\": %.6f, \"txn_per_s\": %.1f, \
             \"log_forces\": %d, \"committed\": %d, \"group_commits\": %d}%s\n"
-           n_txns gcs dt tps forces commits group_commits
+           n_txns sessions dt tps forces commits group_commits
            (if i = List.length commit_rows - 1 then "" else ",")))
     commit_rows;
   Buffer.add_string buf "  ]\n}\n";
@@ -1216,25 +1219,21 @@ let faults_timeout_case ~pairs ~timeout_steps ~max_retries =
   (!metrics, stat db "lock_timeouts", dt)
 
 let e19_faults () =
-  (* E19a: the exhaustive WAL-boundary crash sweep, per commit-batch size. *)
+  (* E19a: the exhaustive WAL-boundary crash sweep, one row per workload seed. *)
   let spec = Torture.default_spec in
-  let gcs_values = if !smoke then [ 1 ] else [ 1; 3; 8 ] in
+  let seeds = if !smoke then [ spec.seed ] else [ spec.seed; 97 ] in
   let sweeps =
-    List.map
-      (fun gcs ->
-        let s = Torture.crash_at_every_boundary { spec with group_commit_size = gcs } in
-        (gcs, s))
-      gcs_values
+    List.map (fun seed -> (seed, Torture.crash_at_every_boundary { spec with seed })) seeds
   in
   let t =
     Table.create ~title:"E19a: crash at every WAL record boundary (bank workload)"
-      ~header:[ "gc size"; "boundaries"; "crashes"; "violations"; "recover ms/run" ]
+      ~header:[ "seed"; "boundaries"; "crashes"; "violations"; "recover ms/run" ]
   in
   List.iter
-    (fun (gcs, (s : Torture.sweep)) ->
+    (fun (seed, (s : Torture.sweep)) ->
       Table.add_row t
         [
-          Table.fmt_i gcs;
+          Table.fmt_i seed;
           Table.fmt_i s.boundaries;
           Table.fmt_i s.crashes;
           Table.fmt_i (List.length s.sweep_failures);
@@ -1309,12 +1308,12 @@ let e19_faults () =
   Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
   Buffer.add_string buf "  \"boundary_sweep\": [\n";
   List.iteri
-    (fun i (gcs, (s : Torture.sweep)) ->
+    (fun i (seed, (s : Torture.sweep)) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"group_commit_size\": %d, \"boundaries\": %d, \"crashes\": %d, \"violations\": \
-            %d, \"recovery_total_s\": %.6f}%s\n"
-           gcs s.boundaries s.crashes
+           "    {\"seed\": %d, \"boundaries\": %d, \"crashes\": %d, \"violations\": %d, \
+            \"recovery_total_s\": %.6f}%s\n"
+           seed s.boundaries s.crashes
            (List.length s.sweep_failures)
            s.total_recovery_s
            (if i = List.length sweeps - 1 then "" else ",")))
@@ -2251,7 +2250,7 @@ let e24_recovery () =
         Store.write disk (oid o) after
       done;
       if Rng.float rng >= 0.3 then
-        ignore (Log.append ~force_commit:false log (Record.Commit [ tid ]));
+        ignore (Log.append log (Record.Commit [ tid ]));
       if txn = mid then begin
         (match ckpt with
         | `None -> ()

@@ -195,7 +195,7 @@ let schemas =
           Arr_of
             [
               ("txns", Fnum);
-              ("group_commit_size", Fnum);
+              ("sessions", Fnum);
               ("seconds", Fnum);
               ("txn_per_s", Fnum);
               ("log_forces", Fnum);
@@ -227,7 +227,7 @@ let schemas =
         ( "boundary_sweep",
           Arr_of
             [
-              ("group_commit_size", Fnum);
+              ("seed", Fnum);
               ("boundaries", Fnum);
               ("crashes", Fnum);
               ("violations", Fnum);

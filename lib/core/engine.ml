@@ -74,9 +74,6 @@ type td = {
 type config = {
   max_transactions : int;
   deadlock_detection : bool;
-  group_commit_size : int;
-      (* force the log once per this many commit records; pending
-         commits are also flushed at every scheduler quiescence point *)
   lock_wait_timeout_steps : int;
       (* abort a lock requester stalled past this many retry rounds
          with [Lock_timeout] instead of hanging — the liveness backstop
@@ -92,7 +89,6 @@ let default_config =
   {
     max_transactions = 10_000;
     deadlock_detection = true;
-    group_commit_size = 1;
     lock_wait_timeout_steps = 0;
     checkpoint_log_bytes = 0;
   }
@@ -114,10 +110,10 @@ type t = {
   fiber_txn : (int, Tid.t) Hashtbl.t; (* scheduler fid -> tid *)
   mutable sched : Sched.t option;
   mutable version : int; (* bumped on every observable state change *)
-  (* group commit: commit records appended but not yet forced, and the
-     transactions they cover *)
-  mutable unforced_commit_records : int;
-  mutable unforced_commit_txns : int;
+  (* group commit: the newest commit record appended but not yet
+     forced, and how many transactions the staged records cover *)
+  mutable staged_commit_lsn : int;
+  mutable staged_commit_txns : int;
   (* log bytes at the last fuzzy checkpoint — the trigger baseline *)
   mutable ckpt_bytes_mark : int;
   (* statistics *)
@@ -159,8 +155,8 @@ let create ?(config = default_config) ?log ?tid_gen store =
     fiber_txn = Hashtbl.create 64;
     sched = None;
     version = 0;
-    unforced_commit_records = 0;
-    unforced_commit_txns = 0;
+    staged_commit_lsn = -1;
+    staged_commit_txns = 0;
     ckpt_bytes_mark = 0;
     commits = Asset_util.Stats.Counter.create "engine.commits";
     aborts = Asset_util.Stats.Counter.create "engine.aborts";
@@ -209,16 +205,18 @@ let close_snapshot db (td : td) =
 
 let bump db = db.version <- db.version + 1
 
-(* Force the log over every commit record appended since the last
-   force.  One force acknowledges the whole batch; a batch covering
-   more than one transaction is a coalesced (group) commit. *)
+(* Force the log over every commit record staged since the last
+   flush.  One force acknowledges the whole batch; a batch covering
+   more than one transaction is a coalesced (group) commit.  A segment
+   rotation may already have forced the batch, so force only when the
+   log is behind it — but wake the parked committers either way. *)
 let flush_pending_commits db =
-  if db.unforced_commit_records > 0 then begin
-    Log.force db.log;
-    if db.unforced_commit_txns > 1 then Asset_util.Stats.Counter.incr db.group_commits;
-    db.unforced_commit_records <- 0;
-    db.unforced_commit_txns <- 0;
-    (* Wake committers parked on durability of their staged record. *)
+  if db.staged_commit_txns > 0 then begin
+    if Log.forced_lsn db.log < db.staged_commit_lsn then begin
+      Log.force db.log;
+      if db.staged_commit_txns > 1 then Asset_util.Stats.Counter.incr db.group_commits
+    end;
+    db.staged_commit_txns <- 0;
     bump db
   end
 
@@ -977,18 +975,19 @@ let commit_group db group =
     lsns;
   let ts = m.Store.stamp_commit () in
   Hashtbl.iter (fun oid v -> m.Store.publish oid ts v) images;
-  (* Group commit: stage the commit record and share one force among
-     up to [group_commit_size] commit records (plus a flush at every
-     scheduler quiescence point, so nothing waits indefinitely). *)
-  let commit_lsn = Log.append ~force_commit:false db.log (Record.Commit group) in
+  (* Group commit: stage the commit record; the scheduler's quiescence
+     hook forces every staged record at once, when no fiber can run.
+     An in-memory log is already "forced" through the record, so
+     nothing is staged and nobody waits. *)
+  let commit_lsn = Log.append db.log (Record.Commit group) in
   (* The whole group commits atomically here: one trace event carrying
      every member, emitted before any member's locks drop so the
      oracle's strictness clause sees commit-then-release. *)
   if Trace.on () then Trace.emit (Trace.Commit { tids = group; ts });
-  db.unforced_commit_records <- db.unforced_commit_records + 1;
-  db.unforced_commit_txns <- db.unforced_commit_txns + List.length group;
-  if db.unforced_commit_records >= max 1 db.config.group_commit_size then
-    flush_pending_commits db;
+  if Log.forced_lsn db.log < commit_lsn then begin
+    db.staged_commit_lsn <- commit_lsn;
+    db.staged_commit_txns <- db.staged_commit_txns + List.length group
+  end;
   List.iter
     (fun tid ->
       let td = td db tid in
@@ -1010,12 +1009,11 @@ let commit_group db group =
   bump db;
   maybe_checkpoint db
 
-(* The WAL acknowledgment rule under group commit: [commit] may only
-   return true once the transaction's commit record has reached a
-   forced LSN.  A commit staged but not yet forced is *not* durable —
-   a crash in the window must make the transaction a loser — so the
-   acknowledgment parks until the batch's force (threshold or
-   quiescence flush) catches up. *)
+(* The WAL acknowledgment rule: [commit] may only return true once the
+   transaction's commit record has reached a forced LSN.  A commit
+   staged but not yet forced is *not* durable — a crash in the window
+   must make the transaction a loser — so the acknowledgment parks
+   until the quiescence flush forces the batch. *)
 let await_commit_durable db (t : td) =
   let rec wait () =
     if t.commit_lsn >= 0 && Log.forced_lsn db.log < t.commit_lsn then begin

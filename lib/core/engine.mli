@@ -56,14 +56,6 @@ type config = {
   deadlock_detection : bool;
       (** Resolve lock deadlocks by aborting a victim; when off, a
           deadlock surfaces as [Scheduler.Deadlock]. *)
-  group_commit_size : int;
-      (** Force the log once per this many commit records instead of
-          per commit, so concurrent committers share one force; any
-          pending commits are also flushed at every scheduler
-          quiescence point.  1 (the default) forces every commit
-          immediately.  Whatever the batch size, {!commit} only
-          returns true once the commit record has reached a forced
-          LSN. *)
   lock_wait_timeout_steps : int;
       (** Abort a lock requester stalled past this many retry rounds
           with {!Lock_timeout} instead of hanging — the liveness
@@ -115,9 +107,17 @@ val commit : t -> Tid.t -> bool
 (** Commit, per section 4.2: blocks until the body completes, resolves
     CD/AD/EXC dependencies (blocking as required), runs the GC
     group-commit handshake, then atomically commits the group — commit
-    record forced, locks released, permits and dependency edges
+    record appended, locks released, permits and dependency edges
     dropped.  True when (already) committed; false when (already)
-    aborted. *)
+    aborted.
+
+    The WAL acknowledgement rule: [commit] returns true only once the
+    group's commit record is durable ({!Asset_wal.Log.forced_lsn}
+    covers it).  The record is staged, not forced, and the caller
+    parks; when no fiber can run, the scheduler's quiescence hook
+    ({!flush_pending_commits}) forces every staged record with one
+    force, so concurrent committers share it.  On an in-memory log the
+    record counts as forced at once and nothing parks. *)
 
 val wait : t -> Tid.t -> bool
 (** Block until the transaction completes; true once it has completed
@@ -256,10 +256,10 @@ val checkpoint : t -> int
     automatically from the commit path by [checkpoint_log_bytes]. *)
 
 val flush_pending_commits : t -> unit
-(** Force the log over any commit records staged by group commit.
-    Called automatically at every scheduler quiescence point (and thus
-    before {!Runtime.run} returns); exposed for harnesses that hold a
-    durable log open across runs. *)
+(** Force the log over any staged commit records and wake the
+    committers parked on them.  Called automatically at every
+    scheduler quiescence point (and thus before {!Runtime.run}
+    returns); exposed for servers that drive their own scheduler. *)
 
 val active_transactions : t -> Tid.t list
 val transaction_count : t -> int

@@ -78,11 +78,9 @@ let handle_exec st body max_retries =
   E.spawn eng ~label:"exec" (fun () ->
       let rec attempt k =
         let tid = E.initiate eng (fun () -> body eng) in
-        if Tid.is_null tid then begin
-          (* engine at max_transactions; let in-flight work finish *)
-          Sched.yield ();
-          attempt k
-        end
+        (* A null tid: the engine refused the attempt at
+           [max_transactions], a lifetime bound no retry can get past. *)
+        if Tid.is_null tid then E.note_give_up eng
         else if E.begin_ eng tid && E.commit eng tid then ()
         else if k < max_retries && Workload.retryable (E.failure_of eng tid) then begin
           E.note_retry eng;

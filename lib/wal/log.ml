@@ -5,10 +5,10 @@
    backing directory, every append is also encoded into a staging
    buffer in a framed binary format (u32 length + u32 CRC-32 + body),
    and [force] drains the buffer to the raw file descriptor and fsyncs
-   it — only then is anything durable.  Commit records are forced
-   automatically unless the caller opts out ([~force_commit:false]),
-   which is how the engine batches K commits into one force (group
-   commit).
+   it — only then is anything durable.  Appending never forces, a
+   commit record included: the engine stages commit records and forces
+   once per batch (group commit), and acknowledges a commit only once
+   [forced_lsn] covers its record.
 
    On disk the log is a *segment directory* ([create_dir]/[load_dir]):
    fixed-size segment files named by their base LSN plus an atomic
@@ -282,7 +282,7 @@ let rotate t sink =
   sink.cur <- { base; file };
   sink.cur_bytes <- 0
 
-let append ?(force_commit = true) t record =
+let append t record =
   let framed =
     match t.sink with
     | None -> None
@@ -306,10 +306,6 @@ let append ?(force_commit = true) t record =
       if sink.cur_bytes >= sink.limit then rotate t sink
       else if Buffer.length sink.buf >= drain_threshold then drain sink
   | _ -> ());
-  (* The WAL rule: a commit record must be durable before the commit is
-     acknowledged.  The engine's group-commit path opts out and forces
-     once per batch instead. *)
-  (match record with Record.Commit _ when force_commit -> force t | _ -> ());
   lsn
 
 let length t = t.start_lsn + t.len
@@ -319,7 +315,9 @@ let get t lsn =
   if lsn < t.start_lsn || lsn >= t.start_lsn + t.len then invalid_arg "Log.get: bad LSN"
   else t.records.(lsn - t.start_lsn)
 
-let forced_lsn t = t.forced_lsn
+(* An in-memory log has nothing to force: it is as durable as it will
+   ever be through its last record. *)
+let forced_lsn t = match t.sink with None -> t.start_lsn + t.len - 1 | Some _ -> t.forced_lsn
 let force_count t = t.forces
 let corrupt_dropped t = t.corrupt_dropped
 let appended_bytes t = t.appended_bytes

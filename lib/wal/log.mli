@@ -64,12 +64,13 @@ val crash : t -> unit
     flushing.  The disk is left with exactly the bytes that reached
     it; reopen with {!load_dir}. *)
 
-val append : ?force_commit:bool -> t -> Record.t -> int
-(** Append and return the record's LSN.  Appending a [Commit] record
-    forces the log unless [~force_commit:false] — the engine's
-    group-commit path batches commits and calls {!force} once per
-    batch instead.  On a segment-directory log this may seal the
-    current segment and rotate. *)
+val append : t -> Record.t -> int
+(** Append and return the record's LSN.  Appending never forces, not
+    even a [Commit] record: the WAL rule (a commit is acknowledged only
+    once its record is durable) lives in the engine, which stages
+    commit records, calls {!force} once per batch and acknowledges a
+    commit once {!forced_lsn} covers it.  On a segment-directory log
+    this may seal the current segment and rotate. *)
 
 val force : t -> unit
 (** Make everything appended so far durable: drain the staging buffer
@@ -80,7 +81,8 @@ val force_count : t -> int
     (K commits sharing one force show K appends but one force). *)
 
 val forced_lsn : t -> int
-(** Highest LSN known durable; -1 when nothing is. *)
+(** Highest LSN known durable; -1 when nothing is.  An in-memory log
+    has nothing to force and reports its last LSN. *)
 
 val retire : t -> below:int -> int
 (** Delete sealed segments every record of which has LSN < [below]

@@ -185,6 +185,7 @@ let analyze log =
   let undone lsn = Hashtbl.mem compensated lsn in
   ( updates,
     redo,
+    winner,
     List.sort Tid.compare winners,
     List.sort Tid.compare losers,
     resolved,
@@ -197,10 +198,9 @@ let apply_action store = function
 
 let recover log store =
   if Trace.on () then Trace.emit Trace.Recovery_start;
-  let updates, redo, winners, losers, resolved, undone_before_crash, from =
+  let updates, redo, winner, winners, losers, resolved, undone_before_crash, from =
     analyze log
   in
-  let winner tid = List.exists (Tid.equal tid) winners in
   (* Redo: repeat history, including the undo writes (CLRs) of aborts
      that ran before the crash.  The failpoint lets the torture harness
      lose power part-way through. *)

@@ -50,7 +50,6 @@ type spec = {
   balance : int;
   n_txns : int;
   seed : int;
-  group_commit_size : int;
   page_size : int;
   pool_capacity : int;
   segment_bytes : int; (* WAL segment rotation size *)
@@ -63,7 +62,6 @@ let default_spec =
     balance = 1_000;
     n_txns = 12;
     seed = 42;
-    group_commit_size = 1;
     page_size = 512;
     pool_capacity = 4;
     segment_bytes = 1 lsl 20;
@@ -89,6 +87,7 @@ type outcome = {
   recovery_s : float;
   recovery_crashes : int; (* power losses *during* recovery, each retried *)
   log_length : int; (* records in the recovered log *)
+  forces : int; (* log forces before power-off *)
   failures : string list; (* violated durability invariants, empty = pass *)
 }
 
@@ -159,13 +158,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
   done;
   Store.flush store;
   let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
-  let config =
-    {
-      E.default_config with
-      group_commit_size = spec.group_commit_size;
-      checkpoint_log_bytes = spec.checkpoint_log_bytes;
-    }
-  in
+  let config = { E.default_config with checkpoint_log_bytes = spec.checkpoint_log_bytes } in
   let db = E.create ~config ~log store in
   let transfers = plan spec in
   let tids = Array.make spec.n_txns Tid.null in
@@ -209,6 +202,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
         | _ -> ());
     !acc
   in
+  let forces = Log.force_count log in
   (* Power off: disarm everything, lose all volatile state. *)
   Fault.reset_all ();
   (match crashed with Some _ -> Log.crash log | None -> Log.close log);
@@ -262,6 +256,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
     recovery_s;
     recovery_crashes = !recovery_crashes;
     log_length;
+    forces;
     failures;
   }
 
@@ -324,11 +319,10 @@ let random_crash_schedule ?check_idempotent ~schedule_seed spec =
   let rng = Rng.create (0x7073 + schedule_seed) in
   let site = random_sites.(Rng.int rng (Array.length random_sites)) in
   let nth = 1 + Rng.int rng 40 in
-  let gcs = if Rng.bool rng then 1 else 1 + Rng.int rng 4 in
-  let spec = { spec with seed = spec.seed + schedule_seed; group_commit_size = gcs } in
+  let spec = { spec with seed = spec.seed + schedule_seed } in
   let arm () = ignore (Fault.arm_name site (Fault.Crash_nth nth)) in
   let r = run_once ~arm ?check_idempotent spec in
-  (Printf.sprintf "%s@%d gcs=%d seed=%d" site nth gcs spec.seed, r)
+  (Printf.sprintf "%s@%d seed=%d" site nth spec.seed, r)
 
 let random_crash_schedules ?check_idempotent ~n spec =
   let crashes = ref 0 and failures = ref [] and total_rec = ref 0.0 in
@@ -442,13 +436,7 @@ let sustained_run ?(rounds = 12) spec =
   done;
   Store.flush store;
   let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
-  let config =
-    {
-      E.default_config with
-      group_commit_size = spec.group_commit_size;
-      checkpoint_log_bytes = spec.checkpoint_log_bytes;
-    }
-  in
+  let config = { E.default_config with checkpoint_log_bytes = spec.checkpoint_log_bytes } in
   let db = E.create ~config ~log store in
   let expected = Array.make (spec.accounts + 1) spec.balance in
   let txns = ref 0 in
@@ -539,8 +527,7 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
   done;
   Store.flush store;
   let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
-  let config = { E.default_config with group_commit_size = spec.group_commit_size } in
-  let db = E.create ~config ~log store in
+  let db = E.create ~log store in
   let transfers = plan spec in
   if fault_rate > 0.0 then
     Fault.arm site_op (Fault.Fail_prob (fault_rate, Rng.create (spec.seed lxor 0x0fa17)));

@@ -21,7 +21,6 @@ type spec = {
   balance : int;
   n_txns : int;
   seed : int;  (** drives the transfer plan and every random choice *)
-  group_commit_size : int;
   page_size : int;
   pool_capacity : int;
   segment_bytes : int;
@@ -49,6 +48,9 @@ type outcome = {
       (** power losses that fired {e during} recovery (sites armed by
           [arm_recovery]); each one is retried from a fresh load *)
   log_length : int;  (** records in the recovered log *)
+  forces : int;
+      (** log forces before power-off; fewer forces than acknowledged
+          commits means some force covered a batch of commit records *)
   failures : string list;  (** violated durability invariants; empty = pass *)
 }
 
@@ -77,8 +79,8 @@ val crash_at_every_boundary : ?check_idempotent:bool -> spec -> sweep
 
 val random_crash_schedule :
   ?check_idempotent:bool -> schedule_seed:int -> spec -> string * outcome
-(** One seeded schedule: site, hit count and group-commit size drawn
-    from [schedule_seed]; the workload seed varies alongside. *)
+(** One seeded schedule: site and hit count drawn from
+    [schedule_seed]; the workload seed varies alongside. *)
 
 val random_crash_schedules : ?check_idempotent:bool -> n:int -> spec -> sweep
 

@@ -19,6 +19,24 @@ let vi = Value.of_int
    integer objects initialized to 0; return the engine. *)
 let with_db ?config ?(objects = 8) program = R.with_fresh_db ?config ~objects program
 
+(* Run [f db dir] against an engine over a fresh segment-directory log
+   in [dir], with the same 8 objects; then close and delete the log. *)
+let with_dir_db name f =
+  let dir = Filename.temp_dir name ".wal" in
+  let log = Asset_wal.Log.create_dir dir in
+  let store = Asset_storage.Heap_store.store () in
+  Asset_storage.Heap_store.populate store ~n:8 ~value:(fun _ -> vi 0);
+  let db = E.create ~log store in
+  Fun.protect
+    ~finally:(fun () ->
+      Asset_wal.Log.close log;
+      Asset_wal.Log.remove_dir dir)
+    (fun () -> f db dir)
+
+let commit_records log =
+  Asset_wal.Log.fold log ~init:[] ~f:(fun acc _ r ->
+      match r with Asset_wal.Record.Commit tids -> tids :: acc | _ -> acc)
+
 let geti db o = Value.to_int (Store.read_exn (E.store db) (oid o))
 let existsi db o = Store.exists (E.store db) (oid o)
 
@@ -765,13 +783,18 @@ let test_form_dependency_rejects_cycle () =
          ignore (E.commit db b)))
 
 let test_gc_group_commits_together () =
-  let db =
-    with_db (fun db ->
+  (* One commit record names every member, and the one force that
+     makes it durable is a group commit.  A directory log, so the force
+     is real. *)
+  with_dir_db "asset_gc" (fun db _ ->
+      let group = ref [] in
+      R.run_exn db (fun () ->
         let t1 = E.initiate db (fun () -> E.write db (oid 1) (vi 1)) in
         let t2 = E.initiate db (fun () -> E.write db (oid 2) (vi 2)) in
         let t3 = E.initiate db (fun () -> E.write db (oid 3) (vi 3)) in
         ignore (E.form_dependency db Dt.GC t1 t2);
         ignore (E.form_dependency db Dt.GC t2 t3);
+        group := [ t1; t2; t3 ];
         ignore (E.begin_ db t1);
         ignore (E.begin_ db t2);
         ignore (E.begin_ db t3);
@@ -780,60 +803,70 @@ let test_gc_group_commits_together () =
         Alcotest.(check bool) "t1 already committed" true (E.commit db t1);
         Alcotest.(check bool) "t3 already committed" true (E.commit db t3);
         Alcotest.(check bool) "statuses" true
-          (E.is_committed db t1 && E.is_committed db t2 && E.is_committed db t3))
-  in
-  Alcotest.(check int) "group commit counted once" 1 (List.assoc "group_commits" (E.stats db));
-  Alcotest.(check (list int)) "all effects present" [ 1; 2; 3 ] [ geti db 1; geti db 2; geti db 3 ]
+          (E.is_committed db t1 && E.is_committed db t2 && E.is_committed db t3));
+      (match commit_records (E.log db) with
+      | [ tids ] ->
+          Alcotest.(check (list int)) "one record names all three"
+            (List.map Tid.to_int !group)
+            (List.sort compare (List.map Tid.to_int tids))
+      | l -> Alcotest.failf "expected one commit record, got %d" (List.length l));
+      Alcotest.(check int) "one force" 1 (Asset_wal.Log.force_count (E.log db));
+      Alcotest.(check int) "group commit counted once" 1 (List.assoc "group_commits" (E.stats db));
+      Alcotest.(check (list int)) "all effects present" [ 1; 2; 3 ] [ geti db 1; geti db 2; geti db 3 ])
 
 let test_group_commit_coalesces_forces () =
-  (* 8 concurrent committers over a segment-directory log with
-     [group_commit_size = 4]: the log must be forced fewer than 8
-     times, yet every commit record must be durable afterwards. *)
-  let module Log = Asset_wal.Log in
-  let dir = Filename.temp_dir "asset_gcommit" ".wal" in
-  let log = Log.create_dir dir in
-  let store = Asset_storage.Heap_store.store () in
-  let config = { E.default_config with E.group_commit_size = 4 } in
-  let db = E.create ~config ~log store in
-  R.run_exn db (fun () ->
-      let tids =
-        List.init 8 (fun i -> E.initiate db (fun () -> E.write db (oid (i + 1)) (vi (i + 1))))
-      in
-      List.iter (fun t -> ignore (E.begin_ db t)) tids;
-      List.iter
-        (fun t -> E.spawn db ~label:"committer" (fun () -> ignore (E.commit db t)))
-        tids;
-      E.await_terminated db tids);
-  let forces = Log.force_count log in
-  Alcotest.(check bool) (Printf.sprintf "forces coalesced (%d < 8)" forces) true (forces < 8);
-  Alcotest.(check bool) "at least one force" true (forces >= 1);
-  Log.close log;
-  let l2 = Log.load_dir dir in
-  let commits =
-    Log.fold l2 ~init:0 ~f:(fun acc _ r ->
-        match r with Asset_wal.Record.Commit _ -> acc + 1 | _ -> acc)
-  in
-  Log.close l2;
-  Alcotest.(check int) "all 8 commit records durable" 8 commits;
-  Log.remove_dir dir
+  (* 8 concurrent committers over a segment-directory log stage their
+     commit records and park; the quiescence flush forces them all at
+     once: one force, yet every commit record is durable afterwards. *)
+  with_dir_db "asset_gcommit" (fun db dir ->
+      R.run_exn db (fun () ->
+          let tids =
+            List.init 8 (fun i -> E.initiate db (fun () -> E.write db (oid (i + 1)) (vi (i + 1))))
+          in
+          List.iter (fun t -> ignore (E.begin_ db t)) tids;
+          List.iter
+            (fun t -> E.spawn db ~label:"committer" (fun () -> ignore (E.commit db t)))
+            tids;
+          E.await_terminated db tids);
+      Alcotest.(check int) "8 commits share one force" 1 (Asset_wal.Log.force_count (E.log db));
+      Asset_wal.Log.close (E.log db);
+      let l2 = Asset_wal.Log.load_dir dir in
+      let commits = List.length (commit_records l2) in
+      Asset_wal.Log.close l2;
+      Alcotest.(check int) "all 8 commit records durable" 8 commits)
 
-let test_group_commit_default_forces_each () =
-  (* The default config (size 1) keeps the seed behavior: one force
-     per commit, immediately. *)
-  let module Log = Asset_wal.Log in
-  let dir = Filename.temp_dir "asset_gcommit1" ".wal" in
-  let log = Log.create_dir dir in
-  let store = Asset_storage.Heap_store.store () in
-  let db = E.create ~log store in
-  R.run_exn db (fun () ->
-      for i = 1 to 3 do
-        let t = E.initiate db (fun () -> E.write db (oid i) (vi i)) in
-        ignore (E.begin_ db t);
-        ignore (E.commit db t)
-      done);
-  Alcotest.(check int) "one force per commit" 3 (Log.force_count log);
-  Log.close log;
-  Log.remove_dir dir
+let test_group_commit_serial_forces_each () =
+  (* A lone fiber committing one transaction after another: each
+     commit parks on its own force, so nothing is shared. *)
+  with_dir_db "asset_gcommit1" (fun db _ ->
+      R.run_exn db (fun () ->
+          for i = 1 to 3 do
+            let t = E.initiate db (fun () -> E.write db (oid i) (vi i)) in
+            ignore (E.begin_ db t);
+            Alcotest.(check bool) "acknowledged" true (E.commit db t)
+          done);
+      Alcotest.(check int) "one force per commit" 3 (Asset_wal.Log.force_count (E.log db)))
+
+let test_lone_committer_forced_at_quiescence () =
+  (* A commits while B waits for a flag that A sets only once its
+     commit is acknowledged.  No other fiber can run, so only the
+     quiescence flush can force A's record: A must be acknowledged
+     after one force, and the scheduler must not report a deadlock. *)
+  with_dir_db "asset_lone" (fun db _ ->
+      let acked = ref false in
+      let outcome =
+        R.run db (fun () ->
+            E.spawn db ~label:"B" (fun () -> Sched.wait_until ~reason:"A acked" (fun () -> !acked));
+            E.spawn db ~label:"A" (fun () ->
+                let t = E.initiate db (fun () -> E.write db (oid 1) (vi 1)) in
+                ignore (E.begin_ db t);
+                acked := E.commit db t))
+      in
+      (match outcome.R.result with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "run failed: %s" (Printexc.to_string e));
+      Alcotest.(check bool) "A acknowledged" true !acked;
+      Alcotest.(check int) "one force" 1 (Asset_wal.Log.force_count (E.log db)))
 
 let test_gc_member_abort_dooms_group () =
   let db =
@@ -1309,6 +1342,9 @@ let () =
       ( "group commit",
         [
           Alcotest.test_case "coalesces forces" `Quick test_group_commit_coalesces_forces;
-          Alcotest.test_case "default forces each" `Quick test_group_commit_default_forces_each;
+          Alcotest.test_case "serial committer forces each" `Quick
+            test_group_commit_serial_forces_each;
+          Alcotest.test_case "lone committer forced at quiescence" `Quick
+            test_lone_committer_forced_at_quiescence;
         ] );
     ]

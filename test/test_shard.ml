@@ -166,6 +166,23 @@ let test_single_shard_execs () =
   Alcotest.(check bool) "merged trace nonempty" true (merged <> []);
   no_violations "merged trace satisfies strict axioms" (Oracle.check_strict_history merged)
 
+(* An engine at [max_transactions] refuses every later initiation for
+   good, so a refused exec gives up instead of retrying: [drain]
+   returns and every exec is accounted for, well inside a small step
+   budget. *)
+let test_exec_gives_up_at_max_transactions () =
+  let engine_config = { Shard.default_engine_config with E.max_transactions = 4 } in
+  let sys = Shard.create ~engine_config ~max_steps:100_000 ~objects:4 ~domains:1 () in
+  for o = 1 to 10 do
+    Shard.submit sys ~shard:0 (fun eng -> E.write eng (oid (1 + (o mod 4))) (vi o))
+  done;
+  Shard.drain sys;
+  Shard.shutdown sys;
+  let stats = Shard.stats sys in
+  Alcotest.(check int) "four committed" 4 (List.assoc "commits" stats);
+  Alcotest.(check int) "committed + gave up = submitted" 10
+    (List.assoc "commits" stats + List.assoc "gave_up" stats)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-shard transactions: the 2PC happy path. *)
 
@@ -454,6 +471,8 @@ let () =
       ( "execution",
         [
           Alcotest.test_case "single-shard execs" `Quick test_single_shard_execs;
+          Alcotest.test_case "exec gives up at max_transactions" `Quick
+            test_exec_gives_up_at_max_transactions;
           Alcotest.test_case "cross-shard commit" `Quick test_cross_shard_commit;
           Alcotest.test_case "cross-shard abort propagates" `Quick test_cross_shard_abort_propagates;
           Alcotest.test_case "ordered dispatch" `Quick test_ordered_dispatch;

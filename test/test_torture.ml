@@ -26,7 +26,20 @@ let check_sweep name (s : Torture.sweep) =
 
 (* --- crash at every WAL record boundary --- *)
 
+(* The sweep's fault-free reference run (deterministic, so rerunning it
+   gives the same run) must force at least one batch of two or more
+   commit records: fewer forces than acknowledged commits.  Otherwise
+   the batched-force crash window would go unswept. *)
+let check_batched_force spec =
+  let r = Torture.run_once spec in
+  let acked = Array.fold_left (fun n a -> if a then n + 1 else n) 0 r.Torture.acked in
+  Alcotest.(check bool)
+    (Printf.sprintf "a force covered >= 2 commits (%d forces, %d acked)" r.Torture.forces acked)
+    true
+    (r.Torture.forces < acked)
+
 let test_boundary_sweep () =
+  check_batched_force Torture.default_spec;
   let sweep = Torture.crash_at_every_boundary Torture.default_spec in
   check_sweep "boundary sweep" sweep;
   Alcotest.(check bool) "swept a real log" true (sweep.Torture.boundaries > 30);
@@ -35,7 +48,9 @@ let test_boundary_sweep () =
   Alcotest.(check int) "every boundary crashed" sweep.Torture.boundaries sweep.Torture.crashes
 
 let test_boundary_sweep_group_commit () =
-  let spec = { Torture.default_spec with group_commit_size = 3; seed = 97 } in
+  (* A second workload seed, with the idempotence check on. *)
+  let spec = { Torture.default_spec with seed = 97 } in
+  check_batched_force spec;
   let sweep = Torture.crash_at_every_boundary ~check_idempotent:true spec in
   check_sweep "boundary sweep (group commit)" sweep;
   Alcotest.(check int) "every boundary crashed" sweep.Torture.boundaries sweep.Torture.crashes
@@ -56,11 +71,10 @@ let test_random_crash_schedules () =
 (* --- group commit never acknowledges an unforced commit --- *)
 
 let test_group_commit_ack_requires_force () =
-  (* A batch size the workload never fills: commit records are staged
-     and only forced at quiescence — crash that very first force.  No
-     transaction may have been acknowledged, and recovery must find
-     only losers. *)
-  let spec = { Torture.default_spec with group_commit_size = 100 } in
+  (* Commit records are staged and only forced at quiescence — crash
+     that very first force.  No transaction may have been
+     acknowledged, and recovery must find only losers. *)
+  let spec = Torture.default_spec in
   let arm () = ignore (Fault.arm_name "wal.force" Fault.Crash_once) in
   let r = Torture.run_once ~arm spec in
   Alcotest.(check (option string)) "crashed at the force" (Some "wal.force") r.Torture.crashed;
@@ -74,7 +88,7 @@ let test_crash_after_force_durable_but_unacked () =
   (* Crash *after* the fsync: the batch is durable but nobody was told.
      Recovery must keep the winners even though no commit was
      acknowledged — allowed, since acked ⊆ winners is one-directional. *)
-  let spec = { Torture.default_spec with group_commit_size = 4 } in
+  let spec = Torture.default_spec in
   let arm () = ignore (Fault.arm_name "wal.after_force" Fault.Crash_once) in
   let r = Torture.run_once ~arm spec in
   Alcotest.(check (option string)) "crashed after force" (Some "wal.after_force") r.Torture.crashed;

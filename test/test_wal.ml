@@ -162,12 +162,16 @@ let test_log_iter_rev_and_fold () =
   let count = Log.fold l ~init:0 ~f:(fun acc _ _ -> acc + 1) in
   Alcotest.(check int) "fold" 3 count
 
-let test_log_commit_forces () =
+let test_log_in_memory_counts_as_forced () =
+  (* Nothing to force: an in-memory log is durable through its last
+     record, and never runs a force of its own. *)
   let l = Log.in_memory () in
+  Alcotest.(check int) "empty" (-1) (Log.forced_lsn l);
   ignore (Log.append l (Record.Begin (tid 1)));
-  Alcotest.(check int) "not forced yet" (-1) (Log.forced_lsn l);
+  Alcotest.(check int) "through the begin" 0 (Log.forced_lsn l);
   ignore (Log.append l (Record.Commit [ tid 1 ]));
-  Alcotest.(check int) "commit forces" 1 (Log.forced_lsn l)
+  Alcotest.(check int) "through the commit" 1 (Log.forced_lsn l);
+  Alcotest.(check int) "no forces" 0 (Log.force_count l)
 
 let test_log_file_roundtrip () =
   let dir = tmp_dir () in
@@ -209,12 +213,12 @@ let count_records dir =
   n
 
 let test_log_unforced_commit_then_force () =
-  (* [~force_commit:false] stages the commit record without a force;
+  (* Appending a commit record to a directory log does not force it;
      an explicit [force] then makes everything durable at once. *)
   let dir = tmp_dir () in
   let l = Log.create_dir dir in
   ignore (Log.append l (Record.Begin (tid 1)));
-  ignore (Log.append ~force_commit:false l (Record.Commit [ tid 1 ]));
+  ignore (Log.append l (Record.Commit [ tid 1 ]));
   Alcotest.(check int) "not forced" (-1) (Log.forced_lsn l);
   Alcotest.(check int) "no forces yet" 0 (Log.force_count l);
   Log.force l;
@@ -229,7 +233,7 @@ let test_log_force_count_coalesces () =
   let dir = tmp_dir () in
   let l = Log.create_dir dir in
   for i = 1 to 8 do
-    ignore (Log.append ~force_commit:false l (Record.Commit [ tid i ]))
+    ignore (Log.append l (Record.Commit [ tid i ]))
   done;
   Log.force l;
   Alcotest.(check int) "one force for 8 commits" 1 (Log.force_count l);
@@ -710,7 +714,8 @@ let () =
           Alcotest.test_case "append/get" `Quick test_log_append_get;
           Alcotest.test_case "growth" `Quick test_log_growth;
           Alcotest.test_case "iter_rev and fold" `Quick test_log_iter_rev_and_fold;
-          Alcotest.test_case "commit forces" `Quick test_log_commit_forces;
+          Alcotest.test_case "in-memory log counts as forced" `Quick
+            test_log_in_memory_counts_as_forced;
           Alcotest.test_case "file roundtrip" `Quick test_log_file_roundtrip;
           Alcotest.test_case "torn tail" `Quick test_log_load_stops_at_torn_tail;
           Alcotest.test_case "unforced commit then force" `Quick test_log_unforced_commit_then_force;
