@@ -2,10 +2,13 @@
 
    The paper has no quantitative evaluation (see DESIGN.md); this
    harness regenerates its one structural figure and produces the
-   characterisation tables E1-E12 that DESIGN.md defines in its place.
-   Each experiment prints one table; `dune exec bench/main.exe` runs
-   them all.  Micro-benchmarks (E1, E4, E12) use Bechamel; workload
-   experiments report wall-clock throughput and engine counters. *)
+   characterisation tables DESIGN.md defines in its place.  Each
+   experiment prints its tables and checks its invariants with
+   [Harness.check]; E17-E25 also write a BENCH_*.json artifact with
+   [Harness.write_artifact].  `dune exec bench/main.exe` runs them all
+   and exits 1 if any check failed.  Micro-benchmarks (E1, E4, E12) use
+   Bechamel; workload experiments report wall-clock throughput and
+   engine counters. *)
 
 module E = Asset_core.Engine
 module R = Asset_core.Runtime
@@ -28,13 +31,10 @@ module Rng = Asset_util.Rng
 module Workload = Asset_workload.Workload
 module Bank = Asset_workload.Bank
 open Asset_models
+open Harness
 
 let oid = Oid.of_int
 let vi = Value.of_int
-
-(* --smoke shrinks every knob so a CI run finishes in seconds; the
-   tables are then only smoke signals, not measurements. *)
-let smoke = ref false
 
 let fresh_db ?config ~objects () =
   let store = Heap.store () in
@@ -43,37 +43,15 @@ let fresh_db ?config ~objects () =
 
 let stat db name = List.assoc name (E.stats db)
 
-let time_of f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel helper: measure a list of thunks, return ns/run            *)
-
-let bechamel_measure cases =
-  let open Bechamel in
-  let open Toolkit in
-  let tests =
-    List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases
-  in
-  let grouped = Test.make_grouped ~name:"" ~fmt:"%s%s" tests in
-  let quota = if !smoke then 0.02 else 0.25 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~stabilize:false () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  List.filter_map
-    (fun (name, _) ->
-      match Hashtbl.find_opt results name with
-      | Some est -> (
-          match Analyze.OLS.estimates est with
-          | Some (ns :: _) -> Some (name, ns)
-          | _ -> None)
-      | None -> None)
-    cases
+(* Every transaction permits every other one all ops on [o]: the
+   blanket cooperation E3 and E22b price. *)
+let permit_all db tids o =
+  List.iter
+    (fun ti ->
+      List.iter
+        (fun tj -> if not (Tid.equal ti tj) then E.permit db ~from_:ti ~to_:tj ~oids:[ o ] ~ops:Ops.all)
+        tids)
+    tids
 
 (* ------------------------------------------------------------------ *)
 (* F1: Figure 1 — the object descriptor                                *)
@@ -183,14 +161,7 @@ let e3_permit () =
               if with_permits then begin
                 (* Everyone cooperates on the hot object: blanket
                    permits plus a commit group. *)
-                List.iter
-                  (fun ti ->
-                    List.iter
-                      (fun tj ->
-                        if not (Tid.equal ti tj) then
-                          E.permit db ~from_:ti ~to_:tj ~oids:[ oid 1 ] ~ops:Ops.all)
-                      tids)
-                  tids;
+                permit_all db tids (oid 1);
                 let rec chain = function
                   | a :: (b :: _ as rest) ->
                       ignore (E.form_dependency db Dt.GC a b);
@@ -336,7 +307,8 @@ let e5_nested () =
       contained := r = `Committed);
   Table.add_row t
     [ "child abort, report policy"; "1"; "nested"; "-"; string_of_bool !contained ];
-  Table.print t
+  Table.print t;
+  check "E5: a child abort under the report policy is contained" !contained
 
 (* ------------------------------------------------------------------ *)
 (* E6: sagas vs long atomic transactions                               *)
@@ -668,68 +640,6 @@ let e12_deps () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* E13: semantic increments vs write locks vs permits on a hot counter *)
-
-let e13_increment () =
-  let t =
-    Table.create
-      ~title:"E13: hot counter — Increment locks vs RMW write locks vs permits (4 ops/txn)"
-      ~header:[ "txns"; "mode"; "committed"; "victims"; "lock waits"; "final = expected"; "ms" ]
-  in
-  let run ~n_txns ~mode =
-    let db = fresh_db ~objects:4 () in
-    let _, dt =
-      time_of (fun () ->
-          R.run_exn db (fun () ->
-              let body () =
-                for _ = 1 to 4 do
-                  (match mode with
-                  | `Increment -> E.increment db (oid 1) 1
-                  | `Rmw | `Permit ->
-                      E.modify db (oid 1) (fun v -> Value.incr_int (Option.get v) 1));
-                  Sched.yield ()
-                done
-              in
-              let tids = List.init n_txns (fun _ -> E.initiate db body) in
-              if mode = `Permit then
-                List.iter
-                  (fun ti ->
-                    List.iter
-                      (fun tj ->
-                        if not (Tid.equal ti tj) then
-                          E.permit db ~from_:ti ~to_:tj ~oids:[ oid 1 ] ~ops:Ops.all)
-                      tids)
-                  tids;
-              List.iter (fun x -> ignore (E.begin_ db x)) tids;
-              List.iter (fun x -> E.spawn db ~label:"c" (fun () -> ignore (E.commit db x))) tids;
-              E.await_terminated db tids))
-    in
-    (db, dt)
-  in
-  List.iter
-    (fun n_txns ->
-      List.iter
-        (fun mode ->
-          let db, dt = run ~n_txns ~mode in
-          let committed = stat db "commits" in
-          let final =
-            Value.to_int (Store.read_exn (E.store db) (oid 1))
-          in
-          Table.add_row t
-            [
-              Table.fmt_i n_txns;
-              (match mode with `Increment -> "increment" | `Rmw -> "rmw-2pl" | `Permit -> "permit");
-              Table.fmt_i committed;
-              Table.fmt_i (stat db "deadlock_victims");
-              Table.fmt_i (stat db "lock_waits");
-              string_of_bool (final = committed * 4);
-              Table.fmt_f ~digits:2 (dt *. 1000.);
-            ])
-        [ `Rmw; `Permit; `Increment ])
-    [ 4; 16 ];
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* E14: scheduling policy — FIFO vs seeded random                     *)
 
 let e14_ablations () =
@@ -749,19 +659,24 @@ let e14_ablations () =
               committed := c;
               aborted := a))
     in
+    let conserved = Bank.total db ~accounts:16 = 16_000 in
     Table.add_row t
       [
         label;
         Table.fmt_i !committed;
         Table.fmt_i !aborted;
-        string_of_bool (Bank.total db ~accounts:16 = 16_000);
+        string_of_bool conserved;
         Table.fmt_f ~digits:2 (dt *. 1000.);
-      ]
+      ];
+    conserved
   in
-  run ~policy:Sched.Fifo "fifo";
-  run ~policy:(Sched.Random_seeded 1) "random seed 1";
-  run ~policy:(Sched.Random_seeded 2) "random seed 2";
-  Table.print t
+  let conserved =
+    List.map
+      (fun (policy, label) -> run ~policy label)
+      [ (Sched.Fifo, "fifo"); (Sched.Random_seeded 1, "random seed 1"); (Sched.Random_seeded 2, "random seed 2") ]
+  in
+  Table.print t;
+  check "E14: total conserved under every policy" (List.for_all Fun.id conserved)
 
 (* ------------------------------------------------------------------ *)
 (* E15: shared-cache vs private-workspace operating mode               *)
@@ -937,38 +852,28 @@ let e17_hotpath () =
         ])
     commit_rows;
   Table.print t;
-  (* Machine-readable gate for the perf trajectory. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E17-hotpath\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"scheduler_step\": [\n";
-  List.iteri
-    (fun i (parked, mode, ns, steps) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"parked\": %d, \"mode\": \"%s\", \"ns_per_step\": %.2f, \"steps\": %d}%s\n"
-           parked mode ns steps
-           (if i = List.length sched_rows - 1 then "" else ",")))
-    sched_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"commit_throughput\": [\n";
-  List.iteri
-    (fun i (n_txns, sessions, dt, tps, forces, commits, group_commits) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"txns\": %d, \"sessions\": %d, \"seconds\": %.6f, \"txn_per_s\": %.1f, \
-            \"log_forces\": %d, \"committed\": %d, \"group_commits\": %d}%s\n"
-           n_txns sessions dt tps forces commits group_commits
-           (if i = List.length commit_rows - 1 then "" else ",")))
-    commit_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  (* Smoke runs get their own file so CI never clobbers the committed
-     full-run numbers. *)
-  let path = if !smoke then "BENCH_hotpath_smoke.json" else "BENCH_hotpath.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  write_artifact ~name:"hotpath" ~experiment:"E17-hotpath"
+    Json.
+      [
+        ( "scheduler_step",
+          records
+            (fun (parked, mode, ns, steps) ->
+              [ ("parked", Int parked); ("mode", Str mode); ("ns_per_step", fixed 2 ns); ("steps", Int steps) ])
+            sched_rows );
+        ( "commit_throughput",
+          records
+            (fun (n_txns, sessions, dt, tps, forces, commits, group_commits) ->
+              [
+                ("txns", Int n_txns);
+                ("sessions", Int sessions);
+                ("seconds", fixed 6 dt);
+                ("txn_per_s", fixed 1 tps);
+                ("log_forces", Int forces);
+                ("committed", Int commits);
+                ("group_commits", Int group_commits);
+              ])
+            commit_rows );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E18: lock-manager hot path (ISSUE 2) — indexed descriptors and the
@@ -1142,48 +1047,36 @@ let e18_lockpath () =
         ])
     wl_rows;
   Table.print t;
-  (* Machine-readable gate for the perf trajectory. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E18-lockpath\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"acquire_release\": [\n";
-  List.iteri
-    (fun i (objects, holders, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"objects\": %d, \"holders\": %d, \"ns_per_op\": %.2f}%s\n" objects
-           holders ns
-           (if i = List.length acq_rows - 1 then "" else ",")))
-    acq_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"deadlock_check\": [\n";
-  List.iteri
-    (fun i (objects, waiters, inc_us, reb_us) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"txns\": %d, \"pending\": %d, \"incremental_us\": %.3f, \"rebuild_us\": %.3f}%s\n"
-           objects waiters inc_us reb_us
-           (if i = List.length dl_rows - 1 then "" else ",")))
-    dl_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"workload\": [\n";
-  List.iteri
-    (fun i (name, committed, victims, waits, tps) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"committed\": %d, \"victims\": %d, \"lock_waits\": %d, \
-            \"txn_per_s\": %.1f}%s\n"
-           name committed victims waits tps
-           (if i = List.length wl_rows - 1 then "" else ",")))
-    wl_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  (* Smoke runs get their own file so CI never clobbers the committed
-     full-run numbers. *)
-  let path = if !smoke then "BENCH_lockpath_smoke.json" else "BENCH_lockpath.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  write_artifact ~name:"lockpath" ~experiment:"E18-lockpath"
+    Json.
+      [
+        ( "acquire_release",
+          records
+            (fun (objects, holders, ns) ->
+              [ ("objects", Int objects); ("holders", Int holders); ("ns_per_op", fixed 2 ns) ])
+            acq_rows );
+        ( "deadlock_check",
+          records
+            (fun (objects, waiters, inc_us, reb_us) ->
+              [
+                ("txns", Int objects);
+                ("pending", Int waiters);
+                ("incremental_us", fixed 3 inc_us);
+                ("rebuild_us", fixed 3 reb_us);
+              ])
+            dl_rows );
+        ( "workload",
+          records
+            (fun (name, committed, victims, waits, tps) ->
+              [
+                ("name", Str name);
+                ("committed", Int committed);
+                ("victims", Int victims);
+                ("lock_waits", Int waits);
+                ("txn_per_s", fixed 1 tps);
+              ])
+            wl_rows );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E19: fault injection and recovery (ISSUE 3) — crash-recovery torture
@@ -1241,6 +1134,8 @@ let e19_faults () =
         ])
     sweeps;
   Table.print t;
+  check "E19a: no violations at any boundary"
+    (List.for_all (fun (_, (s : Torture.sweep)) -> s.sweep_failures = []) sweeps);
   (* E19b: seeded random crash schedules across every failpoint site. *)
   let n_schedules = if !smoke then 50 else 500 in
   let random = Torture.random_crash_schedules ~n:n_schedules spec in
@@ -1256,6 +1151,7 @@ let e19_faults () =
       Table.fmt_f ~digits:3 (random.total_recovery_s /. float_of_int (max 1 random.runs) *. 1e3);
     ];
   Table.print t;
+  check "E19b: no violations in any schedule" (random.sweep_failures = []);
   (* E19c: bounded retry under transient fault rates. *)
   let rates = if !smoke then [ 0.0; 0.2 ] else [ 0.0; 0.05; 0.2; 0.5 ] in
   let retry_spec = { spec with n_txns = (if !smoke then 12 else 48) } in
@@ -1283,6 +1179,8 @@ let e19_faults () =
         ])
     retry_rows;
   Table.print t;
+  check "E19c: conserved at every fault rate"
+    (List.for_all (fun (_, (r : Torture.retry_outcome)) -> r.conserved) retry_rows);
   (* E19d: the lock-wait timeout backstop (deadlock detection off). *)
   let pairs = if !smoke then 4 else 16 in
   let timeout_steps = 8 in
@@ -1301,54 +1199,53 @@ let e19_faults () =
       Table.fmt_i tm.Workload.r_gave_up;
     ];
   Table.print t;
-  (* Machine-readable gate for the robustness trajectory. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E19-faults\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"boundary_sweep\": [\n";
-  List.iteri
-    (fun i (seed, (s : Torture.sweep)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"seed\": %d, \"boundaries\": %d, \"crashes\": %d, \"violations\": %d, \
-            \"recovery_total_s\": %.6f}%s\n"
-           seed s.boundaries s.crashes
-           (List.length s.sweep_failures)
-           s.total_recovery_s
-           (if i = List.length sweeps - 1 then "" else ",")))
-    sweeps;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"random_schedules\": {\"runs\": %d, \"crashes\": %d, \"violations\": %d, \
-        \"recovery_total_s\": %.6f},\n"
-       random.runs random.crashes
-       (List.length random.sweep_failures)
-       random.total_recovery_s);
-  Buffer.add_string buf "  \"retry\": [\n";
-  List.iteri
-    (fun i (rate, (r : Torture.retry_outcome)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"fault_rate\": %.2f, \"txns\": %d, \"committed\": %d, \"retries\": %d, \
-            \"gave_up\": %d, \"seconds\": %.6f, \"conserved\": %b}%s\n"
-           rate retry_spec.n_txns r.committed r.retries r.gave_up r.duration_s r.conserved
-           (if i = List.length retry_rows - 1 then "" else ",")))
-    retry_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"lock_timeout\": {\"txns\": %d, \"timeout_steps\": %d, \"committed\": %d, \
-        \"lock_timeouts\": %d, \"retries\": %d, \"gave_up\": %d, \"seconds\": %.6f}\n"
-       (2 * pairs) timeout_steps tm.Workload.r_committed timeouts tm.Workload.r_retries
-       tm.Workload.r_gave_up dt);
-  Buffer.add_string buf "}\n";
-  let path = if !smoke then "BENCH_faults_smoke.json" else "BENCH_faults.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  write_artifact ~name:"faults" ~experiment:"E19-faults"
+    Json.
+      [
+        ( "boundary_sweep",
+          records
+            (fun (seed, (s : Torture.sweep)) ->
+              [
+                ("seed", Int seed);
+                ("boundaries", Int s.boundaries);
+                ("crashes", Int s.crashes);
+                ("violations", Int (List.length s.sweep_failures));
+                ("recovery_total_s", fixed 6 s.total_recovery_s);
+              ])
+            sweeps );
+        ( "random_schedules",
+          Obj
+            [
+              ("runs", Int random.runs);
+              ("crashes", Int random.crashes);
+              ("violations", Int (List.length random.sweep_failures));
+              ("recovery_total_s", fixed 6 random.total_recovery_s);
+            ] );
+        ( "retry",
+          records
+            (fun (rate, (r : Torture.retry_outcome)) ->
+              [
+                ("fault_rate", fixed 2 rate);
+                ("txns", Int retry_spec.n_txns);
+                ("committed", Int r.committed);
+                ("retries", Int r.retries);
+                ("gave_up", Int r.gave_up);
+                ("seconds", fixed 6 r.duration_s);
+                ("conserved", Bool r.conserved);
+              ])
+            retry_rows );
+        ( "lock_timeout",
+          Obj
+            [
+              ("txns", Int (2 * pairs));
+              ("timeout_steps", Int timeout_steps);
+              ("committed", Int tm.Workload.r_committed);
+              ("lock_timeouts", Int timeouts);
+              ("retries", Int tm.Workload.r_retries);
+              ("gave_up", Int tm.Workload.r_gave_up);
+              ("seconds", fixed 6 dt);
+            ] );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E20: observability overhead (ISSUE 4) — the event recorder's cost on
@@ -1446,35 +1343,24 @@ let e20_obs () =
         [ name; Table.fmt_f ~digits:2 us; Table.fmt_i events; Table.fmt_f ~digits:1 ov ])
     wl_rows;
   Table.print t;
-  (* Machine-readable gate for the observability-overhead trajectory. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E20-obs\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"emit_site\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"recorder\": \"%s\", \"ns_per_site\": %.2f}%s\n" name ns
-           (if i = List.length micro_rows - 1 then "" else ",")))
-    micro_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"workload\": [\n";
-  List.iteri
-    (fun i (name, us, events, ov) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"recorder\": \"%s\", \"txns\": %d, \"writes_per_txn\": %d, \"us_per_txn\": \
-            %.3f, \"events\": %d, \"overhead_pct\": %.2f}%s\n"
-           name n_txns writes us events ov
-           (if i = List.length wl_rows - 1 then "" else ",")))
-    wl_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = if !smoke then "BENCH_obs_smoke.json" else "BENCH_obs.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  write_artifact ~name:"obs" ~experiment:"E20-obs"
+    Json.
+      [
+        ( "emit_site",
+          records (fun (name, ns) -> [ ("recorder", Str name); ("ns_per_site", fixed 2 ns) ]) micro_rows );
+        ( "workload",
+          records
+            (fun (name, us, events, ov) ->
+              [
+                ("recorder", Str name);
+                ("txns", Int n_txns);
+                ("writes_per_txn", Int writes);
+                ("us_per_txn", fixed 3 us);
+                ("events", Int events);
+                ("overhead_pct", fixed 2 ov);
+              ])
+            wl_rows );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E21: systematic schedule exploration (lib/check).  State-space size
@@ -1557,48 +1443,37 @@ let e21_check () =
         ])
     kills;
   Table.print mt;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E21-check\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"scenarios\": [\n";
-  List.iteri
-    (fun i (name, (r : C.report), dt, naive) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"scenario\": \"%s\", \"schedules\": %d, \"pruned\": %d, \
-            \"choice_points\": %d, \"completed\": %b, \"naive_schedules\": %s, \
-            \"seconds\": %.3f}%s\n"
-           name r.schedules r.pruned r.choice_points r.completed
-           (match naive with
-           | Some (n : C.report) -> string_of_int n.schedules
-           | None -> "null")
-           dt
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"mutations\": [\n";
-  List.iteri
-    (fun i (name, (r : C.report), dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"mutation\": \"%s\", \"killed\": %b, \"schedules\": %d, \
-            \"minimized_len\": %s, \"seconds\": %.3f}%s\n"
-           name
-           (r.failure <> None)
-           r.schedules
-           (match r.failure with
-           | Some f -> string_of_int (List.length f.minimized)
-           | None -> "null")
-           dt
-           (if i = List.length kills - 1 then "" else ",")))
-    kills;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = if !smoke then "BENCH_check_smoke.json" else "BENCH_check.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  check "E21: every seeded mutation killed"
+    (List.for_all (fun (_, (r : C.report), _) -> r.failure <> None) kills);
+  write_artifact ~name:"check" ~experiment:"E21-check"
+    Json.
+      [
+        ( "scenarios",
+          records
+            (fun (name, (r : C.report), dt, naive) ->
+              [
+                ("scenario", Str name);
+                ("schedules", Int r.schedules);
+                ("pruned", Int r.pruned);
+                ("choice_points", Int r.choice_points);
+                ("completed", Bool r.completed);
+                ("naive_schedules", match naive with Some (n : C.report) -> Int n.schedules | None -> Null);
+                ("seconds", fixed 3 dt);
+              ])
+            rows );
+        ( "mutations",
+          records
+            (fun (name, (r : C.report), dt) ->
+              [
+                ("mutation", Str name);
+                ("killed", Bool (r.failure <> None));
+                ("schedules", Int r.schedules);
+                ( "minimized_len",
+                  match r.failure with Some f -> Int (List.length f.minimized) | None -> Null );
+                ("seconds", fixed 3 dt);
+              ])
+            kills );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E22: semantic concurrency — multi-version snapshot reads vs 2PL
@@ -1701,13 +1576,20 @@ let e22_mvcc () =
     | _ -> 0.
   in
   Format.printf "read-only speedup (snapshot vs 2pl): %.1fx@." speedup;
-  (* E22b: the E13 hot counter with the escrow path alongside.  Escrow
-     with a slack bound must match the increment row (same commuting
-     lock mode, one extra admission test); the tight bound shows the
-     admission test refusing exactly the overdraft. *)
+  check "E22a: snapshot readers never abort"
+    (List.for_all (fun (name, _, aborts, _, _, _) -> name <> "snapshot" || aborts = 0) readonly_rows);
+  (* E22b: the hot counter — §5's semantic increments against RMW write
+     locks and permit-based cooperation, with the escrow path alongside.
+     Permits match the increment row's zero waits only by granting
+     O(n^2) permits, and unlike increments their before-image undo
+     would clobber cooperating updates on abort ([final ok] is the
+     correctness column).  Escrow with a slack bound must match the
+     increment row (same commuting lock mode, one extra admission
+     test); the tight bound shows the admission test refusing exactly
+     the overdraft. *)
   let et =
     Table.create
-      ~title:"E22b: hot counter — escrow vs increment vs rmw (4 ops/txn)"
+      ~title:"E22b: hot counter — escrow vs increment vs permit vs rmw (4 ops/txn)"
       ~header:[ "txns"; "mode"; "committed"; "victims"; "lock waits"; "violations"; "final ok"; "ms" ]
   in
   let escrow_rows = ref [] in
@@ -1722,11 +1604,12 @@ let e22_mvcc () =
                   | `Increment -> E.increment db (oid 1) 1
                   | `Escrow -> E.escrow db (oid 1) 1 ~lo:0 ~hi:max_int
                   | `Escrow_tight -> E.escrow db (oid 1) 1 ~lo:0 ~hi:8
-                  | `Rmw -> E.modify db (oid 1) (fun v -> Value.incr_int (Option.get v) 1));
+                  | `Rmw | `Permit -> E.modify db (oid 1) (fun v -> Value.incr_int (Option.get v) 1));
                   Sched.yield ()
                 done
               in
               let tids = List.init n_txns (fun _ -> E.initiate db body) in
+              if mode = `Permit then permit_all db tids (oid 1);
               List.iter (fun x -> ignore (E.begin_ db x)) tids;
               List.iter (fun x -> E.spawn db ~label:"c" (fun () -> ignore (E.commit db x))) tids;
               E.await_terminated db tids))
@@ -1745,6 +1628,7 @@ let e22_mvcc () =
       | `Escrow -> "escrow"
       | `Escrow_tight -> "escrow[0,8]"
       | `Rmw -> "rmw-2pl"
+      | `Permit -> "permit"
     in
     escrow_rows :=
       (name, n_txns, committed, violations, final_ok, dt) :: !escrow_rows;
@@ -1762,9 +1646,11 @@ let e22_mvcc () =
   in
   List.iter
     (fun n_txns ->
-      List.iter (fun mode -> run_counter ~n_txns ~mode) [ `Rmw; `Increment; `Escrow; `Escrow_tight ])
+      List.iter (fun mode -> run_counter ~n_txns ~mode) [ `Rmw; `Permit; `Increment; `Escrow; `Escrow_tight ])
     [ 4; 16 ];
   Table.print et;
+  check "E22b: final counter correct in every row"
+    (List.for_all (fun (_, _, _, _, final_ok, _) -> final_ok) !escrow_rows);
   (* E22c: version-chain GC.  A pinned snapshot holds every version a
      writer burst creates; closing it collapses the chain back to the
      committed head. *)
@@ -1794,6 +1680,7 @@ let e22_mvcc () =
   Format.printf
     "E22c: %d committed writes — chain pinned by snapshot: %d (%d versions); after close: %d (%d versions)@."
     writes !pinned_chain !pinned_versions after_chain after_versions;
+  check "E22c: the chain collapses to 1 once the snapshot closes" (after_chain = 1);
   (* E22d: escrow under delegation.  Workers reserve on the hot counter
      with escrow, then split-transaction style hand their reservation
      (lock, in-flight delta and all) to a collector that commits the
@@ -1867,57 +1754,60 @@ let e22_mvcc () =
       run_delegation ~mode:`Delegated ~batches ~workers ~ops)
     (if !smoke then [ (4, 4) ] else [ (4, 4); (16, 4) ]);
   Table.print dt_;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E22-mvcc\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"readonly\": [\n";
-  List.iteri
-    (fun i (name, commits, aborts, wcommits, dt, per_s) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"mode\": \"%s\", \"readers\": %d, \"reader_aborts\": %d, \
-            \"writer_txns\": %d, \"seconds\": %.4f, \"readers_per_s\": %.0f}%s\n"
-           name commits aborts wcommits dt per_s
-           (if i = List.length readonly_rows - 1 then "" else ",")))
-    readonly_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf (Printf.sprintf "  \"readonly_speedup\": %.2f,\n" speedup);
-  Buffer.add_string buf "  \"escrow\": [\n";
-  let er = List.rev !escrow_rows in
-  List.iteri
-    (fun i (name, n_txns, committed, violations, final_ok, dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"mode\": \"%s\", \"txns\": %d, \"committed\": %d, \
-            \"violations\": %d, \"final_ok\": %b, \"seconds\": %.4f}%s\n"
-           name n_txns committed violations final_ok dt
-           (if i = List.length er - 1 then "" else ",")))
-    er;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"delegation\": [\n";
-  let dr = List.rev !delegation_rows in
-  List.iteri
-    (fun i (name, workers, ops, commits, delegations, final, final_ok, dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"mode\": \"%s\", \"workers\": %d, \"ops\": %d, \"commits\": %d, \
-            \"delegations\": %d, \"final\": %d, \"final_ok\": %b, \"seconds\": %.4f}%s\n"
-           name workers ops commits delegations final final_ok dt
-           (if i = List.length dr - 1 then "" else ",")))
-    dr;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"gc\": {\"writes\": %d, \"chain_pinned\": %d, \"versions_pinned\": %d, \
-        \"chain_after_close\": %d, \"versions_after_close\": %d}\n"
-       writes !pinned_chain !pinned_versions after_chain after_versions);
-  Buffer.add_string buf "}\n";
-  let path = if !smoke then "BENCH_mvcc_smoke.json" else "BENCH_mvcc.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  check "E22d: final counter correct in every row"
+    (List.for_all (fun (_, _, _, _, _, _, final_ok, _) -> final_ok) !delegation_rows);
+  write_artifact ~name:"mvcc" ~experiment:"E22-mvcc"
+    Json.
+      [
+        ( "readonly",
+          records
+            (fun (name, commits, aborts, wcommits, dt, per_s) ->
+              [
+                ("mode", Str name);
+                ("readers", Int commits);
+                ("reader_aborts", Int aborts);
+                ("writer_txns", Int wcommits);
+                ("seconds", fixed 4 dt);
+                ("readers_per_s", fixed 0 per_s);
+              ])
+            readonly_rows );
+        ("readonly_speedup", fixed 2 speedup);
+        ( "escrow",
+          records
+            (fun (name, n_txns, committed, violations, final_ok, dt) ->
+              [
+                ("mode", Str name);
+                ("txns", Int n_txns);
+                ("committed", Int committed);
+                ("violations", Int violations);
+                ("final_ok", Bool final_ok);
+                ("seconds", fixed 4 dt);
+              ])
+            (List.rev !escrow_rows) );
+        ( "delegation",
+          records
+            (fun (name, workers, ops, commits, delegations, final, final_ok, dt) ->
+              [
+                ("mode", Str name);
+                ("workers", Int workers);
+                ("ops", Int ops);
+                ("commits", Int commits);
+                ("delegations", Int delegations);
+                ("final", Int final);
+                ("final_ok", Bool final_ok);
+                ("seconds", fixed 4 dt);
+              ])
+            (List.rev !delegation_rows) );
+        ( "gc",
+          Obj
+            [
+              ("writes", Int writes);
+              ("chain_pinned", Int !pinned_chain);
+              ("versions_pinned", Int !pinned_versions);
+              ("chain_after_close", Int after_chain);
+              ("versions_after_close", Int after_versions);
+            ] );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E23: multicore sharded engine — aggregate throughput vs domain
@@ -2098,6 +1988,10 @@ let e23_shard () =
         points
     in
     Table.print tbl;
+    check (Printf.sprintf "E23%s: no mixed cross-shard outcome" tag)
+      (List.for_all (fun (_, _, _, _, xm, _, _, _, _, _, _) -> xm = 0) rows);
+    check (Printf.sprintf "E23%s: conserved at every point" tag)
+      (List.for_all (fun (_, _, _, _, _, _, _, conserved, _, _, _) -> conserved) rows);
     (wave, waves, objects, theta, io_us, rows)
   in
   (* E23a: pure single-shard load, uniform over enough objects that
@@ -2175,44 +2069,53 @@ let e23_shard () =
     List.iter (fun v -> Format.printf "  %a@." Oracle.pp_violation v) violations;
     (List.length merged, xgc, List.length violations)
   in
-  Format.printf "E23 conformance: 2-domain merged history — %d events, %d xgc edges, %d violations%s@."
-    conf_events conf_xgc conf_violations
-    (if conf_violations = 0 then " [OK]" else " [FAIL]");
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E23-shard\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf (Printf.sprintf "  \"domains_cap\": %d,\n" cap);
-  let emit_rows name (wave, waves, objects, theta, io_us, rows) =
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"%s\": {\"wave\": %d, \"waves\": %d, \"objects\": %d, \"zipf_theta\": %.2f, \
-          \"io_us\": %d, \"points\": [\n"
-         name wave waves objects theta io_us);
-    List.iteri
-      (fun i (d, logical, xc, xa, xm, gave_up, retries, conserved, dt, tps, speedup) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "    {\"domains\": %d, \"committed\": %d, \"cross_committed\": %d, \
-              \"cross_aborted\": %d, \"mixed\": %d, \"gave_up\": %d, \"retries\": %d, \
-              \"conserved\": %b, \"seconds\": %.4f, \"txns_per_s\": %.0f, \"speedup_vs_1\": %.2f}%s\n"
-             d logical xc xa xm gave_up retries conserved dt tps speedup
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string buf "  ]},\n"
+  Format.printf "E23 conformance: 2-domain merged history — %d events, %d xgc edges, %d violations@."
+    conf_events conf_xgc conf_violations;
+  check "E23 conformance: merged history passes the oracle" (conf_violations = 0);
+  check "E23 conformance: cross-shard XGC edges recorded" (conf_xgc > 0);
+  let curve_json (wave, waves, objects, theta, io_us, rows) =
+    Json.(
+      Obj
+        [
+          ("wave", Int wave);
+          ("waves", Int waves);
+          ("objects", Int objects);
+          ("zipf_theta", fixed 2 theta);
+          ("io_us", Int io_us);
+          ( "points",
+            records
+              (fun (d, logical, xc, xa, xm, gave_up, retries, conserved, dt, tps, speedup) ->
+                [
+                  ("domains", Int d);
+                  ("committed", Int logical);
+                  ("cross_committed", Int xc);
+                  ("cross_aborted", Int xa);
+                  ("mixed", Int xm);
+                  ("gave_up", Int gave_up);
+                  ("retries", Int retries);
+                  ("conserved", Bool conserved);
+                  ("seconds", fixed 4 dt);
+                  ("txns_per_s", fixed 0 tps);
+                  ("speedup_vs_1", fixed 2 speedup);
+                ])
+              rows );
+        ])
   in
-  emit_rows "single_shard" single_rows;
-  emit_rows "cross_mix" mix_rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"conformance\": {\"domains\": 2, \"events\": %d, \"xgc_edges\": %d, \"violations\": %d}\n"
-       conf_events conf_xgc conf_violations);
-  Buffer.add_string buf "}\n";
-  let path = if !smoke then "BENCH_shard_smoke.json" else "BENCH_shard.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  write_artifact ~name:"shard" ~experiment:"E23-shard"
+    Json.
+      [
+        ("domains_cap", Int cap);
+        ("single_shard", curve_json single_rows);
+        ("cross_mix", curve_json mix_rows);
+        ( "conformance",
+          Obj
+            [
+              ("domains", Int 2);
+              ("events", Int conf_events);
+              ("xgc_edges", Int conf_xgc);
+              ("violations", Int conf_violations);
+            ] );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* E24: durability at sustained scale — recovery time vs log volume    *)
@@ -2342,40 +2245,29 @@ let e24_recovery () =
   in
   Table.print t2;
   let bounded_ok = List.for_all (fun s -> s.Torture.s_failures = []) retirement in
-  Format.printf "E24 retirement: log stays bounded %s@." (if bounded_ok then "[OK]" else "[FAIL]");
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E24-recovery\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"recovery_time\": [\n";
-  List.iteri
-    (fun i (n, ckpt, redone, dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"log_updates\": %d, \"ckpt\": \"%s\", \"updates_redone\": %d, \"seconds\": \
-            %.6f}%s\n"
-           n ckpt redone dt
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"retirement\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"rounds\": %d, \"txns\": %d, \"checkpoints\": %d, \"segments_created\": %d, \
-            \"segments_retired\": %d, \"segments_live\": %d, \"bounded\": %b}%s\n"
-           s.Torture.s_rounds s.Torture.s_txns s.Torture.s_checkpoints s.Torture.s_segments_created
-           s.Torture.s_segments_retired s.Torture.s_segments_live (s.Torture.s_failures = [])
-           (if i = List.length retirement - 1 then "" else ",")))
-    retirement;
-  Buffer.add_string buf "  ]\n";
-  Buffer.add_string buf "}\n";
-  let path = if !smoke then "BENCH_recovery_smoke.json" else "BENCH_recovery.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  check "E24 retirement: log stays bounded" bounded_ok;
+  write_artifact ~name:"recovery" ~experiment:"E24-recovery"
+    Json.
+      [
+        ( "recovery_time",
+          records
+            (fun (n, ckpt, redone, dt) ->
+              [ ("log_updates", Int n); ("ckpt", Str ckpt); ("updates_redone", Int redone); ("seconds", fixed 6 dt) ])
+            rows );
+        ( "retirement",
+          records
+            (fun (s : Torture.sustained) ->
+              [
+                ("rounds", Int s.s_rounds);
+                ("txns", Int s.s_txns);
+                ("checkpoints", Int s.s_checkpoints);
+                ("segments_created", Int s.s_segments_created);
+                ("segments_retired", Int s.s_segments_retired);
+                ("segments_live", Int s.s_segments_live);
+                ("bounded", Bool (s.s_failures = []));
+              ])
+            retirement );
+      ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -2565,56 +2457,48 @@ let e25_oltp () =
       string_of_bool a_conserved;
     ];
   Table.print t2;
-  let all_conserved = List.for_all (fun (_, _, c) -> c) configs && a_conserved in
-  Format.printf "E25 conservation: %d engine configs + agentic saga %s@.@."
-    (List.length configs)
-    (if all_conserved then "[OK]" else "[FAIL]");
-  let buf = Buffer.create 4_096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E25-oltp\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" !smoke);
-  Buffer.add_string buf "  \"mix\": [\n";
-  List.iteri
-    (fun i (config, klass, committed, aborted, retries, gave_up) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"config\": \"%s\", \"class\": \"%s\", \"committed\": %d, \"aborted\": %d, \
-            \"retries\": %d, \"gave_up\": %d}%s\n"
-           config klass committed aborted retries gave_up
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"configs\": [\n";
-  List.iteri
-    (fun i (label, dt, conserved) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"config\": \"%s\", \"txns\": %d, \"seconds\": %.6f, \"txn_per_s\": %.1f, \
-            \"conserved\": %b}%s\n"
-           label txns dt
-           (float_of_int txns /. dt)
-           conserved
-           (if i = List.length configs - 1 then "" else ",")))
-    configs;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"agentic\": {\"agents\": %d, \"plans_failed\": %d, \"steps_committed\": %d, \
-        \"compensations\": %d, \"retries\": %d, \"gave_up\": %d, \"conserved\": %b, \
-        \"seconds\": %.6f}\n"
-       agents
-       (sum (fun o -> if o.Agentic.o_failed then 1 else 0))
-       (sum (fun o -> o.Agentic.o_committed))
-       (sum (fun o -> o.Agentic.o_compensated))
-       (sum (fun o -> o.Agentic.o_retries))
-       (sum (fun o -> o.Agentic.o_gave_up))
-       a_conserved a_dt);
-  Buffer.add_string buf "}\n";
-  let path = if !smoke then "BENCH_oltp_smoke.json" else "BENCH_oltp.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+  check
+    (Printf.sprintf "E25 conservation: %d engine configs + agentic saga" (List.length configs))
+    (List.for_all (fun (_, _, c) -> c) configs && a_conserved);
+  write_artifact ~name:"oltp" ~experiment:"E25-oltp"
+    Json.
+      [
+        ( "mix",
+          records
+            (fun (config, klass, committed, aborted, retries, gave_up) ->
+              [
+                ("config", Str config);
+                ("class", Str klass);
+                ("committed", Int committed);
+                ("aborted", Int aborted);
+                ("retries", Int retries);
+                ("gave_up", Int gave_up);
+              ])
+            rows );
+        ( "configs",
+          records
+            (fun (label, dt, conserved) ->
+              [
+                ("config", Str label);
+                ("txns", Int txns);
+                ("seconds", fixed 6 dt);
+                ("txn_per_s", fixed 1 (float_of_int txns /. dt));
+                ("conserved", Bool conserved);
+              ])
+            configs );
+        ( "agentic",
+          Obj
+            [
+              ("agents", Int agents);
+              ("plans_failed", Int (sum (fun o -> if o.Agentic.o_failed then 1 else 0)));
+              ("steps_committed", Int (sum (fun o -> o.Agentic.o_committed)));
+              ("compensations", Int (sum (fun o -> o.Agentic.o_compensated)));
+              ("retries", Int (sum (fun o -> o.Agentic.o_retries)));
+              ("gave_up", Int (sum (fun o -> o.Agentic.o_gave_up)));
+              ("conserved", Bool a_conserved);
+              ("seconds", fixed 6 a_dt);
+            ] );
+      ]
 
 let experiments =
   [
@@ -2630,7 +2514,6 @@ let experiments =
     ("e10", e10_workflow);
     ("e11", e11_models);
     ("e12", e12_deps);
-    ("e13", e13_increment);
     ("e14", e14_ablations);
     ("e15", e15_workspace);
     ("e17", e17_hotpath);
@@ -2660,7 +2543,7 @@ let () =
       ( "--only",
         Arg.String
           (fun s -> only := !only @ String.split_on_char ',' (String.lowercase_ascii s)),
-        "KEYS  comma-separated experiment keys (f1, e1..e8, e10..e15, e17..e25, hotpath, lockpath, faults, obs, check, mvcc, shard, recovery, oltp); default: all" );
+        "KEYS  comma-separated experiment keys (f1, e1..e8, e10..e12, e14, e15, e17..e25, hotpath, lockpath, faults, obs, check, mvcc, shard, recovery, oltp); default: all" );
       ("--smoke", Arg.Set smoke, "  tiny quotas for CI smoke runs");
       ( "--domains",
         Arg.Set_int domains_cap,
@@ -2687,7 +2570,11 @@ let () =
             | None -> failwith ("unknown experiment: " ^ k))
           keys
   in
-  Format.printf "ASSET benchmark harness — experiments F1, E1-E8, E10-E15, E17-E25 (see DESIGN.md)%s@."
+  Format.printf "ASSET benchmark harness — experiments F1, E1-E8, E10-E12, E14, E15, E17-E25 (see DESIGN.md)%s@."
     (if !smoke then " [smoke]" else "");
   List.iter (fun (_, f) -> f ()) selected;
-  Format.printf "@.done.@."
+  Format.printf "@.done.@.";
+  if !failed <> [] then begin
+    Format.eprintf "failed checks:@.%a@." (Format.pp_print_list Format.pp_print_string) (List.rev !failed);
+    exit 1
+  end

@@ -5,7 +5,7 @@
      bank      — run the bank-transfer workload and check conservation
      saga      — run a saga chain with an optional injected failure
      trip      — run the appendix travel workflow with chosen availability
-     trace     — run a tiny contended schedule and dump the fiber trace
+     trace     — run a tiny contended schedule and dump its event trace
 
    Examples:
      dune exec bin/asset_demo.exe -- workload --txns 64 --theta 0.9
@@ -17,6 +17,7 @@
 module E = Asset_core.Engine
 module R = Asset_core.Runtime
 module Sched = Asset_sched.Scheduler
+module Trace = Asset_obs.Trace
 module Oid = Asset_util.Id.Oid
 module Value = Asset_storage.Value
 module Store = Asset_storage.Store
@@ -178,36 +179,39 @@ let trace_cmd =
     Heap.populate store ~n:4 ~value:(fun _ -> vi 0);
     let db = E.create store in
     let policy = if seed = 0 then Sched.Fifo else Sched.Random_seeded seed in
-    let s = Sched.create ~policy ~record_trace:true () in
+    let s = Sched.create ~policy () in
     E.attach_scheduler db s;
-    ignore
-      (Sched.spawn s ~label:"main" (fun () ->
-           let t1 =
-             E.initiate db (fun () ->
-                 E.write db (oid 1) (vi 1);
-                 Sched.yield ();
-                 E.write db (oid 2) (vi 1))
-           in
-           let t2 =
-             E.initiate db (fun () ->
-                 E.write db (oid 2) (vi 2);
-                 Sched.yield ();
-                 E.write db (oid 3) (vi 2))
-           in
-           ignore (E.begin_ db t1);
-           ignore (E.begin_ db t2);
-           ignore (E.commit db t1);
-           ignore (E.commit db t2)));
-    (try Sched.run s with Sched.Deadlock _ -> Format.printf "(deadlocked)@.");
-    Format.printf "fiber trace (policy=%s):@." (if seed = 0 then "fifo" else "random");
-    List.iter (fun (fid, event) -> Format.printf "  [%d] %s@." fid event) (Sched.trace s);
+    let (), entries =
+      Trace.with_memory (fun () ->
+          ignore
+            (Sched.spawn s ~label:"main" (fun () ->
+                 let t1 =
+                   E.initiate db (fun () ->
+                       E.write db (oid 1) (vi 1);
+                       Sched.yield ();
+                       E.write db (oid 2) (vi 1))
+                 in
+                 let t2 =
+                   E.initiate db (fun () ->
+                       E.write db (oid 2) (vi 2);
+                       Sched.yield ();
+                       E.write db (oid 3) (vi 2))
+                 in
+                 ignore (E.begin_ db t1);
+                 ignore (E.begin_ db t2);
+                 ignore (E.commit db t1);
+                 ignore (E.commit db t2)));
+          try Sched.run s with Sched.Deadlock _ -> Format.printf "(deadlocked)@.")
+    in
+    Format.printf "event trace (policy=%s):@." (if seed = 0 then "fifo" else "random");
+    List.iter (fun e -> Format.printf "  %a@." Trace.pp_entry e) entries;
     print_stats db
   in
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Schedule seed (0 = FIFO policy).")
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Dump the fiber trace of a small contended schedule")
+    (Cmd.info "trace" ~doc:"Dump the event trace of a small contended schedule")
     Term.(const run $ seed)
 
 (* ------------------------------------------------------------------ *)

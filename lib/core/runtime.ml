@@ -12,8 +12,8 @@ module Sched = Asset_sched.Scheduler
 
 type outcome = { result : (unit, exn) result; steps : int; deadlocked : bool }
 
-let run ?policy ?max_steps ?record_trace db program =
-  let s = Sched.create ?policy ?max_steps ?record_trace () in
+let run ?policy ?max_steps db program =
+  let s = Sched.create ?policy ?max_steps () in
   Engine.attach_scheduler db s;
   ignore (Sched.spawn s ~label:"main" program);
   let result =
@@ -38,8 +38,8 @@ let run ?policy ?max_steps ?record_trace db program =
   { result; steps = Sched.steps s; deadlocked = (match result with Error (Sched.Deadlock _) -> true | _ -> false) }
 
 (* Run and re-raise any failure: the common path for tests/examples. *)
-let run_exn ?policy ?max_steps ?record_trace db program =
-  match (run ?policy ?max_steps ?record_trace db program).result with
+let run_exn ?policy ?max_steps db program =
+  match (run ?policy ?max_steps db program).result with
   | Ok () -> ()
   | Error e -> raise e
 

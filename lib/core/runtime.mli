@@ -13,19 +13,12 @@ type outcome = {
   deadlocked : bool;  (** The run ended in [Scheduler.Deadlock]. *)
 }
 
-val run :
-  ?policy:Sched.policy ->
-  ?max_steps:int ->
-  ?record_trace:bool ->
-  Engine.t ->
-  (unit -> unit) ->
-  outcome
+val run : ?policy:Sched.policy -> ?max_steps:int -> Engine.t -> (unit -> unit) -> outcome
 (** Attach a scheduler (with the engine's deadlock resolver as the
     stall hook), spawn [program] as the first fiber, drive everything
     to completion. *)
 
-val run_exn :
-  ?policy:Sched.policy -> ?max_steps:int -> ?record_trace:bool -> Engine.t -> (unit -> unit) -> unit
+val run_exn : ?policy:Sched.policy -> ?max_steps:int -> Engine.t -> (unit -> unit) -> unit
 (** Like {!run} but re-raises any failure. *)
 
 val with_fresh_db :

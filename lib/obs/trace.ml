@@ -111,193 +111,9 @@ let lock_action_of_string = function
   | s -> invalid_arg ("Trace.lock_action_of_string: " ^ s)
 
 (* ------------------------------------------------------------------ *)
-(* JSONL codec.  The subset of JSON we need: objects, arrays, ints,
-   strings, with standard escapes.  Hand-rolled so the library stays on
-   the preinstalled package set. *)
+(* JSONL codec: one [Asset_util.Json] object per entry. *)
 
-module Json = struct
-  type v = Int of int | Str of string | List of v list | Obj of (string * v) list
-
-  exception Parse_error of string
-
-  let buf_string b s =
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"'
-
-  let rec buf_v b = function
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Str s -> buf_string b s
-    | List vs ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_char b ',';
-            buf_v b v)
-          vs;
-        Buffer.add_char b ']'
-    | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            buf_string b k;
-            Buffer.add_char b ':';
-            buf_v b v)
-          fields;
-        Buffer.add_char b '}'
-
-  let to_string v =
-    let b = Buffer.create 64 in
-    buf_v b v;
-    Buffer.contents b
-
-  (* Recursive-descent parser. *)
-  let parse (s : string) : v =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at %d in %S" msg !pos s)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r') do
-        advance ()
-      done
-    in
-    let expect c =
-      skip_ws ();
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          (if !pos >= n then fail "unterminated escape");
-          let e = s.[!pos] in
-          advance ();
-          (match e with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-              if !pos + 4 > n then fail "short \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              let code = try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape" in
-              if code < 0x80 then Buffer.add_char b (Char.chr code)
-              else fail "non-ASCII \\u escape unsupported"
-          | _ -> fail "bad escape");
-          loop ()
-        end
-        else begin
-          Buffer.add_char b c;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let parse_int () =
-      skip_ws ();
-      let start = !pos in
-      if peek () = Some '-' then advance ();
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        advance ()
-      done;
-      if !pos = start then fail "expected integer";
-      int_of_string (String.sub s start (!pos - start))
-    in
-    let rec parse_v () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else begin
-            let rec fields acc =
-              skip_ws ();
-              let k = parse_string () in
-              expect ':';
-              let v = parse_v () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  fields ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((k, v) :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (fields [])
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            List []
-          end
-          else begin
-            let rec items acc =
-              let v = parse_v () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  items (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            List (items [])
-          end
-      | Some ('-' | '0' .. '9') -> Int (parse_int ())
-      | _ -> fail "expected value"
-    in
-    let v = parse_v () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member name = function
-    | Obj fields -> (
-        match List.assoc_opt name fields with
-        | Some v -> v
-        | None -> raise (Parse_error ("missing field " ^ name)))
-    | _ -> raise (Parse_error "not an object")
-
-  let to_int = function Int i -> i | _ -> raise (Parse_error "expected int")
-  let to_str = function Str s -> s | _ -> raise (Parse_error "expected string")
-  let to_list = function List l -> l | _ -> raise (Parse_error "expected array")
-end
+module Json = Asset_util.Json
 
 exception Parse_error = Json.Parse_error
 

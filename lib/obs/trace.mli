@@ -128,6 +128,7 @@ val merge : entry list list -> entry list
 (** {1 JSONL codec} *)
 
 exception Parse_error of string
+(** The same exception as [Asset_util.Json.Parse_error]. *)
 
 val entry_to_json : entry -> string
 (** One JSON object, no trailing newline. *)

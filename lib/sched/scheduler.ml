@@ -149,15 +149,13 @@ type t = {
   mutable on_stall : unit -> bool;
   mutable on_quiesce : unit -> unit;
   mutable clock : (unit -> int) option;
-  mutable trace : (int * string) list; (* (fid, event), newest first *)
-  record_trace : bool;
 }
 
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Wait_until : ((unit -> bool) * string * int option) -> unit Effect.t
 
-let create ?(policy = Fifo) ?(max_steps = 10_000_000) ?(record_trace = false) () =
+let create ?(policy = Fifo) ?(max_steps = 10_000_000) () =
   {
     runnable = Ring.create dummy_fiber;
     waiters = Ring.create dummy_parked;
@@ -171,16 +169,11 @@ let create ?(policy = Fifo) ?(max_steps = 10_000_000) ?(record_trace = false) ()
     on_stall = (fun () -> false);
     on_quiesce = (fun () -> ());
     clock = None;
-    trace = [];
-    record_trace;
   }
 
 let set_on_stall t f = t.on_stall <- f
 let set_on_quiesce t f = t.on_quiesce <- f
 let set_clock t f = t.clock <- Some f
-
-let log_event t fid event = if t.record_trace then t.trace <- (fid, event) :: t.trace
-let trace t = List.rev t.trace
 
 let enqueue t fiber = Ring.push_back t.runnable fiber
 
@@ -237,7 +230,7 @@ let park t entry ~watch =
 
 let handler t fiber =
   {
-    Effect.Deep.retc = (fun () -> log_event t fiber.fid "finished");
+    Effect.Deep.retc = (fun () -> ());
     exnc = (fun e -> raise (Fiber_failed (fiber.label, e)));
     effc =
       (fun (type a) (eff : a Effect.t) ->
@@ -246,13 +239,11 @@ let handler t fiber =
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 fiber.resume <- (fun () -> Effect.Deep.continue k ());
-                log_event t fiber.fid "yield";
                 enqueue t fiber)
         | Wait_until (cond, reason, watch) ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 fiber.resume <- (fun () -> Effect.Deep.continue k ());
-                log_event t fiber.fid ("park: " ^ reason);
                 park t { fiber; cond; reason; watched = 0 } ~watch)
         | _ -> None);
   }
@@ -263,7 +254,6 @@ let spawn t ~label body =
   let fiber = { fid; label; resume = (fun () -> ()) } in
   fiber.resume <- (fun () -> Effect.Deep.match_with body () (handler t fiber));
   if Asset_obs.Trace.on () then Asset_obs.Trace.emit (Asset_obs.Trace.Sched_spawn { fid; label });
-  log_event t fid ("spawn: " ^ label);
   enqueue t fiber;
   fid
 
@@ -273,9 +263,7 @@ let yield () = Effect.perform Yield
 let wait_until ?(reason = "condition") ?watch cond =
   if not (cond ()) then Effect.perform (Wait_until (cond, reason, watch))
 
-let wake t p =
-  log_event t p.fiber.fid "wake";
-  enqueue t p.fiber
+let wake t p = enqueue t p.fiber
 
 (* Wake every parked fiber whose condition now holds.  Plain waiters
    are re-polled in park order; version-keyed waiters are re-evaluated
@@ -329,7 +317,6 @@ let run t =
     match pop_runnable t with
     | Some fiber ->
         t.current <- Some fiber;
-        log_event t fiber.fid "run";
         let resume = fiber.resume in
         fiber.resume <- (fun () -> invalid_arg "fiber resumed twice");
         resume ();
@@ -364,8 +351,8 @@ let run t =
   loop ()
 
 (* Convenience: build a scheduler, spawn [main], run to completion. *)
-let run_main ?policy ?max_steps ?record_trace main =
-  let t = create ?policy ?max_steps ?record_trace () in
+let run_main ?policy ?max_steps main =
+  let t = create ?policy ?max_steps () in
   ignore (spawn t ~label:"main" main);
   run t;
   t

@@ -38,7 +38,7 @@ type t
 exception Deadlock of string list
 exception Fiber_failed of string * exn
 
-val create : ?policy:policy -> ?max_steps:int -> ?record_trace:bool -> unit -> t
+val create : ?policy:policy -> ?max_steps:int -> unit -> t
 (** [max_steps] (default 10M) bounds total scheduling steps, turning
     livelocks into failures. *)
 
@@ -65,8 +65,7 @@ val run : t -> unit
     {!Fiber_failed} (an uncaught exception in a fiber, which indicates
     a bug — engine-level aborts never escape). *)
 
-val run_main :
-  ?policy:policy -> ?max_steps:int -> ?record_trace:bool -> (unit -> unit) -> t
+val run_main : ?policy:policy -> ?max_steps:int -> (unit -> unit) -> t
 (** Create, spawn [main], run. *)
 
 (** {2 Inside fibers} *)
@@ -91,7 +90,3 @@ val steps : t -> int
 val runnable_count : t -> int
 val parked_count : t -> int
 val parked_reasons : t -> string list
-
-val trace : t -> (int * string) list
-(** The recorded event trace (oldest first) when [record_trace] was
-    set. *)

@@ -148,33 +148,45 @@ let test_random_seeds_vary () =
    single scheduled event.  The digests were captured from the
    pre-overhaul list-based scheduler on the same programs. *)
 
-let digest_trace tr =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n" (List.map (fun (fid, ev) -> Printf.sprintf "%d|%s" fid ev) tr)))
+let digest lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 
-let golden_program s =
+(* Each fiber logs its own steps with its fid, so the log is the
+   schedule: which fiber ran which segment, in what order. *)
+let golden_program s log =
   let flag = ref false in
+  let step what = log := Printf.sprintf "%d|%s" (S.current_fid s) what :: !log in
   ignore
     (S.spawn s ~label:"a" (fun () ->
+         step "a start";
          S.yield ();
+         step "a waits";
          S.wait_until ~reason:"flag" (fun () -> !flag);
-         S.yield ()));
+         step "a woke";
+         S.yield ();
+         step "a done"));
   ignore
     (S.spawn s ~label:"b" (fun () ->
+         step "b start";
          S.yield ();
-         ignore (S.spawn s ~label:"c" (fun () -> S.yield ()));
+         ignore
+           (S.spawn s ~label:"c" (fun () ->
+                step "c start";
+                S.yield ();
+                step "c done"));
+         step "b sets flag";
          flag := true;
-         S.yield ()))
+         S.yield ();
+         step "b done"))
 
 let test_golden_fifo_trace () =
-  let s = S.create ~policy:S.Fifo ~record_trace:true () in
-  golden_program s;
+  let s = S.create ~policy:S.Fifo () in
+  let log = ref [] in
+  golden_program s log;
   S.run s;
-  let tr = S.trace s in
-  Alcotest.(check int) "event count" 22 (List.length tr);
-  Alcotest.(check string) "byte-for-byte identical to the pre-deque scheduler"
-    "b04716c31b23097f74acf4ca2dfc59f4" (digest_trace tr)
+  let tr = List.rev !log in
+  Alcotest.(check int) "step count" 9 (List.length tr);
+  Alcotest.(check string) "same schedule as the pre-deque scheduler"
+    "a4d682bd3b56469a52a9ee9bf57c31f5" (digest tr)
 
 let test_golden_engine_trace () =
   (* A full engine workload (locks, parks, commits) under FIFO: the
@@ -182,19 +194,19 @@ let test_golden_engine_trace () =
      exactly the same order as the poll-everything implementation. *)
   let module E = Asset_core.Engine in
   let module Bank = Asset_workload.Bank in
+  let module Trace = Asset_obs.Trace in
   let store = Asset_storage.Heap_store.store () in
   Bank.setup store ~accounts:4 ~balance:100;
   let db = E.create store in
-  let s = S.create ~policy:S.Fifo ~record_trace:true () in
+  let s = S.create ~policy:S.Fifo () in
   E.attach_scheduler db s;
   ignore
     (S.spawn s ~label:"main" (fun () ->
          ignore (Bank.run_transfers ~seed:5 db ~accounts:4 ~n_txns:8)));
-  S.run s;
-  let tr = S.trace s in
-  Alcotest.(check int) "event count" 223 (List.length tr);
-  Alcotest.(check string) "byte-for-byte identical to the pre-overhaul engine schedule"
-    "c4ff285b17d7b804f7b51fdf467a5701" (digest_trace tr)
+  let (), entries = Trace.with_memory (fun () -> S.run s) in
+  Alcotest.(check int) "event count" 218 (List.length entries);
+  Alcotest.(check string) "same engine schedule as the pre-overhaul engine"
+    "fbd1090fdb34f5f0ecf2d445b45991ce" (digest (List.map Trace.entry_to_json entries))
 
 (* ------------------------------------------------------------------ *)
 (* Version-keyed wait queues                                           *)
@@ -331,16 +343,6 @@ let test_random_with_parks_completes () =
   Alcotest.(check int) "all completed" 8 (List.length (run 42));
   Alcotest.(check bool) "same seed, same schedule" true (run 42 = run 42)
 
-let test_trace_recorded () =
-  let s = S.create ~record_trace:true () in
-  ignore (S.spawn s ~label:"a" (fun () -> S.yield ()));
-  S.run s;
-  let trace = S.trace s in
-  Alcotest.(check bool) "spawn event" true
-    (List.exists (fun (_, e) -> e = "spawn: a") trace);
-  Alcotest.(check bool) "yield event" true (List.exists (fun (_, e) -> e = "yield") trace);
-  Alcotest.(check bool) "finish event" true (List.exists (fun (_, e) -> e = "finished") trace)
-
 let test_current_fid () =
   let seen = ref [] in
   let s = S.create () in
@@ -413,7 +415,6 @@ let () =
           Alcotest.test_case "fifo deterministic" `Quick test_fifo_deterministic;
           Alcotest.test_case "random seeded reproducible" `Quick test_random_seeded_reproducible;
           Alcotest.test_case "random seeds vary" `Quick test_random_seeds_vary;
-          Alcotest.test_case "trace recorded" `Quick test_trace_recorded;
         ] );
       ( "hot path",
         [

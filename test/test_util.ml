@@ -1,6 +1,7 @@
 (* Tests for asset_util: identifiers, the deterministic RNG (including
    SplitMix64 reference vectors), CRC-32 published test vectors, the
-   Zipf sampler, counters/summaries/histograms and table rendering. *)
+   Zipf sampler, counters/summaries/histograms, table rendering and the
+   JSON codec. *)
 
 module Id = Asset_util.Id
 module Rng = Asset_util.Rng
@@ -8,6 +9,7 @@ module Crc32 = Asset_util.Crc32
 module Zipf = Asset_util.Zipf
 module Stats = Asset_util.Stats
 module Table = Asset_util.Table
+module Json = Asset_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Id                                                                  *)
@@ -356,6 +358,69 @@ let prop_shuffle_preserves_elements =
       Rng.shuffle_in_place r arr;
       List.sort Int.compare (Array.to_list arr) = List.sort Int.compare l)
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+let json_roundtrips v =
+  Json.parse (Json.to_string v) = v && Json.parse (Json.to_string ~pretty:true v) = v
+
+let test_json_roundtrip () =
+  List.iter
+    (fun v -> Alcotest.(check bool) (Json.to_string v) true (json_roundtrips v))
+    Json.
+      [
+        Float 0.5;
+        Float (-2.25);
+        Float 3.0;
+        Float 0.1;
+        Float (1. /. 3.);
+        Float 1e-7;
+        Float (-6.02e23);
+        Int (-42);
+        Bool true;
+        Bool false;
+        Null;
+        Str "quote\" backslash\\ slash/ newline\n tab\t cr\r ctrl\001";
+        List [ List [ Int 1; List []; Null ]; Obj []; List [ Obj [ ("a", List [ Float (-0.5) ]) ] ] ];
+        Obj
+          [
+            ("rows", List [ Obj [ ("x", Float 2.5); ("ok", Bool true) ]; Obj [ ("x", Null); ("ok", Bool false) ] ]);
+            ("n", Int 2);
+          ];
+      ]
+
+let test_json_parse_numbers () =
+  Alcotest.(check bool) "ints stay ints, fractions and exponents are floats" true
+    (Json.parse "[-1.5e3, 2E-2, 7, -0, 1e+2]"
+    = Json.List [ Float (-1500.); Float 0.02; Int 7; Int 0; Float 100. ])
+
+let test_json_non_finite_raises () =
+  List.iter
+    (fun f ->
+      match Json.to_string (Json.Float f) with
+      | s -> Alcotest.failf "printed %s" s
+      | exception Invalid_argument _ -> ())
+    [ infinity; neg_infinity; nan ]
+
+let test_json_malformed_raises () =
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | _ -> Alcotest.failf "parsed %S" s
+      | exception Json.Parse_error _ -> ())
+    [ ""; "{\"a\": 1"; "[1,]"; "tru"; "1 2"; "\"open"; "--1"; "1.2.3" ]
+
+let test_json_pretty_rows () =
+  Alcotest.(check string) "one member and one row per line"
+    "{\n  \"n\": 1,\n  \"rows\": [\n    {\"x\": 1},\n    {\"x\": 2.5}\n  ]\n}"
+    (Json.to_string ~pretty:true
+       Json.(Obj [ ("n", Int 1); ("rows", List [ Obj [ ("x", Int 1) ]; Obj [ ("x", Float 2.5) ] ]) ]))
+
+let prop_json_float_roundtrip =
+  QCheck2.Test.make ~name:"json float round-trips" ~count:500 QCheck2.Gen.float (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      Json.parse (Json.to_string (Json.Float f)) = Json.Float f)
+
 let () =
   Alcotest.run "asset_util"
     [
@@ -409,5 +474,14 @@ let () =
           Alcotest.test_case "insertion order" `Quick test_table_rows_in_insertion_order;
           Alcotest.test_case "growth and alignment" `Quick test_table_growth_and_alignment;
           Alcotest.test_case "fmt helpers roundtrip" `Quick test_table_fmt_roundtrip;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "parse numbers" `Quick test_json_parse_numbers;
+          Alcotest.test_case "non-finite float raises" `Quick test_json_non_finite_raises;
+          Alcotest.test_case "malformed input raises" `Quick test_json_malformed_raises;
+          Alcotest.test_case "pretty rows" `Quick test_json_pretty_rows;
+          QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
         ] );
     ]
