@@ -1181,6 +1181,15 @@ let e19_faults () =
   Table.print t;
   check "E19c: conserved at every fault rate"
     (List.for_all (fun (_, (r : Torture.retry_outcome)) -> r.conserved) retry_rows);
+  check "E19c: committed + gave up = txns at every fault rate"
+    (List.for_all
+       (fun (_, (r : Torture.retry_outcome)) -> r.committed + r.gave_up = retry_spec.n_txns)
+       retry_rows);
+  check "E19c: engine retries/gave_up = driver sums at every fault rate"
+    (List.for_all
+       (fun (_, (r : Torture.retry_outcome)) ->
+         List.assoc "retries" r.stats = r.retries && List.assoc "gave_up" r.stats = r.gave_up)
+       retry_rows);
   (* E19d: the lock-wait timeout backstop (deadlock detection off). *)
   let pairs = if !smoke then 4 else 16 in
   let timeout_steps = 8 in
@@ -2305,6 +2314,12 @@ let e25_oltp () =
     let conserved =
       List.for_all snd (Oltp.check_conservation (E.store db) cfg ~balance0 ~stock0)
     in
+    let sum f = List.fold_left (fun acc (_, s) -> acc + f s) 0 !stats in
+    let gave_up = sum (fun s -> s.Oltp.s_gave_up) in
+    check (Printf.sprintf "E25 %s: committed + gave up = txns" label)
+      (sum (fun s -> s.Oltp.s_committed) + gave_up = txns);
+    check (Printf.sprintf "E25 %s: engine retries/gave_up = driver sums" label)
+      (stat db "retries" = sum (fun s -> s.Oltp.s_retries) && stat db "gave_up" = gave_up);
     let rows =
       List.map
         (fun (k, (s : Oltp.class_stats)) ->

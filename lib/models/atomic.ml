@@ -23,13 +23,3 @@ let run db body : result =
   else `Aborted
 
 let committed db body = run db body = `Committed
-
-(* Retry an atomic transaction until it commits (e.g. when it may be
-   chosen as a deadlock victim); bounded by [attempts]. *)
-let run_with_retries ?(attempts = 10) db body : result =
-  let rec loop n =
-    match run db body with
-    | `Committed -> `Committed
-    | (`Aborted | `Initiate_failed) as r -> if n + 1 >= attempts then r else loop (n + 1)
-  in
-  loop 0

@@ -12,7 +12,3 @@ val run : E.t -> (unit -> unit) -> result
 
 val committed : E.t -> (unit -> unit) -> bool
 (** [run] returning whether it committed. *)
-
-val run_with_retries : ?attempts:int -> E.t -> (unit -> unit) -> result
-(** Retry (fresh transaction each time, default 10 attempts) until a
-    commit — e.g. when the body may be chosen as a deadlock victim. *)

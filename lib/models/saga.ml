@@ -30,7 +30,19 @@ type result =
 
 exception Compensation_failed of string
 
-let run ?(max_compensation_attempts = 1000) db steps : result =
+(* "A compensating transaction must be retried until it finally
+   commits": any abort is retried.  The bound turns a compensation
+   that can never commit into an exception instead of a hang. *)
+let max_compensation_attempts = 1000
+
+let compensate db ~label cf =
+  let rec retry attempts =
+    if attempts >= max_compensation_attempts then raise (Compensation_failed label)
+    else if not (Atomic.committed db cf) then retry (attempts + 1)
+  in
+  retry 0
+
+let run db steps : result =
   let n = List.length steps in
   List.iteri
     (fun i s ->
@@ -50,12 +62,7 @@ let run ?(max_compensation_attempts = 1000) db steps : result =
       match arr.(i).compensate with
       | None -> assert false (* checked above: only step n-1 may lack one, and it cannot precede [failed] *)
       | Some cf ->
-          let rec retry attempts =
-            if attempts >= max_compensation_attempts then
-              raise (Compensation_failed arr.(i).label)
-            else if not (Atomic.committed db cf) then retry (attempts + 1)
-          in
-          retry 0;
+          compensate db ~label:arr.(i).label cf;
           incr compensated
     done;
     Rolled_back { failed_step = failed; compensated = !compensated }

@@ -19,9 +19,15 @@ type result =
           were compensated in reverse commitment order. *)
 
 exception Compensation_failed of string
-(** A compensation did not commit within the retry budget. *)
+(** A compensation did not commit within 1000 attempts; carries the
+    step's label. *)
 
-val run : ?max_compensation_attempts:int -> E.t -> step list -> result
+val compensate : E.t -> label:string -> (unit -> unit) -> unit
+(** Run a compensating transaction, retrying any abort until it
+    commits (section 3.1.6).  Raises [Compensation_failed label] after
+    1000 attempts. *)
+
+val run : E.t -> step list -> result
 (** Raises [Invalid_argument] when a non-final step lacks a
     compensation. *)
 

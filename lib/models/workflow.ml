@@ -57,20 +57,12 @@ let pp_event ppf = function
 
 type outcome = { success : bool; events : event list }
 
-exception Compensation_failed of string
-
-let max_compensation_attempts = 1000
-
 (* Compensate committed tasks, newest first, retrying each until it
    commits (the saga rule). *)
 let compensate_all db events undo =
   List.iter
     (fun (label, cf) ->
-      let rec retry n =
-        if n >= max_compensation_attempts then raise (Compensation_failed label)
-        else if not (Atomic.committed db cf) then retry (n + 1)
-      in
-      retry 0;
+      Saga.compensate db ~label cf;
       events := Compensated label :: !events)
     undo
 

@@ -5,7 +5,8 @@
     Task hotel; Optional (Race [...cars])]] — see
     [examples/travel_workflow.ml].  When a mandatory step fails, every
     previously committed compensable task is compensated in reverse
-    order, each compensation retried until it commits. *)
+    order, each compensation retried until it commits
+    ({!Saga.compensate}, which raises [Saga.Compensation_failed]). *)
 
 module E = Asset_core.Engine
 
@@ -37,8 +38,6 @@ type event =
 val pp_event : Format.formatter -> event -> unit
 
 type outcome = { success : bool; events : event list (** in execution order *) }
-
-exception Compensation_failed of string
 
 val run : E.t -> t -> outcome
 

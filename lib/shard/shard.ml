@@ -22,11 +22,12 @@ module Value = Asset_storage.Value
 module Store = Asset_storage.Store
 module Heap_store = Asset_storage.Heap_store
 module Workload = Asset_workload.Workload
+module Rng = Asset_util.Rng
 
 type decision = Commit | Abort
 
 type vote = { v_gid : int; v_shard : int; v_prepared : bool; v_stub : Tid.t }
-type outcome = { o_gid : int; o_shard : int; o_committed : bool }
+type outcome = { o_gid : int; o_shard : int; o_committed : bool; o_retryable : bool }
 type reply = Vote of vote | Outcome of outcome
 
 type msg =
@@ -41,6 +42,7 @@ type shard_state = {
   mem : Trace.entry list ref; (* this shard's trace history, newest first *)
   exec_pending : int Atomic.t;
   error : exn option Atomic.t;
+  rng : Rng.t; (* exec retry backoff, seeded from [id] *)
   mutable domain : unit Domain.t option;
 }
 
@@ -76,19 +78,8 @@ let reply_send reply r = try Channel.send reply r with Channel.Closed -> ()
 let handle_exec st body max_retries =
   let eng = st.engine in
   E.spawn eng ~label:"exec" (fun () ->
-      let rec attempt k =
-        let tid = E.initiate eng (fun () -> body eng) in
-        (* A null tid: the engine refused the attempt at
-           [max_transactions], a lifetime bound no retry can get past. *)
-        if Tid.is_null tid then E.note_give_up eng
-        else if E.begin_ eng tid && E.commit eng tid then ()
-        else if k < max_retries && Workload.retryable (E.failure_of eng tid) then begin
-          E.note_retry eng;
-          attempt (k + 1)
-        end
-        else E.note_give_up eng
-      in
-      attempt 0;
+      let attempt = Workload.atomic eng (fun () -> body eng) in
+      ignore (Workload.retry ~max_retries ~rng:st.rng eng attempt);
       Atomic.decr st.exec_pending)
 
 (* One cross-shard participant: the paper-native construction.  [part]
@@ -118,7 +109,10 @@ let handle_participate st decisions gid body reply =
     if not (Tid.is_null stub) then ignore (E.abort eng stub : bool);
     Hashtbl.remove decisions gid;
     reply_send reply (Vote { v_gid = gid; v_shard = st.id; v_prepared = false; v_stub = Tid.null });
-    reply_send reply (Outcome { o_gid = gid; o_shard = st.id; o_committed = false })
+    (* A refusal at [max_transactions] is a lifetime bound: no relaunch
+       can get past it. *)
+    reply_send reply
+      (Outcome { o_gid = gid; o_shard = st.id; o_committed = false; o_retryable = false })
   end
   else begin
     ignore (E.form_dependency eng Dep_type.GC part stub : bool);
@@ -136,7 +130,9 @@ let handle_participate st decisions gid body reply =
               false
         in
         Hashtbl.remove decisions gid;
-        reply_send reply (Outcome { o_gid = gid; o_shard = st.id; o_committed = committed }))
+        let o_retryable = Workload.retryable (E.failure_of eng part) in
+        reply_send reply
+          (Outcome { o_gid = gid; o_shard = st.id; o_committed = committed; o_retryable }))
   end
 
 let handle st decisions = function
@@ -242,6 +238,7 @@ let create ?(engine_config = default_engine_config) ?(inbox_capacity = 256) ?(tr
           mem = ref [];
           exec_pending = Atomic.make 0;
           error = Atomic.make None;
+          rng = Rng.create i;
           domain = None;
         })
   in
@@ -321,7 +318,7 @@ module Coord = struct
     i_retries : int;
     mutable i_sent : int;
     mutable i_votes : vote list;
-    mutable i_outcomes : (int * bool) list;
+    mutable i_outcomes : outcome list;
   }
 
   type coord = {
@@ -363,10 +360,12 @@ module Coord = struct
     Channel.send c.sys.shards.(s).inbox (Participate { gid; body; reply = c.reply })
 
   (* Install one attempt of a cross-shard transaction under a fresh
-     gid.  Also the retry path: an all-aborted outcome (a lock-wait
+     gid.  Also the retry path: an all-aborted outcome whose every
+     participant reports a [Workload.retryable] failure (a lock-wait
      timeout or deadlock victim on some shard — transient, contention-
      induced) is relaunched rather than surfaced, just as [handle_exec]
-     retries transient single-shard aborts.
+     retries transient single-shard aborts; a real body failure is
+     not.
 
      With [ordered], participants are dispatched one at a time, each
      only after the previous one voted to prepare: if callers list
@@ -428,13 +427,14 @@ module Coord = struct
             (* [f.i_sent], not the participant count: under ordered
                dispatch an aborted group may never have dispatched its
                tail participants, and they owe no outcome. *)
-            f.i_outcomes <- (o.o_shard, o.o_committed) :: f.i_outcomes;
+            f.i_outcomes <- o :: f.i_outcomes;
             if List.length f.i_outcomes = f.i_sent then begin
               Hashtbl.remove c.inflight o.o_gid;
-              match List.sort_uniq compare (List.map snd f.i_outcomes) with
+              match List.sort_uniq compare (List.map (fun o -> o.o_committed) f.i_outcomes) with
               | [ true ] -> c.c_committed <- c.c_committed + 1
               | [ false ] ->
-                  if f.i_retries < c.max_retries then
+                  let retryable = List.for_all (fun o -> o.o_retryable) f.i_outcomes in
+                  if retryable && f.i_retries < c.max_retries then
                     launch c { f with i_retries = f.i_retries + 1; i_votes = []; i_outcomes = [] }
                   else c.c_aborted <- c.c_aborted + 1
               | _ -> c.c_mixed <- c.c_mixed + 1

@@ -75,10 +75,11 @@ val engine : t -> int -> E.t
 
 val submit : ?max_retries:int -> t -> shard:int -> (E.t -> unit) -> unit
 (** Enqueue a single-shard transaction: the body runs under
-    initiate/begin/commit on the shard's engine, retried up to
-    [max_retries] (default 10) times on transient aborts (deadlock
-    victim, lock timeout, escrow violation).  Blocks when the shard's
-    inbox is full — backpressure, not an error. *)
+    [Workload.retry] on the shard's engine — retried up to
+    [max_retries] (default 10) times on [Workload.retryable] aborts,
+    with seeded backoff from a per-shard RNG seeded by the shard id.
+    Blocks when the shard's inbox is full — backpressure, not an
+    error. *)
 
 val pending : t -> int
 (** Submitted single-shard transactions not yet finished. *)
@@ -133,9 +134,11 @@ module Coord : sig
   (** Register one cross-shard transaction: a participant body per
       (distinct) shard.  Blocks processing replies while [max_inflight]
       transactions are outstanding.  A group that aborts on every shard
-      (the transient contention outcomes: lock-wait timeout, deadlock
+      with only [Workload.retryable] participant failures (the
+      transient contention outcomes: lock-wait timeout, deadlock
       victim) is relaunched up to [max_retries] (default 10) times
-      before counting as {!aborted}.  The coordinator emits its XGC
+      before counting as {!aborted}; a real body failure counts at
+      once.  The coordinator emits its XGC
       decision record only for Commit verdicts — 2PC presumed abort:
       aborts leave no decision record.  Under [ordered], list order is
       dispatch (hence lock-acquisition) order. *)

@@ -6,8 +6,8 @@
 
    - a compensable tool call is one committing transaction per
      attempt, with a registered compensation transaction run (and
-     retried) during rollback — saga semantics with the typed-retry
-     loop of [Workload.run_bodies_with_retry] folded in;
+     retried) during rollback — saga semantics with [Workload.retry]
+     as the typed-retry loop;
    - speculative calls form pairwise EXC dependencies (the declarative
      contingent-transaction translation) and are tried in order;
    - handoff initiates a sub-agent transaction that performs the work
@@ -121,45 +121,15 @@ type st = {
   mutable undo_stack : (Tid.t * int * string) list;
 }
 
-let backoff st k =
-  let cap = min 64 (2 lsl k) in
-  for _ = 1 to Rng.int st.rng cap do
-    Sched.yield ()
-  done
-
-(* Run one committing transaction with the typed-retry loop; returns
-   the committed tid, or signals give-up / tool failure. *)
-type attempt = Done of Tid.t | Gave_up | Tool_error
-
-let rec with_retry st k body =
-  let tid_ref = ref Tid.null in
-  let t =
-    E.initiate st.db (fun () ->
-        tid_ref := E.self st.db;
-        body ())
-  in
-  if Tid.is_null t then Gave_up
-  else begin
-    ignore (E.begin_ st.db t);
-    if E.commit st.db t then Done t
-    else
-      let failure = E.failure_of st.db t in
-      match failure with
-      | Some (Tool_failed _) -> Tool_error
-      | f when Workload.retryable f ->
-          if k < st.max_retries then begin
-            st.retries <- st.retries + 1;
-            E.note_retry st.db;
-            backoff st k;
-            with_retry st (k + 1) body
-          end
-          else begin
-            st.gave_up <- st.gave_up + 1;
-            E.note_give_up st.db;
-            Gave_up
-          end
-      | _ -> Tool_error
-  end
+(* Run one attempt function under [Workload.retry], keeping the plan's
+   retry and give-up counts.  A non-retryable failure (a tool error)
+   comes back as [Failed]; it stops the plan without counting as a
+   give-up. *)
+let with_retry st attempt =
+  let outcome, retries = Workload.retry ~max_retries:st.max_retries ~rng:st.rng st.db attempt in
+  st.retries <- st.retries + retries;
+  (match outcome with Workload.Gave_up -> st.gave_up <- st.gave_up + 1 | _ -> ());
+  outcome
 
 (* The forward effect of a plain tool call; shared by Call alternates
    and the sub-agent's half of Handoff. *)
@@ -185,17 +155,18 @@ let record_commit st ~tid ~tool ~cost =
    conservation accounting reflects. *)
 let compensate st (component, cost, tool) =
   let r =
-    with_retry st 0 (fun () ->
-        E.increment st.db budget cost;
-        E.enqueue st.db audit ("undo:" ^ tool))
+    with_retry st
+      (Workload.atomic st.db (fun () ->
+           E.increment st.db budget cost;
+           E.enqueue st.db audit ("undo:" ^ tool)))
   in
   match r with
-  | Done ctid ->
+  | Workload.Committed ctid ->
       st.compensated <- st.compensated + 1;
       st.spend <- st.spend - cost;
       st.audits <- st.audits + 1;
       st.pairs <- (component, ctid) :: st.pairs
-  | Gave_up | Tool_error -> ()
+  | Gave_up | Failed _ -> ()
 
 let rollback st =
   let stack = st.undo_stack in
@@ -205,12 +176,11 @@ let rollback st =
 (* --- the four step shapes --- *)
 
 let run_call st ~tool ~cost ~d ~fail =
-  match with_retry st 0 (tool_effect st ~tool ~cost ~d ~fail) with
-  | Done t ->
+  match with_retry st (Workload.atomic st.db (tool_effect st ~tool ~cost ~d ~fail)) with
+  | Workload.Committed t ->
       record_commit st ~tid:t ~tool ~cost;
       `Ok
-  | Gave_up -> `Stop
-  | Tool_error -> `Stop
+  | Gave_up | Failed _ -> `Stop
 
 (* Speculative alternates: initiate them all, form pairwise EXC
    dependencies (declarative at-most-one), then try in order; the
@@ -259,18 +229,16 @@ let run_speculate st ~tool ~costs ~d ~winner ~fail =
    delegation — the property tests pin that the refund contract then
    binds the adopter, not the child. *)
 let run_handoff st ~tool ~cost ~d ~fail =
-  let rec attempt k =
-    let p_tid = ref Tid.null and s_tid = ref Tid.null in
-    let p =
-      E.initiate st.db (fun () ->
-          p_tid := E.self st.db;
-          E.enqueue st.db audit ("call:" ^ tool))
-    in
-    if Tid.is_null p then `Stop
-    else
+  let child = ref Tid.null in
+  (* One attempt: the adopter [p] if the child committed (its commit
+     decides the attempt), else the child, whose failure decides
+     whether to retry. *)
+  let attempt () =
+    let p = E.initiate st.db (fun () -> E.enqueue st.db audit ("call:" ^ tool)) in
+    if Tid.is_null p then p
+    else begin
       let s =
         E.initiate st.db (fun () ->
-            s_tid := E.self st.db;
             Asset_fault.Fault.hit site_tool;
             E.escrow st.db budget (-cost) ~lo:0 ~hi:max_int;
             Sched.yield ();
@@ -279,43 +247,26 @@ let run_handoff st ~tool ~cost ~d ~fail =
             E.delegate st.db ~from_:(E.self st.db) ~to_:p;
             if fail then raise (Tool_failed tool))
       in
-      if Tid.is_null s then `Stop
-      else begin
-        ignore (E.begin_ st.db s);
-        let s_ok = E.commit st.db s in
-        if s_ok then begin
-          ignore (E.begin_ st.db p);
-          if E.commit st.db p then begin
-            st.delegations <- (s, p) :: st.delegations;
-            record_commit st ~tid:p ~tool ~cost;
-            `Ok
-          end
-          else `Stop (* adopter failed: reservation died with it *)
-        end
-        else begin
-          (* The child aborted before its delegation took effect; the
-             adopter has nothing and is cancelled. *)
-          ignore (E.abort st.db p);
-          let failure = E.failure_of st.db s in
-          match failure with
-          | Some (Tool_failed _) -> `Stop
-          | f when Workload.retryable f ->
-              if k < st.max_retries then begin
-                st.retries <- st.retries + 1;
-                E.note_retry st.db;
-                backoff st k;
-                attempt (k + 1)
-              end
-              else begin
-                st.gave_up <- st.gave_up + 1;
-                E.note_give_up st.db;
-                `Stop
-              end
-          | _ -> `Stop
-        end
+      child := s;
+      if (not (Tid.is_null s)) && E.begin_ st.db s && E.commit st.db s then begin
+        (* If the adopter fails, the reservation dies with it. *)
+        ignore (E.begin_ st.db p && E.commit st.db p);
+        p
       end
+      else begin
+        (* The child was refused, or aborted before its delegation took
+           effect: the adopter has nothing and is cancelled. *)
+        ignore (E.abort st.db p);
+        s
+      end
+    end
   in
-  attempt 0
+  match with_retry st attempt with
+  | Workload.Committed p ->
+      st.delegations <- (!child, p) :: st.delegations;
+      record_commit st ~tid:p ~tool ~cost;
+      `Ok
+  | Gave_up | Failed _ -> `Stop
 
 (* Context gathering on a multi-version snapshot: lock-free, so it
    needs no retry and cannot fail the plan. *)

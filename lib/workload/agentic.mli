@@ -11,8 +11,8 @@
     escrow reservations — to the adopting step via [delegate], and
     context gathering runs on a lock-free multi-version snapshot.
     Timeliness comes from [lock_wait_timeout_steps] plus typed retry:
-    only {!Workload.retryable} aborts are retried, with seeded
-    backoff.
+    every step transaction runs under {!Workload.retry}, so only
+    {!Workload.retryable} aborts are retried, with seeded backoff.
 
     Tool effects land on real engine objects: an escrow-bounded token
     {!budget}, an append-only {!audit} queue, and shared {!doc}
@@ -104,7 +104,9 @@ type outcome = {
   o_committed : int;  (** committed tool-step transactions *)
   o_compensated : int;  (** committed compensation transactions *)
   o_retries : int;  (** typed retries of transient step aborts *)
-  o_gave_up : int;  (** steps abandoned after the retry budget *)
+  o_gave_up : int;
+      (** steps refused by [max_transactions] or abandoned after the
+          retry budget; a tool error is not a give-up *)
   o_failed : bool;  (** the plan ended in rollback *)
   o_spend : int;
       (** Net committed budget debits (refunds subtracted): the store's

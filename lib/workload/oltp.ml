@@ -171,34 +171,16 @@ let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~se
     E.spawn db ~label:(Printf.sprintf "oltp-%d-%s" j (klass_name txn.t_klass))
       (fun () ->
         let read_only = snapshot_readers && read_only txn in
-        let give_up () =
-          st.s_gave_up <- st.s_gave_up + 1;
-          E.note_give_up db
+        let attempt () =
+          let t = Workload.atomic ~read_only db (body ~rmw db txn) () in
+          if not (Tid.is_null t || E.is_committed db t) then st.s_aborted <- st.s_aborted + 1;
+          t
         in
-        let rec attempt k =
-          let t = E.initiate ~read_only db (body ~rmw db txn) in
-          (* A null tid: [max_transactions] reached, the engine refused
-             the attempt. *)
-          if Tid.is_null t then give_up ()
-          else begin
-            ignore (E.begin_ db t);
-            if E.commit db t then st.s_committed <- st.s_committed + 1
-            else begin
-              st.s_aborted <- st.s_aborted + 1;
-              if k < max_retries && Workload.retryable (E.failure_of db t) then begin
-                st.s_retries <- st.s_retries + 1;
-                E.note_retry db;
-                let cap = min 64 (2 lsl k) in
-                for _ = 1 to Rng.int rng cap do
-                  Sched.yield ()
-                done;
-                attempt (k + 1)
-              end
-              else give_up ()
-            end
-          end
-        in
-        attempt 0;
+        let outcome, retries = Workload.retry ~max_retries ~rng db attempt in
+        st.s_retries <- st.s_retries + retries;
+        (match outcome with
+        | Workload.Committed _ -> st.s_committed <- st.s_committed + 1
+        | Gave_up | Failed _ -> st.s_gave_up <- st.s_gave_up + 1);
         incr done_)
   done;
   Sched.wait_until ~reason:"oltp-done" (fun () -> !done_ >= txns);

@@ -507,7 +507,7 @@ type retry_outcome = {
   committed : int;
   retries : int;
   gave_up : int;
-  aborts : int;
+  stats : (string * int) list;
   duration_s : float;
   conserved : bool; (* bank total intact after close + recovery *)
 }
@@ -544,7 +544,7 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
   let metrics = ref { Workload.r_committed = 0; r_retries = 0; r_gave_up = 0 } in
   Runtime.run_exn db (fun () -> metrics := Workload.run_bodies_with_retry ~max_retries ~rng db bodies);
   let duration_s = Unix.gettimeofday () -. t0 in
-  let aborts = List.assoc "aborts" (E.stats db) in
+  let stats = E.stats db in
   Fault.reset_all ();
   Log.close log;
   Pstore.crash_and_reopen ps;
@@ -567,7 +567,7 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
     committed = !metrics.Workload.r_committed;
     retries = !metrics.Workload.r_retries;
     gave_up = !metrics.Workload.r_gave_up;
-    aborts;
+    stats;
     duration_s;
     conserved;
   }

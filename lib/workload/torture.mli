@@ -120,7 +120,7 @@ type retry_outcome = {
   committed : int;
   retries : int;
   gave_up : int;
-  aborts : int;
+  stats : (string * int) list;  (** the engine's [E.stats] after the run *)
   duration_s : float;
   conserved : bool;  (** bank total intact after close + recovery *)
 }

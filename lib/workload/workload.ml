@@ -14,6 +14,7 @@
 
 module E = Asset_core.Engine
 module Oid = Asset_util.Id.Oid
+module Tid = Asset_util.Id.Tid
 module Value = Asset_storage.Value
 module Rng = Asset_util.Rng
 module Zipf = Asset_util.Zipf
@@ -97,7 +98,7 @@ let run_batch db ~yield ?(rmw = false) txns =
   run_bodies db (List.map (body_of_ops db ~yield ~rmw) txns)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded retry with seeded backoff                                   *)
+(* The retry loop                                                      *)
 
 (* An abort is worth retrying when it was transient: a deadlock victim
    (no failure recorded), a lock-wait timeout, an escrow bound that
@@ -112,41 +113,55 @@ let retryable = function
   | Some (Asset_fault.Fault.Storage_error _) -> true
   | Some _ -> false
 
+(* The paper's translation of an atomic transaction (section 3.1.1):
+   if initiate, if begin, commit. *)
+let atomic ?read_only db body () =
+  let t = E.initiate ?read_only db body in
+  if not (Tid.is_null t) then ignore (E.begin_ db t && E.commit db t);
+  t
+
+type outcome = Committed of Tid.t | Gave_up | Failed of exn
+
+(* Every retry in the system goes through here, so the engine's
+   ["retries"]/["gave_up"] counters are exactly the drivers' sums: one
+   [note_retry] per retried attempt, one [note_give_up] per run that
+   ends without a commit.  The backoff draws a seeded number of
+   scheduler steps whose cap doubles per attempt up to 64, so
+   colliding transactions don't re-collide in lockstep. *)
+let retry ~max_retries ~rng db attempt =
+  let give_up outcome k =
+    E.note_give_up db;
+    (outcome, k)
+  in
+  let rec go k =
+    let t = attempt () in
+    if Tid.is_null t then give_up Gave_up k
+    else if E.is_committed db t then (Committed t, k)
+    else
+      match E.failure_of db t with
+      | Some e when not (retryable (Some e)) -> give_up (Failed e) k
+      | _ when k >= max_retries -> give_up Gave_up k
+      | _ ->
+          E.note_retry db;
+          for _ = 1 to Rng.int rng (min 64 (2 lsl k)) do
+            Asset_sched.Scheduler.yield ()
+          done;
+          go (k + 1)
+  in
+  go 0
+
 type retry_metrics = { r_committed : int; r_retries : int; r_gave_up : int }
 
-(* Run each body under its own driver fiber that retries transient
-   aborts up to [max_retries] times, backing off a seeded-random number
-   of scheduler steps (doubling the cap per attempt) so colliding
-   transactions don't re-collide in lockstep.  Retry counts surface in
-   [E.stats] via [note_retry]/[note_give_up]. *)
+(* Run each body under its own driver fiber and [retry] loop. *)
 let run_bodies_with_retry ?(max_retries = 3) ~rng db bodies =
   let n = List.length bodies in
   let finished = ref 0 and committed = ref 0 and retries = ref 0 and gave_up = ref 0 in
   List.iteri
     (fun i body ->
       E.spawn db ~label:(Printf.sprintf "retry-driver-%d" i) (fun () ->
-          let rec attempt k =
-            let t = E.initiate db body in
-            if Asset_util.Id.Tid.is_null t || not (E.begin_ db t) then begin
-              incr gave_up;
-              E.note_give_up db
-            end
-            else if E.commit db t then incr committed
-            else if k < max_retries && retryable (E.failure_of db t) then begin
-              incr retries;
-              E.note_retry db;
-              let cap = min 64 (2 lsl k) in
-              for _ = 1 to Rng.int rng cap do
-                Asset_sched.Scheduler.yield ()
-              done;
-              attempt (k + 1)
-            end
-            else begin
-              incr gave_up;
-              E.note_give_up db
-            end
-          in
-          attempt 0;
+          let outcome, k = retry ~max_retries ~rng db (atomic db body) in
+          retries := !retries + k;
+          (match outcome with Committed _ -> incr committed | Gave_up | Failed _ -> incr gave_up);
           incr finished))
     bodies;
   Asset_sched.Scheduler.wait_until ~reason:"await retry drivers" (fun () -> !finished = n);

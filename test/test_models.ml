@@ -41,24 +41,6 @@ let test_atomic_abort_on_exception () =
   in
   Alcotest.(check int) "rolled back" 0 (geti db 1)
 
-let test_atomic_retries () =
-  ignore
-    (with_db (fun db ->
-         let attempts = ref 0 in
-         let result =
-           Atomic.run_with_retries ~attempts:5 db (fun () ->
-               incr attempts;
-               if !attempts < 3 then failwith "flaky")
-         in
-         Alcotest.(check bool) "eventually commits" true (result = `Committed);
-         Alcotest.(check int) "three attempts" 3 !attempts))
-
-let test_atomic_retries_exhausted () =
-  ignore
-    (with_db (fun db ->
-         let result = Atomic.run_with_retries ~attempts:3 db (fun () -> failwith "always") in
-         Alcotest.(check bool) "gives up" true (result = `Aborted)))
-
 (* ------------------------------------------------------------------ *)
 (* Distributed (3.1.2)                                                 *)
 
@@ -845,8 +827,6 @@ let () =
         [
           Alcotest.test_case "commit" `Quick test_atomic_commit;
           Alcotest.test_case "abort on exception" `Quick test_atomic_abort_on_exception;
-          Alcotest.test_case "retries" `Quick test_atomic_retries;
-          Alcotest.test_case "retries exhausted" `Quick test_atomic_retries_exhausted;
         ] );
       ( "distributed",
         [

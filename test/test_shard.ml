@@ -256,6 +256,29 @@ let test_cross_shard_abort_propagates () =
   let merged = Shard.merged_trace sys in
   no_violations "merged trace satisfies strict axioms" (Oracle.check_strict_history merged)
 
+(* A real body failure is not contention: the group aborts at once
+   instead of being relaunched, so the failing body runs exactly once
+   (transient all-abort outcomes are still relaunched — see above). *)
+let test_cross_shard_body_failure_not_retried () =
+  let sys = Shard.create ~objects:8 ~init:(fun _ -> vi 100) ~domains:2 () in
+  let coord = Shard.Coord.create sys in
+  let runs = Atomic.make 0 in
+  Shard.Coord.submit coord
+    [
+      (0, fun eng -> E.modify eng (oid 2) (fun v -> vi (Value.to_int (Option.get v) + 1)));
+      (1, fun _ ->
+        Atomic.incr runs;
+        failwith "participant body failed");
+    ];
+  Shard.Coord.drain coord;
+  Shard.shutdown sys;
+  Alcotest.(check int) "failing body ran once" 1 (Atomic.get runs);
+  Alcotest.(check int) "aborted" 1 (Shard.Coord.aborted coord);
+  Alcotest.(check int) "not committed" 0 (Shard.Coord.committed coord);
+  Alcotest.(check int) "shard 0 undone" 100
+    (Value.to_int (Store.read_exn (E.store (Shard.engine sys 0)) (oid 2)));
+  assert_leak_free ~objects:8 sys
+
 (* Ordered dispatch: participants launched serially in list order,
    each admitted by the previous prepare vote.  Submitting every
    transfer lowest-object-first gives total-order lock acquisition, so
@@ -475,6 +498,8 @@ let () =
             test_exec_gives_up_at_max_transactions;
           Alcotest.test_case "cross-shard commit" `Quick test_cross_shard_commit;
           Alcotest.test_case "cross-shard abort propagates" `Quick test_cross_shard_abort_propagates;
+          Alcotest.test_case "cross-shard body failure not retried" `Quick
+            test_cross_shard_body_failure_not_retried;
           Alcotest.test_case "ordered dispatch" `Quick test_ordered_dispatch;
           Alcotest.test_case "coordinator crash presumes abort" `Quick test_coordinator_crash_presumed_abort;
         ] );

@@ -31,6 +31,7 @@ module Trace = Asset_obs.Trace
 module Oracle = Asset_obs.Oracle
 module Agentic = Asset_workload.Agentic
 module Oltp = Asset_workload.Oltp
+module Workload = Asset_workload.Workload
 module Shard = Asset_shard.Shard
 
 let env_int name default =
@@ -302,6 +303,113 @@ let test_prop_delegation_escrow () =
             o.Agentic.o_contract.Agentic.delegations)
         r.a_outcomes);
   Alcotest.(check bool) "delegation edges exercised" true (!edges > 0)
+
+(* Agentic steps the engine refuses.  With [max_transactions = 1] a
+   handoff's adopter is initiated and its sub-agent refused: the
+   adopter must be aborted, not left initiated.  With
+   [max_transactions = 0] a call step is refused outright: the plan
+   fails and the step counts as a give-up, in the outcome and in the
+   engine's counter. *)
+let run_refused_plan ~max_transactions step =
+  let config = { E.default_config with E.max_transactions } in
+  let outcome = ref None in
+  let db_ref = ref None in
+  let (), entries =
+    Trace.with_memory (fun () ->
+        db_ref :=
+          Some
+            (R.with_fresh_db ~config ~objects:0 (fun db ->
+                 outcome :=
+                   Some
+                     (Agentic.run_plan ~rng:(Rng.create 1) db
+                        { Agentic.agent = 0; steps = [ step ]; fail_at = None }))))
+  in
+  (Option.get !outcome, Option.get !db_ref, entries)
+
+let test_agentic_handoff_refused_child () =
+  let o, db, entries =
+    run_refused_plan ~max_transactions:1 (Agentic.Handoff { tool = "h"; cost = 1; d = 0 })
+  in
+  let initiated =
+    List.filter_map
+      (fun (e : Trace.entry) -> match e.ev with Trace.Initiate { tid; _ } -> Some tid | _ -> None)
+      entries
+  in
+  Alcotest.(check int) "the adopter was initiated" 1 (List.length initiated);
+  List.iter
+    (fun t -> Alcotest.(check bool) (Format.asprintf "%a terminated" Tid.pp t) true (E.is_terminated db t))
+    initiated;
+  Alcotest.(check bool) "plan failed" true o.Agentic.o_failed;
+  Alcotest.(check int) "gave up" 1 o.Agentic.o_gave_up
+
+let test_agentic_refused_call_gives_up () =
+  let o, db, _ =
+    run_refused_plan ~max_transactions:0 (Agentic.Call { tool = "c"; cost = 1; d = 0 })
+  in
+  Alcotest.(check bool) "plan failed" true o.Agentic.o_failed;
+  Alcotest.(check int) "outcome gave_up" 1 o.Agentic.o_gave_up;
+  Alcotest.(check int) "engine gave_up" 1 (List.assoc "gave_up" (E.stats db))
+
+(* ------------------------------------------------------------------ *)
+(* The retry loop itself.                                              *)
+
+(* Run [body] under [Workload.retry] with [max_retries = 3]; returns
+   the outcome, the retry count, how often the body ran, and the
+   engine. *)
+let run_retry ?(config = E.default_config) body =
+  let runs = ref 0 and result = ref None in
+  let db =
+    R.with_fresh_db ~config ~objects:1 (fun db ->
+        result :=
+          Some
+            (Workload.retry ~max_retries:3 ~rng:(Rng.create 7) db
+               (Workload.atomic db (fun () ->
+                    incr runs;
+                    body db !runs))))
+  in
+  let outcome, retries = Option.get !result in
+  (outcome, retries, !runs, db)
+
+let engine_stat db name = List.assoc name (E.stats db)
+
+let test_retry_transient_until_commit () =
+  let outcome, retries, runs, db =
+    run_retry (fun db run ->
+        E.write db (Oid.of_int 1) (Value.of_int run);
+        if run < 3 then raise (Fault.Injected "transient"))
+  in
+  Alcotest.(check bool) "committed" true
+    (match outcome with Workload.Committed _ -> true | _ -> false);
+  Alcotest.(check int) "two retries" 2 retries;
+  Alcotest.(check int) "three runs" 3 runs;
+  Alcotest.(check int) "engine retries" 2 (engine_stat db "retries");
+  Alcotest.(check int) "engine gave_up" 0 (engine_stat db "gave_up");
+  Alcotest.(check int) "third run's write" 3 (read_int (E.store db) (Oid.of_int 1))
+
+let test_retry_body_failure_runs_once () =
+  let outcome, retries, runs, db = run_retry (fun _ _ -> failwith "real failure") in
+  Alcotest.(check bool) "failed with the body's exception" true
+    (match outcome with Workload.Failed (Failure _) -> true | _ -> false);
+  Alcotest.(check int) "no retries" 0 retries;
+  Alcotest.(check int) "one run" 1 runs;
+  Alcotest.(check int) "engine retries" 0 (engine_stat db "retries");
+  Alcotest.(check int) "engine gave_up" 1 (engine_stat db "gave_up")
+
+let test_retry_budget_exhausted () =
+  let outcome, retries, runs, db = run_retry (fun _ _ -> raise (Fault.Injected "always")) in
+  Alcotest.(check bool) "gave up" true (outcome = Workload.Gave_up);
+  Alcotest.(check int) "max_retries retries" 3 retries;
+  Alcotest.(check int) "one run per attempt" 4 runs;
+  Alcotest.(check int) "engine retries" 3 (engine_stat db "retries");
+  Alcotest.(check int) "engine gave_up" 1 (engine_stat db "gave_up")
+
+let test_retry_refused_gives_up () =
+  let config = { E.default_config with E.max_transactions = 0 } in
+  let outcome, retries, runs, db = run_retry ~config (fun _ _ -> ()) in
+  Alcotest.(check bool) "gave up" true (outcome = Workload.Gave_up);
+  Alcotest.(check int) "no retries" 0 retries;
+  Alcotest.(check int) "body never ran" 0 runs;
+  Alcotest.(check int) "engine gave_up" 1 (engine_stat db "gave_up")
 
 (* ------------------------------------------------------------------ *)
 (* OLTP family, single engine.                                         *)
@@ -714,6 +822,18 @@ let () =
           Alcotest.test_case "contingent-alternate exclusivity" `Slow test_prop_exclusivity;
           Alcotest.test_case "delegation re-attributes escrow" `Slow
             test_prop_delegation_escrow;
+          Alcotest.test_case "refused handoff child aborts the adopter" `Quick
+            test_agentic_handoff_refused_child;
+          Alcotest.test_case "refused step counted as given up" `Quick
+            test_agentic_refused_call_gives_up;
+        ] );
+      ( "retry",
+        [
+          Alcotest.test_case "transient failure retried until commit" `Quick
+            test_retry_transient_until_commit;
+          Alcotest.test_case "body failure runs once" `Quick test_retry_body_failure_runs_once;
+          Alcotest.test_case "budget exhausted gives up" `Quick test_retry_budget_exhausted;
+          Alcotest.test_case "refused initiate gives up" `Quick test_retry_refused_gives_up;
         ] );
       ( "oltp",
         [
