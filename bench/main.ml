@@ -876,9 +876,10 @@ let e17_hotpath () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* E18: lock-manager hot path (ISSUE 2) — indexed descriptors and the
-   incrementally maintained waits-for graph.  Emits BENCH_lockpath.json
-   so the lock-path perf trajectory is tracked across PRs. *)
+(* E18: lock-manager hot path — indexed descriptors and the deadlock
+   search over the waits-for graph derived from the pending requests.
+   Emits BENCH_lockpath.json so the lock-path perf trajectory is
+   tracked across PRs. *)
 
 (* Acquire+release cost seen by one transaction when every object
    already carries [holders] granted Read locks: the conflict scan
@@ -906,9 +907,10 @@ let lockpath_acquire_case ~objects ~holders ~iters =
 (* The stall hook's deadlock search.  [objects] transactions each hold
    their own object (live-transaction count scales with the store) and
    [waiters] further transactions form a blocked chain with no cycle —
-   the worst case, since the search cannot stop early.  The incremental
-   graph searches O(edges) = O(waiters); the rebuild path re-derives
-   the graph from every OD first. *)
+   the worst case, since the search cannot stop early.  Returns the
+   cost of one [find_cycle] in µs, whether any check reported a cycle,
+   and whether one is found once the chain's tail requests the head's
+   object, closing it. *)
 let lockpath_deadlock_case ~objects ~waiters ~checks =
   let lm = Lm.create () in
   for o = 1 to objects do
@@ -917,49 +919,56 @@ let lockpath_deadlock_case ~objects ~waiters ~checks =
   for w = 1 to waiters do
     ignore (Lm.acquire lm (Tid.of_int (w + 1)) (oid w) Mode.Write)
   done;
-  let time_checks f =
-    let (), dt =
-      time_of (fun () ->
-          for _ = 1 to checks do
-            assert (f lm = None)
-          done)
-    in
-    dt /. float_of_int checks *. 1e6
+  let found = ref false in
+  let (), dt =
+    time_of (fun () ->
+        for _ = 1 to checks do
+          if Lm.find_cycle lm <> None then found := true
+        done)
   in
-  let incremental_us = time_checks Lm.find_cycle in
-  let rebuild_us = time_checks Lm.find_cycle_rebuild in
-  (incremental_us, rebuild_us)
+  ignore (Lm.acquire lm (Tid.of_int 1) (oid (waiters + 1)) Mode.Write);
+  let closed = Lm.find_cycle lm <> None in
+  (dt /. float_of_int checks *. 1e6, !found, closed)
 
 (* End-to-end: Zipf-contended read-modify-write batches (the classic
    upgrade-deadlock pattern) and the bank-transfer workload, both of
-   which hammer acquire/block/abort and the stall hook. *)
+   which hammer acquire/block/abort and the stall hook.  [batch] runs
+   on a fresh engine over [store] and returns (committed, aborted);
+   the case also reports whether a lock request is still pending once
+   the batch is done. *)
+let lockpath_batch_case store batch =
+  let db = E.create store in
+  let committed = ref 0 in
+  let (), dt = time_of (fun () -> R.run_exn db (fun () -> committed := fst (batch db))) in
+  ( !committed,
+    stat db "deadlock_victims",
+    stat db "lock_waits",
+    float_of_int !committed /. dt,
+    Lm.has_pending (E.locks db) )
+
 let lockpath_workload_case ~theta ~n_txns =
-  let m =
-    Workload.run
-      {
-        Workload.default_spec with
-        Workload.n_objects = 64;
-        n_txns;
-        ops_per_txn = 8;
-        write_ratio = 0.5;
-        theta;
-        seed = 11;
-        read_modify_write = true;
-      }
+  let spec =
+    {
+      Workload.default_spec with
+      Workload.n_objects = 64;
+      n_txns;
+      ops_per_txn = 8;
+      write_ratio = 0.5;
+      theta;
+      seed = 11;
+      read_modify_write = true;
+    }
   in
-  (m.Workload.committed, m.Workload.deadlock_victims, m.Workload.lock_waits, m.Workload.throughput)
+  let store = Heap.store () in
+  Heap.populate store ~n:spec.n_objects ~value:(fun _ -> Value.of_int 0);
+  let txns = Workload.generate spec in
+  lockpath_batch_case store (fun db -> Workload.run_batch db ~yield:spec.yield_between_ops ~rmw:true txns)
 
 let lockpath_bank_case ~n_txns =
   let accounts = 8 in
   let store = Heap.store () in
   Bank.setup store ~accounts ~balance:1_000;
-  let db = E.create store in
-  let result = ref (0, 0) in
-  let (), dt =
-    time_of (fun () -> R.run_exn db (fun () -> result := Bank.run_transfers db ~accounts ~n_txns))
-  in
-  let committed, victims = !result in
-  (committed, victims, stat db "lock_waits", float_of_int committed /. dt)
+  lockpath_batch_case store (fun db -> Bank.run_transfers db ~accounts ~n_txns)
 
 let e18_lockpath () =
   let object_counts = if !smoke then [ 16; 256 ] else [ 16; 256; 1024 ] in
@@ -991,44 +1000,36 @@ let e18_lockpath () =
       Table.add_row t [ Table.fmt_i objects; Table.fmt_i holders; Table.fmt_f ~digits:1 ns ])
     acq_rows;
   Table.print t;
-  (* Stall-hook deadlock-check cost: live incremental graph vs rebuild. *)
+  (* Stall-hook deadlock-check cost. *)
   let dl_rows =
     List.concat_map
       (fun objects ->
         List.map
           (fun waiters ->
-            let inc_us, reb_us = lockpath_deadlock_case ~objects ~waiters ~checks in
-            (objects, waiters, inc_us, reb_us))
+            let us, found, closed = lockpath_deadlock_case ~objects ~waiters ~checks in
+            (objects, waiters, us, found, closed))
           dl_waiters)
       dl_objects
   in
   let t =
     Table.create
       ~title:"E18b: deadlock-check cost vs live txns (one per object) and pending requests"
-      ~header:[ "txns"; "pending"; "incremental us"; "rebuild us" ]
+      ~header:[ "txns"; "pending"; "find_cycle us" ]
   in
   List.iter
-    (fun (objects, waiters, inc_us, reb_us) ->
-      Table.add_row t
-        [
-          Table.fmt_i objects;
-          Table.fmt_i waiters;
-          Table.fmt_f ~digits:2 inc_us;
-          Table.fmt_f ~digits:2 reb_us;
-        ])
+    (fun (objects, waiters, us, _, _) ->
+      Table.add_row t [ Table.fmt_i objects; Table.fmt_i waiters; Table.fmt_f ~digits:2 us ])
     dl_rows;
   Table.print t;
+  check "E18b: no chain row reports a cycle" (List.for_all (fun (_, _, _, found, _) -> not found) dl_rows);
+  check "E18b: closing each chain makes find_cycle report a cycle"
+    (List.for_all (fun (_, _, _, _, closed) -> closed) dl_rows);
   (* Contended workloads end to end. *)
   let wl_rows =
     List.map
-      (fun theta ->
-        let committed, victims, waits, tps = lockpath_workload_case ~theta ~n_txns:wl_txns in
-        (Printf.sprintf "rmw zipf %.2f" theta, committed, victims, waits, tps))
+      (fun theta -> (Printf.sprintf "rmw zipf %.2f" theta, lockpath_workload_case ~theta ~n_txns:wl_txns))
       [ 0.0; 0.99 ]
-    @ [
-        (let committed, victims, waits, tps = lockpath_bank_case ~n_txns:bank_txns in
-         ("bank transfers", committed, victims, waits, tps));
-      ]
+    @ [ ("bank transfers", lockpath_bank_case ~n_txns:bank_txns) ]
   in
   let t =
     Table.create
@@ -1036,7 +1037,7 @@ let e18_lockpath () =
       ~header:[ "workload"; "committed"; "victims"; "lock waits"; "txn/s" ]
   in
   List.iter
-    (fun (name, committed, victims, waits, tps) ->
+    (fun (name, (committed, victims, waits, tps, _)) ->
       Table.add_row t
         [
           name;
@@ -1047,6 +1048,8 @@ let e18_lockpath () =
         ])
     wl_rows;
   Table.print t;
+  check "E18c: nothing pending after each workload"
+    (List.for_all (fun (_, (_, _, _, _, pending)) -> not pending) wl_rows);
   write_artifact ~name:"lockpath" ~experiment:"E18-lockpath"
     Json.
       [
@@ -1057,17 +1060,12 @@ let e18_lockpath () =
             acq_rows );
         ( "deadlock_check",
           records
-            (fun (objects, waiters, inc_us, reb_us) ->
-              [
-                ("txns", Int objects);
-                ("pending", Int waiters);
-                ("incremental_us", fixed 3 inc_us);
-                ("rebuild_us", fixed 3 reb_us);
-              ])
+            (fun (objects, waiters, us, _, _) ->
+              [ ("txns", Int objects); ("pending", Int waiters); ("find_cycle_us", fixed 3 us) ])
             dl_rows );
         ( "workload",
           records
-            (fun (name, committed, victims, waits, tps) ->
+            (fun (name, (committed, victims, waits, tps, _)) ->
               [
                 ("name", Str name);
                 ("committed", Int committed);

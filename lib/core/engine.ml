@@ -59,7 +59,6 @@ type td = {
   mutable updates : int list; (* LSNs of updates this txn is responsible for, newest first *)
   mutable commit_lsn : int; (* LSN of the commit record covering this txn, -1 before *)
   mutable failure : exn option; (* body exception, if any *)
-  mutable waiting_on : string; (* diagnostic: why currently parked *)
   mutable begin_denied : bool;
       (* a BD master aborted before this transaction began: it may
          never begin (the dependency edge itself is gone by then) *)
@@ -286,7 +285,6 @@ let initiate ?parent:parent_tid ?(read_only = false) db body =
         updates = [];
         commit_lsn = -1;
         failure = None;
-        waiting_on = "";
         begin_denied = false;
         read_only;
         snapshot_ts = -1;
@@ -384,21 +382,16 @@ let acquire_lock db td oid mode =
         end;
         incr rounds;
         Asset_util.Stats.Counter.incr db.lock_waits;
-        td.waiting_on <-
+        let reason =
           Format.asprintf "lock %a/%a held by %a" Oid.pp oid Mode.pp mode
             (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") Tid.pp)
-            blockers;
+            blockers
+        in
         let v = db.version in
-        wait_for_change db ~reason:td.waiting_on v;
+        wait_for_change db ~reason v;
         loop ()
   in
-  (match loop () with
-  | () -> td.waiting_on <- ""
-  | exception e ->
-      (* Clear the diagnostic even when the wait ends in an abort —
-         the stall hook uses [waiting_on] to find live lock waiters. *)
-      td.waiting_on <- "";
-      raise e)
+  loop ()
 
 (* Acquire a lock without touching the data — used by layers (e.g.
    private workspaces) that want to declare intent up front and avoid
@@ -1157,10 +1150,10 @@ let resolve_deadlock db () =
        retry counters while the version is frozen, so a stall with live
        lock waiters bumps the version to force another retry round;
        after [lock_wait_timeout_steps] rounds the waiter aborts itself
-       with [Lock_timeout].  Guarded on an actual lock waiter existing,
-       or a stall caused by something else would tick forever. *)
-    db.config.lock_wait_timeout_steps > 0
-    && Hashtbl.fold (fun _ td acc -> acc || td.waiting_on <> "") db.tds false
+       with [Lock_timeout].  Guarded on an actual lock waiter existing
+       (a pending request in the lock manager), or a stall caused by
+       something else would tick forever. *)
+    db.config.lock_wait_timeout_steps > 0 && Lock.has_pending db.locks
   then begin
     bump db;
     true

@@ -18,14 +18,12 @@
    the transitive-permission search, whose verdicts are memoised per OD
    until the OD's permit list changes.
 
-   On top of the descriptors the manager keeps an incrementally
-   maintained waits-for graph: a pending request records the holders
-   that block it ([lrd_blockers]), and every mutation of an OD's
-   granted list, pending list or permit list re-derives the blocker
-   sets of that OD's pending requests only, diffing them into a global
-   refcounted adjacency.  [find_cycle] therefore runs cycle detection
-   on the live graph — O(edges) — instead of reconstructing it from
-   every OD in the store. *)
+   The three lists fully determine who waits for whom, so the waits-for
+   graph is not stored: [waits_for], [waits_edges] and [find_cycle]
+   derive it on demand from the per-transaction pending index, giving
+   each pending request the holders that block it ([blockers_of]).  Its
+   cost depends on the pending requests only, not on how many objects
+   or transactions exist. *)
 
 module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
@@ -57,8 +55,6 @@ type lrd = {
   lrd_oid : Oid.t;
   mutable lrd_mode : Mode.t;
   mutable lrd_status : lock_status;
-  mutable lrd_blockers : Tid.t list;
-      (* sorted; the waits-for edges this pending request contributes *)
   mutable lrd_prev : lrd option; (* intrusive links within the OD list *)
   mutable lrd_next : lrd option;
 }
@@ -132,11 +128,6 @@ type t = {
   pending_by_txn : (Tid.t, (Oid.t, lrd) Hashtbl.t) Hashtbl.t;
   permits_by_grantor : (Tid.t, pd list ref) Hashtbl.t;
   permits_by_grantee : (Tid.t, pd list ref) Hashtbl.t;
-  (* Incremental waits-for graph: waiter -> (holder -> refcount); the
-     refcount is the number of pending requests of the waiter currently
-     citing the holder as a blocker. *)
-  wf_out : (Tid.t, (Tid.t, int) Hashtbl.t) Hashtbl.t;
-  mutable wf_edges : int; (* live distinct (waiter, holder) pairs *)
   acquires : Asset_util.Stats.Counter.t;
   blocks : Asset_util.Stats.Counter.t;
   suspensions : Asset_util.Stats.Counter.t;
@@ -151,8 +142,6 @@ let create () =
     pending_by_txn = Hashtbl.create 64;
     permits_by_grantor = Hashtbl.create 64;
     permits_by_grantee = Hashtbl.create 64;
-    wf_out = Hashtbl.create 64;
-    wf_edges = 0;
     acquires = Asset_util.Stats.Counter.create "lock.acquires";
     blocks = Asset_util.Stats.Counter.create "lock.blocks";
     suspensions = Asset_util.Stats.Counter.create "lock.suspensions";
@@ -196,47 +185,6 @@ let index_list table tid =
       l
 
 (* ------------------------------------------------------------------ *)
-(* The incremental waits-for graph                                     *)
-
-let wf_add t waiter holder =
-  let adj =
-    match Hashtbl.find_opt t.wf_out waiter with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 4 in
-        Hashtbl.replace t.wf_out waiter h;
-        h
-  in
-  match Hashtbl.find_opt adj holder with
-  | Some c -> Hashtbl.replace adj holder (c + 1)
-  | None ->
-      Hashtbl.replace adj holder 1;
-      t.wf_edges <- t.wf_edges + 1
-
-let wf_remove t waiter holder =
-  match Hashtbl.find_opt t.wf_out waiter with
-  | None -> ()
-  | Some adj -> (
-      match Hashtbl.find_opt adj holder with
-      | Some 1 ->
-          Hashtbl.remove adj holder;
-          t.wf_edges <- t.wf_edges - 1;
-          if Hashtbl.length adj = 0 then Hashtbl.remove t.wf_out waiter
-      | Some c -> Hashtbl.replace adj holder (c - 1)
-      | None -> ())
-
-(* Re-point a pending request's waits-for contribution at [blockers]
-   (sorted); the edge refcounts absorb the diff. *)
-let set_blockers t p blockers =
-  if p.lrd_blockers <> blockers then begin
-    List.iter (fun b -> wf_remove t p.lrd_tid b) p.lrd_blockers;
-    List.iter (fun b -> wf_add t p.lrd_tid b) blockers;
-    p.lrd_blockers <- blockers
-  end
-
-let waits_edges t = t.wf_edges
-
-(* ------------------------------------------------------------------ *)
 (* Permits                                                             *)
 
 (* Does [grantor] permit [grantee] to perform [op] on this object,
@@ -278,9 +226,7 @@ let permits_op obj ~grantor ~grantee op =
       r
 
 (* The waits-for predicate: does granted/suspended [gl] block waiter
-   [p_tid] requesting [p_mode]?  Shared by conflict checking and the
-   incremental blocker refresh so the live graph and the from-scratch
-   view can never disagree on semantics. *)
+   [p_tid] requesting [p_mode]? *)
 let blocks_waiter obj p_tid p_mode op gl =
   (not (Tid.equal gl.lrd_tid p_tid))
   && (gl.lrd_status = Granted || gl.lrd_status = Suspended)
@@ -294,12 +240,6 @@ let blockers_of obj p =
     (fun gl -> if blocks_waiter obj p.lrd_tid p.lrd_mode op gl then acc := gl.lrd_tid :: !acc)
     obj.granted;
   List.sort_uniq Tid.compare !acc
-
-(* Re-derive the waits-for contribution of every pending request on
-   [obj].  Called after any mutation of the OD's granted list or permit
-   list (pending-entry changes update their own edges directly); the
-   cost is O(pending × granted) on this object only. *)
-let refresh_waits t obj = list_iter (fun p -> set_blockers t p (blockers_of obj p)) obj.pending
 
 (* Per-OD permit indexing. *)
 let od_pd_index obj pd =
@@ -330,10 +270,7 @@ let add_permit t ~grantor ~grantee ~oid ~ops =
         let el = index_list t.permits_by_grantee g in
         el := pd :: !el
     | None -> ());
-    Asset_util.Stats.Counter.incr t.permit_grants;
-    (* A new permission may excuse conflicts that pending requests on
-       this object are currently blocked on. *)
-    refresh_waits t obj
+    Asset_util.Stats.Counter.incr t.permit_grants
   end
 
 (* Objects a transaction has accessed (holds an LRD on) or has been
@@ -359,7 +296,7 @@ type outcome = Acquired | Blocked_on of Tid.t list
 let find_lrd obj tid = Hashtbl.find_opt obj.granted_idx tid
 let find_pending obj tid = Hashtbl.find_opt obj.pending_idx tid
 
-(* Drop a pending request (and its waits-for edges). *)
+(* Drop a pending request. *)
 let remove_pending t obj tid =
   match Hashtbl.find_opt obj.pending_idx tid with
   | None -> ()
@@ -370,8 +307,7 @@ let remove_pending t obj tid =
       | Some h ->
           Hashtbl.remove h p.lrd_oid;
           if Hashtbl.length h = 0 then Hashtbl.remove t.pending_by_txn tid
-      | None -> ());
-      set_blockers t p []
+      | None -> ())
 
 (* Step 1b: for every conflicting lock gl in the granted list (granted
    or suspended — a suspended lock still guards its holder's
@@ -436,7 +372,6 @@ let acquire t tid oid mode =
                   lrd_oid = oid;
                   lrd_mode = mode;
                   lrd_status = Granted;
-                  lrd_blockers = [];
                   lrd_prev = None;
                   lrd_next = None;
                 }
@@ -446,40 +381,28 @@ let acquire t tid oid mode =
               Hashtbl.replace (txn_table t.by_txn tid) oid lrd;
               if Trace.on () then trace_lock Trace.Grant tid oid mode;
               Asset_util.Stats.Counter.incr t.acquires);
-          (* The new/upgraded grant (and any suspensions) may block
-             other transactions' pending requests on this object. *)
-          refresh_waits t obj;
           Acquired
       | blockers ->
           (* Register a pending request (status upgrading when we already
              hold a weaker lock), so the OD shows the Figure-1 pending
              list and waits-for extraction sees the edge. *)
-          let p =
-            match find_pending obj tid with
-            | Some p ->
-                p.lrd_mode <- mode;
-                p
-            | None ->
-                let status = if existing <> None then Upgrading else Pending in
-                let p =
-                  {
-                    lrd_tid = tid;
-                    lrd_oid = oid;
-                    lrd_mode = mode;
-                    lrd_status = status;
-                    lrd_blockers = [];
-                    lrd_prev = None;
-                    lrd_next = None;
-                  }
-                in
-                list_push obj.pending p;
-                Hashtbl.replace obj.pending_idx tid p;
-                Hashtbl.replace (txn_table t.pending_by_txn tid) oid p;
-                p
-          in
-          (* The waits-for edges of this request are exactly the
-             blockers just computed. *)
-          set_blockers t p blockers;
+          (match find_pending obj tid with
+          | Some p -> p.lrd_mode <- mode
+          | None ->
+              let status = if existing <> None then Upgrading else Pending in
+              let p =
+                {
+                  lrd_tid = tid;
+                  lrd_oid = oid;
+                  lrd_mode = mode;
+                  lrd_status = status;
+                  lrd_prev = None;
+                  lrd_next = None;
+                }
+              in
+              list_push obj.pending p;
+              Hashtbl.replace obj.pending_idx tid p;
+              Hashtbl.replace (txn_table t.pending_by_txn tid) oid p);
           if Trace.on () then trace_lock Trace.Block tid oid mode;
           Asset_util.Stats.Counter.incr t.blocks;
           Blocked_on blockers)
@@ -530,8 +453,7 @@ let resume_suspended obj =
 (* Release, delegation, cleanup                                        *)
 
 (* Unlink a granted LRD from its OD (guarded by physical equality so a
-   stale descriptor is a no-op); does not refresh waits-for — callers
-   do, once per object. *)
+   stale descriptor is a no-op). *)
 let od_remove_granted obj lrd =
   match Hashtbl.find_opt obj.granted_idx lrd.lrd_tid with
   | Some l when l == lrd ->
@@ -544,9 +466,7 @@ let drop_lrd t lrd =
   (match Hashtbl.find_opt t.objects lrd.lrd_oid with
   | Some obj ->
       od_remove_granted obj lrd;
-      resume_suspended obj;
-      (* The departed holder's waits-for edges die with it. *)
-      refresh_waits t obj
+      resume_suspended obj
   | None -> ());
   match Hashtbl.find_opt t.by_txn lrd.lrd_tid with
   | Some h -> (
@@ -571,14 +491,12 @@ let release_all t tid =
    per-OD grantor index and from the *other* party's global index
    entry, so no full-table purge is ever needed. *)
 let remove_permits t tid =
-  let affected = ref [] in
   let drop_from_od pd =
     match Hashtbl.find_opt t.objects pd.pd_oid with
     | Some obj ->
         if List.memq pd obj.permits then begin
           obj.permits <- List.filter (fun p -> p != pd) obj.permits;
-          od_pd_unindex obj pd;
-          affected := obj :: !affected
+          od_pd_unindex obj pd
         end
     | None -> ()
   in
@@ -607,16 +525,7 @@ let remove_permits t tid =
         !l
   | None -> ());
   Hashtbl.remove t.permits_by_grantor tid;
-  Hashtbl.remove t.permits_by_grantee tid;
-  (* A withdrawn permission may re-block pending requests it excused. *)
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun obj ->
-      if not (Hashtbl.mem seen obj.od_oid) then begin
-        Hashtbl.replace seen obj.od_oid ();
-        refresh_waits t obj
-      end)
-    !affected
+  Hashtbl.remove t.permits_by_grantee tid
 
 (* delegate(ti, tj, ob_set): move the LRDs on the named objects from ti
    to tj and rewrite PDs granted by ti on them to be granted by tj.
@@ -625,7 +534,7 @@ let remove_permits t tid =
    delegated objects are cancelled: responsibility for performed
    operations moves, but an in-flight request is simply withdrawn (a
    blocked requester re-registers it on its next retry), so no orphaned
-   pending entries or stale waits-for edges survive the delegation. *)
+   pending entries survive the delegation. *)
 let delegate t ~from_ ~to_ oids =
   let covers oid = match oids with None -> true | Some l -> List.exists (Oid.equal oid) l in
   let from_h = txn_table t.by_txn from_ in
@@ -633,14 +542,12 @@ let delegate t ~from_ ~to_ oids =
     Hashtbl.fold (fun _ lrd acc -> if covers lrd.lrd_oid then lrd :: acc else acc) from_h []
   in
   let to_h = txn_table t.by_txn to_ in
-  let touched = ref [] in
   List.iter
     (fun lrd ->
       Hashtbl.remove from_h lrd.lrd_oid;
       match Hashtbl.find_opt t.objects lrd.lrd_oid with
       | None -> ()
       | Some obj -> (
-          touched := obj :: !touched;
           match Hashtbl.find_opt to_h lrd.lrd_oid with
           | Some existing ->
               (* Merge into tj's existing request. *)
@@ -650,15 +557,7 @@ let delegate t ~from_ ~to_ oids =
           | None ->
               (* Replace the OD's entry with a re-owned LRD. *)
               od_remove_granted obj lrd;
-              let lrd' =
-                {
-                  lrd with
-                  lrd_tid = to_;
-                  lrd_blockers = [];
-                  lrd_prev = None;
-                  lrd_next = None;
-                }
-              in
+              let lrd' = { lrd with lrd_tid = to_; lrd_prev = None; lrd_next = None } in
               list_push obj.granted lrd';
               Hashtbl.replace obj.granted_idx to_ lrd';
               Hashtbl.replace to_h lrd.lrd_oid lrd'))
@@ -685,8 +584,7 @@ let delegate t ~from_ ~to_ oids =
           | Some obj ->
               od_pd_unindex obj pd;
               pd.pd_grantor <- to_;
-              od_pd_index obj pd;
-              touched := obj :: !touched
+              od_pd_index obj pd
           | None -> pd.pd_grantor <- to_))
         moving_pds;
       if moving_pds <> [] then begin
@@ -694,16 +592,6 @@ let delegate t ~from_ ~to_ oids =
         tl := moving_pds @ !tl
       end
   | None -> ());
-  (* Re-derive waits-for contributions of every object whose holders or
-     permits changed: waiters on ti now wait on tj. *)
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun obj ->
-      if not (Hashtbl.mem seen obj.od_oid) then begin
-        Hashtbl.replace seen obj.od_oid ();
-        refresh_waits t obj
-      end)
-    !touched;
   if Trace.on () then List.iter (fun lrd -> trace_lock Trace.Transfer to_ lrd.lrd_oid lrd.lrd_mode) moving;
   List.map (fun lrd -> lrd.lrd_oid) moving
 
@@ -727,98 +615,62 @@ let locked_objects t tid =
 let lock_count t tid =
   match Hashtbl.find_opt t.by_txn tid with None -> 0 | Some h -> Hashtbl.length h
 
-(* Waits-for edges recomputed from the pending lists: requester -> each
-   granted holder whose lock conflicts (and is not excused by a
-   permit).  This is the from-scratch debug/introspection view; the
-   live engine path reads the incremental graph instead. *)
-let waits_for t =
-  Hashtbl.fold
-    (fun _ obj acc ->
-      let acc = ref acc in
-      list_iter
-        (fun p ->
-          let op = Mode.as_op p.lrd_mode in
-          list_iter
-            (fun gl ->
-              if blocks_waiter obj p.lrd_tid p.lrd_mode op gl then
-                acc := (p.lrd_tid, gl.lrd_tid) :: !acc)
-            obj.granted)
-        obj.pending;
-      !acc)
-    t.objects []
+(* ------------------------------------------------------------------ *)
+(* The waits-for graph, derived from the pending requests              *)
 
-(* The incremental graph's edge set (distinct pairs). *)
-let waits_for_incremental t =
-  Hashtbl.fold
-    (fun waiter adj acc -> Hashtbl.fold (fun holder _ acc -> (waiter, holder) :: acc) adj acc)
-    t.wf_out []
+let has_pending t = Hashtbl.length t.pending_by_txn > 0
 
-(* Invariant: the incrementally maintained graph carries exactly the
-   edges a from-scratch rebuild would derive from the ODs. *)
-let check_waits_for_invariant t =
-  let cmp (a, b) (c, d) =
-    match Tid.compare a c with 0 -> Tid.compare b d | n -> n
-  in
-  let norm l = List.sort_uniq cmp l in
-  norm (waits_for t) = norm (waits_for_incremental t)
+(* The transactions with a pending request, in tid order: the only
+   nodes with outgoing waits-for edges. *)
+let waiters t = List.sort Tid.compare (Hashtbl.fold (fun tid _ acc -> tid :: acc) t.pending_by_txn [])
 
-(* DFS cycle search shared by the incremental and rebuild paths.
-   [roots] lists the nodes with outgoing edges; [succs] their
-   successors. *)
-let cycle_search roots succs =
-  let exception Found of Tid.t list in
-  let visited = Hashtbl.create 16 in
-  (* [path] holds the current DFS stack, most recent first; on revisiting
-     a node already on the stack, the stack prefix down to that node is
-     the cycle. *)
-  let rec dfs path node =
-    if List.exists (Tid.equal node) path then begin
-      let rec take acc = function
-        | [] -> acc
-        | x :: rest -> if Tid.equal x node then x :: acc else take (x :: acc) rest
-      in
-      raise (Found (take [] path))
-    end
-    else if not (Hashtbl.mem visited node) then begin
-      Hashtbl.replace visited node ();
-      List.iter (dfs (node :: path)) (succs node)
-    end
-  in
-  match List.iter (fun node -> dfs [] node) roots with
-  | () -> None
-  | exception Found cycle -> Some cycle
+(* The holders [waiter] waits for, in tid order: the blockers of each of
+   its pending requests. *)
+let holders_blocking t waiter =
+  match Hashtbl.find_opt t.pending_by_txn waiter with
+  | None -> []
+  | Some h ->
+      Hashtbl.fold
+        (fun _ p acc ->
+          match Hashtbl.find_opt t.objects p.lrd_oid with
+          | Some obj -> List.rev_append (blockers_of obj p) acc
+          | None -> acc)
+        h []
+      |> List.sort_uniq Tid.compare
 
-(* Find a cycle in the live waits-for graph, if any; used for deadlock
-   victim selection.  O(edges) — no reconstruction from the ODs. *)
+let waits_for t = List.concat_map (fun w -> List.map (fun h -> (w, h)) (holders_blocking t w)) (waiters t)
+let waits_edges t = List.length (waits_for t)
+
+(* Depth-first search for a deadlock cycle, roots and successors in tid
+   order, so the cycle found depends only on the lock state and not on
+   the history of the hash tables. *)
 let find_cycle t =
   Asset_util.Stats.Counter.incr t.cycle_checks;
-  if t.wf_edges = 0 then None
-  else
-    let roots = Hashtbl.fold (fun node _ acc -> node :: acc) t.wf_out [] in
-    let succs node =
-      match Hashtbl.find_opt t.wf_out node with
-      | Some adj -> Hashtbl.fold (fun s _ acc -> s :: acc) adj []
-      | None -> []
+  if not (has_pending t) then None
+  else begin
+    let exception Found of Tid.t list in
+    let visited = Hashtbl.create 16 in
+    (* [path] holds the current DFS stack, most recent first; on
+       revisiting a node already on the stack, the stack prefix down to
+       that node is the cycle. *)
+    let rec dfs path node =
+      if List.exists (Tid.equal node) path then begin
+        let rec take acc = function
+          | [] -> acc
+          | x :: rest -> if Tid.equal x node then x :: acc else take (x :: acc) rest
+        in
+        raise (Found (take [] path))
+      end
+      else if not (Hashtbl.mem visited node) then begin
+        Hashtbl.replace visited node ();
+        List.iter (dfs (node :: path)) (holders_blocking t node)
+      end
     in
-    cycle_search roots succs
+    match List.iter (dfs []) (waiters t) with () -> None | exception Found cycle -> Some cycle
+  end
 
-(* The pre-overhaul path, kept as the cross-check and bench baseline:
-   rebuild the whole graph from the ODs, then search it. *)
-let find_cycle_rebuild t =
-  let edges = waits_for t in
-  let adj = Hashtbl.create 16 in
-  List.iter
-    (fun (a, b) ->
-      let l = try Hashtbl.find adj a with Not_found -> [] in
-      Hashtbl.replace adj a (b :: l))
-    edges;
-  let roots = Hashtbl.fold (fun node _ acc -> node :: acc) adj [] in
-  let succs node = match Hashtbl.find_opt adj node with Some l -> l | None -> [] in
-  cycle_search roots succs
-
-(* Counters reset only here, never on read.  [waits_edges] is exempt:
-   it is a live gauge mirroring the refcounted waits-for adjacency, so
-   zeroing it outside the graph's own bookkeeping would corrupt it. *)
+(* Counters reset only here, never on read.  [waits_edges] is a gauge
+   derived from the lock state, not a counter. *)
 let reset_stats t =
   List.iter Asset_util.Stats.Counter.reset
     [ t.acquires; t.blocks; t.suspensions; t.permit_grants; t.cycle_checks ]
@@ -829,7 +681,7 @@ let stats t =
     ("blocks", Asset_util.Stats.Counter.get t.blocks);
     ("suspensions", Asset_util.Stats.Counter.get t.suspensions);
     ("permit_grants", Asset_util.Stats.Counter.get t.permit_grants);
-    ("waits_edges", t.wf_edges);
+    ("waits_edges", waits_edges t);
     ("cycle_checks", Asset_util.Stats.Counter.get t.cycle_checks);
   ]
 

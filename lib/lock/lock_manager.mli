@@ -12,11 +12,10 @@
     The descriptor lists are shadowed by hash indexes (per-OD tid → lrd
     for granted and pending; per-transaction oid → lrd for held and
     pending requests; per-OD grantor → pd with memoised transitive
-    reachability), and the manager maintains the waits-for graph
-    incrementally: each pending request tracks its blocker set, updated
-    whenever the OD's granted, pending, or permit lists change, so
-    {!find_cycle} searches a live O(edges) graph instead of rebuilding
-    it from every OD. *)
+    reachability).  The three lists fully determine who waits for whom,
+    so the waits-for graph is not stored: {!waits_for}, {!waits_edges}
+    and {!find_cycle} derive it on demand from the pending requests,
+    at a cost that depends on those requests only. *)
 
 module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
@@ -88,39 +87,33 @@ val holds : t -> Tid.t -> Oid.t -> (Mode.t * lock_status) option
 val locked_objects : t -> Tid.t -> Oid.t list
 val lock_count : t -> Tid.t -> int
 
+val has_pending : t -> bool
+(** Does any transaction have a pending (blocked or upgrading) request?
+    O(1). *)
+
 val waits_for : t -> (Tid.t * Tid.t) list
-(** Waits-for edges (requester, holder) recomputed from the pending
-    lists, with permit-excused conflicts removed — the from-scratch
-    debug/introspection view.  The live engine path uses the
-    incrementally maintained graph; {!check_waits_for_invariant}
-    cross-checks the two. *)
+(** The distinct waits-for edges (requester, holder), sorted: each
+    pending request waits for the granted or suspended holders whose
+    locks conflict with it and do not permit it.  Derived from the
+    pending requests on every call. *)
 
 val waits_edges : t -> int
-(** Distinct (waiter, holder) pairs in the incremental waits-for
-    graph. *)
-
-val check_waits_for_invariant : t -> bool
-(** [true] iff the incrementally maintained waits-for graph carries
-    exactly the edges a from-scratch rebuild derives from the ODs. *)
+(** The number of {!waits_for} edges. *)
 
 val find_cycle : t -> Tid.t list option
-(** A deadlock cycle in the incrementally maintained waits-for graph,
-    if any — O(edges). *)
-
-val find_cycle_rebuild : t -> Tid.t list option
-(** The pre-overhaul path: rebuild the waits-for graph from every OD,
-    then search it.  Kept as the invariant cross-check and bench
-    baseline. *)
+(** A deadlock cycle in the {!waits_for} graph, if any.  The search
+    visits waiters and their holders in tid order, so the cycle found
+    depends only on the lock state; it returns at once when nothing is
+    pending. *)
 
 val stats : t -> (string * int) list
-(** Includes [waits_edges] (live incremental-graph size) and
+(** Includes [waits_edges] (the current graph's size) and
     [cycle_checks] (deadlock searches run).  A pure read: no counter is
     reset by reading. *)
 
 val reset_stats : t -> unit
 (** Reset every statistics {e counter} to zero.  [waits_edges] is a
-    live gauge over the refcounted waits-for adjacency, not a counter,
-    and is deliberately left untouched. *)
+    gauge derived from the lock state, not a counter. *)
 
 val pp_od : t -> Format.formatter -> Oid.t -> unit
 (** Render an object descriptor in the shape of the paper's Figure 1. *)

@@ -4,9 +4,9 @@
     without I/O); with a backing directory every append is staged into
     a buffer in a framed binary format (length + CRC-32 + body) and
     {!force} drains and {e fsyncs} it — nothing is durable before the
-    fsync.  Commit records are forced automatically (the WAL rule)
-    unless the caller opts out to batch several commits into one force
-    (group commit).
+    fsync.  The log never forces on its own, not even for a commit
+    record: the engine stages commits and forces once per batch (group
+    commit), as {!append} describes.
 
     On disk the log is a {e segment directory}
     ({!create_dir}/{!load_dir}) of fixed-size segment files plus an

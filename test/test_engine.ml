@@ -286,29 +286,24 @@ let test_deadlock_detection_disabled_raises () =
   in
   Alcotest.(check bool) "deadlock surfaced" true outcome.R.deadlocked
 
-let test_debug_invariants_deadlock_workload () =
+let test_find_cycle_deadlock_workload () =
   (* A deadlock-prone bank workload under a seeded random chooser that
-     cross-checks the lock manager at every scheduling step: the
-     incremental waits-for graph must carry exactly the edges a
-     from-scratch rebuild derives, and the incremental and rebuild cycle
-     searches must agree on whether a deadlock exists (the particular
-     cycle may differ). *)
+     checks the lock manager at every scheduling step: [find_cycle] must
+     agree with a reference waits-for graph built from the four
+     accounts' Figure-1 lists — a cycle made of reference edges, and
+     none exactly when the reference graph is acyclic. *)
   let module Bank = Asset_workload.Bank in
   let module Lock = Asset_lock.Lock_manager in
   let store = Asset_storage.Heap_store.store () in
   Bank.setup store ~accounts:4 ~balance:1_000;
   let db = E.create store in
   let rng = Asset_util.Rng.create 7 in
+  let accounts = List.init 4 (fun i -> Bank.account (i + 1)) in
   let steps = ref 0 in
   let check cands =
     incr steps;
-    let locks = E.locks db in
-    if not (Lock.check_waits_for_invariant locks) then
-      Alcotest.failf "step %d: incremental waits-for graph diverged" !steps;
-    let live = Lock.find_cycle locks <> None in
-    let rebuilt = Lock.find_cycle_rebuild locks <> None in
-    if live <> rebuilt then
-      Alcotest.failf "step %d: find_cycle (%b) disagrees with rebuild (%b)" !steps live rebuilt;
+    if not (Waits_reference.find_cycle_agrees (E.locks db) accounts) then
+      Alcotest.failf "step %d: find_cycle disagrees with the reference graph" !steps;
     Asset_util.Rng.int rng (Array.length cands)
   in
   R.run_exn ~policy:(Sched.Controlled check) db (fun () ->
@@ -320,7 +315,7 @@ let test_debug_invariants_deadlock_workload () =
      on top of the one per step made above. *)
   Alcotest.(check bool) "cycle_checks surfaced" true
     (List.assoc "lock.cycle_checks" (E.stats db) > !steps);
-  Alcotest.(check int) "no residual waits-for edges" 0 (List.assoc "lock.waits_edges" (E.stats db))
+  Alcotest.(check bool) "nothing pending" false (Lock.has_pending (E.locks db))
 
 (* ------------------------------------------------------------------ *)
 (* update atomicity                                                    *)
@@ -1256,8 +1251,8 @@ let () =
           Alcotest.test_case "deadlock victim" `Quick test_deadlock_victim_aborted;
           Alcotest.test_case "deadlock detection disabled" `Quick
             test_deadlock_detection_disabled_raises;
-          Alcotest.test_case "debug invariants under deadlock workload" `Quick
-            test_debug_invariants_deadlock_workload;
+          Alcotest.test_case "find_cycle vs reference on bank" `Quick
+            test_find_cycle_deadlock_workload;
           Alcotest.test_case "updates atomic between choice points" `Quick test_update_atomicity;
         ] );
       ( "blocking",

@@ -554,16 +554,14 @@ let prop_delegate_conserves_locks =
       after <= before)
 
 (* ------------------------------------------------------------------ *)
-(* The incremental waits-for graph and its indexes                     *)
-
-let check_invariant msg lm =
-  Alcotest.(check bool) (msg ^ ": incremental graph matches rebuild") true
-    (Lm.check_waits_for_invariant lm)
+(* The derived waits-for graph across lock-state changes               *)
 
 let edges lm =
   Lm.waits_for lm
   |> List.map (fun (a, b) -> (Tid.to_int a, Tid.to_int b))
   |> List.sort_uniq compare
+
+let check_edges msg expected lm = Alcotest.(check (list (pair int int))) msg expected (edges lm)
 
 let test_pending_index_cancel_all () =
   let lm = Lm.create () in
@@ -573,8 +571,7 @@ let test_pending_index_cancel_all () =
     (fun o -> check_blocked "t2 blocked" [ 1 ] (Lm.acquire lm (tid 2) (oid o) Mode.Write))
     [ 1; 2; 3 ];
   check_blocked "t3 blocked" [ 1 ] (Lm.acquire lm (tid 3) (oid 2) Mode.Write);
-  Alcotest.(check int) "four live edges... t2 x3 dedup to 1 + t3" 2 (Lm.waits_edges lm);
-  check_invariant "before cancel" lm;
+  check_edges "t2's three requests give one edge, t3's another" [ (2, 1); (3, 1) ] lm;
   Lm.cancel_pending_all lm (tid 2);
   (* All of t2's pending requests are gone; t3's is untouched. *)
   List.iter
@@ -584,87 +581,108 @@ let test_pending_index_cancel_all () =
         false
         (List.exists (fun (t, _, _) -> Tid.to_int t = 2) (Lm.pending_of lm (oid o))))
     [ 1; 2; 3 ];
-  Alcotest.(check (list (pair int int))) "only t3 edge survives" [ (3, 1) ] (edges lm);
-  Alcotest.(check int) "one live edge" 1 (Lm.waits_edges lm);
-  check_invariant "after cancel" lm;
+  check_edges "only t3 edge survives" [ (3, 1) ] lm;
   (* Idempotent on a transaction with nothing pending. *)
   Lm.cancel_pending_all lm (tid 2);
-  check_invariant "after re-cancel" lm
+  check_edges "after re-cancel" [ (3, 1) ] lm;
+  Alcotest.(check bool) "t3 still pending" true (Lm.has_pending lm)
 
-let test_incremental_edges_lifecycle () =
+let test_edges_lifecycle () =
   let lm = Lm.create () in
-  Alcotest.(check int) "empty graph" 0 (Lm.waits_edges lm);
+  check_edges "empty graph" [] lm;
+  Alcotest.(check bool) "nothing pending" false (Lm.has_pending lm);
   check_acquired "t1 W ob1" (Lm.acquire lm (tid 1) (oid 1) Mode.Write);
-  check_invariant "grant adds no edge" lm;
+  check_edges "grant adds no edge" [] lm;
   check_blocked "t2 blocked" [ 1 ] (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
-  Alcotest.(check int) "block adds edge" 1 (Lm.waits_edges lm);
-  check_invariant "after block" lm;
+  check_edges "block adds edge" [ (2, 1) ] lm;
+  Alcotest.(check bool) "t2 pending" true (Lm.has_pending lm);
   (* Release grants the way: t2's retry acquires and the edge dies. *)
   ignore (Lm.release_all lm (tid 1));
-  check_invariant "after release" lm;
+  check_edges "release leaves no holder to wait for" [] lm;
   check_acquired "t2 retry acquires" (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
-  Alcotest.(check int) "edge removed on grant" 0 (Lm.waits_edges lm);
-  check_invariant "after grant" lm;
+  check_edges "edge removed on grant" [] lm;
+  Alcotest.(check bool) "grant clears pending" false (Lm.has_pending lm);
   (* Abort path: a blocked waiter is torn down with the engine's
      finalize-abort sequence (cancel pending, release, drop permits). *)
   check_blocked "t3 blocked" [ 2 ] (Lm.acquire lm (tid 3) (oid 1) Mode.Write);
-  Alcotest.(check int) "edge re-added" 1 (Lm.waits_edges lm);
+  check_edges "edge re-added" [ (3, 2) ] lm;
   ignore (Lm.release_all lm (tid 3));
   Lm.cancel_pending_all lm (tid 3);
   Lm.remove_permits lm (tid 3);
-  Alcotest.(check int) "abort clears waiter's edges" 0 (Lm.waits_edges lm);
-  check_invariant "after abort teardown" lm
+  check_edges "abort clears waiter's edges" [] lm;
+  Alcotest.(check bool) "abort clears pending" false (Lm.has_pending lm)
 
 let test_delegate_cancels_pending () =
   let lm = Lm.create () in
   check_acquired "t1 W ob1" (Lm.acquire lm (tid 1) (oid 1) Mode.Write);
   check_acquired "t2 W ob2" (Lm.acquire lm (tid 2) (oid 2) Mode.Write);
   check_blocked "t2 blocked on ob1" [ 1 ] (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
-  Alcotest.(check int) "edge t2->t1" 1 (Lm.waits_edges lm);
+  check_edges "edge t2->t1" [ (2, 1) ] lm;
   (* t2 delegates everything to t3: its granted lock on ob2 moves, and
      its in-flight request on ob1 is withdrawn with its edge. *)
   let moved = Lm.delegate lm ~from_:(tid 2) ~to_:(tid 3) None in
   Alcotest.(check (list int)) "ob2 moved" [ 2 ] (List.map Oid.to_int moved);
-  Alcotest.(check (list (pair int int))) "no stale t2 edge" [] (edges lm);
+  check_edges "no stale t2 edge" [] lm;
   Alcotest.(check bool) "no orphaned pending on ob1" true (Lm.pending_of lm (oid 1) = []);
-  check_invariant "after delegation" lm;
   (* The withdrawn request can simply be re-registered by its owner. *)
   check_blocked "t2 re-blocks" [ 1 ] (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
-  check_invariant "after re-register" lm
+  check_edges "after re-register" [ (2, 1) ] lm
 
 let test_delegate_repoints_waiter_edges () =
   let lm = Lm.create () in
   check_acquired "t1 W ob1" (Lm.acquire lm (tid 1) (oid 1) Mode.Write);
   check_blocked "t9 blocked on t1" [ 1 ] (Lm.acquire lm (tid 9) (oid 1) Mode.Write);
-  Alcotest.(check (list (pair int int))) "edge t9->t1" [ (9, 1) ] (edges lm);
+  check_edges "edge t9->t1" [ (9, 1) ] lm;
   (* t1 hands its lock to t5: the waiter's edge must follow the lock. *)
   ignore (Lm.delegate lm ~from_:(tid 1) ~to_:(tid 5) None);
-  Alcotest.(check (list (pair int int))) "edge repointed to t5" [ (9, 5) ] (edges lm);
-  check_invariant "after delegation" lm
+  check_edges "edge repointed to t5" [ (9, 5) ] lm
 
 let test_transitive_permit_chain_excuses_edge () =
   let lm = Lm.create () in
   check_acquired "t1 W ob1" (Lm.acquire lm (tid 1) (oid 1) Mode.Write);
   check_blocked "t2 blocked" [ 1 ] (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
-  Alcotest.(check int) "edge live" 1 (Lm.waits_edges lm);
+  check_edges "edge live" [ (2, 1) ] lm;
   (* A permit chain t1 -> t3 -> t2: only once the second link lands is
      t2's conflict transitively excused (permit rule 3), and the
-     incremental graph must drop the edge at exactly that point. *)
+     graph must drop the edge at exactly that point. *)
   Lm.add_permit lm ~grantor:(tid 1) ~grantee:(Some (tid 3)) ~oid:(oid 1) ~ops:Ops.all;
-  Alcotest.(check int) "half a chain excuses nothing" 1 (Lm.waits_edges lm);
-  check_invariant "after first link" lm;
+  check_edges "half a chain excuses nothing" [ (2, 1) ] lm;
   Lm.add_permit lm ~grantor:(tid 3) ~grantee:(Some (tid 2)) ~oid:(oid 1) ~ops:Ops.all;
-  Alcotest.(check int) "full chain excuses the edge" 0 (Lm.waits_edges lm);
-  check_invariant "after second link" lm;
+  check_edges "full chain excuses the edge" [] lm;
   (* Withdrawing the middle transaction's permits re-blocks t2. *)
   Lm.remove_permits lm (tid 3);
-  Alcotest.(check int) "edge returns" 1 (Lm.waits_edges lm);
-  check_invariant "after permit removal" lm
+  check_edges "edge returns" [ (2, 1) ] lm
 
-(* Randomized schedules: after every operation the incremental graph
-   must match a from-scratch rebuild, and cycle detection on it must
-   agree with the rebuild path on deadlock existence. *)
-let prop_incremental_matches_rebuild =
+(* Overlapping upgrade cycles: three readers of one object all upgrade
+   to Write, so each waits for the other two.  The cycle reported must
+   depend only on that state, not on the order the requests arrived
+   in.  Tids 29, 126 and 146 share a bucket of a 64-bucket [Hashtbl],
+   so a search that followed hash-table order would meet them in
+   arrival order. *)
+let test_victim_independent_of_order () =
+  let cycle_after order =
+    let lm = Lm.create () in
+    List.iter (fun t -> check_acquired "read" (Lm.acquire lm (tid t) (oid 1) Mode.Read)) order;
+    List.iter (fun t -> ignore (Lm.acquire lm (tid t) (oid 1) Mode.Write)) order;
+    match Lm.find_cycle lm with
+    | Some cycle -> List.map Tid.to_int cycle
+    | None -> Alcotest.fail "expected an upgrade deadlock"
+  in
+  let orders = [ [ 29; 126; 146 ]; [ 146; 29; 126 ]; [ 126; 146; 29 ]; [ 146; 126; 29 ] ] in
+  let expected = cycle_after (List.hd orders) in
+  Alcotest.(check int) "a two-transaction cycle" 2 (List.length expected);
+  List.iter
+    (fun order ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "same cycle for order %s" (String.concat "," (List.map string_of_int order)))
+        expected (cycle_after order))
+    (List.tl orders)
+
+(* Randomized schedules: after every operation [waits_for] must equal
+   the reference graph built from the Figure-1 lists, and [find_cycle]
+   must agree with it on whether a deadlock exists, reporting only
+   cycles made of reference edges. *)
+let prop_find_cycle_agrees_with_reference =
   let open QCheck2 in
   let op_gen =
     Gen.(
@@ -679,7 +697,8 @@ let prop_incremental_matches_rebuild =
           (1, map2 (fun a b -> `Delegate (a, b)) (int_range 1 5) (int_range 1 5));
         ])
   in
-  Test.make ~name:"incremental waits-for graph matches rebuild" ~count:200
+  let oids = List.init 4 (fun i -> oid (i + 1)) in
+  Test.make ~name:"find_cycle agrees with a reference" ~count:200
     Gen.(list_size (int_range 5 60) op_gen)
     (fun ops ->
       let lm = Lm.create () in
@@ -696,24 +715,8 @@ let prop_incremental_matches_rebuild =
                 Lm.add_permit lm ~grantor:(tid a) ~grantee:(Some (tid b)) ~oid:(oid o) ~ops:Ops.all
           | `RemovePermits t -> Lm.remove_permits lm (tid t)
           | `Delegate (a, b) -> if a <> b then ignore (Lm.delegate lm ~from_:(tid a) ~to_:(tid b) None));
-          Lm.check_waits_for_invariant lm
-          &&
-          let live = Lm.find_cycle lm in
-          let rebuilt = Lm.find_cycle_rebuild lm in
-          (live <> None) = (rebuilt <> None)
-          &&
-          (* Any reported cycle must be made of real waits-for edges. *)
-          match live with
-          | None -> true
-          | Some cycle ->
-              let es = Lm.waits_for lm in
-              let edge a b = List.exists (fun (x, y) -> Tid.equal x a && Tid.equal y b) es in
-              let rec consecutive = function
-                | a :: (b :: _ as rest) -> edge a b && consecutive rest
-                | [ last ] -> edge last (List.hd cycle)
-                | [] -> false
-              in
-              consecutive cycle)
+          Lm.waits_for lm = Waits_reference.edges lm oids
+          && Waits_reference.find_cycle_agrees lm oids)
         ops)
 
 let () =
@@ -772,11 +775,13 @@ let () =
       ( "incremental",
         [
           Alcotest.test_case "pending index cancel all" `Quick test_pending_index_cancel_all;
-          Alcotest.test_case "edge lifecycle" `Quick test_incremental_edges_lifecycle;
+          Alcotest.test_case "edge lifecycle" `Quick test_edges_lifecycle;
           Alcotest.test_case "delegate cancels pending" `Quick test_delegate_cancels_pending;
           Alcotest.test_case "delegate repoints edges" `Quick test_delegate_repoints_waiter_edges;
           Alcotest.test_case "transitive chain excuses edge" `Quick
             test_transitive_permit_chain_excuses_edge;
+          Alcotest.test_case "cycle independent of request order" `Quick
+            test_victim_independent_of_order;
         ] );
       ( "fig1",
         [ Alcotest.test_case "object descriptor structure" `Quick test_fig1_od_structure ] );
@@ -785,6 +790,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_no_conflicting_grants;
           QCheck_alcotest.to_alcotest prop_release_all_clears;
           QCheck_alcotest.to_alcotest prop_delegate_conserves_locks;
-          QCheck_alcotest.to_alcotest prop_incremental_matches_rebuild;
+          QCheck_alcotest.to_alcotest prop_find_cycle_agrees_with_reference;
         ] );
     ]

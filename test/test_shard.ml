@@ -48,11 +48,10 @@ let assert_leak_free ?(objects = 0) sys =
       (tag "live dependency edges")
       0
       (List.assoc "deps.live_edges" (E.stats eng));
-    Alcotest.(check int) (tag "waits-for edges") 0 (Lock.waits_edges (E.locks eng));
+    Alcotest.(check bool) (tag "pending lock requests") false (Lock.has_pending (E.locks eng));
     List.iter
       (fun o ->
-        Alcotest.(check int) (tag "granted locks on ob%d" o) 0 (List.length (Lock.granted_of (E.locks eng) (oid o)));
-        Alcotest.(check int) (tag "pending locks on ob%d" o) 0 (List.length (Lock.pending_of (E.locks eng) (oid o))))
+        Alcotest.(check int) (tag "granted locks on ob%d" o) 0 (List.length (Lock.granted_of (E.locks eng) (oid o))))
       (home_oids ~objects ~n:(Shard.domains sys) i)
   done
 
