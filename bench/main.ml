@@ -2135,10 +2135,14 @@ let e24_recovery () =
   (* A synthetic history: [n_updates] updates across [n_txns]
      transactions, ~30% losers, an optional checkpoint at the midpoint
      that captures one transaction held open across it, so the ATT
-     has real content.  Returns the log and the disk image at crash
-     time: the checkpoint's flushed store for anchored logs, zeros
-     otherwise. *)
-  let build ~n_updates ~ckpt =
+     has real content.  With [delegating] every transaction hands its
+     updates to the parent of its group of ten (a workflow or
+     nested-transaction shape) and the parent takes the commit
+     decision, so the log holds one Delegate record per transaction.
+     Returns the log, the disk image at crash time (the checkpoint's
+     flushed store for anchored logs, zeros otherwise) and the
+     committed tids. *)
+  let build ~n_updates ~ckpt ~delegating =
     let log = Log.in_memory () in
     let disk = Heap.store () in
     for o = 1 to n_objects do
@@ -2149,7 +2153,10 @@ let e24_recovery () =
     let n_txns = n_updates / per_txn in
     let mid = max 1 (n_txns / 2) in
     let open_tid = Tid.of_int (n_txns + 1) in
+    let group = 10 in
+    let parent txn = Tid.of_int (n_txns + 2 + ((txn - 1) / group)) in
     let base = ref [] in
+    let committed = ref [] in
     for txn = 1 to n_txns do
       let tid = Tid.of_int txn in
       for u = 1 to per_txn do
@@ -2159,8 +2166,18 @@ let e24_recovery () =
         ignore (Log.append log (Record.Update { tid; oid = oid o; before; after }));
         Store.write disk (oid o) after
       done;
-      if Rng.float rng >= 0.3 then
-        ignore (Log.append log (Record.Commit [ tid ]));
+      let decider =
+        if not delegating then Some tid
+        else begin
+          ignore (Log.append log (Record.Delegate { from_ = tid; to_ = parent txn; oids = None }));
+          if txn mod group = 0 || txn = n_txns then Some (parent txn) else None
+        end
+      in
+      (match decider with
+      | Some t when Rng.float rng >= 0.3 ->
+          ignore (Log.append log (Record.Commit [ t ]));
+          committed := t :: !committed
+      | _ -> ());
       if txn = mid then begin
         (match ckpt with
         | `None -> ()
@@ -2177,12 +2194,7 @@ let e24_recovery () =
               in
               Store.write disk (oid o) after;
               open_updates :=
-                {
-                  Record.cu_lsn = lsn;
-                  cu_oid = oid o;
-                  cu_undo = Record.Ckpt_physical before;
-                  cu_after = after;
-                }
+                { Record.cu_lsn = lsn; cu_oid = oid o; cu_undo = Record.Ckpt_physical before }
                 :: !open_updates
             done;
             let att_updates = List.rev !open_updates in
@@ -2195,7 +2207,7 @@ let e24_recovery () =
     let base =
       match ckpt with `None -> List.init n_objects (fun i -> (oid (i + 1), vi 0)) | _ -> !base
     in
-    (log, base)
+    (log, base, List.sort Tid.compare !committed)
   in
   let store_from base =
     let s = Heap.store () in
@@ -2204,25 +2216,35 @@ let e24_recovery () =
   in
   let sizes = if !smoke then [ 2_000; 5_000 ] else [ 10_000; 50_000; 200_000 ] in
   let t =
-    Table.create ~title:"E24: recovery time vs log volume and checkpoint anchor"
-      ~header:[ "updates"; "ckpt"; "redone"; "ms" ]
+    Table.create ~title:"E24: recovery time vs log volume, checkpoint anchor and delegation"
+      ~header:[ "updates"; "ckpt"; "delegations"; "redone"; "ms" ]
   in
   let rows =
     List.concat_map
       (fun n_updates ->
         List.map
-          (fun (ckpt, ckpt_name) ->
-            let log, base = build ~n_updates ~ckpt in
+          (fun (ckpt, ckpt_name, delegating) ->
+            let log, base, committed = build ~n_updates ~ckpt ~delegating in
+            let delegations =
+              Log.fold log ~init:0 ~f:(fun n _ r ->
+                  match r with Record.Delegate _ -> n + 1 | _ -> n)
+            in
             let report, dt = time_of (fun () -> Recovery.recover log (store_from base)) in
+            if delegating then
+              check
+                (Printf.sprintf "E24 delegation (%d updates): winners are the committed parents"
+                   n_updates)
+                (report.Recovery.winners = committed);
             Table.add_row t
               [
                 Table.fmt_i n_updates;
                 ckpt_name;
+                Table.fmt_i delegations;
                 Table.fmt_i report.Recovery.updates_redone;
                 Table.fmt_f ~digits:2 (dt *. 1000.);
               ];
-            (n_updates, ckpt_name, report.Recovery.updates_redone, dt))
-          [ (`None, "none"); (`Fuzzy, "fuzzy") ])
+            (n_updates, ckpt_name, delegations, report.Recovery.updates_redone, dt))
+          [ (`None, "none", false); (`Fuzzy, "fuzzy", false); (`None, "none", true) ])
       sizes
   in
   Table.print t;
@@ -2258,8 +2280,14 @@ let e24_recovery () =
       [
         ( "recovery_time",
           records
-            (fun (n, ckpt, redone, dt) ->
-              [ ("log_updates", Int n); ("ckpt", Str ckpt); ("updates_redone", Int redone); ("seconds", fixed 6 dt) ])
+            (fun (n, ckpt, delegations, redone, dt) ->
+              [
+                ("log_updates", Int n);
+                ("ckpt", Str ckpt);
+                ("delegations", Int delegations);
+                ("updates_redone", Int redone);
+                ("seconds", fixed 6 dt);
+              ])
             rows );
         ( "retirement",
           records

@@ -142,4 +142,26 @@ head -c 200 BENCH_hotpath.json > "$BAD_DIR/BENCH_hotpath.json"
 expect_reject "a truncated artifact"
 rm -rf "$BAD_DIR"
 
+# End-to-end benchmark gate.  One short mix-durable run must be
+# correct and keep the enqueue log shape: an Enqueue record carries its
+# item, not the queue, so WAL bytes per transaction stay small.  The
+# byte count is deterministic at a fixed seed (about 221 B/txn; full
+# queue images cost about 2.6 KB/txn).
+echo "== perfbench: mix-durable WAL bytes per txn =="
+if ! python3 perfbench/run.py --workload mix-durable --seed 1 --seconds 1 --trace 1 > /tmp/perfbench.out; then
+  cat /tmp/perfbench.out >&2
+  echo "perfbench: mix-durable run failed" >&2
+  exit 1
+fi
+tail -n 1 /tmp/perfbench.out | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+wal = r["metrics"]["wal.bytes_per_txn"]["value"]
+print("correct=%s failed=%s wal.bytes_per_txn=%.1f" % (r["correct"], r["failed"], wal))
+if not r["correct"]:
+    sys.exit("perfbench: mix-durable run not correct")
+if wal > 300:
+    sys.exit("perfbench: wal.bytes_per_txn %.1f > 300" % wal)
+'
+
 echo "CI OK"

@@ -115,6 +115,9 @@ type t = {
   mutable staged_commit_txns : int;
   (* log bytes at the last fuzzy checkpoint — the trigger baseline *)
   mutable ckpt_bytes_mark : int;
+  (* queues whose full image is in the log since the last Begin_ckpt:
+     a later enqueue on one logs only its item (see [enqueue]) *)
+  queues_imaged : (Oid.t, unit) Hashtbl.t;
   (* statistics *)
   commits : Asset_util.Stats.Counter.t;
   aborts : Asset_util.Stats.Counter.t;
@@ -157,6 +160,7 @@ let create ?(config = default_config) ?log ?tid_gen store =
     staged_commit_lsn = -1;
     staged_commit_txns = 0;
     ckpt_bytes_mark = 0;
+    queues_imaged = Hashtbl.create 8;
     commits = Asset_util.Stats.Counter.create "engine.commits";
     aborts = Asset_util.Stats.Counter.create "engine.aborts";
     group_commits = Asset_util.Stats.Counter.create "engine.group_commits";
@@ -525,7 +529,16 @@ let escrow db oid delta ~lo ~hi =
    order between uncommitted producers is decided at commit), so the
    Enqueue lock mode is mutually compatible and producers never block
    each other.  Undo is logical — remove the appended item — so an
-   abort never clobbers items enqueued concurrently by others. *)
+   abort never clobbers items enqueued concurrently by others.
+
+   The record logs the item, not the queue, so an enqueue costs
+   O(item) in log bytes.  Only the first enqueue on [oid] since the
+   last Begin_ckpt also logs the full queue it produced:
+   [checkpoint] empties [queues_imaged] just before appending
+   Begin_ckpt, with no yield in between, so every redo anchor is
+   followed by a physical image of each queue its scan appends to.
+   The oid is marked only once the record is in the log — a refused
+   append must not leave the next enqueue image-less. *)
 let enqueue db oid item =
   let td = current_td db in
   check_live td;
@@ -533,10 +546,13 @@ let enqueue db oid item =
   acquire_lock db td oid Mode.Enqueue;
   if Trace.on () then Trace.emit (Trace.Op { tid = td.tid; oid; op = 'Q' });
   Asset_util.Stats.Counter.incr db.enqueues;
+  let imaged = Hashtbl.mem db.queues_imaged oid in
   logged_update db td oid (fun before ->
       let current = match before with Some v -> v | None -> Value.of_queue [] in
       let after = Value.queue_push current item in
-      (Record.Enqueue { tid = td.tid; oid; item; after }, after))
+      let image = if imaged then None else Some after in
+      (Record.Enqueue { tid = td.tid; oid; item; image }, after));
+  if not imaged then Hashtbl.replace db.queues_imaged oid ()
 
 (* ------------------------------------------------------------------ *)
 (* Savepoints: partial rollback inside a transaction                   *)
@@ -887,13 +903,11 @@ let capture_att db =
         let att_updates =
           List.filter_map
             (fun lsn ->
+              let entry oid undo = Some { Record.cu_lsn = lsn; cu_oid = oid; cu_undo = undo } in
               match Log.get db.log lsn with
-              | Record.Update { oid; before; after; _ } ->
-                  Some { Record.cu_lsn = lsn; cu_oid = oid; cu_undo = Record.Ckpt_physical before; cu_after = after }
-              | Record.Increment { oid; delta; after; _ } ->
-                  Some { Record.cu_lsn = lsn; cu_oid = oid; cu_undo = Record.Ckpt_delta delta; cu_after = after }
-              | Record.Enqueue { oid; item; after; _ } ->
-                  Some { Record.cu_lsn = lsn; cu_oid = oid; cu_undo = Record.Ckpt_dequeue item; cu_after = after }
+              | Record.Update { oid; before; _ } -> entry oid (Record.Ckpt_physical before)
+              | Record.Increment { oid; delta; _ } -> entry oid (Record.Ckpt_delta delta)
+              | Record.Enqueue { oid; item; _ } -> entry oid (Record.Ckpt_dequeue item)
               | _ -> None)
             td.updates
           |> List.sort (fun a b -> Int.compare a.Record.cu_lsn b.Record.cu_lsn)
@@ -915,6 +929,9 @@ let checkpoint db =
     List.concat_map (fun (e : Record.att_entry) -> List.map (fun u -> u.Record.cu_oid) e.att_updates) active
     |> List.sort_uniq Oid.compare
   in
+  (* The next enqueue on every queue logs its full image again: this
+     Begin_ckpt may become a redo anchor. *)
+  Hashtbl.reset db.queues_imaged;
   let begin_lsn = Asset_wal.Recovery.checkpoint db.log db.store ~active ~dirty in
   db.ckpt_bytes_mark <- Log.appended_bytes db.log;
   Asset_util.Stats.Counter.incr db.fuzzy_ckpts;

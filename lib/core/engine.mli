@@ -205,8 +205,9 @@ val enqueue : t -> Oid.t -> string -> unit
     compatible Enqueue lock mode: concurrent producers never block each
     other, and undo is logical (remove the item), so an abort preserves
     items enqueued concurrently by others.  Creates a missing object as
-    a one-item queue.  Read the queue with {!read} +
-    [Value.to_queue]. *)
+    a one-item queue.  The log record carries the item; only the first
+    enqueue on the object since the last checkpoint also carries the
+    full queue.  Read the queue with {!read} + [Value.to_queue]. *)
 
 (** {2 Savepoints}
 

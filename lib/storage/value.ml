@@ -60,20 +60,42 @@ let to_queue v =
   in
   go 0 []
 
-let queue_push v item = of_queue (to_queue v @ [ item ])
+(* Append one frame in place: a single blit of the old frames, then
+   the new header and item.  No decode, so an append costs one copy of
+   the bytes and nothing per item already queued. *)
+let queue_push v item =
+  let n = String.length v and len = String.length item in
+  let b = Bytes.create (n + 4 + len) in
+  Bytes.blit_string v 0 b 0 n;
+  Bytes.set_int32_le b n (Int32.of_int len);
+  Bytes.blit_string item 0 b (n + 4) len;
+  Bytes.unsafe_to_string b
 
 (* Remove the last occurrence of [item] — the logical undo of an
    append.  A no-op when the item is absent (the enqueue never
-   reached the store). *)
+   reached the store).  One scan over the frame headers finds the
+   last matching frame; the result splices the bytes around it. *)
 let queue_remove_last v item =
-  let items = to_queue v in
-  let rec drop_last = function
-    | [] -> []
-    | x :: rest ->
-        if String.equal x item && not (List.exists (String.equal item) rest) then rest
-        else x :: drop_last rest
+  let n = String.length v and len = String.length item in
+  let matches pos =
+    Int32.to_int (String.get_int32_le v pos) = len
+    &&
+    let rec eq i = i = len || (v.[pos + 4 + i] = item.[i] && eq (i + 1)) in
+    eq 0
   in
-  of_queue (drop_last items)
+  let rec last pos found =
+    if pos = n then found
+    else if pos + 4 > n then invalid_arg "Value.queue_remove_last: truncated item header"
+    else
+      let flen = Int32.to_int (String.get_int32_le v pos) in
+      if flen < 0 || pos + 4 + flen > n then invalid_arg "Value.queue_remove_last: truncated item"
+      else last (pos + 4 + flen) (if matches pos then pos else found)
+  in
+  match last 0 (-1) with
+  | -1 -> v
+  | pos ->
+      let stop = pos + 4 + len in
+      String.sub v 0 pos ^ String.sub v stop (n - stop)
 
 (* Association-list codec for small record-like objects, e.g. the
    reservation objects in the travel-workflow example:

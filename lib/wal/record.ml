@@ -35,7 +35,7 @@ type ckpt_undo =
   | Ckpt_delta of int (* logical undo: subtract the delta *)
   | Ckpt_dequeue of string (* logical undo: remove the enqueued item *)
 
-type ckpt_update = { cu_lsn : int; cu_oid : Oid.t; cu_undo : ckpt_undo; cu_after : Value.t }
+type ckpt_update = { cu_lsn : int; cu_oid : Oid.t; cu_undo : ckpt_undo }
 type att_entry = { att_tid : Tid.t; att_updates : ckpt_update list }
 
 type t =
@@ -51,12 +51,15 @@ type t =
          supports *logical* undo — concurrent uncommitted increments by
          other transactions must survive this one's abort, so undo
          subtracts rather than installing a before image. *)
-  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string; after : Value.t }
-      (* A commuting queue append.  Like [Increment], the [after] image
-         supports physical repeat-history redo while [item] supports
-         logical undo: concurrent uncommitted enqueues by other
-         transactions must survive this one's abort, so undo removes
-         this item rather than installing a before image. *)
+  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string; image : Value.t option }
+      (* A commuting queue append, logged as the operation rather than
+         the queue: [item] is both the redo (append it) and the undo
+         (remove it — concurrent uncommitted enqueues by other
+         transactions must survive this one's abort).  The first
+         enqueue on an object after each checkpoint also carries the
+         full queue it produced as [image], so every redo scan meets a
+         physical install of the queue before its first append (the
+         full-page-write rule applied to one object). *)
   | Clr of { tid : Tid.t; oid : Oid.t; image : Value.t option; undo_lsn : int }
       (* Compensation record: the abort algorithm installed [image]
          (None = the object is deleted) while undoing [tid].  Redo-only,
@@ -90,8 +93,10 @@ let pp ppf = function
   | Increment { tid; oid; delta; after } ->
       Format.fprintf ppf "INCR %a %a delta=%d after=%a" Tid.pp tid Oid.pp oid delta Value.pp
         after
-  | Enqueue { tid; oid; item; after } ->
-      Format.fprintf ppf "ENQ %a %a item=%S after=%a" Tid.pp tid Oid.pp oid item Value.pp after
+  | Enqueue { tid; oid; item; image } ->
+      Format.fprintf ppf "ENQ %a %a item=%S image=%a" Tid.pp tid Oid.pp oid item
+        (Format.pp_print_option Value.pp)
+        image
   | Clr { tid; oid; image; undo_lsn } ->
       Format.fprintf ppf "CLR %a %a image=%a undo=%d" Tid.pp tid Oid.pp oid
         (Format.pp_print_option Value.pp)
@@ -108,8 +113,10 @@ let pp ppf = function
    codec produces and parses the record body.  All integers are
    little-endian. *)
 
-(* Tag 6 is retired: an old log may still hold it, so it decodes as
-   [Corrupt] and must not be reused. *)
+(* Tags 6, 9 and 10 are retired: an old log may still hold them (9
+   and 10 are the earlier Enqueue and Begin_ckpt layouts, which carried
+   after images), so they decode as [Corrupt] and must not be
+   reused. *)
 let tag = function
   | Begin _ -> 1
   | Update _ -> 2
@@ -118,9 +125,9 @@ let tag = function
   | Delegate _ -> 5
   | Clr _ -> 7
   | Increment _ -> 8
-  | Enqueue _ -> 9
-  | Begin_ckpt _ -> 10
   | End_ckpt _ -> 11
+  | Enqueue _ -> 12
+  | Begin_ckpt _ -> 13
 
 let put_int buf i =
   let b = Bytes.create 8 in
@@ -130,6 +137,13 @@ let put_int buf i =
 let put_string buf s =
   put_int buf (String.length s);
   Buffer.add_string buf s
+
+(* An optional value: a 0/1 presence word, then the bytes. *)
+let put_image buf = function
+  | None -> put_int buf 0
+  | Some v ->
+      put_int buf 1;
+      put_string buf (Value.to_string v)
 
 let put_tid buf tid = put_int buf (Tid.to_int tid)
 let put_oid buf oid = put_int buf (Oid.to_int oid)
@@ -142,11 +156,7 @@ let encode t =
   | Update { tid; oid; before; after } ->
       put_tid buf tid;
       put_oid buf oid;
-      (match before with
-      | None -> put_int buf 0
-      | Some v ->
-          put_int buf 1;
-          put_string buf (Value.to_string v));
+      put_image buf before;
       put_string buf (Value.to_string after)
   | Commit tids ->
       put_int buf (List.length tids);
@@ -164,21 +174,17 @@ let encode t =
       put_tid buf tid;
       put_oid buf oid;
       put_int buf undo_lsn;
-      (match image with
-      | None -> put_int buf 0
-      | Some v ->
-          put_int buf 1;
-          put_string buf (Value.to_string v))
+      put_image buf image
   | Increment { tid; oid; delta; after } ->
       put_tid buf tid;
       put_oid buf oid;
       put_int buf delta;
       put_string buf (Value.to_string after)
-  | Enqueue { tid; oid; item; after } ->
+  | Enqueue { tid; oid; item; image } ->
       put_tid buf tid;
       put_oid buf oid;
       put_string buf item;
-      put_string buf (Value.to_string after)
+      put_image buf image
   | Begin_ckpt { active; dirty } ->
       put_int buf (List.length active);
       List.iter
@@ -199,8 +205,7 @@ let encode t =
                   put_int buf d
               | Ckpt_dequeue item ->
                   put_int buf 3;
-                  put_string buf item);
-              put_string buf (Value.to_string cu.cu_after))
+                  put_string buf item))
             e.att_updates)
         active;
       put_int buf (List.length dirty);
@@ -235,6 +240,7 @@ let get_count c =
   if n < 0 || n > (String.length c.data - c.pos) / 8 then raise (Corrupt "bad element count");
   n
 
+let get_image c = if get_int c = 1 then Some (Value.of_string (get_string c)) else None
 let get_tid c = Tid.of_int (get_int c)
 let get_oid c = Oid.of_int (get_int c)
 
@@ -246,7 +252,7 @@ let decode data =
   | 2 ->
       let tid = get_tid c in
       let oid = get_oid c in
-      let before = if get_int c = 1 then Some (Value.of_string (get_string c)) else None in
+      let before = get_image c in
       let after = Value.of_string (get_string c) in
       Update { tid; oid; before; after }
   | 3 ->
@@ -267,7 +273,7 @@ let decode data =
       let tid = get_tid c in
       let oid = get_oid c in
       let undo_lsn = get_int c in
-      let image = if get_int c = 1 then Some (Value.of_string (get_string c)) else None in
+      let image = get_image c in
       Clr { tid; oid; image; undo_lsn }
   | 8 ->
       let tid = get_tid c in
@@ -275,13 +281,14 @@ let decode data =
       let delta = get_int c in
       let after = Value.of_string (get_string c) in
       Increment { tid; oid; delta; after }
-  | 9 ->
+  | 11 -> End_ckpt { begin_lsn = get_int c }
+  | 12 ->
       let tid = get_tid c in
       let oid = get_oid c in
       let item = get_string c in
-      let after = Value.of_string (get_string c) in
-      Enqueue { tid; oid; item; after }
-  | 10 ->
+      let image = get_image c in
+      Enqueue { tid; oid; item; image }
+  | 13 ->
       let n_active = get_count c in
       let active =
         List.init n_active (fun _ ->
@@ -299,13 +306,11 @@ let decode data =
                     | 3 -> Ckpt_dequeue (get_string c)
                     | k -> raise (Corrupt (Printf.sprintf "unknown ckpt undo kind %d" k))
                   in
-                  let cu_after = Value.of_string (get_string c) in
-                  { cu_lsn; cu_oid; cu_undo; cu_after })
+                  { cu_lsn; cu_oid; cu_undo })
             in
             { att_tid; att_updates })
       in
       let n_dirty = get_count c in
       let dirty = List.init n_dirty (fun _ -> get_oid c) in
       Begin_ckpt { active; dirty }
-  | 11 -> End_ckpt { begin_lsn = get_int c }
   | n -> raise (Corrupt (Printf.sprintf "unknown record tag %d" n))

@@ -1,7 +1,7 @@
 (** Write-ahead-log records.
 
     The section-4.2 write algorithm logs before and after images of
-    every update; commit and abort place their own records.  Three
+    every update; commit and abort place their own records.  Four
     ASSET-specific records extend the classical set:
 
     - [Commit] carries a {e list} of tids, because a resolved
@@ -11,7 +11,9 @@
       attribute each update to the transaction {e finally} responsible
       for it;
     - [Increment] records commuting updates whose undo is logical
-      (subtract the delta) rather than physical. *)
+      (subtract the delta) rather than physical;
+    - [Enqueue] logs the appended item, not the queue: redo appends
+      it, undo removes it. *)
 
 module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
@@ -31,7 +33,7 @@ type ckpt_undo =
   | Ckpt_delta of int  (** Logical undo: subtract the delta. *)
   | Ckpt_dequeue of string  (** Logical undo: remove the enqueued item. *)
 
-type ckpt_update = { cu_lsn : int; cu_oid : Oid.t; cu_undo : ckpt_undo; cu_after : Value.t }
+type ckpt_update = { cu_lsn : int; cu_oid : Oid.t; cu_undo : ckpt_undo }
 type att_entry = { att_tid : Tid.t; att_updates : ckpt_update list }
 
 type t =
@@ -46,10 +48,14 @@ type t =
   | Increment of { tid : Tid.t; oid : Oid.t; delta : int; after : Value.t }
       (** A commuting increment: [after] supports physical
           repeat-history redo, [delta] supports logical undo. *)
-  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string; after : Value.t }
-      (** A commuting queue append: [after] supports physical
-          repeat-history redo, [item] supports logical undo (remove
-          the item rather than install a before image). *)
+  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string; image : Value.t option }
+      (** A commuting queue append, logged as the item: redo appends
+          [item], undo removes it (logical, so concurrent producers'
+          items survive).  [image] is the full queue after the append,
+          present only on the first enqueue on [oid] since the last
+          [Begin_ckpt] (or since the engine started), so every redo
+          scan installs the queue physically before appending to
+          it. *)
   | Clr of { tid : Tid.t; oid : Oid.t; image : Value.t option; undo_lsn : int }
       (** Compensation record written by the abort algorithm for each
           installed undo image ([None] = deletion).  Redo-only for the

@@ -15,9 +15,14 @@
    redo     —  reinstall every after image *and every CLR image* in log
                order, regardless of outcome, repeating history so the
                cache state matches the log tail whatever subset of
-               writes reached the disk.  Redo actions are whole-value
-               installs, so a crash part-way through redo leaves a
-               store that the next recovery's redo simply overwrites.
+               writes reached the disk.  An enqueue is logged as its
+               item and redone as an append onto the current value;
+               the first enqueue on each queue after a checkpoint also
+               carries the full queue, so every scan installs a queue
+               before appending to it.  Redo is therefore a
+               deterministic replay from physical images, and a crash
+               part-way through it leaves a store that the next
+               recovery's redo simply overwrites.
 
    undo     —  walk the loser updates in reverse LSN order installing
                before images (a missing before image means the object
@@ -63,13 +68,7 @@ let site_redo = Fault.register "recovery.redo"
    transactions survive. *)
 type undo_kind = Physical of Value.t option | Logical_delta of int | Logical_dequeue of string
 
-type update = {
-  lsn : int;
-  oid : Oid.t;
-  undo : undo_kind;
-  after : Value.t;
-  mutable responsible : Tid.t;
-}
+type update = { lsn : int; oid : Oid.t; undo : undo_kind }
 
 type report = {
   winners : Tid.t list;
@@ -80,7 +79,15 @@ type report = {
   log_records_dropped : int;
 }
 
-type redo_action = Install of Oid.t * Value.t | Remove of Oid.t
+(* [Append] is an enqueue's redo: push the item onto the store's
+   current value.  It is only sound because the engine logs a full
+   image with the first enqueue on each queue after every Begin_ckpt:
+   in any scan, from any anchor, an install of the queue (that image,
+   an Update's after image or a CLR image) precedes its first append.
+   So every append extends the replayed history's value, whatever the
+   store held before redo — behind the anchor, or ahead of it after
+   pool eviction or a crash part-way through an earlier redo. *)
+type redo_action = Install of Oid.t * Value.t | Remove of Oid.t | Append of Oid.t * string
 
 (* The latest trustworthy scan anchor, found by one backward walk: the
    begin LSN and captured table of the last End_ckpt whose backlink
@@ -108,13 +115,18 @@ let undo_of_ckpt = function
   | Record.Ckpt_delta delta -> Logical_delta delta
   | Record.Ckpt_dequeue item -> Logical_dequeue item
 
-(* One forward pass from the anchor.  With an anchor the updates list
-   is seeded from the captured active-transaction table (in LSN
-   order, below everything the scan adds) — seeded updates join undo
-   and delegation re-attribution but not redo: the checkpoint's store
-   flush already covers every update logged before begin_lsn. *)
+(* One forward pass from the anchor.  Updates are indexed by the
+   transaction currently responsible for them, so a Delegate moves
+   one transaction's entries instead of walking every update seen so
+   far.  With an anchor the index is seeded from the captured
+   active-transaction table — seeded updates join undo and delegation
+   re-attribution but not redo: the checkpoint's store flush already
+   covers every update logged before begin_lsn.  Returns the updates
+   recovery must undo, newest first, with the redo actions in log
+   order. *)
 let analyze log =
-  let updates = ref [] in
+  let owned : (Tid.t, update list) Hashtbl.t = Hashtbl.create 16 in
+  let owned_by tid = Option.value (Hashtbl.find_opt owned tid) ~default:[] in
   let redo = ref [] in
   let winners = Hashtbl.create 16 in
   let aborted = Hashtbl.create 16 in
@@ -125,22 +137,21 @@ let analyze log =
      set is always a suffix of the loser's update history — recovery
      undoes exactly the remainder. *)
   let compensated = Hashtbl.create 16 in
+  let update tid u =
+    Hashtbl.replace seen tid ();
+    Hashtbl.replace owned tid (u :: owned_by tid)
+  in
   let scan_from, seeds =
     match find_anchor log with None -> (Log.start_lsn log, []) | Some anchor -> anchor
   in
-  let seed_updates =
-    List.concat_map
-      (fun (e : Record.att_entry) ->
-        Hashtbl.replace seen e.att_tid ();
-        List.map
-          (fun (cu : Record.ckpt_update) ->
-            { lsn = cu.cu_lsn; oid = cu.cu_oid; undo = undo_of_ckpt cu.cu_undo; after = cu.cu_after; responsible = e.att_tid })
-          e.att_updates)
-      seeds
-  in
   List.iter
-    (fun u -> updates := u :: !updates)
-    (List.sort (fun a b -> compare a.lsn b.lsn) seed_updates);
+    (fun (e : Record.att_entry) ->
+      Hashtbl.replace seen e.att_tid ();
+      List.iter
+        (fun (cu : Record.ckpt_update) ->
+          update e.att_tid { lsn = cu.cu_lsn; oid = cu.cu_oid; undo = undo_of_ckpt cu.cu_undo })
+        e.att_updates)
+    seeds;
   Log.iter ~from:scan_from log (fun lsn record ->
       match record with
       | Record.Begin_ckpt _ | Record.End_ckpt _ ->
@@ -149,58 +160,62 @@ let analyze log =
           ()
       | Record.Begin tid -> Hashtbl.replace seen tid ()
       | Record.Update { tid; oid; before; after } ->
-          Hashtbl.replace seen tid ();
-          updates := { lsn; oid; undo = Physical before; after; responsible = tid } :: !updates;
+          update tid { lsn; oid; undo = Physical before };
           redo := Install (oid, after) :: !redo
       | Record.Increment { tid; oid; delta; after } ->
-          Hashtbl.replace seen tid ();
-          updates := { lsn; oid; undo = Logical_delta delta; after; responsible = tid } :: !updates;
+          update tid { lsn; oid; undo = Logical_delta delta };
           redo := Install (oid, after) :: !redo
-      | Record.Enqueue { tid; oid; item; after } ->
-          Hashtbl.replace seen tid ();
-          updates := { lsn; oid; undo = Logical_dequeue item; after; responsible = tid } :: !updates;
-          redo := Install (oid, after) :: !redo
+      | Record.Enqueue { tid; oid; item; image } ->
+          update tid { lsn; oid; undo = Logical_dequeue item };
+          redo := (match image with Some v -> Install (oid, v) | None -> Append (oid, item)) :: !redo
       | Record.Clr { oid; image; undo_lsn; _ } ->
           Hashtbl.replace compensated undo_lsn ();
           redo :=
             (match image with Some v -> Install (oid, v) | None -> Remove oid) :: !redo
       | Record.Delegate { from_; to_; oids } ->
           Hashtbl.replace seen to_ ();
-          let covers oid =
-            match oids with None -> true | Some l -> List.exists (Oid.equal oid) l
+          let moving, staying =
+            match oids with
+            | None -> (owned_by from_, [])
+            | Some l -> List.partition (fun u -> List.exists (Oid.equal u.oid) l) (owned_by from_)
           in
-          List.iter
-            (fun u -> if Tid.equal u.responsible from_ && covers u.oid then u.responsible <- to_)
-            !updates
+          if moving <> [] then begin
+            if staying = [] then Hashtbl.remove owned from_ else Hashtbl.replace owned from_ staying;
+            Hashtbl.replace owned to_ (List.rev_append moving (owned_by to_))
+          end
       | Record.Commit tids -> List.iter (fun tid -> Hashtbl.replace winners tid ()) tids
       | Record.Abort tid -> Hashtbl.replace aborted tid ());
-  let updates = List.rev !updates in
-  let redo = List.rev !redo in
   let winner tid = Hashtbl.mem winners tid in
   let losers =
     Hashtbl.fold (fun tid () acc -> if winner tid then acc else tid :: acc) seen []
   in
+  (* Undo unresolved losers (in-flight at the crash).  Resolved losers'
+     undos are replayed as CLRs, and so is any prefix of an
+     *unresolved* abort that persisted CLRs before the crash — those
+     updates carry a compensating back-link and must not be undone a
+     second time (double-applying a logical delta/dequeue would
+     corrupt concurrent committers' commuting updates). *)
+  let to_undo =
+    Hashtbl.fold
+      (fun tid us acc ->
+        if winner tid || Hashtbl.mem aborted tid then acc
+        else List.filter (fun u -> not (Hashtbl.mem compensated u.lsn)) us @ acc)
+      owned []
+    |> List.sort (fun a b -> Int.compare b.lsn a.lsn)
+  in
   let winners = Hashtbl.fold (fun tid () acc -> tid :: acc) winners [] in
-  let resolved tid = Hashtbl.mem aborted tid in
-  let undone lsn = Hashtbl.mem compensated lsn in
-  ( updates,
-    redo,
-    winner,
-    List.sort Tid.compare winners,
-    List.sort Tid.compare losers,
-    resolved,
-    undone,
-    scan_from )
+  (to_undo, List.rev !redo, List.sort Tid.compare winners, List.sort Tid.compare losers, scan_from)
 
 let apply_action store = function
   | Install (oid, v) -> Store.write store oid v
   | Remove oid -> Store.delete store oid
+  | Append (oid, item) ->
+      let current = Option.value (Store.read store oid) ~default:Value.empty in
+      Store.write store oid (Value.queue_push current item)
 
 let recover log store =
   if Trace.on () then Trace.emit Trace.Recovery_start;
-  let updates, redo, winner, winners, losers, resolved, undone_before_crash, from =
-    analyze log
-  in
+  let to_undo, redo, winners, losers, from = analyze log in
   (* Redo: repeat history, including the undo writes (CLRs) of aborts
      that ran before the crash.  The failpoint lets the torture harness
      lose power part-way through. *)
@@ -209,22 +224,6 @@ let recover log store =
       Fault.hit_io site_redo;
       apply_action store action)
     redo;
-  let redone = List.length redo in
-  (* Undo unresolved losers (in-flight at the crash) in reverse order.
-     Resolved losers' undos were replayed as CLRs above, and so was any
-     prefix of an *unresolved* abort that persisted CLRs before the
-     crash — those updates carry a compensating back-link and must not
-     be undone a second time (double-applying a logical delta/dequeue
-     would corrupt concurrent committers' commuting updates). *)
-  let loser_updates =
-    List.filter
-      (fun u ->
-        (not (winner u.responsible))
-        && (not (resolved u.responsible))
-        && not (undone_before_crash u.lsn))
-      updates
-  in
-  let undone = List.length loser_updates in
   List.iter
     (fun u ->
       match u.undo with
@@ -238,14 +237,14 @@ let recover log store =
           match Store.read store u.oid with
           | Some v -> Store.write store u.oid (Value.queue_remove_last v item)
           | None -> ()))
-    (List.rev loser_updates);
+    to_undo;
   Store.flush store;
   if Trace.on () then Trace.emit (Trace.Recovery_done { winners; losers });
   {
     winners;
     losers;
-    updates_redone = redone;
-    updates_undone = undone;
+    updates_redone = List.length redo;
+    updates_undone = List.length to_undo;
     scanned_from = from;
     log_records_dropped = Log.corrupt_dropped log;
   }

@@ -6,9 +6,12 @@
     at the checkpoint), attributing each update to the transaction
     finally responsible for it (delegation records re-attribute earlier
     updates, captured ones included); redo reinstalls every after image
-    {e and} every CLR image in log order; undo walks unresolved losers'
-    updates in reverse, installing before images (physical) or
-    subtracting deltas (logical, for increments).  A loser whose Abort
+    {e and} every CLR image in log order, and re-appends each enqueued
+    item (the first enqueue on a queue after a checkpoint carries the
+    full queue, so each scan installs it before appending); undo walks
+    unresolved losers' updates in reverse, installing before images
+    (physical), subtracting deltas or removing enqueued items
+    (logical).  A loser whose Abort
     record reached the log is not re-undone — its CLRs already carry
     the undo. *)
 

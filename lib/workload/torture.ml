@@ -13,12 +13,18 @@
        CRC verification) and [Recovery.recover] repeats history and
        undoes losers.
 
+   Each transfer also enqueues one small item onto an audit queue, so
+   the sweeps cover the enqueue log shape too: item-only records
+   redone as appends, after a full image of the queue once per
+   checkpoint interval.
+
    The durability invariants checked after every recovery:
 
      1. every *acknowledged* commit (E.commit returned true) is a
         recovery winner — its effects are present;
      2. no loser effect is visible: each account holds exactly the
-        initial balance plus the winners' transfer deltas;
+        initial balance plus the winners' transfer deltas, and the
+        audit queue holds exactly one item per winner;
      3. the bank total is conserved;
      4. optionally, recovery is idempotent (recovering again changes
         nothing).
@@ -69,6 +75,18 @@ let default_spec =
   }
 
 type transfer = { src : int; dst : int; amount : int }
+
+(* The audit queue sits just past the accounts.  Its items are a few
+   bytes each, so a whole run's queue fits in one page of the smallest
+   spec the sweeps use. *)
+let audit spec = Asset_util.Id.Oid.of_int (spec.accounts + 1)
+let audit_item i = Printf.sprintf "t%d" i
+
+(* The torture transfer: the bank's read-modify-write transfer plus one
+   audit enqueue. *)
+let transfer_body db spec i tr () =
+  Bank.transfer db ~from_:tr.src ~to_:tr.dst ~amount:tr.amount ();
+  E.enqueue db (audit spec) (audit_item i)
 
 (* The scripted transfer plan, deterministic in the seed.  Recorded up
    front so the invariant check can recompute each winner's effect. *)
@@ -138,6 +156,19 @@ let check spec transfers (tids : Tid.t array) acked (report : Recovery.report) ~
   done;
   if !total <> spec.accounts * spec.balance then
     addf "balance not conserved: %d, expected %d" !total (spec.accounts * spec.balance);
+  let expected_audit =
+    List.concat
+      (List.mapi
+         (fun i t -> if (not (Tid.is_null t)) && winner t then [ audit_item i ] else [])
+         (Array.to_list tids))
+  in
+  (match Store.read store (audit spec) with
+  | Some v ->
+      let got = Value.to_queue v in
+      if List.sort compare got <> List.sort compare expected_audit then
+        addf "audit queue holds [%s], expected one item per winner [%s]" (String.concat ";" got)
+          (String.concat ";" expected_audit)
+  | None -> addf "audit queue missing after recovery");
   List.rev !failures
 
 let sorted_snapshot store =
@@ -156,6 +187,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
   for a = 1 to spec.accounts do
     Store.write store (Bank.account a) (Value.of_int spec.balance)
   done;
+  Store.write store (audit spec) (Value.of_queue []);
   Store.flush store;
   let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
   let config = { E.default_config with checkpoint_log_bytes = spec.checkpoint_log_bytes } in
@@ -166,10 +198,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
   arm ();
   let crashed =
     let main () =
-      Array.iteri
-        (fun i tr ->
-          tids.(i) <- E.initiate db (Bank.transfer db ~from_:tr.src ~to_:tr.dst ~amount:tr.amount))
-        transfers;
+      Array.iteri (fun i tr -> tids.(i) <- E.initiate db (transfer_body db spec i tr)) transfers;
       Array.iter (fun t -> ignore (E.begin_ db t)) tids;
       Array.iteri
         (fun i t ->

@@ -7,7 +7,10 @@
     state discarded, files reopened, {!Asset_wal.Recovery.recover}),
     and checks the durability invariants: acknowledged commits durable,
     loser effects invisible, bank balance conserved, and (optionally)
-    recovery idempotent. *)
+    recovery idempotent.  In {!run_once} each transfer also enqueues
+    one item onto an audit queue (the object after the last account),
+    and the recovered queue must hold exactly one item per durable
+    winner. *)
 
 module Recovery = Asset_wal.Recovery
 module Tid = Asset_util.Id.Tid

@@ -1223,6 +1223,47 @@ let test_stats_exposed () =
          Alcotest.(check int) "writes" 1 (List.assoc "writes" stats);
          Alcotest.(check bool) "lock stats merged" true (List.mem_assoc "lock.acquires" stats)))
 
+(* The enqueue log shape: an Enqueue record carries its item, and
+   only the first enqueue on each queue since the last checkpoint also
+   carries the full queue it produced. *)
+let test_enqueue_image_once_per_checkpoint () =
+  let db =
+    with_db (fun db ->
+        let round () =
+          ignore
+            (Asset_models.Atomic.run db (fun () ->
+                 E.enqueue db (oid 11) "a";
+                 E.enqueue db (oid 12) "b";
+                 E.enqueue db (oid 11) "c"))
+        in
+        round ();
+        round ();
+        ignore (E.checkpoint db);
+        round ())
+  in
+  let shape =
+    Asset_wal.Log.fold (E.log db) ~init:[] ~f:(fun acc _ r ->
+        match r with
+        | Asset_wal.Record.Enqueue { oid = o; image; _ } ->
+            `Enq (Oid.to_int o, Option.map Value.to_queue image) :: acc
+        | Asset_wal.Record.Begin_ckpt _ -> `Ckpt :: acc
+        | _ -> acc)
+    |> List.rev
+  in
+  let expected =
+    [
+      `Enq (11, Some [ "a" ]); `Enq (12, Some [ "b" ]); `Enq (11, None);
+      `Enq (11, None); `Enq (12, None); `Enq (11, None);
+      `Ckpt;
+      `Enq (11, Some [ "a"; "c"; "a"; "c"; "a" ]); `Enq (12, Some [ "b"; "b"; "b" ]); `Enq (11, None);
+    ]
+  in
+  Alcotest.(check bool) "first enqueue per queue per checkpoint carries the image" true
+    (shape = expected);
+  Alcotest.(check (list string))
+    "queue" [ "a"; "c"; "a"; "c"; "a"; "c" ]
+    (Value.to_queue (Store.read_exn (E.store db) (oid 11)))
+
 let () =
   Alcotest.run "asset_engine"
     [
@@ -1306,6 +1347,8 @@ let () =
         [
           Alcotest.test_case "concurrent increments" `Quick test_increments_run_concurrently;
           Alcotest.test_case "logical undo" `Quick test_increment_abort_is_logical;
+          Alcotest.test_case "enqueue image once per checkpoint" `Quick
+            test_enqueue_image_once_per_checkpoint;
           Alcotest.test_case "conflicts with read/write" `Quick
             test_increment_conflicts_with_read_write;
           Alcotest.test_case "creates object" `Quick test_increment_creates_object;

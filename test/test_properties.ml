@@ -338,6 +338,27 @@ let test_enqueue_logical_undo () =
   let q = Value.to_queue (Store.read_exn (E.store db) (oid 1)) in
   Alcotest.(check (list string)) "survivor's items only" [ "a"; "c" ] (List.sort compare q)
 
+(* The in-place queue codec against its list definition.  Items come
+   from a three-letter alphabet and may be empty, so random queues
+   hold duplicates and the removed occurrence matters. *)
+let gen_item = QCheck2.Gen.(string_size ~gen:(char_range 'a' 'c') (int_range 0 2))
+let gen_queue = QCheck2.Gen.(list_size (int_range 0 12) gen_item)
+
+let prop_queue_push_appends =
+  QCheck2.Test.make ~name:"queue_push appends one item" ~count:500
+    QCheck2.Gen.(pair gen_queue gen_item)
+    (fun (items, x) -> Value.to_queue (Value.queue_push (Value.of_queue items) x) = items @ [ x ])
+
+let prop_queue_remove_last_matches_list =
+  let rec drop_last x = function
+    | [] -> []
+    | y :: rest -> if String.equal x y && not (List.mem x rest) then rest else y :: drop_last x rest
+  in
+  QCheck2.Test.make ~name:"queue_remove_last drops the last occurrence" ~count:500
+    QCheck2.Gen.(pair gen_queue gen_item)
+    (fun (items, x) ->
+      Value.to_queue (Value.queue_remove_last (Value.of_queue items) x) = drop_last x items)
+
 (* ------------------------------------------------------------------ *)
 (* Workload harness                                                    *)
 
@@ -455,6 +476,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_escrow_bounds_respected;
           Alcotest.test_case "version gc bounded" `Quick test_version_gc_bounded;
           Alcotest.test_case "enqueue undo is logical" `Quick test_enqueue_logical_undo;
+          QCheck_alcotest.to_alcotest prop_queue_push_appends;
+          QCheck_alcotest.to_alcotest prop_queue_remove_last_matches_list;
         ] );
       ( "workload",
         [

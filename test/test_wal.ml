@@ -42,7 +42,9 @@ let sample_records =
     Record.Clr { tid = tid 3; oid = oid 4; image = Some (vi 8); undo_lsn = 12 };
     Record.Clr { tid = tid 3; oid = oid 4; image = None; undo_lsn = 0 };
     Record.Increment { tid = tid 2; oid = oid 3; delta = -4; after = vi 6 };
-    Record.Enqueue { tid = tid 2; oid = oid 7; item = "job-1"; after = Value.of_queue [ "job-1" ] };
+    Record.Enqueue
+      { tid = tid 2; oid = oid 7; item = "job-1"; image = Some (Value.of_queue [ "job-1" ]) };
+    Record.Enqueue { tid = tid 2; oid = oid 7; item = "job-2"; image = None };
     Record.Begin_ckpt { active = []; dirty = [] };
     Record.Begin_ckpt
       {
@@ -53,15 +55,10 @@ let sample_records =
               att_tid = tid 5;
               att_updates =
                 [
-                  { cu_lsn = 7; cu_oid = oid 2; cu_undo = Record.Ckpt_physical (Some (vi 1)); cu_after = vi 9 };
-                  { cu_lsn = 8; cu_oid = oid 3; cu_undo = Record.Ckpt_physical None; cu_after = vi 4 };
-                  { cu_lsn = 9; cu_oid = oid 4; cu_undo = Record.Ckpt_delta (-3); cu_after = vi 2 };
-                  {
-                    cu_lsn = 10;
-                    cu_oid = oid 5;
-                    cu_undo = Record.Ckpt_dequeue "job-1";
-                    cu_after = Value.of_queue [ "job-1" ];
-                  };
+                  { cu_lsn = 7; cu_oid = oid 2; cu_undo = Record.Ckpt_physical (Some (vi 1)) };
+                  { cu_lsn = 8; cu_oid = oid 3; cu_undo = Record.Ckpt_physical None };
+                  { cu_lsn = 9; cu_oid = oid 4; cu_undo = Record.Ckpt_delta (-3) };
+                  { cu_lsn = 10; cu_oid = oid 5; cu_undo = Record.Ckpt_dequeue "job-1" };
                 ];
             };
           ];
@@ -88,6 +85,40 @@ let test_codec_rejects_garbage () =
   match Record.decode "\255garbage" with
   | exception Record.Corrupt _ -> ()
   | _ -> Alcotest.fail "bad tag accepted"
+
+(* Retired tags stay retired: a well-formed body in an old layout —
+   the earlier Enqueue (tag 9: tid, oid, item, after image) and
+   Begin_ckpt (tag 10: entries carrying an after image) — decodes as
+   [Corrupt], never as a record of the current layout. *)
+let test_codec_rejects_retired_tags () =
+  let body tag words =
+    let b = Buffer.create 64 in
+    Buffer.add_char b (Char.chr tag);
+    List.iter
+      (function
+        | `I i ->
+            let w = Bytes.create 8 in
+            Bytes.set_int64_le w 0 (Int64.of_int i);
+            Buffer.add_bytes b w
+        | `S s ->
+            let w = Bytes.create 8 in
+            Bytes.set_int64_le w 0 (Int64.of_int (String.length s));
+            Buffer.add_bytes b w;
+            Buffer.add_string b s)
+      words;
+    Buffer.contents b
+  in
+  let old_enqueue = body 9 [ `I 2; `I 7; `S "job-1"; `S (Value.to_string (Value.of_queue [ "job-1" ])) ] in
+  (* One active entry, one update: lsn, oid, undo kind 3 (dequeue), item, after; no dirty oids. *)
+  let old_begin_ckpt =
+    body 10 [ `I 1; `I 5; `I 1; `I 10; `I 5; `I 3; `S "job-1"; `S "after"; `I 0 ]
+  in
+  List.iter
+    (fun (name, data) ->
+      match Record.decode data with
+      | exception Record.Corrupt _ -> ()
+      | r -> Alcotest.failf "%s decoded as %a" name Record.pp r)
+    [ ("tag 9 (old Enqueue)", old_enqueue); ("tag 10 (old Begin_ckpt)", old_begin_ckpt) ]
 
 (* Decoding arbitrary bytes must either produce a record or raise
    [Corrupt] — never crash or loop. *)
@@ -507,7 +538,8 @@ let test_recovery_crashed_abort_skips_compensated_suffix () =
   ignore
     (Log.append log (Record.Increment { tid = tid 1; oid = oid 1; delta = 5; after = vi 105 }));
   ignore
-    (Log.append log (Record.Enqueue { tid = tid 1; oid = oid 2; item = "dup"; after = vq [ "dup" ] }));
+    (Log.append log
+       (Record.Enqueue { tid = tid 1; oid = oid 2; item = "dup"; image = Some (vq [ "dup" ]) }));
   ignore (Log.append log (Record.Commit [ tid 1 ]));
   (* Loser t2: the same commuting shape on the same objects. *)
   let inc_lsn =
@@ -515,7 +547,7 @@ let test_recovery_crashed_abort_skips_compensated_suffix () =
   in
   let enq_lsn =
     Log.append log
-      (Record.Enqueue { tid = tid 2; oid = oid 2; item = "dup"; after = vq [ "dup"; "dup" ] })
+      (Record.Enqueue { tid = tid 2; oid = oid 2; item = "dup"; image = None })
   in
   (* The abort undoes newest-first: both CLRs persisted, then power
      loss before the Abort record. *)
@@ -546,7 +578,8 @@ let test_recovery_crashed_abort_undoes_uncompensated_prefix () =
   ignore
     (Log.append log (Record.Increment { tid = tid 2; oid = oid 1; delta = 7; after = vi 112 }));
   let enq_lsn =
-    Log.append log (Record.Enqueue { tid = tid 2; oid = oid 2; item = "x"; after = vq [ "x" ] })
+    Log.append log
+      (Record.Enqueue { tid = tid 2; oid = oid 2; item = "x"; image = Some (vq [ "x" ]) })
   in
   ignore
     (Log.append log
@@ -609,6 +642,34 @@ let test_recovery_partial_delegation_by_object () =
   Alcotest.(check int) "delegated object committed" 5 (geti s 1);
   Alcotest.(check int) "kept object undone" 0 (geti s 2)
 
+(* Responsibility moves along a chain: part of t1's work to t2, then
+   everything t2 holds — its own update and t1's delegated one — to t3,
+   which commits.  The update t1 kept dies with t1.  A receiver keeps
+   what it already held: loser t4 takes loser t5's update on top of its
+   own, and both are undone. *)
+let test_recovery_delegation_chain () =
+  let log = Log.in_memory () in
+  let upd t o v =
+    ignore (Log.append log (Record.Update { tid = tid t; oid = oid o; before = Some (vi 0); after = vi v }))
+  in
+  upd 1 1 1;
+  upd 1 2 2;
+  ignore (Log.append log (Record.Delegate { from_ = tid 1; to_ = tid 2; oids = Some [ oid 1 ] }));
+  upd 2 3 3;
+  ignore (Log.append log (Record.Delegate { from_ = tid 2; to_ = tid 3; oids = None }));
+  upd 4 5 5;
+  upd 5 6 6;
+  ignore (Log.append log (Record.Delegate { from_ = tid 5; to_ = tid 4; oids = None }));
+  ignore (Log.append log (Record.Commit [ tid 3 ]));
+  let s = store_with [ (1, 1); (2, 2); (3, 3); (5, 5); (6, 6) ] in
+  let report = Recovery.recover log s in
+  Alcotest.(check int) "delegated twice, committed" 1 (geti s 1);
+  Alcotest.(check int) "kept by the loser, undone" 0 (geti s 2);
+  Alcotest.(check int) "delegated once, committed" 3 (geti s 3);
+  Alcotest.(check int) "receiver's own update, undone" 0 (geti s 5);
+  Alcotest.(check int) "delegated to a loser, undone" 0 (geti s 6);
+  Alcotest.(check int) "three updates undone" 3 report.Recovery.updates_undone
+
 let test_recovery_group_commit_record () =
   let log = Log.in_memory () in
   ignore (Log.append log (Record.Update { tid = tid 1; oid = oid 1; before = Some (vi 0); after = vi 1 }));
@@ -644,6 +705,76 @@ let test_checkpoint_skips_prefix () =
   let report = Recovery.recover log s in
   Alcotest.(check int) "undone to checkpointed value" 5 (geti s 1);
   Alcotest.(check int) "only post-checkpoint records scanned" 1 report.Recovery.updates_redone
+
+(* Enqueue redo is an append onto the store's current value, so it is
+   only sound because every scan installs a queue before appending to
+   it.  A log shaped as the engine writes it after a checkpoint —
+   image, item, CLR, item — must recover to the same queue over the
+   store at the anchor state, over a store already holding the final
+   value, and over one ahead of the log (an uncommitted item evicted to
+   disk); and recovering twice must change nothing. *)
+let test_recovery_enqueue_append_redo () =
+  let vq = Value.of_queue in
+  let q = oid 1 in
+  let log = Log.in_memory () in
+  ignore (Log.append log (Record.Enqueue { tid = tid 1; oid = q; item = "z"; image = Some (vq [ "z" ]) }));
+  ignore (Log.append log (Record.Commit [ tid 1 ]));
+  let anchor = Heap.store () in
+  Store.write anchor q (vq [ "z" ]);
+  ignore (Recovery.checkpoint log anchor ~active:[] ~dirty:[]);
+  ignore
+    (Log.append log (Record.Enqueue { tid = tid 2; oid = q; item = "a"; image = Some (vq [ "z"; "a" ]) }));
+  let b_lsn = Log.append log (Record.Enqueue { tid = tid 3; oid = q; item = "b"; image = None }) in
+  ignore
+    (Log.append log (Record.Clr { tid = tid 3; oid = q; image = Some (vq [ "z"; "a" ]); undo_lsn = b_lsn }));
+  ignore (Log.append log (Record.Abort (tid 3)));
+  ignore (Log.append log (Record.Enqueue { tid = tid 4; oid = q; item = "c"; image = None }));
+  ignore (Log.append log (Record.Commit [ tid 2; tid 4 ]));
+  List.iter
+    (fun (name, disk) ->
+      let s = Heap.store () in
+      Store.write s q (vq disk);
+      let report = Recovery.recover log s in
+      Alcotest.(check int) (name ^ ": scan starts at the anchor") 2 report.Recovery.scanned_from;
+      Alcotest.(check (list string)) name [ "z"; "a"; "c" ] (Value.to_queue (Store.read_exn s q));
+      ignore (Recovery.recover log s);
+      Alcotest.(check (list string))
+        (name ^ ", recovered twice")
+        [ "z"; "a"; "c" ]
+        (Value.to_queue (Store.read_exn s q)))
+    [
+      ("store at the anchor", [ "z" ]);
+      ("store at the final value", [ "z"; "a"; "c" ]);
+      ("store ahead of the log", [ "z"; "a"; "b"; "c"; "b" ]);
+    ]
+
+(* Why redo is not length-positional ("append iff the queue still has
+   its pre-append length"): winner a, loser b, winner c.  The first
+   recovery leaves [a; c]; a second recovery would then find the
+   length matching at c's record and append c again.  Replaying from
+   the image, the second recovery rebuilds [a; b; c] and undoes b
+   again. *)
+let test_recovery_enqueue_winner_loser_winner () =
+  let vq = Value.of_queue in
+  let q = oid 1 in
+  let log = Log.in_memory () in
+  ignore (Log.append log (Record.Enqueue { tid = tid 1; oid = q; item = "a"; image = Some (vq [ "a" ]) }));
+  ignore (Log.append log (Record.Enqueue { tid = tid 2; oid = q; item = "b"; image = None }));
+  ignore (Log.append log (Record.Enqueue { tid = tid 3; oid = q; item = "c"; image = None }));
+  ignore (Log.append log (Record.Commit [ tid 1 ]));
+  ignore (Log.append log (Record.Commit [ tid 3 ]));
+  List.iter
+    (fun (name, disk) ->
+      let s = Heap.store () in
+      Option.iter (fun d -> Store.write s q (vq d)) disk;
+      ignore (Recovery.recover log s);
+      Alcotest.(check (list string)) name [ "a"; "c" ] (Value.to_queue (Store.read_exn s q));
+      ignore (Recovery.recover log s);
+      Alcotest.(check (list string))
+        (name ^ ", recovered twice")
+        [ "a"; "c" ]
+        (Value.to_queue (Store.read_exn s q)))
+    [ ("queue never reached disk", None); ("every append reached disk", Some [ "a"; "b"; "c" ]) ]
 
 (* Property: random histories — every committed transaction's final
    write per object survives; every loser's effect is gone.  We build
@@ -705,6 +836,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_codec_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_codec_rejects_garbage;
+          Alcotest.test_case "rejects retired tags" `Quick test_codec_rejects_retired_tags;
           QCheck_alcotest.to_alcotest prop_update_roundtrip;
           QCheck_alcotest.to_alcotest prop_decode_total;
           QCheck_alcotest.to_alcotest prop_decode_survives_bitflips;
@@ -753,9 +885,14 @@ let () =
             test_recovery_delegated_from_winner_to_loser;
           Alcotest.test_case "partial delegation by object" `Quick
             test_recovery_partial_delegation_by_object;
+          Alcotest.test_case "delegation chain" `Quick test_recovery_delegation_chain;
           Alcotest.test_case "group commit record" `Quick test_recovery_group_commit_record;
           Alcotest.test_case "idempotent" `Quick test_recovery_idempotent;
           Alcotest.test_case "checkpoint skips prefix" `Quick test_checkpoint_skips_prefix;
+          Alcotest.test_case "enqueue: append redo converges" `Quick
+            test_recovery_enqueue_append_redo;
+          Alcotest.test_case "enqueue: winner, loser, winner" `Quick
+            test_recovery_enqueue_winner_loser_winner;
           QCheck_alcotest.to_alcotest prop_recovery_matches_oracle;
         ] );
     ]
