@@ -246,6 +246,10 @@ let failure_of db tid = (td db tid).failure
 let wait_for_change db ~reason v =
   Sched.wait_until ~reason ~watch:v (fun () -> db.version > v)
 
+(* Park reasons are built on every retry and read only when a run
+   deadlocks, so they are concatenated, never formatted. *)
+let commit_reason tid what = "commit(" ^ Tid.to_string tid ^ "): " ^ what
+
 (* ------------------------------------------------------------------ *)
 (* self / parent                                                       *)
 
@@ -354,7 +358,7 @@ let begin_ db tid =
           if Trace.on () then Trace.emit (Trace.Snapshot { tid; ts = td.snapshot_ts })
         end;
         Log.append db.log (Record.Begin tid) |> ignore;
-        td.fid <- Sched.spawn (sched db) ~label:(Format.asprintf "%a" Tid.pp tid) (fun () -> run_body db td);
+        td.fid <- Sched.spawn (sched db) ~label:(Tid.to_string tid) (fun () -> run_body db td);
         bump db;
         true
       end
@@ -387,9 +391,9 @@ let acquire_lock db td oid mode =
         incr rounds;
         Asset_util.Stats.Counter.incr db.lock_waits;
         let reason =
-          Format.asprintf "lock %a/%a held by %a" Oid.pp oid Mode.pp mode
-            (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") Tid.pp)
-            blockers
+          String.concat ""
+            [ "lock "; Oid.to_string oid; "/"; Mode.to_string mode; " held by ";
+              String.concat "," (List.map Tid.to_string blockers) ]
         in
         let v = db.version in
         wait_for_change db ~reason v;
@@ -616,7 +620,7 @@ let wait db tid =
     | Status.Completed | Status.Committing | Status.Committed -> true
     | Status.Initiated | Status.Running ->
         let v = db.version in
-        wait_for_change db ~reason:(Format.asprintf "wait(%a)" Tid.pp tid) v;
+        wait_for_change db ~reason:("wait(" ^ Tid.to_string tid ^ ")") v;
         loop ()
   in
   loop ()
@@ -866,11 +870,11 @@ let resolve_non_gc_deps db tid =
             match status db e.Dep.master with
             | Status.Committed -> check rest
             | Status.Aborted | Status.Aborting -> `Must_abort
-            | _ -> `Retry (Format.asprintf "AD on %a" Tid.pp e.Dep.master))
+            | _ -> `Retry ("AD on " ^ Tid.to_string e.Dep.master))
         | Dep_type.CD -> (
             match status db e.Dep.master with
             | Status.Committed | Status.Aborted -> check rest
-            | _ -> `Retry (Format.asprintf "CD on %a" Tid.pp e.Dep.master))
+            | _ -> `Retry ("CD on " ^ Tid.to_string e.Dep.master))
         | Dep_type.EXC -> (
             match status db e.Dep.master with
             | Status.Committed -> `Must_abort
@@ -1049,7 +1053,7 @@ let rec commit db tid =
   | Status.Initiated | Status.Running ->
       (* commit is blocking: wait for the execution to complete. *)
       let v = db.version in
-      wait_for_change db ~reason:(Format.asprintf "commit(%a): awaiting completion" Tid.pp tid) v;
+      wait_for_change db ~reason:(commit_reason tid "awaiting completion") v;
       commit db tid
   | Status.Completed | Status.Committing -> attempt_commit db tid
 
@@ -1065,7 +1069,7 @@ and attempt_commit db tid =
   | `Retry reason ->
       Asset_util.Stats.Counter.incr db.commit_retries;
       let v = db.version in
-      wait_for_change db ~reason:(Format.asprintf "commit(%a): %s" Tid.pp tid reason) v;
+      wait_for_change db ~reason:(commit_reason tid reason) v;
       commit db tid
   | `Ready -> (
       let group = Dep.gc_group db.deps tid in
@@ -1077,13 +1081,13 @@ and attempt_commit db tid =
         | Status.Committed -> `Ok (* already committed via an earlier group *)
         | Status.Committing -> ( match resolve_non_gc_deps db m with
             | `Ready -> `Ok
-            | `Retry r -> `Wait r
+            | `Retry _ -> `Wait
             | `Must_abort -> `Abort)
         | Status.Completed ->
             (* Step 2c-ii: t_j has not yet invoked commit — invoke it on
                its behalf by entering its commit path. *)
             `Invoke
-        | Status.Initiated | Status.Running -> `Wait (Format.asprintf "group member %a still executing" Tid.pp m)
+        | Status.Initiated | Status.Running -> `Wait
       in
       let verdicts = List.map (fun m -> (m, classify m)) group in
       if List.exists (fun (_, v) -> v = `Abort) verdicts then begin
@@ -1104,11 +1108,11 @@ and attempt_commit db tid =
             ignore (attempt_commit db m);
             commit db tid
         | None ->
-            if List.exists (fun (_, v) -> match v with `Wait _ -> true | _ -> false) verdicts
+            if List.exists (fun (_, v) -> v = `Wait) verdicts
             then begin
               Asset_util.Stats.Counter.incr db.commit_retries;
               let v = db.version in
-              wait_for_change db ~reason:(Format.asprintf "commit(%a): group not ready" Tid.pp tid) v;
+              wait_for_change db ~reason:(commit_reason tid "group not ready") v;
               commit db tid
             end
             else begin

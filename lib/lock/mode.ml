@@ -34,13 +34,15 @@ let equal a b =
   | Escrow, Escrow | Enqueue, Enqueue | Snapshot, Snapshot -> true
   | (Read | Write | Increment | Escrow | Enqueue | Snapshot), _ -> false
 
-let pp ppf = function
-  | Read -> Format.pp_print_string ppf "R"
-  | Write -> Format.pp_print_string ppf "W"
-  | Increment -> Format.pp_print_string ppf "I"
-  | Escrow -> Format.pp_print_string ppf "E"
-  | Enqueue -> Format.pp_print_string ppf "Q"
-  | Snapshot -> Format.pp_print_string ppf "S"
+let to_string = function
+  | Read -> "R"
+  | Write -> "W"
+  | Increment -> "I"
+  | Escrow -> "E"
+  | Enqueue -> "Q"
+  | Snapshot -> "S"
+
+let pp ppf m = Format.pp_print_string ppf (to_string m)
 
 (* Lock-table conflict matrix: R/R compatible; I/I compatible
    (increments commute); E/E compatible (escrow accounting keeps the

@@ -17,6 +17,11 @@
 type t = Read | Write | Increment | Escrow | Enqueue | Snapshot
 
 val equal : t -> t -> bool
+
+val to_string : t -> string
+(** The one-letter tag ("R", "W", "I", "E", "Q", "S"); [pp] prints
+    exactly this string. *)
+
 val pp : Format.formatter -> t -> unit
 
 val conflicts : t -> t -> bool

@@ -4,7 +4,9 @@
    layer's correctness story leans on the channel being trivially
    auditable.  All waiting is on condition variables (no spinning), so
    a shard domain blocked on an empty inbox consumes no CPU, and a
-   producer blocked on a full inbox exerts real backpressure. *)
+   producer blocked on a full inbox exerts real backpressure.  Every
+   operation runs under [Mutex.protect], which also unlocks when
+   [Closed] escapes. *)
 
 type 'a t = {
   q : 'a Queue.t;
@@ -39,12 +41,8 @@ let create ?(capacity = 256) () =
     hwm = 0;
   }
 
-let locked ch f =
-  Mutex.lock ch.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock ch.mutex) f
-
 let send ch v =
-  locked ch (fun () ->
+  Mutex.protect ch.mutex (fun () ->
       if ch.closed then raise Closed;
       if Queue.length ch.q >= ch.capacity then begin
         ch.send_blocks <- ch.send_blocks + 1;
@@ -59,7 +57,7 @@ let send ch v =
       Condition.signal ch.not_empty)
 
 let try_send ch v =
-  locked ch (fun () ->
+  Mutex.protect ch.mutex (fun () ->
       if ch.closed then raise Closed;
       if Queue.length ch.q >= ch.capacity then false
       else begin
@@ -71,7 +69,7 @@ let try_send ch v =
       end)
 
 let recv ch =
-  locked ch (fun () ->
+  Mutex.protect ch.mutex (fun () ->
       if Queue.is_empty ch.q && not ch.closed then begin
         ch.recv_blocks <- ch.recv_blocks + 1;
         while Queue.is_empty ch.q && not ch.closed do
@@ -86,7 +84,7 @@ let recv ch =
           Some v)
 
 let try_recv ch =
-  locked ch (fun () ->
+  Mutex.protect ch.mutex (fun () ->
       match Queue.take_opt ch.q with
       | None -> None
       | Some v ->
@@ -95,26 +93,26 @@ let try_recv ch =
           Some v)
 
 let wait_nonempty ch =
-  locked ch (fun () ->
+  Mutex.protect ch.mutex (fun () ->
       while Queue.is_empty ch.q && not ch.closed do
         Condition.wait ch.not_empty ch.mutex
       done;
       not (Queue.is_empty ch.q))
 
 let close ch =
-  locked ch (fun () ->
+  Mutex.protect ch.mutex (fun () ->
       if not ch.closed then begin
         ch.closed <- true;
         Condition.broadcast ch.not_empty;
         Condition.broadcast ch.not_full
       end)
 
-let is_closed ch = locked ch (fun () -> ch.closed)
-let is_empty ch = locked ch (fun () -> Queue.is_empty ch.q)
-let length ch = locked ch (fun () -> Queue.length ch.q)
+let is_closed ch = Mutex.protect ch.mutex (fun () -> ch.closed)
+let is_empty ch = Mutex.protect ch.mutex (fun () -> Queue.is_empty ch.q)
+let length ch = Mutex.protect ch.mutex (fun () -> Queue.length ch.q)
 
 let stats ch =
-  locked ch (fun () ->
+  Mutex.protect ch.mutex (fun () ->
       [
         ("sends", ch.sends);
         ("recvs", ch.recvs);

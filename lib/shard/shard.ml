@@ -118,7 +118,7 @@ let handle_participate st decisions gid body reply =
     ignore (E.form_dependency eng Dep_type.GC part stub : bool);
     ignore (E.begin_ eng part : bool);
     ignore (E.begin_ eng stub : bool);
-    E.spawn eng ~label:(Printf.sprintf "xshard-mon g%d" gid) (fun () ->
+    E.spawn eng ~label:("xshard-mon g" ^ string_of_int gid) (fun () ->
         let prepared = E.wait eng part in
         reply_send reply (Vote { v_gid = gid; v_shard = st.id; v_prepared = prepared; v_stub = stub });
         Sched.wait_until ~reason:"xshard verdict" (fun () -> !dec <> None);

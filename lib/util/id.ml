@@ -24,6 +24,7 @@ module type S = sig
       this identifier falls in — the sharded engine's home shard of an
       object. *)
 
+  val to_string : t -> string
   val pp : Format.formatter -> t -> unit
 
   type gen
@@ -50,9 +51,9 @@ end) : S = struct
     if n <= 0 then invalid_arg "partition: n must be >= 1";
     t mod n
 
-  let pp ppf t =
-    if is_null t then Format.fprintf ppf "%s:null" P.prefix
-    else Format.fprintf ppf "%s%d" P.prefix t
+  let null_string = P.prefix ^ ":null"
+  let to_string t = if is_null t then null_string else P.prefix ^ string_of_int t
+  let pp ppf t = Format.pp_print_string ppf (to_string t)
 
   type gen = { mutable next : int; stride : int }
 

@@ -30,6 +30,12 @@ module type S = sig
       to.  The system's one placement function: the sharded engine
       routes every object to its home shard through it.  Raises [Invalid_argument] when [n] is below 1. *)
 
+  val to_string : t -> string
+  (** The printed form: the prefix then the integer ([t7], [ob3]), or
+      the prefix then [:null] for {!null}.  Built without [Format], so
+      it is cheap enough for per-transaction labels and wait reasons;
+      [pp] prints exactly this string. *)
+
   val pp : Format.formatter -> t -> unit
 
   type gen

@@ -56,7 +56,7 @@ let gen_plan ~rng ~docs ~agent =
   let n = 2 + Rng.int rng 5 in
   let steps =
     List.init n (fun i ->
-        let tool kind = Printf.sprintf "a%d.s%d.%s" agent i kind in
+        let tool kind = String.concat "" [ "a"; string_of_int agent; ".s"; string_of_int i; "."; kind ] in
         let pick_doc () = Rng.int rng docs in
         match Rng.int rng 100 with
         | r when r < 40 -> Call { tool = tool "call"; cost = 1 + Rng.int rng 8; d = pick_doc () }
@@ -188,13 +188,15 @@ let run_call st ~tool ~cost ~d ~fail =
    graph.  Alternatives before [winner] fail after doing their
    (rolled-back) work, modelling a speculative call that came back
    unusable. *)
+let alt_tool tool i = tool ^ "." ^ string_of_int i
+
 let run_speculate st ~tool ~costs ~d ~winner ~fail =
   let alts = Array.of_list costs in
   let tids = Array.make (Array.length alts) Tid.null in
   let mk i cost =
     E.initiate st.db (fun () ->
         tids.(i) <- E.self st.db;
-        tool_effect st ~tool:(Printf.sprintf "%s.%d" tool i) ~cost ~d
+        tool_effect st ~tool:(alt_tool tool i) ~cost ~d
           ~fail:(i < winner || (fail && i = winner))
           ())
   in
@@ -213,7 +215,7 @@ let run_speculate st ~tool ~costs ~d ~winner ~fail =
     let rec try_next i =
       if i >= Array.length ts then `Lost
       else if E.begin_ st.db ts.(i) && E.commit st.db ts.(i) then begin
-        record_commit st ~tid:ts.(i) ~tool:(Printf.sprintf "%s.%d" tool i) ~cost:alts.(i);
+        record_commit st ~tid:ts.(i) ~tool:(alt_tool tool i) ~cost:alts.(i);
         `Ok
       end
       else try_next (i + 1)
@@ -346,7 +348,7 @@ let run_agents ?(max_retries = 4) db ~seed ~agents ~docs =
   for a = 0 to agents - 1 do
     let rng = Rng.create (seed + (a * 7919)) in
     let plan = gen_plan ~rng ~docs ~agent:a in
-    E.spawn db ~label:(Printf.sprintf "agent-%d" a) (fun () ->
+    E.spawn db ~label:("agent-" ^ string_of_int a) (fun () ->
         let o = run_plan ~max_retries ~rng db plan in
         outcomes.(a) <- Some o;
         incr done_)

@@ -79,7 +79,7 @@ let gen_txn ~rng cfg =
       in
       {
         t_klass = New_order;
-        t_ops = stock_ops @ [ (orders, Enq (Printf.sprintf "order:%d" c)) ];
+        t_ops = stock_ops @ [ (orders, Enq ("order:" ^ string_of_int c)) ];
       }
   | Payment ->
       let c = Zipf.sample acct_z in
@@ -90,7 +90,7 @@ let gen_txn ~rng cfg =
           [
             (account c, Escrow { delta = -amt; lo = 0 });
             (ledger, Incr amt);
-            (history, Enq (Printf.sprintf "pay:%d" c));
+            (history, Enq ("pay:" ^ string_of_int c));
           ];
       }
   | Delivery ->
@@ -168,7 +168,7 @@ let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~se
     let rng = Rng.create (seed + (j * 104729)) in
     let txn = gen_txn ~rng cfg in
     let st = stat txn.t_klass in
-    E.spawn db ~label:(Printf.sprintf "oltp-%d-%s" j (klass_name txn.t_klass))
+    E.spawn db ~label:(String.concat "" [ "oltp-"; string_of_int j; "-"; klass_name txn.t_klass ])
       (fun () ->
         let read_only = snapshot_readers && read_only txn in
         let attempt () =

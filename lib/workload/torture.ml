@@ -80,7 +80,7 @@ type transfer = { src : int; dst : int; amount : int }
    bytes each, so a whole run's queue fits in one page of the smallest
    spec the sweeps use. *)
 let audit spec = Asset_util.Id.Oid.of_int (spec.accounts + 1)
-let audit_item i = Printf.sprintf "t%d" i
+let audit_item i = "t" ^ string_of_int i
 
 (* The torture transfer: the bank's read-modify-write transfer plus one
    audit enqueue. *)
@@ -202,7 +202,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
       Array.iter (fun t -> ignore (E.begin_ db t)) tids;
       Array.iteri
         (fun i t ->
-          E.spawn db ~label:(Printf.sprintf "committer-%d" i) (fun () ->
+          E.spawn db ~label:("committer-" ^ string_of_int i) (fun () ->
               if E.commit db t then acked.(i) <- true))
         tids;
       E.await_terminated db (Array.to_list tids)
@@ -480,7 +480,7 @@ let sustained_run ?(rounds = 12) spec =
         Array.iter (fun t -> ignore (E.begin_ db t)) tids;
         Array.iteri
           (fun i t ->
-            E.spawn db ~label:(Printf.sprintf "committer-%d-%d" round i) (fun () ->
+            E.spawn db ~label:(String.concat "" [ "committer-"; string_of_int round; "-"; string_of_int i ]) (fun () ->
                 if E.commit db t then begin
                   let tr = transfers.(i) in
                   expected.(tr.src) <- expected.(tr.src) - tr.amount;

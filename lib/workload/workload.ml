@@ -158,7 +158,7 @@ let run_bodies_with_retry ?(max_retries = 3) ~rng db bodies =
   let finished = ref 0 and committed = ref 0 and retries = ref 0 and gave_up = ref 0 in
   List.iteri
     (fun i body ->
-      E.spawn db ~label:(Printf.sprintf "retry-driver-%d" i) (fun () ->
+      E.spawn db ~label:("retry-driver-" ^ string_of_int i) (fun () ->
           let outcome, k = retry ~max_retries ~rng db (atomic db body) in
           retries := !retries + k;
           (match outcome with Committed _ -> incr committed | Gave_up | Failed _ -> incr gave_up);

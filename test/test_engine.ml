@@ -286,6 +286,58 @@ let test_deadlock_detection_disabled_raises () =
   in
   Alcotest.(check bool) "deadlock surfaced" true outcome.R.deadlocked
 
+(* The text a deadlocked run reports, pinned byte for byte: each
+   parked fiber's label, then its wait reason.  t1 and t2 cross-write;
+   t3, t4 and t5 have empty bodies and depend on them (CD on t1, AD on
+   t2, GC with t1).  Other fibers wait for t2, commit t1 and commit
+   t4 and t5, while the main program commits t3.  Nothing resolves
+   the lock cycle, so the scheduler raises [Deadlock] with every
+   reason the engine parks on: lock waits, [wait], and each kind of
+   commit wait. *)
+let test_deadlock_reasons_text () =
+  let config = { E.default_config with E.deadlock_detection = false } in
+  let store = Asset_storage.Heap_store.store () in
+  Asset_storage.Heap_store.populate store ~n:4 ~value:(fun _ -> vi 0);
+  let db = E.create ~config store in
+  let outcome =
+    R.run db (fun () ->
+        let cross a b v =
+          E.initiate db (fun () ->
+              E.write db (oid a) (vi v);
+              Sched.yield ();
+              E.write db (oid b) (vi v))
+        in
+        let t1 = cross 1 2 1 in
+        let t2 = cross 2 1 2 in
+        let empty () = E.initiate db (fun () -> ()) in
+        let t3 = empty () and t4 = empty () and t5 = empty () in
+        ignore (E.form_dependency db Dt.CD t1 t3);
+        ignore (E.form_dependency db Dt.AD t2 t5);
+        ignore (E.form_dependency db Dt.GC t1 t4);
+        ignore (E.begin_many db [ t1; t2; t3; t4; t5 ]);
+        E.spawn db ~label:"waiter" (fun () -> ignore (E.wait db t2));
+        E.spawn db ~label:"c1" (fun () -> ignore (E.commit db t1));
+        E.spawn db ~label:"c4" (fun () -> ignore (E.commit db t4));
+        E.spawn db ~label:"c5" (fun () -> ignore (E.commit db t5));
+        ignore (E.commit db t3))
+  in
+  match outcome.R.result with
+  | Error (Sched.Deadlock reasons) ->
+      Alcotest.(check (list string))
+        "reasons"
+        [
+          "c1: commit(t1): awaiting completion";
+          "c4: commit(t4): group not ready";
+          "c5: commit(t5): AD on t2";
+          "main: commit(t3): CD on t1";
+          "t1: lock ob2/W held by t2";
+          "t2: lock ob1/W held by t1";
+          "waiter: wait(t2)";
+        ]
+        (List.sort compare reasons)
+  | Ok () -> Alcotest.fail "expected a deadlock"
+  | Error e -> Alcotest.failf "expected a deadlock, got %s" (Printexc.to_string e)
+
 let test_find_cycle_deadlock_workload () =
   (* A deadlock-prone bank workload under a seeded random chooser that
      checks the lock manager at every scheduling step: [find_cycle] must
@@ -1292,6 +1344,7 @@ let () =
           Alcotest.test_case "deadlock victim" `Quick test_deadlock_victim_aborted;
           Alcotest.test_case "deadlock detection disabled" `Quick
             test_deadlock_detection_disabled_raises;
+          Alcotest.test_case "deadlock reasons text" `Quick test_deadlock_reasons_text;
           Alcotest.test_case "find_cycle vs reference on bank" `Quick
             test_find_cycle_deadlock_workload;
           Alcotest.test_case "updates atomic between choice points" `Quick test_update_atomicity;

@@ -29,6 +29,15 @@ let check_blocked msg expected outcome =
 
 let all_modes = Mode.[ Read; Write; Increment; Escrow; Enqueue; Snapshot ]
 
+(* Every mode's text, pinned: lock-wait reasons are built from
+   [to_string], and [pp] must print the same letter. *)
+let test_mode_to_string () =
+  List.iter2
+    (fun m letter ->
+      Alcotest.(check string) ("to_string " ^ letter) letter (Mode.to_string m);
+      Alcotest.(check string) ("pp " ^ letter) letter (Format.asprintf "%a" Mode.pp m))
+    all_modes [ "R"; "W"; "I"; "E"; "Q"; "S" ]
+
 (* The full 6x6 lock-table compatibility matrix, pinned entry by entry:
    a self-compatible diagonal for the commuting modes (R, I, E, Q),
    Snapshot compatible with everything, and every other pair
@@ -724,6 +733,7 @@ let () =
     [
       ( "mode",
         [
+          Alcotest.test_case "to_string" `Quick test_mode_to_string;
           Alcotest.test_case "conflict matrix" `Quick test_conflict_matrix;
           Alcotest.test_case "conflicts_ops matrix" `Quick test_conflicts_ops_matrix;
           Alcotest.test_case "covers" `Quick test_covers;

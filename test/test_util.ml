@@ -40,6 +40,22 @@ let test_id_roundtrip () =
 let test_oid_distinct_prefix () =
   Alcotest.(check string) "oid pp" "ob7" (Format.asprintf "%a" Id.Oid.pp (Id.Oid.of_int 7))
 
+(* [to_string] is the text wait reasons and fiber labels are built
+   from: it must equal [pp]'s output and the [Format] rendering [pp]
+   used to produce ("%s%d", or "%s:null" for the null id). *)
+let prop_id_to_string_matches_pp =
+  QCheck2.Test.make ~name:"Tid/Oid to_string = pp = Format rendering" ~count:500
+    QCheck2.Gen.(oneof [ return 0; small_signed_int; int ])
+    (fun i ->
+      let check (type a) (module M : Id.S with type t = a) prefix (x : a) =
+        let formatted =
+          if M.is_null x then Format.asprintf "%s:null" prefix
+          else Format.asprintf "%s%d" prefix (M.to_int x)
+        in
+        M.to_string x = Format.asprintf "%a" M.pp x && M.to_string x = formatted
+      in
+      check (module Id.Tid) "t" (Id.Tid.of_int i) && check (module Id.Oid) "ob" (Id.Oid.of_int i))
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
 
@@ -431,6 +447,7 @@ let () =
           Alcotest.test_case "generators independent" `Quick test_id_generators_independent;
           Alcotest.test_case "roundtrip and pp" `Quick test_id_roundtrip;
           Alcotest.test_case "oid prefix" `Quick test_oid_distinct_prefix;
+          QCheck_alcotest.to_alcotest prop_id_to_string_matches_pp;
         ] );
       ( "rng",
         [
