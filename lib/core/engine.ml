@@ -56,7 +56,9 @@ type td = {
   body : unit -> unit;
   mutable status : Status.t;
   mutable fid : int; (* scheduler fiber, -1 until begun *)
-  mutable updates : int list; (* LSNs of updates this txn is responsible for, newest first *)
+  mutable updates : Record.ckpt_update list;
+      (* undo entries of the updates this txn is responsible for, at
+         their LSNs, newest first *)
   mutable commit_lsn : int; (* LSN of the commit record covering this txn, -1 before *)
   mutable failure : exn option; (* body exception, if any *)
   mutable begin_denied : bool;
@@ -436,18 +438,20 @@ let read_exn db oid =
   | None -> Fmt.invalid_arg "Asset read: %a does not exist" Oid.pp oid
 
 (* One logged update of [oid]: read the before image, log the record
-   [f] builds from it, install the after image.  Nothing here yields, so
-   on an engine confined to one domain no other fiber can run between
-   the before-image read and the write — this fiber segment is what the
-   paper's section-4.1 X latch protects. *)
+   [f] builds from it, remember the update's undo entry, install the
+   after image.  Nothing here yields, so on an engine confined to one
+   domain no other fiber can run between the before-image read and the
+   write — this fiber segment is what the paper's section-4.1 X latch
+   protects. *)
 let logged_update db td oid f =
   let before = Store.read db.store oid in
   (* First engine write to this oid: [before] is still its committed
      state — seed the version chain with it so snapshot readers never
      see the dirty base value. *)
   (mvcc db).Store.preserve oid before;
-  let record, after = f before in
-  td.updates <- Log.append db.log record :: td.updates;
+  let record, cu_undo, after = f before in
+  let cu_lsn = Log.append db.log record in
+  td.updates <- { Record.cu_lsn; cu_oid = oid; cu_undo } :: td.updates;
   Store.write db.store oid after
 
 (* A counter delta, undone logically (increment and escrow alike). *)
@@ -455,7 +459,7 @@ let increment_update db td oid delta =
   logged_update db td oid (fun before ->
       let current = match before with Some v -> Value.to_int v | None -> 0 in
       let after = Value.of_int (current + delta) in
-      (Record.Increment { tid = td.tid; oid; delta; after }, after))
+      (Record.Increment { tid = td.tid; oid; delta; after }, Record.Ckpt_delta delta, after))
 
 let write db oid value =
   let td = current_td db in
@@ -465,7 +469,7 @@ let write db oid value =
   if Trace.on () then Trace.emit (Trace.Op { tid = td.tid; oid; op = 'W' });
   Asset_util.Stats.Counter.incr db.writes;
   logged_update db td oid (fun before ->
-      (Record.Update { tid = td.tid; oid; before; after = value }, value))
+      (Record.Update { tid = td.tid; oid; before; after = value }, Record.Ckpt_physical before, value))
 
 (* Read-modify-write helper: the common increment/update pattern. *)
 let modify db oid f =
@@ -555,8 +559,46 @@ let enqueue db oid item =
       let current = match before with Some v -> v | None -> Value.of_queue [] in
       let after = Value.queue_push current item in
       let image = if imaged then None else Some after in
-      (Record.Enqueue { tid = td.tid; oid; item; image }, after));
+      (Record.Enqueue { tid = td.tid; oid; item; image }, Record.Ckpt_dequeue item, after));
   if not imaged then Hashtbl.replace db.queues_imaged oid ()
+
+(* ------------------------------------------------------------------ *)
+(* Undo: the section 4.2 abort's step 2, shared by savepoints          *)
+
+(* Abort-path logging is best-effort: rollback must complete even when
+   the log cannot take another byte (a [Disk_full] budget, real
+   ENOSPC).  Returns whether the record was taken; a refused append is
+   counted, not raised.  Simulated power loss is not an I/O error and
+   still propagates. *)
+let append_best_effort db record =
+  try
+    ignore (Log.append db.log record);
+    true
+  with Fault.Storage_error _ ->
+    Asset_util.Stats.Counter.incr db.abort_log_misses;
+    false
+
+(* Undo [td]'s updates newest first while [pred] holds of the newest:
+   compute each undo image ([Record.undo_image]), log it as a CLR
+   through [append], install it.  The CLR carries the physical image
+   for redo and the compensated update's LSN as undo progress, so
+   recovery never undoes a compensated update a second time.  An entry
+   leaves [td.updates] only after its CLR is appended and its image
+   installed: a rollback cut short by a refused append leaves exactly
+   the uncompensated updates to the abort that follows. *)
+let undo_updates db td ~append pred =
+  let rec loop () =
+    match td.updates with
+    | u :: rest when pred u ->
+        let oid = u.Record.cu_oid in
+        let image = Record.undo_image u.cu_undo ~current:(fun () -> Store.read db.store oid) in
+        append (Record.Clr { tid = td.tid; oid; image; undo_lsn = u.cu_lsn });
+        (match image with Some v -> Store.write db.store oid v | None -> Store.delete db.store oid);
+        td.updates <- rest;
+        loop ()
+    | _ -> ()
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Savepoints: partial rollback inside a transaction                   *)
@@ -572,42 +614,17 @@ let savepoint db =
   check_live td;
   { sp_tid = td.tid; sp_boundary = Log.length db.log }
 
+(* The abort's undo, stopped at the savepoint.  Unlike abort, a refused
+   CLR append raises: the transaction body sees the failure and aborts,
+   and that abort undoes only what this rollback did not. *)
 let rollback_to db sp =
   let td = current_td db in
   check_live td;
   if not (Tid.equal sp.sp_tid td.tid) then
     invalid_arg "Engine.rollback_to: savepoint belongs to another transaction";
-  let undo, keep = List.partition (fun lsn -> lsn >= sp.sp_boundary) td.updates in
-  List.iter
-    (fun lsn ->
-      match Log.get db.log lsn with
-      | Record.Update { oid; before; _ } ->
-          Log.append db.log (Record.Clr { tid = td.tid; oid; image = before; undo_lsn = lsn })
-          |> ignore;
-          (match before with
-          | Some v -> Store.write db.store oid v
-          | None -> Store.delete db.store oid)
-      | Record.Increment { oid; delta; _ } ->
-          let current =
-            match Store.read db.store oid with Some v -> Value.to_int v | None -> 0
-          in
-          let image = Value.of_int (current - delta) in
-          Log.append db.log (Record.Clr { tid = td.tid; oid; image = Some image; undo_lsn = lsn })
-          |> ignore;
-          Store.write db.store oid image
-      | Record.Enqueue { oid; item; _ } ->
-          (* Logical undo: remove the appended item from the *current*
-             queue, preserving concurrent producers' appends. *)
-          let current =
-            match Store.read db.store oid with Some v -> v | None -> Value.of_queue []
-          in
-          let image = Value.queue_remove_last current item in
-          Log.append db.log (Record.Clr { tid = td.tid; oid; image = Some image; undo_lsn = lsn })
-          |> ignore;
-          Store.write db.store oid image
-      | _ -> ())
-    (List.sort (fun a b -> Int.compare b a) undo);
-  td.updates <- keep;
+  undo_updates db td
+    ~append:(fun r -> ignore (Log.append db.log r))
+    (fun u -> u.cu_lsn >= sp.sp_boundary);
   bump db
 
 (* ------------------------------------------------------------------ *)
@@ -637,18 +654,11 @@ let delegate ?oids db ~from_ ~to_ =
   (* Transfer responsibility for the logged updates on the delegated
      objects. *)
   let covers oid = match oids with None -> true | Some l -> List.exists (Oid.equal oid) l in
-  let moving, staying =
-    List.partition
-      (fun lsn ->
-        match Log.get db.log lsn with
-        | Record.Update { oid; _ } | Record.Increment { oid; _ } | Record.Enqueue { oid; _ } ->
-            covers oid
-        | _ -> false)
-      from_td.updates
-  in
+  let moving, staying = List.partition (fun u -> covers u.Record.cu_oid) from_td.updates in
   from_td.updates <- staying;
-  (* Keep newest-first ordering in the target by merging and sorting. *)
-  to_td.updates <- List.sort (fun a b -> Int.compare b a) (moving @ to_td.updates);
+  (* Both lists are newest first; merging keeps the target so. *)
+  to_td.updates <-
+    List.merge (fun a b -> Int.compare b.Record.cu_lsn a.Record.cu_lsn) moving to_td.updates;
   (* Escrow reservations on the delegated objects follow the
      responsibility for their deltas. *)
   Hashtbl.filter_map_inplace
@@ -706,19 +716,6 @@ let form_dependency db dtype ti tj =
    the self-unwind once at the end. *)
 let abort_many_ref : (t -> Tid.t list -> unit) ref = ref (fun _ _ -> assert false)
 
-(* Abort-path logging is best-effort: rollback must complete even when
-   the log cannot take another byte (a [Disk_full] budget, real
-   ENOSPC).  Returns whether the record was taken; a refused append is
-   counted, not raised.  Simulated power loss is not an I/O error and
-   still propagates. *)
-let append_best_effort db record =
-  try
-    ignore (Log.append db.log record);
-    true
-  with Fault.Storage_error _ ->
-    Asset_util.Stats.Counter.incr db.abort_log_misses;
-    false
-
 let rec finalize_abort db (td : td) =
   (* The abort is observable from here on (status is already Aborting),
      so the trace event precedes the undo and the lock releases — the
@@ -726,45 +723,15 @@ let rec finalize_abort db (td : td) =
   if Trace.on () then Trace.emit (Trace.Abort { tid = td.tid });
   (* Step 2: install before images for each update t_i is responsible
      for, newest first.  "This implies that subsequent updates done by
-     cooperating transactions will also be lost."  Every installation
-     is logged as a CLR so that recovery can repeat the undo instead of
-     re-deriving it (see Asset_wal.Recovery). *)
-  let lsns = List.sort (fun a b -> Int.compare b a) td.updates in
+     cooperating transactions will also be lost."  Increments and
+     enqueues are undone logically, preserving concurrent transactions'
+     commuting updates.  Every installation is logged as a CLR so that
+     recovery can repeat the undo instead of re-deriving it (see
+     Asset_wal.Recovery). *)
   let clr_missed = ref false in
-  let append_clr record = if not (append_best_effort db record) then clr_missed := true in
-  List.iter
-    (fun lsn ->
-      match Log.get db.log lsn with
-      | Record.Update { oid; before; _ } ->
-          append_clr (Record.Clr { tid = td.tid; oid; image = before; undo_lsn = lsn });
-          (match before with
-          | Some v -> Store.write db.store oid v
-          | None -> Store.delete db.store oid)
-      | Record.Increment { oid; delta; _ } ->
-          (* Logical undo: subtract the delta from the *current* value,
-             preserving concurrent transactions' commuting increments.
-             The CLR carries the resulting physical image for redo and
-             the compensated update's LSN as abort progress: should we
-             crash before the Abort record, recovery must not subtract
-             this delta a second time. *)
-          let current =
-            match Store.read db.store oid with Some v -> Value.to_int v | None -> 0
-          in
-          let image = Value.of_int (current - delta) in
-          append_clr (Record.Clr { tid = td.tid; oid; image = Some image; undo_lsn = lsn });
-          Store.write db.store oid image
-      | Record.Enqueue { oid; item; _ } ->
-          (* Logical undo, like Increment: remove the appended item
-             from the current queue, preserving concurrent appends. *)
-          let current =
-            match Store.read db.store oid with Some v -> v | None -> Value.of_queue []
-          in
-          let image = Value.queue_remove_last current item in
-          append_clr (Record.Clr { tid = td.tid; oid; image = Some image; undo_lsn = lsn });
-          Store.write db.store oid image
-      | _ -> ())
-    lsns;
-  td.updates <- [];
+  undo_updates db td
+    ~append:(fun r -> if not (append_best_effort db r) then clr_missed := true)
+    (fun _ -> true);
   (* Escrow reservations die with the transaction, and a read-only
      transaction's snapshot closes so version GC can advance. *)
   clear_escrow db td.tid;
@@ -891,33 +858,19 @@ let resolve_non_gc_deps db tid =
 (* Fuzzy checkpointing                                                 *)
 
 (* Snapshot the active-transaction table for a Begin_ckpt record: for
-   every live transaction, the undo information of each update it is
-   currently responsible for, resolved from the in-memory log at the
-   updates' real LSNs.  Delegation is already reflected — td.updates
-   holds exactly what this transaction would have to undo — and any
-   delegation logged after the checkpoint re-attributes the captured
-   entries during recovery's tail scan.  The scheduler is cooperative
-   and this runs without yielding, so the capture is a consistent cut
-   even though transactions are mid-flight ("fuzzy" refers to the
-   store, not the table). *)
+   every live transaction, the undo entry of each update it is
+   currently responsible for, oldest first.  Delegation is already
+   reflected — td.updates holds exactly what this transaction would
+   have to undo — and any delegation logged after the checkpoint
+   re-attributes the captured entries during recovery's tail scan.
+   The scheduler is cooperative and this runs without yielding, so the
+   capture is a consistent cut even though transactions are mid-flight
+   ("fuzzy" refers to the store, not the table). *)
 let capture_att db =
   Hashtbl.fold
     (fun tid (td : td) acc ->
-      if Status.active td.status then begin
-        let att_updates =
-          List.filter_map
-            (fun lsn ->
-              let entry oid undo = Some { Record.cu_lsn = lsn; cu_oid = oid; cu_undo = undo } in
-              match Log.get db.log lsn with
-              | Record.Update { oid; before; _ } -> entry oid (Record.Ckpt_physical before)
-              | Record.Increment { oid; delta; _ } -> entry oid (Record.Ckpt_delta delta)
-              | Record.Enqueue { oid; item; _ } -> entry oid (Record.Ckpt_dequeue item)
-              | _ -> None)
-            td.updates
-          |> List.sort (fun a b -> Int.compare a.Record.cu_lsn b.Record.cu_lsn)
-        in
-        { Record.att_tid = tid; att_updates } :: acc
-      end
+      if Status.active td.status then
+        { Record.att_tid = tid; att_updates = List.rev td.updates } :: acc
       else acc)
     db.tds []
 
@@ -967,7 +920,8 @@ let commit_group db group =
      enters a chain. *)
   let m = mvcc db in
   let lsns =
-    List.concat_map (fun tid -> (td db tid).updates) group |> List.sort Int.compare
+    List.concat_map (fun tid -> List.map (fun u -> u.Record.cu_lsn) (td db tid).updates) group
+    |> List.sort Int.compare
   in
   let images : (Oid.t, Value.t) Hashtbl.t = Hashtbl.create 8 in
   let committed_base oid =
@@ -1017,9 +971,6 @@ let commit_group db group =
       ignore (Lock.release_all db.locks tid);
       Lock.remove_permits db.locks tid)
     group;
-  (* Exclusion: committing excludes every EXC partner of each member.
-     Partners were collected before edges were dropped — but since
-     remove_involving already ran, collect first. *)
   bump db;
   maybe_checkpoint db
 

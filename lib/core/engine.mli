@@ -211,8 +211,8 @@ val enqueue : t -> Oid.t -> string -> unit
 
 (** {2 Savepoints}
 
-    Partial rollback inside a transaction, built on the same
-    before-image/CLR machinery as abort. *)
+    Partial rollback inside a transaction: abort's undo loop, stopped
+    at the savepoint. *)
 
 type savepoint
 
@@ -225,7 +225,9 @@ val rollback_to : t -> savepoint -> unit
     after the savepoint; locks acquired since are retained.  Updates
     delegated in after the savepoint but {e logged} before it are not
     undone.  Raises [Invalid_argument] when the savepoint belongs to
-    another transaction. *)
+    another transaction.  A refused CLR append raises
+    [Asset_fault.Fault.Storage_error]; the updates already compensated
+    stay undone, so the abort that follows undoes only the rest. *)
 
 (** {2 Status queries} *)
 

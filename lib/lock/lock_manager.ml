@@ -227,17 +227,16 @@ let permits_op obj ~grantor ~grantee op =
 
 (* The waits-for predicate: does granted/suspended [gl] block waiter
    [p_tid] requesting [p_mode]? *)
-let blocks_waiter obj p_tid p_mode op gl =
+let blocks_waiter obj p_tid p_mode gl =
   (not (Tid.equal gl.lrd_tid p_tid))
   && (gl.lrd_status = Granted || gl.lrd_status = Suspended)
   && Mode.conflicts gl.lrd_mode p_mode
-  && not (permits_op obj ~grantor:gl.lrd_tid ~grantee:p_tid op)
+  && not (permits_op obj ~grantor:gl.lrd_tid ~grantee:p_tid p_mode)
 
 let blockers_of obj p =
-  let op = Mode.as_op p.lrd_mode in
   let acc = ref [] in
   list_iter
-    (fun gl -> if blocks_waiter obj p.lrd_tid p.lrd_mode op gl then acc := gl.lrd_tid :: !acc)
+    (fun gl -> if blocks_waiter obj p.lrd_tid p.lrd_mode gl then acc := gl.lrd_tid :: !acc)
     obj.granted;
   List.sort_uniq Tid.compare !acc
 
@@ -316,7 +315,6 @@ let remove_pending t obj tid =
    Returns the blockers, or [] if the way is clear (after
    suspensions). *)
 let check_conflicts t obj tid mode =
-  let op = Mode.as_op mode in
   let blockers = ref [] in
   let to_suspend = ref [] in
   list_iter
@@ -325,7 +323,7 @@ let check_conflicts t obj tid mode =
          && (gl.lrd_status = Granted || gl.lrd_status = Suspended)
          && Mode.conflicts gl.lrd_mode mode
       then
-        if permits_op obj ~grantor:gl.lrd_tid ~grantee:tid op then begin
+        if permits_op obj ~grantor:gl.lrd_tid ~grantee:tid mode then begin
           if gl.lrd_status = Granted then to_suspend := gl :: !to_suspend
         end
         else blockers := gl.lrd_tid :: !blockers)

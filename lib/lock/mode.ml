@@ -122,16 +122,6 @@ let join a b =
     | Snapshot, m | m, Snapshot -> m
     | _ -> Write
 
-(* The operation enabled by holding a lock in a mode, used when checking
-   whether a permit's operation set excuses a conflict. *)
-let as_op = function
-  | Read -> Read
-  | Write -> Write
-  | Increment -> Increment
-  | Escrow -> Escrow
-  | Enqueue -> Enqueue
-  | Snapshot -> Snapshot
-
 module Ops = struct
   type nonrec t = { read : bool; write : bool; incr : bool; escrow : bool; enq : bool }
 

@@ -53,9 +53,6 @@ val join : t -> t -> t
     identity, and any other pair joins to Write — the only mode that
     covers both operands and preserves both operands' conflicts. *)
 
-val as_op : t -> t
-(** The operation a lock mode enables, for permit checks. *)
-
 (** Sets of operations, closed under the intersection required by the
     transitive-permit rule. *)
 module Ops : sig

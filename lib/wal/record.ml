@@ -38,6 +38,14 @@ type ckpt_undo =
 type ckpt_update = { cu_lsn : int; cu_oid : Oid.t; cu_undo : ckpt_undo }
 type att_entry = { att_tid : Tid.t; att_updates : ckpt_update list }
 
+(* Physical undo never reads [current]: a persistent-store read may hit
+   a failpoint, and the torture sweeps count those hits. *)
+let undo_image undo ~current =
+  match undo with
+  | Ckpt_physical before -> before
+  | Ckpt_delta delta -> Option.map (fun v -> Value.incr_int v (-delta)) (current ())
+  | Ckpt_dequeue item -> Option.map (fun v -> Value.queue_remove_last v item) (current ())
+
 type t =
   | Begin of Tid.t
   | Update of { tid : Tid.t; oid : Oid.t; before : Value.t option; after : Value.t }

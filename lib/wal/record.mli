@@ -36,6 +36,14 @@ type ckpt_undo =
 type ckpt_update = { cu_lsn : int; cu_oid : Oid.t; cu_undo : ckpt_undo }
 type att_entry = { att_tid : Tid.t; att_updates : ckpt_update list }
 
+val undo_image : ckpt_undo -> current:(unit -> Value.t option) -> Value.t option
+(** The image that undoes an update, given the object's current value
+    ([None] = delete the object).  The abort algorithm, savepoint
+    rollback and recovery all undo through this one function.  A
+    physical undo returns the before image without calling [current];
+    a logical undo edits the current value (subtract the delta, remove
+    the item), and leaves an absent object absent. *)
+
 type t =
   | Begin of Tid.t
   | Update of { tid : Tid.t; oid : Oid.t; before : Value.t option; after : Value.t }

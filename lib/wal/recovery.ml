@@ -24,9 +24,11 @@
                part-way through it leaves a store that the next
                recovery's redo simply overwrites.
 
-   undo     —  walk the loser updates in reverse LSN order installing
-               before images (a missing before image means the object
-               was created by the loser and is deleted).  A loser whose
+   undo     —  walk the loser updates in reverse LSN order, installing
+               each one's [Record.undo_image] — the same undo the
+               abort algorithm applies: the before image (a missing one
+               means the loser created the object, which is deleted),
+               or a logical edit of the current value.  A loser whose
                Abort record is in the log is *not* re-undone: the abort
                algorithm already logged a CLR for each installed before
                image, and blindly undoing it again could clobber a
@@ -61,14 +63,6 @@ let site_ckpt_begin = Fault.register "wal.ckpt.begin"
 let site_ckpt_flush = Fault.register "wal.ckpt.flush"
 let site_ckpt_end = Fault.register "wal.ckpt.end"
 let site_redo = Fault.register "recovery.redo"
-
-(* How an update is undone: physical installs the before image;
-   logical (increments, enqueues) edits the *current* value — subtract
-   the delta, remove the item — so that commuting updates by other
-   transactions survive. *)
-type undo_kind = Physical of Value.t option | Logical_delta of int | Logical_dequeue of string
-
-type update = { lsn : int; oid : Oid.t; undo : undo_kind }
 
 type report = {
   winners : Tid.t list;
@@ -110,11 +104,6 @@ let find_anchor log =
    with Exit -> ());
   !result
 
-let undo_of_ckpt = function
-  | Record.Ckpt_physical before -> Physical before
-  | Record.Ckpt_delta delta -> Logical_delta delta
-  | Record.Ckpt_dequeue item -> Logical_dequeue item
-
 (* One forward pass from the anchor.  Updates are indexed by the
    transaction currently responsible for them, so a Delegate moves
    one transaction's entries instead of walking every update seen so
@@ -125,7 +114,7 @@ let undo_of_ckpt = function
    recovery must undo, newest first, with the redo actions in log
    order. *)
 let analyze log =
-  let owned : (Tid.t, update list) Hashtbl.t = Hashtbl.create 16 in
+  let owned : (Tid.t, Record.ckpt_update list) Hashtbl.t = Hashtbl.create 16 in
   let owned_by tid = Option.value (Hashtbl.find_opt owned tid) ~default:[] in
   let redo = ref [] in
   let winners = Hashtbl.create 16 in
@@ -137,9 +126,9 @@ let analyze log =
      set is always a suffix of the loser's update history — recovery
      undoes exactly the remainder. *)
   let compensated = Hashtbl.create 16 in
-  let update tid u =
+  let update tid cu_lsn cu_oid cu_undo =
     Hashtbl.replace seen tid ();
-    Hashtbl.replace owned tid (u :: owned_by tid)
+    Hashtbl.replace owned tid ({ Record.cu_lsn; cu_oid; cu_undo } :: owned_by tid)
   in
   let scan_from, seeds =
     match find_anchor log with None -> (Log.start_lsn log, []) | Some anchor -> anchor
@@ -147,10 +136,7 @@ let analyze log =
   List.iter
     (fun (e : Record.att_entry) ->
       Hashtbl.replace seen e.att_tid ();
-      List.iter
-        (fun (cu : Record.ckpt_update) ->
-          update e.att_tid { lsn = cu.cu_lsn; oid = cu.cu_oid; undo = undo_of_ckpt cu.cu_undo })
-        e.att_updates)
+      Hashtbl.replace owned e.att_tid (List.rev_append e.att_updates (owned_by e.att_tid)))
     seeds;
   Log.iter ~from:scan_from log (fun lsn record ->
       match record with
@@ -160,13 +146,13 @@ let analyze log =
           ()
       | Record.Begin tid -> Hashtbl.replace seen tid ()
       | Record.Update { tid; oid; before; after } ->
-          update tid { lsn; oid; undo = Physical before };
+          update tid lsn oid (Record.Ckpt_physical before);
           redo := Install (oid, after) :: !redo
       | Record.Increment { tid; oid; delta; after } ->
-          update tid { lsn; oid; undo = Logical_delta delta };
+          update tid lsn oid (Record.Ckpt_delta delta);
           redo := Install (oid, after) :: !redo
       | Record.Enqueue { tid; oid; item; image } ->
-          update tid { lsn; oid; undo = Logical_dequeue item };
+          update tid lsn oid (Record.Ckpt_dequeue item);
           redo := (match image with Some v -> Install (oid, v) | None -> Append (oid, item)) :: !redo
       | Record.Clr { oid; image; undo_lsn; _ } ->
           Hashtbl.replace compensated undo_lsn ();
@@ -177,7 +163,10 @@ let analyze log =
           let moving, staying =
             match oids with
             | None -> (owned_by from_, [])
-            | Some l -> List.partition (fun u -> List.exists (Oid.equal u.oid) l) (owned_by from_)
+            | Some l ->
+                List.partition
+                  (fun u -> List.exists (Oid.equal u.Record.cu_oid) l)
+                  (owned_by from_)
           in
           if moving <> [] then begin
             if staying = [] then Hashtbl.remove owned from_ else Hashtbl.replace owned from_ staying;
@@ -199,9 +188,9 @@ let analyze log =
     Hashtbl.fold
       (fun tid us acc ->
         if winner tid || Hashtbl.mem aborted tid then acc
-        else List.filter (fun u -> not (Hashtbl.mem compensated u.lsn)) us @ acc)
+        else List.filter (fun u -> not (Hashtbl.mem compensated u.Record.cu_lsn)) us @ acc)
       owned []
-    |> List.sort (fun a b -> Int.compare b.lsn a.lsn)
+    |> List.sort (fun a b -> Int.compare b.Record.cu_lsn a.Record.cu_lsn)
   in
   let winners = Hashtbl.fold (fun tid () acc -> tid :: acc) winners [] in
   (to_undo, List.rev !redo, List.sort Tid.compare winners, List.sort Tid.compare losers, scan_from)
@@ -225,18 +214,10 @@ let recover log store =
       apply_action store action)
     redo;
   List.iter
-    (fun u ->
-      match u.undo with
-      | Physical (Some v) -> Store.write store u.oid v
-      | Physical None -> Store.delete store u.oid
-      | Logical_delta delta -> (
-          match Store.read store u.oid with
-          | Some v -> Store.write store u.oid (Value.incr_int v (-delta))
-          | None -> ())
-      | Logical_dequeue item -> (
-          match Store.read store u.oid with
-          | Some v -> Store.write store u.oid (Value.queue_remove_last v item)
-          | None -> ()))
+    (fun { Record.cu_oid = oid; cu_undo; _ } ->
+      match Record.undo_image cu_undo ~current:(fun () -> Store.read store oid) with
+      | Some v -> Store.write store oid v
+      | None -> Store.delete store oid)
     to_undo;
   Store.flush store;
   if Trace.on () then Trace.emit (Trace.Recovery_done { winners; losers });

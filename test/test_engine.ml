@@ -1261,6 +1261,37 @@ let test_savepoint_wrong_owner_rejected () =
          ignore (E.commit db t2);
          ignore (E.commit db t1)))
 
+(* A rollback whose second CLR append fails: the body sees the
+   storage error and its transaction aborts.  The abort must undo only
+   the update the rollback left uncompensated — undoing the +7 again
+   would leave the counter at 93 and a third CLR in the log. *)
+let test_savepoint_failed_clr_no_double_undo () =
+  with_dir_db "asset_sp_clr" (fun db _ ->
+      Store.write (E.store db) (oid 1) (vi 100);
+      let t = ref Tid.null in
+      Fun.protect ~finally:Asset_fault.Fault.reset_all (fun () ->
+          R.run_exn db (fun () ->
+              t :=
+                E.initiate db (fun () ->
+                    let sp = E.savepoint db in
+                    E.increment db (oid 1) 5;
+                    E.increment db (oid 1) 7;
+                    ignore (Asset_fault.Fault.arm_name "wal.append" (Asset_fault.Fault.Fail_nth 2));
+                    E.rollback_to db sp);
+              ignore (E.begin_ db !t);
+              ignore (E.commit db !t)));
+      Alcotest.(check bool) "transaction aborted" true (E.is_aborted db !t);
+      Alcotest.(check int) "counter back at 100" 100 (geti db 1);
+      let updates, clrs =
+        Asset_wal.Log.fold (E.log db) ~init:([], []) ~f:(fun (us, cs) lsn r ->
+            match r with
+            | Asset_wal.Record.Increment _ -> (lsn :: us, cs)
+            | Asset_wal.Record.Clr { undo_lsn; _ } -> (us, undo_lsn :: cs)
+            | _ -> (us, cs))
+      in
+      Alcotest.(check (list int)) "one CLR per update" (List.sort compare updates)
+        (List.sort compare clrs))
+
 (* ------------------------------------------------------------------ *)
 (* Misc                                                                *)
 
@@ -1425,6 +1456,8 @@ let () =
           Alcotest.test_case "savepoint then abort" `Quick test_savepoint_then_abort;
           Alcotest.test_case "increment logical" `Quick test_savepoint_increment_logical;
           Alcotest.test_case "wrong owner rejected" `Quick test_savepoint_wrong_owner_rejected;
+          Alcotest.test_case "failed CLR: no double undo" `Quick
+            test_savepoint_failed_clr_no_double_undo;
         ] );
       ( "misc",
         [

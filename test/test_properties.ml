@@ -438,6 +438,145 @@ let test_rmw_sum_matches_commits () =
   done;
   Alcotest.(check int) "sum of counters = committed increments" expected !total
 
+(* ------------------------------------------------------------------ *)
+(* Engine undo and recovery undo agree                                 *)
+
+(* A loser's data operation.  Integer slots 0-2 are oids 1, 2 and 5
+   (5 starts absent); queue slots 0-1 are oids 3 and 4 (4 starts
+   absent).  [Shared n] touches oid 300, which a helper transaction
+   creates, permits to the loser and then aborts: an increment by [n]
+   when the helper created an integer, an enqueue when it created a
+   queue. *)
+type undo_op = Write of int * int | Incr of int * int | Enq of int * string | Shared of int
+
+type loser_history = {
+  helper : [ `None | `Int | `Queue ];
+  pre : undo_op list;
+  rolled_back : undo_op list option; (* done after a savepoint, then rolled back *)
+  post : undo_op list;
+}
+
+let int_oids = [| 1; 2; 5 |]
+let queue_oids = [| 3; 4 |]
+let shared = oid 300
+
+let pp_undo_op = function
+  | Write (i, v) -> Printf.sprintf "W%d=%d" int_oids.(i) v
+  | Incr (i, d) -> Printf.sprintf "I%d%+d" int_oids.(i) d
+  | Enq (i, x) -> Printf.sprintf "Q%d<%S" queue_oids.(i) x
+  | Shared n -> Printf.sprintf "S300:%d" n
+
+let pp_loser h =
+  let ops l = "[" ^ String.concat " " (List.map pp_undo_op l) ^ "]" in
+  Printf.sprintf "helper=%s pre=%s rolled_back=%s post=%s"
+    (match h.helper with `None -> "none" | `Int -> "int" | `Queue -> "queue")
+    (ops h.pre)
+    (match h.rolled_back with None -> "-" | Some l -> ops l)
+    (ops h.post)
+
+let apply_undo_op db h = function
+  | Write (i, v) -> E.write db (oid int_oids.(i)) (Value.of_int v)
+  | Incr (i, d) -> E.increment db (oid int_oids.(i)) d
+  | Enq (i, x) -> E.enqueue db (oid queue_oids.(i)) x
+  | Shared n -> (
+      match h.helper with
+      | `Queue -> E.enqueue db shared (string_of_int n)
+      | `Int | `None -> E.increment db shared n)
+
+let undo_initial_store () =
+  let s = Heap.store () in
+  Store.write s (oid 1) (Value.of_int 0);
+  Store.write s (oid 2) (Value.of_int 0);
+  Store.write s (oid 3) (Value.of_queue []);
+  s
+
+let sorted_dump s =
+  Store.dump s |> List.map (fun (o, v) -> (Oid.to_int o, Value.to_string v)) |> List.sort compare
+
+(* Run the loser history, then abort the loser.  Returns the engine's
+   store after the abort, and the store recovery makes from the log cut
+   just before the abort's first CLR — there the loser is unresolved,
+   while any rollback CLRs and the helper's abort are in the cut.  The
+   two undos must agree. *)
+let undo_engine_and_recovery h =
+  let db = E.create (undo_initial_store ()) in
+  let cut = ref 0 in
+  R.run_exn db (fun () ->
+      let loser =
+        E.initiate db (fun () ->
+            List.iter (apply_undo_op db h) h.pre;
+            Option.iter
+              (fun ops ->
+                let sp = E.savepoint db in
+                List.iter (apply_undo_op db h) ops;
+                E.rollback_to db sp)
+              h.rolled_back;
+            List.iter (apply_undo_op db h) h.post)
+      in
+      let helper =
+        match h.helper with
+        | `None -> None
+        | (`Int | `Queue) as kind ->
+            let v = if kind = `Int then Value.of_int 9 else Value.of_queue [ "h" ] in
+            let t =
+              E.initiate db (fun () ->
+                  E.write db shared v;
+                  E.permit db ~to_:loser ~oids:[ shared ] ~from_:(E.self db))
+            in
+            ignore (E.begin_ db t);
+            ignore (E.wait db t);
+            Some t
+      in
+      ignore (E.begin_ db loser);
+      ignore (E.wait db loser);
+      Option.iter (fun t -> ignore (E.abort db t)) helper;
+      cut := Asset_wal.Log.length (E.log db);
+      ignore (E.abort db loser));
+  let prefix = Asset_wal.Log.in_memory () in
+  Asset_wal.Log.iter (E.log db) (fun lsn r ->
+      if lsn < !cut then ignore (Asset_wal.Log.append prefix r));
+  let recovered = undo_initial_store () in
+  ignore (Asset_wal.Recovery.recover prefix recovered);
+  (sorted_dump (E.store db), sorted_dump recovered)
+
+let gen_loser_history =
+  let open QCheck2.Gen in
+  let* helper = oneofl [ `None; `Int; `Queue ] in
+  let op =
+    let own =
+      [
+        map2 (fun i v -> Write (i, v)) (int_range 0 2) (int_range (-3) 9);
+        map2 (fun i d -> Incr (i, d)) (int_range 0 2) (int_range (-5) 5);
+        map2 (fun i x -> Enq (i, x)) (int_range 0 1) gen_item;
+      ]
+    in
+    oneof (if helper = `None then own else map (fun n -> Shared n) (int_range 1 9) :: own)
+  in
+  let ops = list_size (int_range 0 4) op in
+  let+ pre = ops and+ rolled_back = option ops and+ post = ops in
+  { helper; pre; rolled_back; post }
+
+let prop_engine_undo_matches_recovery =
+  QCheck2.Test.make ~name:"engine undo = recovery undo over the cut log" ~count:300
+    ~print:pp_loser gen_loser_history (fun h ->
+      let live, recovered = undo_engine_and_recovery h in
+      live = recovered)
+
+(* The phantom object: the helper creates oid 300, the loser updates it
+   under the helper's permit, the helper's abort deletes it.  The
+   loser's logical undo must then leave it absent, as recovery does. *)
+let test_undo_phantom_object () =
+  List.iter
+    (fun h ->
+      let live, recovered = undo_engine_and_recovery h in
+      Alcotest.(check (list (pair int string))) (pp_loser h) recovered live;
+      Alcotest.(check bool) "oid 300 absent" false (List.mem_assoc 300 live))
+    [
+      { helper = `Int; pre = [ Shared 7 ]; rolled_back = None; post = [] };
+      { helper = `Queue; pre = [ Shared 7 ]; rolled_back = None; post = [] };
+      { helper = `Int; pre = [ Incr (0, 2) ]; rolled_back = Some [ Shared 3 ]; post = [ Shared 4 ] };
+    ]
+
 let () =
   Alcotest.run "asset_properties"
     [
@@ -478,6 +617,8 @@ let () =
           Alcotest.test_case "enqueue undo is logical" `Quick test_enqueue_logical_undo;
           QCheck_alcotest.to_alcotest prop_queue_push_appends;
           QCheck_alcotest.to_alcotest prop_queue_remove_last_matches_list;
+          QCheck_alcotest.to_alcotest prop_engine_undo_matches_recovery;
+          Alcotest.test_case "undo of a phantom object" `Quick test_undo_phantom_object;
         ] );
       ( "workload",
         [

@@ -213,6 +213,7 @@ type mid_abort_outcome = {
   ma_crashed : string option;
   ma_window : bool; (* recovered log holds loser CLRs but no Abort/Commit *)
   ma_boundaries : int; (* appends in the recovered log *)
+  ma_l_failed : bool; (* L's body failed with a storage error *)
   ma_failures : string list;
 }
 
@@ -223,7 +224,12 @@ let sorted_dump s =
    commuting shape, explicitly aborted), then a second winner W2 whose
    commit forces the log — so CLRs staged by a fault-hobbled abort
    become durable without their Abort record (prefix-ordered
-   durability), exactly the ENOSPC shape of the window. *)
+   durability), exactly the ENOSPC shape of the window.
+
+   With [~rollback_arm], L first takes a savepoint, makes three more
+   updates (+2, "dup", +4) and rolls back to it, calling
+   [rollback_arm] just before the rollback.  The run is then expected
+   to finish without a crash, and the live counter is checked too. *)
 let mid_abort_paths =
   let counter = ref 0 in
   fun () ->
@@ -231,7 +237,7 @@ let mid_abort_paths =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "asset-midabort-%d-%d" (Unix.getpid ()) !counter)
 
-let run_mid_abort ?(segment_bytes = 96) ~arm () =
+let run_mid_abort ?(segment_bytes = 96) ?rollback_arm ~arm () =
   Fault.reset_all ();
   let base = mid_abort_paths () in
   let pages_path = base ^ ".pages" and wal_path = base ^ ".wal.d" in
@@ -254,7 +260,16 @@ let run_mid_abort ?(segment_bytes = 96) ~arm () =
       if E.commit db !w then acked_w := true;
       l := E.initiate db (fun () ->
           E.increment db counter 7;
-          E.enqueue db audit "dup");
+          E.enqueue db audit "dup";
+          Option.iter
+            (fun arm_rollback ->
+              let sp = E.savepoint db in
+              E.increment db counter 2;
+              E.enqueue db audit "dup";
+              E.increment db counter 4;
+              arm_rollback ();
+              E.rollback_to db sp)
+            rollback_arm);
       ignore (E.begin_ db !l);
       ignore (E.wait db !l);
       ignore (E.abort db !l);
@@ -280,30 +295,43 @@ let run_mid_abort ?(segment_bytes = 96) ~arm () =
     | { R.result = Error e; _ } -> raise e
     | exception Fault.Crash site -> Some site
   in
+  let failures = ref [] in
+  let addf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let expected_counter ~w ~w2 = 100 + (if w then 5 else 0) + if w2 then 3 else 0 in
+  let l_failed =
+    (not (Tid.is_null !l))
+    && match E.failure_of db !l with Some (Fault.Storage_error _) -> true | _ -> false
+  in
+  if Option.is_some rollback_arm then begin
+    let live = Value.to_int (Store.read_exn store counter) in
+    let want = expected_counter ~w:!acked_w ~w2:!acked_w2 in
+    if crashed <> None then addf "rollback run crashed";
+    if live <> want then addf "live counter holds %d, expected %d" live want
+  end;
   (* Power off, power on. *)
   Fault.reset_all ();
   (match crashed with Some _ -> Log.crash log | None -> Log.close log);
   Pstore.crash_and_reopen ps;
   let rlog = Log.load_dir wal_path in
   let l_clrs = ref 0 and l_terminated = ref false in
+  let compensated = Hashtbl.create 8 in
   Log.iter rlog (fun _ r ->
       match r with
-      | Record.Clr { tid; _ } when Tid.equal tid !l -> incr l_clrs
+      | Record.Clr { tid; undo_lsn; _ } when Tid.equal tid !l ->
+          incr l_clrs;
+          if Hashtbl.mem compensated undo_lsn then addf "update %d compensated twice" undo_lsn;
+          Hashtbl.replace compensated undo_lsn ()
       | Record.Abort tid when Tid.equal tid !l -> l_terminated := true
       | Record.Commit tids when List.exists (Tid.equal !l) tids -> l_terminated := true
       | _ -> ());
   let window = !l_clrs > 0 && not !l_terminated in
   let pre = Store.dump store in
   let report = Recovery.recover rlog store in
-  let failures = ref [] in
-  let addf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let winner t = List.exists (Tid.equal t) report.Recovery.winners in
   if !acked_w && not (winner !w) then addf "W acked but not durable";
   if !acked_w2 && not (winner !w2) then addf "W2 acked but not durable";
   if (not (Tid.is_null !l)) && winner !l then addf "loser L recovered as winner";
-  let expected_c =
-    100 + (if winner !w then 5 else 0) + (if winner !w2 then 3 else 0)
-  in
+  let expected_c = expected_counter ~w:(winner !w) ~w2:(winner !w2) in
   let expected_dups = if winner !w then 1 else 0 in
   (match Store.read store counter with
   | Some v ->
@@ -331,7 +359,7 @@ let run_mid_abort ?(segment_bytes = 96) ~arm () =
   Sys.remove pages_path;
   Log.remove_dir wal_path;
   { ma_crashed = crashed; ma_window = window; ma_boundaries = boundaries;
-    ma_failures = List.rev !failures }
+    ma_l_failed = l_failed; ma_failures = List.rev !failures }
 
 let test_mid_abort_crash_sweep () =
   let clean = run_mid_abort ~arm:(fun () -> ()) () in
@@ -369,6 +397,23 @@ let test_mid_abort_enospc_window () =
       Alcotest.failf "disk_full@%d: %s" budget (String.concat ", " r.ma_failures)
   done;
   Alcotest.(check bool) "ENOSPC window exercised" true (!hit > 0)
+
+(* L rolls back to a savepoint before its abort, and the k-th CLR
+   append of the rollback fails.  The body sees the storage error and
+   L aborts; that abort must undo only what the rollback did not, both
+   live and after recovery. *)
+let test_mid_abort_rollback_clr_failure () =
+  let clean = run_mid_abort ~rollback_arm:ignore ~arm:ignore () in
+  if clean.ma_failures <> [] then
+    Alcotest.failf "fault-free: %s" (String.concat ", " clean.ma_failures);
+  (* The rollback appends one CLR per post-savepoint update. *)
+  for k = 1 to 3 do
+    let rollback_arm () = ignore (Fault.arm_name "wal.append" (Fault.Fail_nth k)) in
+    let r = run_mid_abort ~rollback_arm ~arm:ignore () in
+    if r.ma_failures <> [] then
+      Alcotest.failf "rollback CLR %d refused: %s" k (String.concat ", " r.ma_failures);
+    Alcotest.(check bool) (Printf.sprintf "rollback CLR %d refused: L failed" k) true r.ma_l_failed
+  done
 
 (* --- lock-wait timeout --- *)
 
@@ -492,6 +537,8 @@ let () =
             test_mid_abort_crash_sweep;
           Alcotest.test_case "ENOSPC mid-abort budget sweep" `Quick
             test_mid_abort_enospc_window;
+          Alcotest.test_case "refused rollback CLR: abort undoes the rest once" `Quick
+            test_mid_abort_rollback_clr_failure;
         ] );
       ( "resilience",
         [

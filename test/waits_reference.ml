@@ -40,7 +40,7 @@ let edges lm oids =
                 (not (Tid.equal h w))
                 && (hs = Lm.Granted || hs = Lm.Suspended)
                 && Mode.conflicts hm m
-                && not (permitted permits ~grantor:h ~grantee:w (Mode.as_op m))
+                && not (permitted permits ~grantor:h ~grantee:w m)
               then Some (w, h)
               else None)
             (Lm.granted_of lm o))
