@@ -393,7 +393,7 @@ let e6_saga () =
 
 let e7_groupcommit () =
   let t =
-    Table.create ~title:"E7: group commit (GC mark handshake), commit order permuted"
+    Table.create ~title:"E7: group commit (GC), commit order permuted"
       ~header:[ "group size"; "order seed"; "committed"; "commit records"; "retries"; "ms" ]
   in
   List.iter
@@ -876,15 +876,17 @@ let e17_hotpath () =
       ]
 
 (* ------------------------------------------------------------------ *)
-(* E18: lock-manager hot path — indexed descriptors and the deadlock
-   search over the waits-for graph derived from the pending requests.
+(* E18: lock-manager hot path — Figure-1 descriptor lists and the
+   deadlock search over the waits-for graph derived from the pending
+   requests.
    Emits BENCH_lockpath.json so the lock-path perf trajectory is
    tracked across PRs. *)
 
 (* Acquire+release cost seen by one transaction when every object
-   already carries [holders] granted Read locks: the conflict scan
-   walks [holders] entries, but all descriptor bookkeeping (find,
-   insert, release) should stay O(1). *)
+   already carries [holders] granted Read locks.  The conflict scan and
+   the release's removal from the OD's granted list each walk
+   [holders] entries; finding the transaction's own lock goes through
+   its per-transaction table. *)
 let lockpath_acquire_case ~objects ~holders ~iters =
   let lm = Lm.create () in
   for h = 1 to holders do
@@ -934,8 +936,8 @@ let lockpath_deadlock_case ~objects ~waiters ~checks =
    upgrade-deadlock pattern) and the bank-transfer workload, both of
    which hammer acquire/block/abort and the stall hook.  [batch] runs
    on a fresh engine over [store] and returns (committed, aborted);
-   the case also reports whether a lock request is still pending once
-   the batch is done. *)
+   the case also reports whether a lock request is still pending, and
+   how many object descriptors are left, once the batch is done. *)
 let lockpath_batch_case store batch =
   let db = E.create store in
   let committed = ref 0 in
@@ -944,7 +946,8 @@ let lockpath_batch_case store batch =
     stat db "deadlock_victims",
     stat db "lock_waits",
     float_of_int !committed /. dt,
-    Lm.has_pending (E.locks db) )
+    Lm.has_pending (E.locks db),
+    stat db "lock.ods" )
 
 let lockpath_workload_case ~theta ~n_txns =
   let spec =
@@ -1033,11 +1036,11 @@ let e18_lockpath () =
   in
   let t =
     Table.create
-      ~title:"E18c: contended workload throughput through the overhauled lock path"
+      ~title:"E18c: contended workload throughput through the lock path"
       ~header:[ "workload"; "committed"; "victims"; "lock waits"; "txn/s" ]
   in
   List.iter
-    (fun (name, (committed, victims, waits, tps, _)) ->
+    (fun (name, (committed, victims, waits, tps, _, _)) ->
       Table.add_row t
         [
           name;
@@ -1049,7 +1052,9 @@ let e18_lockpath () =
     wl_rows;
   Table.print t;
   check "E18c: nothing pending after each workload"
-    (List.for_all (fun (_, (_, _, _, _, pending)) -> not pending) wl_rows);
+    (List.for_all (fun (_, (_, _, _, _, pending, _)) -> not pending) wl_rows);
+  check "E18c: no object descriptor left after each workload"
+    (List.for_all (fun (_, (_, _, _, _, _, ods)) -> ods = 0) wl_rows);
   write_artifact ~name:"lockpath" ~experiment:"E18-lockpath"
     Json.
       [
@@ -1065,7 +1070,7 @@ let e18_lockpath () =
             dl_rows );
         ( "workload",
           records
-            (fun (name, (committed, victims, waits, tps, _)) ->
+            (fun (name, (committed, victims, waits, tps, _, _)) ->
               [
                 ("name", Str name);
                 ("committed", Int committed);

@@ -1011,8 +1011,6 @@ let rec commit db tid =
 and attempt_commit db tid =
   let t = td db tid in
   t.status <- Status.Committing;
-  (* Mark our side of every GC edge (step 2c-i). *)
-  List.iter (fun e -> Dep.mark_gc e tid) (Dep.gc_edges db.deps tid);
   match resolve_non_gc_deps db tid with
   | `Must_abort ->
       ignore (abort db tid);

@@ -14,8 +14,9 @@
    the list the commit algorithm scans — and [incoming] the edges whose
    dependents must react when it aborts.
 
-   GC edges carry the two marks of the section 4.2 handshake: each side
-   records that it is waiting for the other to commit. *)
+   A GC edge carries no handshake state: the group commit reads each
+   member's TD status (Committing) to learn that it has invoked commit
+   and waits for the rest of its group. *)
 
 module Tid = Asset_util.Id.Tid
 
@@ -23,8 +24,6 @@ type edge = {
   master : Tid.t;
   dependent : Tid.t;
   dtype : Dep_type.t;
-  mutable master_mark : bool; (* master has invoked commit and waits *)
-  mutable dependent_mark : bool; (* dependent has invoked commit and waits *)
 }
 
 type t = {
@@ -55,14 +54,6 @@ let bucket table tid =
 let outgoing t tid = match Hashtbl.find_opt t.by_dependent tid with Some l -> !l | None -> []
 let incoming t tid = match Hashtbl.find_opt t.by_master tid with Some l -> !l | None -> []
 let edge_count t = t.edge_count
-
-(* Edges that make [tid]'s commit wait, in either role: as dependent for
-   CD/AD; GC edges in both roles (group membership is symmetric). *)
-let commit_relevant t tid =
-  let out = List.filter (fun e -> Dep_type.blocks_commit e.dtype || e.dtype = Dep_type.GC) (outgoing t tid) in
-  let inc = List.filter (fun e -> e.dtype = Dep_type.GC || e.dtype = Dep_type.EXC) (incoming t tid) in
-  let exc_out = List.filter (fun e -> e.dtype = Dep_type.EXC) (outgoing t tid) in
-  out @ inc @ exc_out
 
 (* Would adding dependent -> master create a cycle in the commit-wait
    (CD/AD) subgraph?  Walk masters-of-masters from [master] looking for
@@ -97,7 +88,7 @@ let add t dtype ~master ~dependent =
        Asset_util.Stats.Counter.incr t.rejected;
        raise (Cycle_rejected (master, dependent))
      end);
-    let edge = { master; dependent; dtype; master_mark = false; dependent_mark = false } in
+    let edge = { master; dependent; dtype } in
     let m = bucket t.by_master master in
     m := edge :: !m;
     let d = bucket t.by_dependent dependent in
@@ -106,38 +97,24 @@ let add t dtype ~master ~dependent =
     Asset_util.Stats.Counter.incr t.formed
   end
 
-(* Remove every edge touching [tid] (commit step 5 / abort step 5). *)
+(* Remove every edge touching [tid] (commit step 5 / abort step 5).
+   Only [tid]'s own edges are visited: each is unlinked from the other
+   endpoint's bucket, which is dropped once empty. *)
 let remove_involving t tid =
-  let touches e = Tid.equal e.master tid || Tid.equal e.dependent tid in
-  let removed = ref 0 in
-  let purge table =
-    Hashtbl.iter
-      (fun _ l ->
-        let before = List.length !l in
-        l := List.filter (fun e -> not (touches e)) !l;
-        removed := !removed + (before - List.length !l))
-      table
+  let unlink table other e =
+    match Hashtbl.find_opt table other with
+    | None -> ()
+    | Some l -> (
+        match List.filter (fun x -> x != e) !l with
+        | [] -> Hashtbl.remove table other
+        | rest -> l := rest)
   in
-  purge t.by_master;
-  (* Count only once: track removals from the master index; the
-     dependent index drops the same edges. *)
-  t.edge_count <- t.edge_count - !removed;
-  Hashtbl.iter (fun _ l -> l := List.filter (fun e -> not (touches e)) !l) t.by_dependent;
+  let out = outgoing t tid and inc = incoming t tid in
+  Hashtbl.remove t.by_dependent tid;
   Hashtbl.remove t.by_master tid;
-  Hashtbl.remove t.by_dependent tid
-
-(* GC handshake marks.  [mark_gc t tid edge] records that [tid] (one of
-   the edge's endpoints) has invoked commit and is waiting for the other
-   side. *)
-let mark_gc edge tid =
-  if Tid.equal edge.master tid then edge.master_mark <- true
-  else if Tid.equal edge.dependent tid then edge.dependent_mark <- true
-  else invalid_arg "Dep_graph.mark_gc: tid not on edge"
-
-let gc_marked edge tid =
-  if Tid.equal edge.master tid then edge.master_mark
-  else if Tid.equal edge.dependent tid then edge.dependent_mark
-  else invalid_arg "Dep_graph.gc_marked: tid not on edge"
+  List.iter (fun e -> unlink t.by_master e.master e) out;
+  List.iter (fun e -> unlink t.by_dependent e.dependent e) inc;
+  t.edge_count <- t.edge_count - List.length out - List.length inc
 
 let gc_other edge tid =
   if Tid.equal edge.master tid then edge.dependent
@@ -188,9 +165,7 @@ let stats t =
   ]
 
 let pp_edge ppf e =
-  Format.fprintf ppf "%a(%a->%a)%s%s" Dep_type.pp e.dtype Tid.pp e.master Tid.pp e.dependent
-    (if e.master_mark then "*m" else "")
-    (if e.dependent_mark then "*d" else "")
+  Format.fprintf ppf "%a(%a->%a)" Dep_type.pp e.dtype Tid.pp e.master Tid.pp e.dependent
 
 let pp ppf t =
   Format.fprintf ppf "deps{%a}"

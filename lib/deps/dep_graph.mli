@@ -3,18 +3,12 @@
     form_dependency; edges are doubly indexed so that dependencies
     emanating from or incoming to a transaction are found efficiently.
 
-    GC edges carry the two marks of the section-4.2 group-commit
-    handshake. *)
+    GC edges carry no handshake marks: the group commit reads each
+    member's TD status instead. *)
 
 module Tid = Asset_util.Id.Tid
 
-type edge = {
-  master : Tid.t;
-  dependent : Tid.t;
-  dtype : Dep_type.t;
-  mutable master_mark : bool;
-  mutable dependent_mark : bool;
-}
+type edge = { master : Tid.t; dependent : Tid.t; dtype : Dep_type.t }
 
 type t
 
@@ -36,22 +30,14 @@ val outgoing : t -> Tid.t -> edge list
 val incoming : t -> Tid.t -> edge list
 (** Edges whose dependents react to [tid] (it is the master). *)
 
-val commit_relevant : t -> Tid.t -> edge list
-(** The edges [tid]'s commit must consider: CD/AD as dependent, GC and
-    EXC in either role. *)
-
 val remove_involving : t -> Tid.t -> unit
-(** Drop every edge touching [tid] (commit step 5 / abort step 5). *)
+(** Drop every edge touching [tid] (commit step 5 / abort step 5),
+    visiting only [tid]'s own edges. *)
 
 val edge_count : t -> int
 
 (** {2 Group commit} *)
 
-val mark_gc : edge -> Tid.t -> unit
-(** Record that [tid] (an endpoint) has invoked commit and waits for
-    the other side. *)
-
-val gc_marked : edge -> Tid.t -> bool
 val gc_other : edge -> Tid.t -> Tid.t
 val gc_edges : t -> Tid.t -> edge list
 

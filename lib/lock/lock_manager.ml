@@ -4,23 +4,23 @@
    suspension of conflicting granted locks.
 
    Figure 1 of the paper shows the OD pointing at three lists — granted
-   lock requests, pending lock requests, and permissions; this module
-   maintains exactly those lists (see [pp_od], which renders the
-   figure's structure).  The lists are intrusive doubly-linked lists
-   shadowed by per-OD [(tid -> lrd)] hash indexes, so membership tests
-   and removals are O(1) while the Figure-1 ordering (newest request at
-   the head) is preserved.  LRDs are linked both from their OD and from
-   per-transaction tables (granted and pending separately) so that
-   delegation, release and pending-cancellation traverse only the
-   transaction's own descriptors; PDs are doubly indexed by grantor and
-   grantee tid, as the paper prescribes ("doubly hashed on the tid of
-   the two transactions involved"), plus a per-OD grantor index feeding
-   the transitive-permission search, whose verdicts are memoised per OD
-   until the OD's permit list changes.
+   lock requests, pending lock requests, and permissions; an OD here is
+   exactly those three plain lists, newest entry first (see [pp_od],
+   which renders the figure's structure).  Each lock fact is stored
+   once more, from the transaction's side: per-transaction tables
+   (granted and pending separately, oid -> lrd) answer "does t hold or
+   request ob?" and let delegation, release and pending-cancellation
+   traverse only the transaction's own descriptors; PDs are doubly
+   indexed by grantor and grantee tid, as the paper prescribes
+   ("doubly hashed on the tid of the two transactions involved").
+   Removal from an OD list filters it by physical equality, at the
+   O(holders) cost the conflict scan already pays.  An OD exists only
+   while one of its lists is non-empty, so the lock table is bounded by
+   the live locks, requests and permits.
 
    The three lists fully determine who waits for whom, so the waits-for
    graph is not stored: [waits_for], [waits_edges] and [find_cycle]
-   derive it on demand from the per-transaction pending index, giving
+   derive it on demand from the per-transaction pending table, giving
    each pending request the holders that block it ([blockers_of]).  Its
    cost depends on the pending requests only, not on how many objects
    or transactions exist. *)
@@ -55,8 +55,6 @@ type lrd = {
   lrd_oid : Oid.t;
   mutable lrd_mode : Mode.t;
   mutable lrd_status : lock_status;
-  mutable lrd_prev : lrd option; (* intrusive links within the OD list *)
-  mutable lrd_next : lrd option;
 }
 
 type pd = {
@@ -66,64 +64,16 @@ type pd = {
   pd_ops : Mode.Ops.t;
 }
 
-(* An intrusive doubly-linked LRD list: O(1) push/remove, head = newest
-   (the prepend order of the paper's Figure-1 lists). *)
-type lrd_list = { mutable head : lrd option; mutable count : int }
-
-let list_create () = { head = None; count = 0 }
-
-let list_push l lrd =
-  lrd.lrd_prev <- None;
-  lrd.lrd_next <- l.head;
-  (match l.head with Some h -> h.lrd_prev <- Some lrd | None -> ());
-  l.head <- Some lrd;
-  l.count <- l.count + 1
-
-let list_remove l lrd =
-  (match lrd.lrd_prev with
-  | Some p -> p.lrd_next <- lrd.lrd_next
-  | None -> l.head <- lrd.lrd_next);
-  (match lrd.lrd_next with Some n -> n.lrd_prev <- lrd.lrd_prev | None -> ());
-  lrd.lrd_prev <- None;
-  lrd.lrd_next <- None;
-  l.count <- l.count - 1
-
-let list_iter f l =
-  let rec go = function
-    | None -> ()
-    | Some x ->
-        let next = x.lrd_next in
-        f x;
-        go next
-  in
-  go l.head
-
-let list_exists p l =
-  let rec go = function
-    | None -> false
-    | Some x -> p x || go x.lrd_next
-  in
-  go l.head
-
-let list_elems l =
-  let rec go acc = function None -> List.rev acc | Some x -> go (x :: acc) x.lrd_next in
-  go [] l.head
-
+(* The Figure-1 object descriptor: three lists, newest entry first. *)
 type od = {
   od_oid : Oid.t;
-  granted : lrd_list; (* granted + suspended requests *)
-  granted_idx : (Tid.t, lrd) Hashtbl.t;
-  pending : lrd_list; (* blocked + upgrading requests *)
-  pending_idx : (Tid.t, lrd) Hashtbl.t;
+  mutable granted : lrd list; (* granted + suspended requests *)
+  mutable pending : lrd list; (* blocked + upgrading requests *)
   mutable permits : pd list;
-  pd_by_grantor : (Tid.t, pd list) Hashtbl.t;
-      (* per-OD grantor adjacency for the transitive-permission DFS *)
-  reach_memo : (Tid.t * Tid.t * Mode.t, bool) Hashtbl.t;
-      (* memoised permits_op verdicts; cleared whenever [permits] changes *)
 }
 
 type t = {
-  objects : (Oid.t, od) Hashtbl.t;
+  objects : (Oid.t, od) Hashtbl.t; (* only ODs with a non-empty list *)
   by_txn : (Tid.t, (Oid.t, lrd) Hashtbl.t) Hashtbl.t; (* granted LRDs, from the TD *)
   pending_by_txn : (Tid.t, (Oid.t, lrd) Hashtbl.t) Hashtbl.t;
   permits_by_grantor : (Tid.t, pd list ref) Hashtbl.t;
@@ -153,20 +103,17 @@ let od t oid =
   match Hashtbl.find_opt t.objects oid with
   | Some od -> od
   | None ->
-      let od =
-        {
-          od_oid = oid;
-          granted = list_create ();
-          granted_idx = Hashtbl.create 4;
-          pending = list_create ();
-          pending_idx = Hashtbl.create 4;
-          permits = [];
-          pd_by_grantor = Hashtbl.create 4;
-          reach_memo = Hashtbl.create 8;
-        }
-      in
+      let od = { od_oid = oid; granted = []; pending = []; permits = [] } in
       Hashtbl.replace t.objects oid od;
       od
+
+(* An OD whose three lists are all empty carries no information: drop
+   it, so the lock table holds only objects something is locked,
+   requested or permitted on. *)
+let free_if_empty t obj =
+  if obj.granted = [] && obj.pending = [] && obj.permits = [] then Hashtbl.remove t.objects obj.od_oid
+
+let without x l = List.filter (fun y -> y != x) l
 
 let txn_table table tid =
   match Hashtbl.find_opt table tid with
@@ -175,6 +122,10 @@ let txn_table table tid =
       let h = Hashtbl.create 8 in
       Hashtbl.replace table tid h;
       h
+
+(* [tid]'s LRD on [oid] in a per-transaction table, if any. *)
+let txn_lrd table tid oid =
+  match Hashtbl.find_opt table tid with Some h -> Hashtbl.find_opt h oid | None -> None
 
 let index_list table tid =
   match Hashtbl.find_opt table tid with
@@ -191,39 +142,27 @@ let index_list table tid =
    directly or transitively?  Rule 3 of the permit semantics makes
    permission transitive with operation-set intersection:
    permit(ti,tj,ops) and permit(tj,tk,ops') act as permit(ti,tk,
-   ops∩ops').  We search the OD's per-grantor PD index for a chain from
-   grantor to grantee every link of which (and hence the intersection)
-   includes [op]; a PD with [pd_grantee = None] reaches any
-   transaction.  Verdicts are memoised on the OD — the permit list is
-   the only input, so the memo is cleared whenever it changes. *)
+   ops∩ops').  We search the OD's permit list for a chain from grantor
+   to grantee every link of which (and hence the intersection) includes
+   [op]; a PD with [pd_grantee = None] reaches any transaction.  An
+   empty permit list answers at once. *)
 let permits_op obj ~grantor ~grantee op =
-  let key = (grantor, grantee, op) in
-  match Hashtbl.find_opt obj.reach_memo key with
-  | Some r -> r
-  | None ->
-      let pds_of tid =
-        match Hashtbl.find_opt obj.pd_by_grantor tid with Some l -> l | None -> []
-      in
-      let rec reachable visited current =
-        if Tid.equal current grantee then true
-        else if List.exists (Tid.equal current) visited then false
-        else
-          List.exists
+  obj.permits <> []
+  &&
+  let rec reachable visited current =
+    Tid.equal current grantee
+    || (not (List.exists (Tid.equal current) visited))
+       && List.exists
             (fun pd ->
-              Mode.Ops.mem op pd.pd_ops
+              Tid.equal pd.pd_grantor current
+              && Mode.Ops.mem op pd.pd_ops
               &&
               match pd.pd_grantee with
               | None -> true (* open permission reaches everyone, incl. grantee *)
               | Some next -> reachable (current :: visited) next)
-            (pds_of current)
-      in
-      let r =
-        (* An open permission from the grantor short-circuits. *)
-        List.exists (fun pd -> pd.pd_grantee = None && Mode.Ops.mem op pd.pd_ops) (pds_of grantor)
-        || reachable [] grantor
-      in
-      Hashtbl.replace obj.reach_memo key r;
-      r
+            obj.permits
+  in
+  reachable [] grantor
 
 (* The waits-for predicate: does granted/suspended [gl] block waiter
    [p_tid] requesting [p_mode]? *)
@@ -234,26 +173,10 @@ let blocks_waiter obj p_tid p_mode gl =
   && not (permits_op obj ~grantor:gl.lrd_tid ~grantee:p_tid p_mode)
 
 let blockers_of obj p =
-  let acc = ref [] in
-  list_iter
-    (fun gl -> if blocks_waiter obj p.lrd_tid p.lrd_mode gl then acc := gl.lrd_tid :: !acc)
-    obj.granted;
-  List.sort_uniq Tid.compare !acc
-
-(* Per-OD permit indexing. *)
-let od_pd_index obj pd =
-  let l = match Hashtbl.find_opt obj.pd_by_grantor pd.pd_grantor with Some l -> l | None -> [] in
-  Hashtbl.replace obj.pd_by_grantor pd.pd_grantor (pd :: l);
-  Hashtbl.reset obj.reach_memo
-
-let od_pd_unindex obj pd =
-  (match Hashtbl.find_opt obj.pd_by_grantor pd.pd_grantor with
-  | None -> ()
-  | Some l -> (
-      match List.filter (fun p -> p != pd) l with
-      | [] -> Hashtbl.remove obj.pd_by_grantor pd.pd_grantor
-      | l' -> Hashtbl.replace obj.pd_by_grantor pd.pd_grantor l'));
-  Hashtbl.reset obj.reach_memo
+  List.fold_left
+    (fun acc gl -> if blocks_waiter obj p.lrd_tid p.lrd_mode gl then gl.lrd_tid :: acc else acc)
+    [] obj.granted
+  |> List.sort_uniq Tid.compare
 
 let add_permit t ~grantor ~grantee ~oid ~ops =
   if Mode.Ops.is_empty ops then ()
@@ -261,7 +184,6 @@ let add_permit t ~grantor ~grantee ~oid ~ops =
     let obj = od t oid in
     let pd = { pd_oid = oid; pd_grantor = grantor; pd_grantee = grantee; pd_ops = ops } in
     obj.permits <- pd :: obj.permits;
-    od_pd_index obj pd;
     let gl = index_list t.permits_by_grantor grantor in
     gl := pd :: !gl;
     (match grantee with
@@ -292,21 +214,18 @@ let accessible_objects t tid =
 
 type outcome = Acquired | Blocked_on of Tid.t list
 
-let find_lrd obj tid = Hashtbl.find_opt obj.granted_idx tid
-let find_pending obj tid = Hashtbl.find_opt obj.pending_idx tid
-
-(* Drop a pending request. *)
+(* Drop [tid]'s pending request on [obj], if any.  The OD is not freed
+   here: [acquire] calls this just before granting on the same OD. *)
 let remove_pending t obj tid =
-  match Hashtbl.find_opt obj.pending_idx tid with
+  match Hashtbl.find_opt t.pending_by_txn tid with
   | None -> ()
-  | Some p ->
-      list_remove obj.pending p;
-      Hashtbl.remove obj.pending_idx tid;
-      (match Hashtbl.find_opt t.pending_by_txn tid with
-      | Some h ->
-          Hashtbl.remove h p.lrd_oid;
-          if Hashtbl.length h = 0 then Hashtbl.remove t.pending_by_txn tid
-      | None -> ())
+  | Some h -> (
+      match Hashtbl.find_opt h obj.od_oid with
+      | None -> ()
+      | Some p ->
+          obj.pending <- without p obj.pending;
+          Hashtbl.remove h obj.od_oid;
+          if Hashtbl.length h = 0 then Hashtbl.remove t.pending_by_txn tid)
 
 (* Step 1b: for every conflicting lock gl in the granted list (granted
    or suspended — a suspended lock still guards its holder's
@@ -317,7 +236,7 @@ let remove_pending t obj tid =
 let check_conflicts t obj tid mode =
   let blockers = ref [] in
   let to_suspend = ref [] in
-  list_iter
+  List.iter
     (fun gl ->
       if (not (Tid.equal gl.lrd_tid tid))
          && (gl.lrd_status = Granted || gl.lrd_status = Suspended)
@@ -341,9 +260,12 @@ let check_conflicts t obj tid mode =
 
 let acquire t tid oid mode =
   let obj = od t oid in
-  match find_lrd obj tid with
+  match txn_lrd t.by_txn tid oid with
   | Some gl when gl.lrd_status <> Suspended && Mode.covers ~held:gl.lrd_mode ~requested:mode ->
-      (* Step 1a: an unsuspended covering lock of our own. *)
+      (* Step 1a: an unsuspended covering lock of our own.  It may have
+         been delegated to us while this request was pending, which the
+         request no longer is. *)
+      remove_pending t obj tid;
       Acquired
   | existing -> (
       if Trace.on () then trace_lock Trace.Request tid oid mode;
@@ -364,18 +286,8 @@ let acquire t tid oid mode =
               Asset_util.Stats.Counter.incr t.acquires
           | None ->
               (* 2a: create an LRD and link it from the OD and the TD. *)
-              let lrd =
-                {
-                  lrd_tid = tid;
-                  lrd_oid = oid;
-                  lrd_mode = mode;
-                  lrd_status = Granted;
-                  lrd_prev = None;
-                  lrd_next = None;
-                }
-              in
-              list_push obj.granted lrd;
-              Hashtbl.replace obj.granted_idx tid lrd;
+              let lrd = { lrd_tid = tid; lrd_oid = oid; lrd_mode = mode; lrd_status = Granted } in
+              obj.granted <- lrd :: obj.granted;
               Hashtbl.replace (txn_table t.by_txn tid) oid lrd;
               if Trace.on () then trace_lock Trace.Grant tid oid mode;
               Asset_util.Stats.Counter.incr t.acquires);
@@ -384,56 +296,43 @@ let acquire t tid oid mode =
           (* Register a pending request (status upgrading when we already
              hold a weaker lock), so the OD shows the Figure-1 pending
              list and waits-for extraction sees the edge. *)
-          (match find_pending obj tid with
+          (match txn_lrd t.pending_by_txn tid oid with
           | Some p -> p.lrd_mode <- mode
           | None ->
               let status = if existing <> None then Upgrading else Pending in
-              let p =
-                {
-                  lrd_tid = tid;
-                  lrd_oid = oid;
-                  lrd_mode = mode;
-                  lrd_status = status;
-                  lrd_prev = None;
-                  lrd_next = None;
-                }
-              in
-              list_push obj.pending p;
-              Hashtbl.replace obj.pending_idx tid p;
+              let p = { lrd_tid = tid; lrd_oid = oid; lrd_mode = mode; lrd_status = status } in
+              obj.pending <- p :: obj.pending;
               Hashtbl.replace (txn_table t.pending_by_txn tid) oid p);
           if Trace.on () then trace_lock Trace.Block tid oid mode;
           Asset_util.Stats.Counter.incr t.blocks;
           Blocked_on blockers)
 
-(* Give up a pending request (e.g. the requester aborted while waiting). *)
-let cancel_pending t tid oid =
-  match Hashtbl.find_opt t.objects oid with None -> () | Some obj -> remove_pending t obj tid
-
-(* Drop every pending request of [tid]; used when a waiting transaction
-   is aborted (e.g. as a deadlock victim).  The per-transaction pending
-   index makes this O(own pending requests), not O(objects). *)
-let cancel_pending_all t tid =
+(* Withdraw [tid]'s pending requests on the objects [covers] accepts. *)
+let withdraw_pending t tid covers =
   match Hashtbl.find_opt t.pending_by_txn tid with
   | None -> ()
   | Some h ->
-      let lrds = Hashtbl.fold (fun _ p acc -> p :: acc) h [] in
-      List.iter
-        (fun p ->
-          match Hashtbl.find_opt t.objects p.lrd_oid with
-          | Some obj -> remove_pending t obj tid
-          | None -> ())
-        lrds
+      Hashtbl.fold (fun oid _ acc -> if covers oid then oid :: acc else acc) h []
+      |> List.iter (fun oid ->
+             let obj = Hashtbl.find t.objects oid in
+             remove_pending t obj tid;
+             free_if_empty t obj)
+
+(* Drop every pending request of [tid]; used when a waiting transaction
+   is aborted (e.g. as a deadlock victim).  The per-transaction pending
+   table makes this O(own pending requests), not O(objects). *)
+let cancel_pending_all t tid = withdraw_pending t tid (fun _ -> true)
 
 (* A suspended lock resumes when no granted lock conflicts with it any
    more (section 4.2 step 2b "remove suspension status" happens through
    re-acquisition; release-time resumption keeps cooperating
    transactions live without forcing a retry loop). *)
 let resume_suspended obj =
-  list_iter
+  List.iter
     (fun sl ->
       if sl.lrd_status = Suspended then begin
         let conflicting =
-          list_exists
+          List.exists
             (fun gl ->
               (not (Tid.equal gl.lrd_tid sl.lrd_tid))
               && gl.lrd_status = Granted
@@ -450,29 +349,6 @@ let resume_suspended obj =
 (* ------------------------------------------------------------------ *)
 (* Release, delegation, cleanup                                        *)
 
-(* Unlink a granted LRD from its OD (guarded by physical equality so a
-   stale descriptor is a no-op). *)
-let od_remove_granted obj lrd =
-  match Hashtbl.find_opt obj.granted_idx lrd.lrd_tid with
-  | Some l when l == lrd ->
-      list_remove obj.granted lrd;
-      Hashtbl.remove obj.granted_idx lrd.lrd_tid
-  | _ -> ()
-
-let drop_lrd t lrd =
-  if Trace.on () then trace_lock Trace.Release lrd.lrd_tid lrd.lrd_oid lrd.lrd_mode;
-  (match Hashtbl.find_opt t.objects lrd.lrd_oid with
-  | Some obj ->
-      od_remove_granted obj lrd;
-      resume_suspended obj
-  | None -> ());
-  match Hashtbl.find_opt t.by_txn lrd.lrd_tid with
-  | Some h -> (
-      match Hashtbl.find_opt h lrd.lrd_oid with
-      | Some l when l == lrd -> Hashtbl.remove h lrd.lrd_oid
-      | _ -> ())
-  | None -> ()
-
 (* Release all locks held by a transaction; returns the object ids that
    were locked (the engine uses them to wake waiters). *)
 let release_all t tid =
@@ -480,22 +356,33 @@ let release_all t tid =
   | None -> []
   | Some h ->
       let lrds = Hashtbl.fold (fun _ l acc -> l :: acc) h [] in
-      List.iter (drop_lrd t) lrds;
       Hashtbl.remove t.by_txn tid;
+      List.iter
+        (fun lrd ->
+          if Trace.on () then trace_lock Trace.Release lrd.lrd_tid lrd.lrd_oid lrd.lrd_mode;
+          let obj = Hashtbl.find t.objects lrd.lrd_oid in
+          obj.granted <- without lrd obj.granted;
+          resume_suspended obj;
+          free_if_empty t obj)
+        lrds;
       List.map (fun l -> l.lrd_oid) lrds
 
 (* Remove permissions given by and given to [tid] (commit step 6 /
-   abort cleanup).  Each PD is removed eagerly from its OD, from the
-   per-OD grantor index and from the *other* party's global index
-   entry, so no full-table purge is ever needed. *)
+   abort cleanup).  Each PD is removed eagerly from its OD and from the
+   *other* party's index entry, which goes once empty (the other party
+   may have terminated already), so no full-table purge is ever
+   needed. *)
 let remove_permits t tid =
   let drop_from_od pd =
     match Hashtbl.find_opt t.objects pd.pd_oid with
     | Some obj ->
-        if List.memq pd obj.permits then begin
-          obj.permits <- List.filter (fun p -> p != pd) obj.permits;
-          od_pd_unindex obj pd
-        end
+        obj.permits <- without pd obj.permits;
+        free_if_empty t obj
+    | None -> ()
+  in
+  let unindex table other pd =
+    match Hashtbl.find_opt table other with
+    | Some l -> ( match without pd !l with [] -> Hashtbl.remove table other | rest -> l := rest)
     | None -> ()
   in
   (match Hashtbl.find_opt t.permits_by_grantor tid with
@@ -504,10 +391,7 @@ let remove_permits t tid =
         (fun pd ->
           drop_from_od pd;
           match pd.pd_grantee with
-          | Some g when not (Tid.equal g tid) -> (
-              match Hashtbl.find_opt t.permits_by_grantee g with
-              | Some el -> el := List.filter (fun p -> p != pd) !el
-              | None -> ())
+          | Some g when not (Tid.equal g tid) -> unindex t.permits_by_grantee g pd
           | _ -> ())
         !l
   | None -> ());
@@ -516,10 +400,7 @@ let remove_permits t tid =
       List.iter
         (fun pd ->
           drop_from_od pd;
-          if not (Tid.equal pd.pd_grantor tid) then
-            match Hashtbl.find_opt t.permits_by_grantor pd.pd_grantor with
-            | Some gl -> gl := List.filter (fun p -> p != pd) !gl
-            | None -> ())
+          if not (Tid.equal pd.pd_grantor tid) then unindex t.permits_by_grantor pd.pd_grantor pd)
         !l
   | None -> ());
   Hashtbl.remove t.permits_by_grantor tid;
@@ -543,48 +424,27 @@ let delegate t ~from_ ~to_ oids =
   List.iter
     (fun lrd ->
       Hashtbl.remove from_h lrd.lrd_oid;
-      match Hashtbl.find_opt t.objects lrd.lrd_oid with
-      | None -> ()
-      | Some obj -> (
-          match Hashtbl.find_opt to_h lrd.lrd_oid with
-          | Some existing ->
-              (* Merge into tj's existing request. *)
-              existing.lrd_mode <- Mode.join existing.lrd_mode lrd.lrd_mode;
-              od_remove_granted obj lrd;
-              resume_suspended obj
-          | None ->
-              (* Replace the OD's entry with a re-owned LRD. *)
-              od_remove_granted obj lrd;
-              let lrd' = { lrd with lrd_tid = to_; lrd_prev = None; lrd_next = None } in
-              list_push obj.granted lrd';
-              Hashtbl.replace obj.granted_idx to_ lrd';
-              Hashtbl.replace to_h lrd.lrd_oid lrd'))
+      let obj = Hashtbl.find t.objects lrd.lrd_oid in
+      obj.granted <- without lrd obj.granted;
+      match Hashtbl.find_opt to_h lrd.lrd_oid with
+      | Some existing ->
+          (* Merge into tj's existing request. *)
+          existing.lrd_mode <- Mode.join existing.lrd_mode lrd.lrd_mode;
+          resume_suspended obj
+      | None ->
+          (* Replace the OD's entry with a re-owned LRD. *)
+          let lrd' = { lrd with lrd_tid = to_ } in
+          obj.granted <- lrd' :: obj.granted;
+          Hashtbl.replace to_h lrd.lrd_oid lrd')
     moving;
   (* Withdraw ti's in-flight requests on the delegated objects. *)
-  (match Hashtbl.find_opt t.pending_by_txn from_ with
-  | None -> ()
-  | Some h ->
-      let stale = Hashtbl.fold (fun _ p acc -> if covers p.lrd_oid then p :: acc else acc) h [] in
-      List.iter
-        (fun p ->
-          match Hashtbl.find_opt t.objects p.lrd_oid with
-          | Some obj -> remove_pending t obj from_
-          | None -> ())
-        stale);
+  withdraw_pending t from_ covers;
   (* Rewrite PDs (ti, tk, op) to (tj, tk, op) for the delegated objects. *)
   (match Hashtbl.find_opt t.permits_by_grantor from_ with
   | Some l ->
       let moving_pds, staying_pds = List.partition (fun pd -> covers pd.pd_oid) !l in
       l := staying_pds;
-      List.iter
-        (fun pd ->
-          (match Hashtbl.find_opt t.objects pd.pd_oid with
-          | Some obj ->
-              od_pd_unindex obj pd;
-              pd.pd_grantor <- to_;
-              od_pd_index obj pd
-          | None -> pd.pd_grantor <- to_))
-        moving_pds;
+      List.iter (fun pd -> pd.pd_grantor <- to_) moving_pds;
       if moving_pds <> [] then begin
         let tl = index_list t.permits_by_grantor to_ in
         tl := moving_pds @ !tl
@@ -597,18 +457,9 @@ let delegate t ~from_ ~to_ oids =
 (* Introspection                                                       *)
 
 let holds t tid oid =
-  match Hashtbl.find_opt t.objects oid with
+  match txn_lrd t.by_txn tid oid with
+  | Some lrd -> Some (lrd.lrd_mode, lrd.lrd_status)
   | None -> None
-  | Some obj -> (
-      match find_lrd obj tid with
-      | Some lrd when lrd.lrd_status = Granted || lrd.lrd_status = Suspended ->
-          Some (lrd.lrd_mode, lrd.lrd_status)
-      | _ -> None)
-
-let locked_objects t tid =
-  match Hashtbl.find_opt t.by_txn tid with
-  | None -> []
-  | Some h -> Hashtbl.fold (fun oid _ acc -> oid :: acc) h []
 
 let lock_count t tid =
   match Hashtbl.find_opt t.by_txn tid with None -> 0 | Some h -> Hashtbl.length h
@@ -629,10 +480,7 @@ let holders_blocking t waiter =
   | None -> []
   | Some h ->
       Hashtbl.fold
-        (fun _ p acc ->
-          match Hashtbl.find_opt t.objects p.lrd_oid with
-          | Some obj -> List.rev_append (blockers_of obj p) acc
-          | None -> acc)
+        (fun _ p acc -> List.rev_append (blockers_of (Hashtbl.find t.objects p.lrd_oid) p) acc)
         h []
       |> List.sort_uniq Tid.compare
 
@@ -667,8 +515,8 @@ let find_cycle t =
     match List.iter (dfs []) (waiters t) with () -> None | exception Found cycle -> Some cycle
   end
 
-(* Counters reset only here, never on read.  [waits_edges] is a gauge
-   derived from the lock state, not a counter. *)
+(* Counters reset only here, never on read.  [waits_edges] and [ods]
+   are gauges derived from the lock state, not counters. *)
 let reset_stats t =
   List.iter Asset_util.Stats.Counter.reset
     [ t.acquires; t.blocks; t.suspensions; t.permit_grants; t.cycle_checks ]
@@ -680,6 +528,7 @@ let stats t =
     ("suspensions", Asset_util.Stats.Counter.get t.suspensions);
     ("permit_grants", Asset_util.Stats.Counter.get t.permit_grants);
     ("waits_edges", waits_edges t);
+    ("ods", Hashtbl.length t.objects);
     ("cycle_checks", Asset_util.Stats.Counter.get t.cycle_checks);
   ]
 
@@ -700,21 +549,21 @@ let pp_od t ppf oid =
       in
       Format.fprintf ppf "OD(%a)@.  granted: %a@.  pending: %a@.  permits: %a" Oid.pp oid
         (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_lrd)
-        (list_elems obj.granted)
+        obj.granted
         (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_lrd)
-        (list_elems obj.pending)
+        obj.pending
         (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_pd)
         obj.permits
 
 let granted_of t oid =
   match Hashtbl.find_opt t.objects oid with
   | None -> []
-  | Some obj -> List.map (fun l -> (l.lrd_tid, l.lrd_mode, l.lrd_status)) (list_elems obj.granted)
+  | Some obj -> List.map (fun l -> (l.lrd_tid, l.lrd_mode, l.lrd_status)) obj.granted
 
 let pending_of t oid =
   match Hashtbl.find_opt t.objects oid with
   | None -> []
-  | Some obj -> List.map (fun l -> (l.lrd_tid, l.lrd_mode, l.lrd_status)) (list_elems obj.pending)
+  | Some obj -> List.map (fun l -> (l.lrd_tid, l.lrd_mode, l.lrd_status)) obj.pending
 
 let permits_of t oid =
   match Hashtbl.find_opt t.objects oid with

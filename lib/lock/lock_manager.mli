@@ -4,18 +4,20 @@
     of conflicting granted locks.
 
     The paper's Figure 1 shows an OD pointing at three lists — granted
-    requests, pending requests, permissions; {!pp_od} renders exactly
-    that structure.  PDs are doubly indexed by grantor and grantee tid,
-    and permission is transitive with operation-set intersection
-    (permit rule 3).
+    requests, pending requests, permissions; an OD is exactly those
+    three lists, and {!pp_od} renders them.  Each LRD is also reachable
+    from its transaction (per-transaction oid → lrd tables for held and
+    pending requests), and PDs are doubly indexed by grantor and grantee
+    tid.  Permission is transitive with operation-set intersection
+    (permit rule 3), decided by a search over the OD's permit list.
 
-    The descriptor lists are shadowed by hash indexes (per-OD tid → lrd
-    for granted and pending; per-transaction oid → lrd for held and
-    pending requests; per-OD grantor → pd with memoised transitive
-    reachability).  The three lists fully determine who waits for whom,
-    so the waits-for graph is not stored: {!waits_for}, {!waits_edges}
-    and {!find_cycle} derive it on demand from the pending requests,
-    at a cost that depends on those requests only. *)
+    An OD is dropped as soon as its three lists are empty, so the lock
+    table holds only objects with a live lock, request or permit: once
+    every transaction has terminated it is empty.  The three lists
+    fully determine who waits for whom, so the waits-for graph is not
+    stored: {!waits_for}, {!waits_edges} and {!find_cycle} derive it on
+    demand from the pending requests, at a cost that depends on those
+    requests only. *)
 
 module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
@@ -48,7 +50,6 @@ val acquire : t -> Tid.t -> Oid.t -> Mode.t -> outcome
     conflicting locks excused by permits suspend their holders;
     otherwise block. *)
 
-val cancel_pending : t -> Tid.t -> Oid.t -> unit
 val cancel_pending_all : t -> Tid.t -> unit
 
 (** {2 Permits} *)
@@ -84,7 +85,6 @@ val delegate : t -> from_:Tid.t -> to_:Tid.t -> Oid.t list option -> Oid.t list
 (** {2 Introspection} *)
 
 val holds : t -> Tid.t -> Oid.t -> (Mode.t * lock_status) option
-val locked_objects : t -> Tid.t -> Oid.t list
 val lock_count : t -> Tid.t -> int
 
 val has_pending : t -> bool
@@ -107,13 +107,13 @@ val find_cycle : t -> Tid.t list option
     pending. *)
 
 val stats : t -> (string * int) list
-(** Includes [waits_edges] (the current graph's size) and
-    [cycle_checks] (deadlock searches run).  A pure read: no counter is
-    reset by reading. *)
+(** Includes [waits_edges] (the current graph's size), [ods] (live
+    object descriptors) and [cycle_checks] (deadlock searches run).  A
+    pure read: no counter is reset by reading. *)
 
 val reset_stats : t -> unit
-(** Reset every statistics {e counter} to zero.  [waits_edges] is a
-    gauge derived from the lock state, not a counter. *)
+(** Reset every statistics {e counter} to zero.  [waits_edges] and
+    [ods] are gauges derived from the lock state, not counters. *)
 
 val pp_od : t -> Format.formatter -> Oid.t -> unit
 (** Render an object descriptor in the shape of the paper's Figure 1. *)

@@ -1,11 +1,13 @@
 (* The log: an append-only sequence of records, addressed by LSN.
 
    Records always live in memory (a growable array) so that the engine's
-   abort path can walk them without I/O; when the log is opened with a
-   backing directory, every append is also encoded into a staging
-   buffer in a framed binary format (u32 length + u32 CRC-32 + body),
-   and [force] drains the buffer to the raw file descriptor and fsyncs
-   it — only then is anything durable.  Appending never forces, a
+   one read-back, the commit-time MVCC publish ([get]), needs no I/O;
+   abort and checkpoints undo from each transaction's own update list,
+   not from the log.  When the log is opened with a backing directory,
+   every append is also encoded into a staging buffer in a framed
+   binary format (u32 length + u32 CRC-32 + body), and [force] drains
+   the buffer to the raw file descriptor and fsyncs it — only then is
+   anything durable.  Appending never forces, a
    commit record included: the engine stages commit records and forces
    once per batch (group commit), and acknowledges a commit only once
    [forced_lsn] covers its record.
@@ -21,7 +23,7 @@
    manifest (segments still named, nothing lost) or unreferenced files
    that the next [load_dir] sweeps, so retirement is idempotent.
    Retirement frees *disk*; the in-memory array keeps the full suffix
-   from [start_lsn] so the abort path and checkpoints can still resolve
+   from [start_lsn] so the commit-time MVCC publish can still resolve
    live transactions' update LSNs.
 
    The sink is a raw [Unix.file_descr], not an [out_channel]: the fault
@@ -556,7 +558,8 @@ let load_dir dir =
    files are unreferenced, [load_dir] sweeps them.  Crash during (2)
    or before (3): some unlinks may or may not have reached disk —
    re-running sweeps the survivors, and unlinking a missing file is
-   ignored.  Idempotent at every step. *)
+   ignored.  Idempotent at every step.  Only disk is freed: the
+   in-memory records stay, for [get]. *)
 let retire t ~below =
   match t.sink with
   | Some sink when (not sink.crashed) && sink.sealed <> [] ->

@@ -1,7 +1,10 @@
 (** The log: an append-only record sequence addressed by LSN.
 
-    Records always stay in memory (the engine's abort path walks them
-    without I/O); with a backing directory every append is staged into
+    Records always stay in memory, so the engine's one read-back — the
+    commit-time MVCC publish, which fetches a committing transaction's
+    updates with {!get} — needs no I/O (abort, savepoint rollback and
+    checkpoints undo from the transaction's own update list, not from
+    the log); with a backing directory every append is staged into
     a buffer in a framed binary format (length + CRC-32 + body) and
     {!force} drains and {e fsyncs} it — nothing is durable before the
     fsync.  The log never forces on its own, not even for a commit
@@ -90,8 +93,9 @@ val retire : t -> below:int -> int
     Crash-safe and idempotent: the manifest stops naming a segment
     before its file is unlinked, and {!load_dir} sweeps unreferenced
     files.  0 for in-memory logs.  Disk-only: the
-    in-memory record suffix is untouched, so live transactions' update
-    LSNs still resolve through {!get}. *)
+    in-memory record suffix is untouched, so the commit-time MVCC
+    publish still resolves live transactions' update LSNs through
+    {!get}. *)
 
 val length : t -> int
 (** The next LSN to be assigned ([start_lsn + records held]). *)

@@ -737,8 +737,8 @@ let test_engine_reset_stats () =
   E.reset_stats db;
   List.iter
     (fun (k, v) ->
-      (* The two gauges track live structures and survive the reset. *)
-      if k <> "lock.waits_edges" && k <> "deps.live_edges" then
+      (* The gauges track live structures and survive the reset. *)
+      if k <> "lock.waits_edges" && k <> "lock.ods" && k <> "deps.live_edges" then
         Alcotest.(check int) (k ^ " zero after reset") 0 v)
     (E.stats db)
 

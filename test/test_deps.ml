@@ -1,6 +1,6 @@
 (* Tests for the transaction dependency graph: edge management, the
-   cycle-prevention check of form_dependency, GC groups and marks, and
-   the extension types (BD, EXC). *)
+   cycle-prevention check of form_dependency, GC groups, and the
+   extension types (BD, EXC). *)
 
 module Tid = Asset_util.Id.Tid
 module Dt = Asset_deps.Dep_type
@@ -77,29 +77,16 @@ let test_gc_group_closure () =
     (List.map Tid.to_int (Dg.gc_group g (tid 5)));
   Alcotest.(check (list int)) "singleton" [ 9 ] (List.map Tid.to_int (Dg.gc_group g (tid 9)))
 
-let test_gc_marks () =
+let test_gc_other () =
   let g = Dg.create () in
   Dg.add g Dt.GC ~master:(tid 1) ~dependent:(tid 2);
   match Dg.gc_edges g (tid 1) with
   | [ e ] ->
-      Alcotest.(check bool) "unmarked" false (Dg.gc_marked e (tid 1));
-      Dg.mark_gc e (tid 1);
-      Alcotest.(check bool) "t1 marked" true (Dg.gc_marked e (tid 1));
-      Alcotest.(check bool) "t2 not yet" false (Dg.gc_marked e (tid 2));
-      Alcotest.(check int) "other end" 2 (Tid.to_int (Dg.gc_other e (tid 1)));
-      Dg.mark_gc e (tid 2);
-      Alcotest.(check bool) "handshake complete" true
-        (Dg.gc_marked e (tid 1) && Dg.gc_marked e (tid 2))
+      Alcotest.(check int) "other end of master" 2 (Tid.to_int (Dg.gc_other e (tid 1)));
+      Alcotest.(check int) "other end of dependent" 1 (Tid.to_int (Dg.gc_other e (tid 2)));
+      Alcotest.check_raises "stranger" (Invalid_argument "Dep_graph.gc_other: tid not on edge")
+        (fun () -> ignore (Dg.gc_other e (tid 7)))
   | l -> Alcotest.failf "expected one GC edge, got %d" (List.length l)
-
-let test_mark_gc_rejects_stranger () =
-  let g = Dg.create () in
-  Dg.add g Dt.GC ~master:(tid 1) ~dependent:(tid 2);
-  match Dg.gc_edges g (tid 1) with
-  | [ e ] ->
-      Alcotest.check_raises "stranger" (Invalid_argument "Dep_graph.mark_gc: tid not on edge")
-        (fun () -> Dg.mark_gc e (tid 7))
-  | _ -> Alcotest.fail "expected one edge"
 
 let test_remove_involving () =
   let g = Dg.create () in
@@ -127,16 +114,6 @@ let test_bd_masters () =
   Dg.add g Dt.CD ~master:(tid 4) ~dependent:(tid 3);
   Alcotest.(check (list int)) "BD masters only" [ 1; 2 ]
     (List.sort Int.compare (List.map Tid.to_int (Dg.bd_masters g (tid 3))))
-
-let test_commit_relevant () =
-  let g = Dg.create () in
-  Dg.add g Dt.CD ~master:(tid 1) ~dependent:(tid 2);
-  Dg.add g Dt.GC ~master:(tid 2) ~dependent:(tid 3);
-  Dg.add g Dt.BD ~master:(tid 4) ~dependent:(tid 2);
-  (* t2's commit must consider the CD (as dependent) and the GC (as
-     master), but not the BD. *)
-  let relevant = Dg.commit_relevant g (tid 2) in
-  Alcotest.(check int) "two relevant edges" 2 (List.length relevant)
 
 let test_stats_and_pp () =
   let g = Dg.create () in
@@ -197,6 +174,34 @@ let prop_accepted_edges_acyclic =
       loop ();
       !removed = List.length nodes)
 
+(* Property: [remove_involving] leaves exactly the edges that do not
+   touch the removed tids, seen from every endpoint, with [edge_count]
+   and [all_edges] agreeing. *)
+let prop_remove_involving_matches_filter =
+  let types = [| Dt.GC; Dt.BD; Dt.EXC |] in
+  QCheck2.Test.make ~name:"remove_involving keeps exactly the untouched edges" ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 25) (tup3 (int_range 0 2) (int_range 1 6) (int_range 1 6)))
+        (list_size (int_range 1 4) (int_range 1 6)))
+    (fun (edges, removed) ->
+      let g = Dg.create () in
+      List.iter
+        (fun (ty, a, b) -> if a <> b then Dg.add g types.(ty) ~master:(tid a) ~dependent:(tid b))
+        edges;
+      let key e = (Dt.to_string e.Dg.dtype, Tid.to_int e.Dg.master, Tid.to_int e.Dg.dependent) in
+      let kept e =
+        not (List.mem (Tid.to_int e.Dg.master) removed || List.mem (Tid.to_int e.Dg.dependent) removed)
+      in
+      let expected = List.sort compare (List.map key (List.filter kept (Dg.all_edges g))) in
+      List.iter (fun r -> Dg.remove_involving g (tid r)) removed;
+      let nodes = List.init 6 (fun i -> tid (i + 1)) in
+      let from_ends f = List.sort compare (List.map key (List.concat_map f nodes)) in
+      Dg.edge_count g = List.length expected
+      && List.sort compare (List.map key (Dg.all_edges g)) = expected
+      && from_ends (Dg.incoming g) = expected
+      && from_ends (Dg.outgoing g) = expected)
+
 (* Property: gc_group is symmetric — b ∈ group(a) iff a ∈ group(b). *)
 let prop_gc_group_symmetric =
   QCheck2.Test.make ~name:"gc_group is symmetric" ~count:300
@@ -227,6 +232,7 @@ let () =
           Alcotest.test_case "duplicates collapse" `Quick test_duplicate_edges_collapse;
           Alcotest.test_case "self dependency rejected" `Quick test_self_dependency_rejected;
           Alcotest.test_case "remove involving" `Quick test_remove_involving;
+          QCheck_alcotest.to_alcotest prop_remove_involving_matches_filter;
           Alcotest.test_case "stats and pp" `Quick test_stats_and_pp;
         ] );
       ( "cycles",
@@ -239,14 +245,12 @@ let () =
       ( "gc",
         [
           Alcotest.test_case "group closure" `Quick test_gc_group_closure;
-          Alcotest.test_case "marks" `Quick test_gc_marks;
-          Alcotest.test_case "mark rejects stranger" `Quick test_mark_gc_rejects_stranger;
+          Alcotest.test_case "other end" `Quick test_gc_other;
           QCheck_alcotest.to_alcotest prop_gc_group_symmetric;
         ] );
       ( "extensions",
         [
           Alcotest.test_case "exc partners" `Quick test_exc_partners;
           Alcotest.test_case "bd masters" `Quick test_bd_masters;
-          Alcotest.test_case "commit relevant" `Quick test_commit_relevant;
         ] );
     ]

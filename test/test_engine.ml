@@ -1306,6 +1306,42 @@ let test_stats_exposed () =
          Alcotest.(check int) "writes" 1 (List.assoc "writes" stats);
          Alcotest.(check bool) "lock stats merged" true (List.mem_assoc "lock.acquires" stats)))
 
+(* The lock manager's memory depends on the live locks, not on how
+   many transactions have run: 8 sessions run contended
+   read-modify-write transactions on 4 hot objects, with deadlock
+   victims retried, and the lock table's reachable size after 2 000
+   transactions may exceed the one after 200 only by a small fixed
+   slack. *)
+let lock_table_words ~txns =
+  let module W = Asset_workload.Workload in
+  let sessions = 8 and hot = 4 in
+  let db =
+    with_db ~objects:hot (fun db ->
+        let finished = ref 0 in
+        for s = 1 to sessions do
+          let rng = Asset_util.Rng.create s in
+          E.spawn db ~label:("session-" ^ string_of_int s) (fun () ->
+              for _ = 1 to txns / sessions do
+                let a = 1 + Asset_util.Rng.int rng hot in
+                let b = 1 + ((a + Asset_util.Rng.int rng (hot - 1)) mod hot) in
+                let ops = [ W.Write (oid a); W.Write (oid b) ] in
+                let body = W.body_of_ops db ~yield:true ~rmw:true ops in
+                ignore (W.retry ~max_retries:20 ~rng db (W.atomic db body))
+              done;
+              incr finished)
+        done;
+        Sched.wait_until ~reason:"await sessions" (fun () -> !finished = sessions))
+  in
+  Alcotest.(check bool) "the sessions contended" true (List.assoc "lock.blocks" (E.stats db) > 0);
+  Alcotest.(check int) "no descriptor left" 0 (List.assoc "lock.ods" (E.stats db));
+  Obj.reachable_words (Obj.repr (E.locks db))
+
+let test_lock_table_bounded () =
+  let small = lock_table_words ~txns:200 in
+  let large = lock_table_words ~txns:2_000 in
+  if large > small + 64 then
+    Alcotest.failf "lock table grew with history: %d words after 200 txns, %d after 2000" small large
+
 (* The enqueue log shape: an Enqueue record carries its item, and
    only the first enqueue on each queue since the last checkpoint also
    carries the full queue it produced. *)
@@ -1462,6 +1498,7 @@ let () =
       ( "misc",
         [
           Alcotest.test_case "stats" `Quick test_stats_exposed;
+          Alcotest.test_case "lock table bounded by live locks" `Quick test_lock_table_bounded;
         ] );
       ( "group commit",
         [

@@ -11,6 +11,8 @@ module Lm = Asset_lock.Lock_manager
 let tid = Tid.of_int
 let oid = Oid.of_int
 
+let ods lm = List.assoc "ods" (Lm.stats lm)
+
 let check_acquired msg outcome =
   match outcome with
   | Lm.Acquired -> ()
@@ -495,6 +497,47 @@ let test_fig1_od_structure () =
       Alcotest.(check bool) (fragment ^ " in rendering") true (contains fragment))
     [ "granted:"; "pending:"; "permits:"; "(t3,W,pending)"; "(t1,t4,W)" ]
 
+(* An OD lives only while one of its three lists is non-empty: it goes
+   on release, on pending cancellation, on delegation's withdrawal of a
+   request and on permit removal. *)
+let test_od_freed_when_empty () =
+  let lm = Lm.create () in
+  let gone msg o =
+    Alcotest.(check string) msg
+      (Format.asprintf "OD(%a): <no descriptor>" Oid.pp (oid o))
+      (Format.asprintf "%a" (Lm.pp_od lm) (oid o))
+  in
+  check_acquired "t1 W ob1" (Lm.acquire lm (tid 1) (oid 1) Mode.Write);
+  check_blocked "t2 pending on ob1" [ 1 ] (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
+  check_blocked "t3 pending on ob1" [ 1 ] (Lm.acquire lm (tid 3) (oid 1) Mode.Write);
+  Lm.add_permit lm ~grantor:(tid 4) ~grantee:None ~oid:(oid 2) ~ops:Ops.all;
+  Alcotest.(check int) "two descriptors" 2 (ods lm);
+  ignore (Lm.release_all lm (tid 1));
+  Alcotest.(check int) "ob1 still has requests" 2 (ods lm);
+  Lm.cancel_pending_all lm (tid 2);
+  ignore (Lm.delegate lm ~from_:(tid 3) ~to_:(tid 5) None);
+  gone "ob1 freed once its requests are withdrawn" 1;
+  Lm.remove_permits lm (tid 4);
+  gone "ob2 freed with its permit" 2;
+  Alcotest.(check int) "no descriptor" 0 (ods lm)
+
+(* Permits to transactions that never terminate here (so never call
+   [remove_permits] themselves) leave nothing behind once the grantor
+   terminates: the grantee index drops its emptied entries. *)
+let test_permit_indexes_bounded () =
+  let lm = Lm.create () in
+  let round k =
+    Lm.add_permit lm ~grantor:(tid 1) ~grantee:(Some (tid (100 + k))) ~oid:(oid 1) ~ops:Ops.all;
+    Lm.remove_permits lm (tid 1)
+  in
+  round 0;
+  let words = Obj.reachable_words (Obj.repr lm) in
+  for k = 1 to 200 do
+    round k
+  done;
+  Alcotest.(check int) "same size after 200 more grantees" words (Obj.reachable_words (Obj.repr lm));
+  Alcotest.(check int) "no descriptor" 0 (ods lm)
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 
@@ -637,6 +680,19 @@ let test_delegate_cancels_pending () =
   check_blocked "t2 re-blocks" [ 1 ] (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
   check_edges "after re-register" [ (2, 1) ] lm
 
+(* A lock delegated to a blocked requester satisfies its request: the
+   retry finds its own covering lock, and the pending entry goes. *)
+let test_delegate_satisfies_pending () =
+  let lm = Lm.create () in
+  check_acquired "t1 W ob1" (Lm.acquire lm (tid 1) (oid 1) Mode.Write);
+  check_blocked "t2 blocked on ob1" [ 1 ] (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
+  ignore (Lm.delegate lm ~from_:(tid 1) ~to_:(tid 2) None);
+  check_acquired "t2 retries" (Lm.acquire lm (tid 2) (oid 1) Mode.Write);
+  Alcotest.(check bool) "request no longer pending" true (Lm.pending_of lm (oid 1) = []);
+  Alcotest.(check bool) "nothing pending" false (Lm.has_pending lm);
+  ignore (Lm.release_all lm (tid 2));
+  Alcotest.(check int) "lock table empty" 0 (ods lm)
+
 let test_delegate_repoints_waiter_edges () =
   let lm = Lm.create () in
   check_acquired "t1 W ob1" (Lm.acquire lm (tid 1) (oid 1) Mode.Write);
@@ -690,7 +746,8 @@ let test_victim_independent_of_order () =
 (* Randomized schedules: after every operation [waits_for] must equal
    the reference graph built from the Figure-1 lists, and [find_cycle]
    must agree with it on whether a deadlock exists, reporting only
-   cycles made of reference edges. *)
+   cycles made of reference edges.  Once every transaction terminates,
+   the lock table is empty. *)
 let prop_find_cycle_agrees_with_reference =
   let open QCheck2 in
   let op_gen =
@@ -726,7 +783,15 @@ let prop_find_cycle_agrees_with_reference =
           | `Delegate (a, b) -> if a <> b then ignore (Lm.delegate lm ~from_:(tid a) ~to_:(tid b) None));
           Lm.waits_for lm = Waits_reference.edges lm oids
           && Waits_reference.find_cycle_agrees lm oids)
-        ops)
+        ops
+      &&
+      (* Terminating everyone leaves no object descriptor behind. *)
+      (for t = 1 to 5 do
+         ignore (Lm.release_all lm (tid t));
+         Lm.cancel_pending_all lm (tid t);
+         Lm.remove_permits lm (tid t)
+       done;
+       ods lm = 0))
 
 let () =
   Alcotest.run "asset_lock"
@@ -765,6 +830,7 @@ let () =
           Alcotest.test_case "ping-pong" `Quick test_permit_ping_pong;
           Alcotest.test_case "remove permits" `Quick test_remove_permits;
           Alcotest.test_case "accessible objects" `Quick test_accessible_objects;
+          Alcotest.test_case "permit indexes bounded" `Quick test_permit_indexes_bounded;
         ] );
       ( "delegate",
         [
@@ -774,6 +840,8 @@ let () =
           Alcotest.test_case "delegator conflicts with own past ops" `Quick
             test_delegator_conflicts_with_own_past_ops;
           Alcotest.test_case "rewrites permit grantor" `Quick test_delegate_rewrites_permit_grantor;
+          Alcotest.test_case "satisfies the delegatee's pending request" `Quick
+            test_delegate_satisfies_pending;
         ] );
       ( "waits_for",
         [
@@ -794,7 +862,10 @@ let () =
             test_victim_independent_of_order;
         ] );
       ( "fig1",
-        [ Alcotest.test_case "object descriptor structure" `Quick test_fig1_od_structure ] );
+        [
+          Alcotest.test_case "object descriptor structure" `Quick test_fig1_od_structure;
+          Alcotest.test_case "descriptor freed when empty" `Quick test_od_freed_when_empty;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_no_conflicting_grants;

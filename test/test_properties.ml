@@ -12,6 +12,7 @@ module Store = Asset_storage.Store
 module Heap = Asset_storage.Heap_store
 module Workload = Asset_workload.Workload
 module Bank = Asset_workload.Bank
+module Lm = Asset_lock.Lock_manager
 
 let oid = Oid.of_int
 let geti db o = Value.to_int (Store.read_exn (E.store db) (oid o))
@@ -577,6 +578,142 @@ let test_undo_phantom_object () =
       { helper = `Int; pre = [ Incr (0, 2) ]; rolled_back = Some [ Shared 3 ]; post = [ Shared 4 ] };
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The lock table empties                                              *)
+
+(* A random engine history over integer objects 1..3 and queue 4:
+   writes, increments, read-modify-writes, enqueues, directed and open
+   permits, delegation, savepoint rollback and explicit aborts, run
+   under a seeded random schedule, so some runs also deadlock and lose
+   a victim.  Once every transaction has terminated, the lock table
+   must hold no object descriptor and no lock, request or permit. *)
+type lock_op =
+  | L_write of int
+  | L_incr of int
+  | L_rmw of int
+  | L_enq
+  | L_permit of int option * int (* grantee (None = any), object *)
+  | L_delegate of int * int option (* target, object (None = all) *)
+  | L_rollback of int list (* increments done after a savepoint, then rolled back *)
+  | L_abort
+
+type lock_history = { seed : int; txns : lock_op list list }
+
+let pp_lock_op = function
+  | L_write o -> Printf.sprintf "W%d" o
+  | L_incr o -> Printf.sprintf "I%d" o
+  | L_rmw o -> Printf.sprintf "M%d" o
+  | L_enq -> "Q4"
+  | L_permit (g, o) ->
+      Printf.sprintf "P%s:%d" (match g with Some g -> "t" ^ string_of_int g | None -> "*") o
+  | L_delegate (g, o) ->
+      Printf.sprintf "D%d:%s" g (match o with Some o -> string_of_int o | None -> "*")
+  | L_rollback os -> "R[" ^ String.concat "," (List.map string_of_int os) ^ "]"
+  | L_abort -> "A"
+
+let pp_lock_history h =
+  Printf.sprintf "seed=%d %s" h.seed
+    (String.concat " | " (List.map (fun ops -> String.concat " " (List.map pp_lock_op ops)) h.txns))
+
+let gen_lock_history =
+  let open QCheck2.Gen in
+  let* n = int_range 2 5 in
+  let obj = int_range 1 3 in
+  let op =
+    frequency
+      [
+        (3, map (fun o -> L_write o) obj);
+        (3, map (fun o -> L_incr o) obj);
+        (4, map (fun o -> L_rmw o) obj);
+        (1, pure L_enq);
+        (2, map2 (fun g o -> L_permit (g, o)) (option (int_range 0 (n - 1))) (int_range 1 4));
+        (2, map2 (fun g o -> L_delegate (g, o)) (int_range 0 (n - 1)) (option obj));
+        (1, map (fun os -> L_rollback os) (list_size (int_range 1 3) obj));
+        (1, pure L_abort);
+      ]
+  in
+  let+ seed = int_range 0 100_000 and+ txns = list_repeat n (list_size (int_range 1 6) op) in
+  { seed; txns }
+
+(* Features the generated histories exercised, summed over all runs. *)
+let lock_history_seen = Hashtbl.create 8
+let seen key = Option.value ~default:0 (Hashtbl.find_opt lock_history_seen key)
+let saw key n = Hashtbl.replace lock_history_seen key (seen key + n)
+
+let run_lock_history h =
+  let store = Heap.store () in
+  Heap.populate store ~n:3 ~value:(fun _ -> Value.of_int 0);
+  Store.write store (oid 4) (Value.of_queue []);
+  let db = E.create store in
+  let n = List.length h.txns in
+  let tids = Array.make n Asset_util.Id.Tid.null in
+  let apply i = function
+    | L_write o -> E.write db (oid o) (Value.of_int i)
+    | L_incr o -> E.increment db (oid o) 1
+    | L_rmw o -> E.modify db (oid o) (fun v -> Value.incr_int (Option.get v) 1)
+    | L_enq -> E.enqueue db (oid 4) (string_of_int i)
+    | L_permit (g, o) ->
+        E.permit db ?to_:(Option.map (fun g -> tids.(g)) g) ~oids:[ oid o ] ~from_:(E.self db)
+    | L_delegate (g, o) -> (
+        if g <> i then
+          try
+            E.delegate db ?oids:(Option.map (fun o -> [ oid o ]) o) ~from_:(E.self db) ~to_:tids.(g);
+            saw "delegations" 1
+          with Invalid_argument _ -> () (* the target has terminated *))
+    | L_rollback os ->
+        let sp = E.savepoint db in
+        List.iter (fun o -> E.increment db (oid o) 1) os;
+        E.rollback_to db sp;
+        saw "rollbacks" 1
+    | L_abort -> ignore (E.abort db (E.self db))
+  in
+  let outcome =
+    R.run ~policy:(Sched.Random_seeded h.seed) db (fun () ->
+        List.iteri
+          (fun i ops ->
+            tids.(i) <-
+              E.initiate db (fun () ->
+                  List.iter
+                    (fun op ->
+                      apply i op;
+                      Sched.yield ())
+                    ops))
+          h.txns;
+        Array.iter (fun t -> ignore (E.begin_ db t)) tids;
+        Array.iter (fun t -> E.spawn db ~label:"committer" (fun () -> ignore (E.commit db t))) tids;
+        Sched.wait_until ~reason:"await termination" (fun () ->
+            Array.for_all (fun t -> Asset_core.Status.terminated (E.status db t)) tids))
+  in
+  let stat k = List.assoc k (E.stats db) in
+  List.iter
+    (fun k -> saw k (stat k))
+    [ "deadlock_victims"; "lock.suspensions"; "lock.permit_grants"; "aborts" ];
+  let locks = E.locks db in
+  let empty o =
+    Lm.granted_of locks (oid o) = []
+    && Lm.pending_of locks (oid o) = []
+    && Lm.permits_of locks (oid o) = []
+  in
+  outcome.R.result = Ok ()
+  && Array.for_all (fun t -> Asset_core.Status.terminated (E.status db t)) tids
+  && stat "lock.ods" = 0
+  && List.for_all empty [ 1; 2; 3; 4 ]
+
+let prop_lock_table_empties =
+  QCheck2.Test.make ~name:"lock table empties once every transaction terminates" ~count:250
+    ~print:pp_lock_history gen_lock_history run_lock_history
+
+(* Run the property, then check that its histories really exercised
+   what it claims to cover. *)
+let test_lock_table_empties () =
+  Hashtbl.reset lock_history_seen;
+  QCheck2.Test.check_exn prop_lock_table_empties;
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " exercised") true (seen k > 0))
+    [
+      "deadlock_victims"; "lock.suspensions"; "lock.permit_grants"; "aborts"; "delegations"; "rollbacks";
+    ]
+
 let () =
   Alcotest.run "asset_properties"
     [
@@ -619,6 +756,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_queue_remove_last_matches_list;
           QCheck_alcotest.to_alcotest prop_engine_undo_matches_recovery;
           Alcotest.test_case "undo of a phantom object" `Quick test_undo_phantom_object;
+          Alcotest.test_case "lock table empties" `Quick test_lock_table_empties;
         ] );
       ( "workload",
         [
