@@ -150,9 +150,12 @@ rm -rf "$BAD_DIR"
 # bench/perf_counts.json.  The same file holds ceilings:
 # wal.bytes_per_txn <= 300 on mix-durable (an Enqueue record carries
 # its item, not the queue: about 221 B/txn, against about 2.6 KB/txn
-# for full queue images) and gc.minor_words_per_txn <= 5000 on mix-rmw
-# (park reasons and fiber labels are concatenated, never formatted:
-# about 4 100 words/txn, against about 10 900 through Format).
+# for full queue images), and on mix-rmw gc.minor_words_per_txn <= 3000
+# (park reasons and fiber labels are concatenated, never formatted, and
+# a waiter resumes only when its wait can end: about 2 360 words/txn,
+# against about 10 900 through Format), sched.steps_per_txn <= 12 and
+# engine.lock_waits_per_txn <= 4 (about 7.7 and 1.0; waking every
+# parked fiber on every version bump read 22.3 and 7.0).
 echo "== perfbench: per-layer counts vs bench/perf_counts.json =="
 python3 bin/perf_counts.py
 

@@ -4,11 +4,13 @@
 
    Concurrency model.  Every transaction body runs in a cooperative
    fiber ([Asset_sched.Scheduler]); a primitive that must block parks
-   its fiber on the engine's version counter, which is bumped on every
-   state change, and retries — the literal "blocks and retries later
-   starting at step 1" of the paper's algorithms.  All primitives must
-   therefore be called from inside [Runtime.run] (the application's main
-   program is itself a fiber). *)
+   its fiber on the predicate that ends its wait, and retries when it
+   holds — the paper's "blocks and retries later starting at step 1".
+   The engine's version counter is bumped on every state change, and
+   the scheduler re-checks a parked predicate only when the version has
+   moved, so a false predicate costs one evaluation per change and no
+   resume.  All primitives must therefore be called from inside
+   [Runtime.run] (the application's main program is itself a fiber). *)
 
 module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
@@ -34,7 +36,7 @@ exception Not_in_transaction
     transaction body. *)
 
 exception Lock_timeout of Tid.t * Oid.t
-(** A lock request stalled past [lock_wait_timeout_steps] retry rounds;
+(** A lock request stalled past [lock_wait_timeout_steps] version advances;
     the requester aborted itself with this as its failure reason —
     distinguishable from a deadlock victim (whose failure is [None]). *)
 
@@ -76,9 +78,10 @@ type config = {
   max_transactions : int;
   deadlock_detection : bool;
   lock_wait_timeout_steps : int;
-      (* abort a lock requester stalled past this many retry rounds
-         with [Lock_timeout] instead of hanging — the liveness backstop
-         when deadlock detection is off.  0 (the default) disables *)
+      (* abort a lock requester that has seen this many engine-version
+         advances while parked, with [Lock_timeout], instead of hanging
+         — the liveness backstop when deadlock detection is off.  0 (the
+         default) disables *)
   checkpoint_log_bytes : int;
       (* take a fuzzy checkpoint — and retire fully-checkpointed log
          segments — once this many log bytes accumulate since the last
@@ -101,6 +104,7 @@ type t = {
   deps : Dep.t;
   config : config;
   tds : (Tid.t, td) Hashtbl.t;
+  active : (Tid.t, td) Hashtbl.t; (* the TDs whose status is [Status.active] *)
   tid_gen : Tid.gen;
   (* escrow accounting: per-object in-flight escrow deltas as
      (owner, delta) pairs.  Acceptance tests the worst case — every
@@ -154,6 +158,7 @@ let create ?(config = default_config) ?log ?tid_gen store =
     deps = Dep.create ();
     config;
     tds = Hashtbl.create 128;
+    active = Hashtbl.create 64;
     tid_gen;
     escrow_inflight = Hashtbl.create 16;
     fiber_txn = Hashtbl.create 64;
@@ -210,6 +215,14 @@ let close_snapshot db (td : td) =
 
 let bump db = db.version <- db.version + 1
 
+(* Every status change goes through here, so [db.active] follows the
+   transitions into and out of [Status.active]. *)
+let set_status db td status =
+  let was = Status.active td.status and now = Status.active status in
+  td.status <- status;
+  if now && not was then Hashtbl.replace db.active td.tid td
+  else if was && not now then Hashtbl.remove db.active td.tid
+
 (* Force the log over every commit record staged since the last
    flush.  One force acknowledges the whole batch; a batch covering
    more than one transaction is a coalesced (group) commit.  A segment
@@ -242,13 +255,17 @@ let is_committed db tid = Status.equal (status db tid) Status.Committed
 let parent_of db tid = (td db tid).parent
 let failure_of db tid = (td db tid).failure
 
-(* Park the current fiber until the engine version moves past [v].
-   The watch snapshot lets the scheduler skip re-evaluating the
-   condition until the version has actually advanced. *)
-let wait_for_change db ~reason v =
-  Sched.wait_until ~reason ~watch:v (fun () -> db.version > v)
+(* Park the current fiber until [ends] holds: the paper's "block and
+   retry later", with the retry taken only once the wait can end.
+   Every wait's predicate reads only state whose changes bump the
+   version, so the scheduler re-checks it once per version advance, at
+   the turn the retry would have run, and resumes the fiber only when
+   it holds. *)
+let park db ~reason ends = Sched.retry_until ~reason ~watch:db.version ends
 
-(* Park reasons are built on every retry and read only when a run
+let is_open = function Status.Initiated | Status.Running -> true | _ -> false
+
+(* Park reasons are built on every park and read only when a run
    deadlocks, so they are concatenated, never formatted. *)
 let commit_reason tid what = "commit(" ^ Tid.to_string tid ^ "): " ^ what
 
@@ -325,33 +342,27 @@ let run_body db td =
       td.failure <- Some e;
       (try ignore (!abort_ref db td.tid) with Txn_aborted _ -> ()));
   Hashtbl.remove db.fiber_txn td.fid;
-  (match td.status with Status.Running -> td.status <- Status.Completed | _ -> ());
+  (match td.status with Status.Running -> set_status db td Status.Completed | _ -> ());
   bump db
+
+(* Extension: begin-on-commit dependencies gate the start.  Wait until
+   every BD master has committed, one has aborted, or [tid] itself has
+   been aborted meanwhile; true when [tid] may begin. *)
+let bd_gate db tid masters =
+  let denied () = is_aborted db tid || List.exists (is_aborted db) masters in
+  park db ~reason:"begin: BD master not committed" (fun () ->
+      List.for_all (is_committed db) masters || denied ());
+  not (denied ())
 
 let begin_ db tid =
   let td = td db tid in
   match td.status with
   | Status.Initiated when td.begin_denied -> false
   | Status.Initiated ->
-      (* Extension: begin-on-commit dependencies gate the start. *)
       let masters = Dep.bd_masters db.deps tid in
-      let rec wait_bd () =
-        let blocked =
-          List.filter
-            (fun m -> match status db m with Status.Committed -> false | _ -> true)
-            masters
-        in
-        match blocked with
-        | [] -> true
-        | ms when List.exists (fun m -> is_aborted db m) ms -> false
-        | _ ->
-            let v = db.version in
-            wait_for_change db ~reason:"begin: BD master not committed" v;
-            wait_bd ()
-      in
-      if masters <> [] && not (wait_bd ()) then false
+      if masters <> [] && not (bd_gate db tid masters) then false
       else begin
-        td.status <- Status.Running;
+        set_status db td Status.Running;
         if Trace.on () then Trace.emit (Trace.Begin { tid });
         (* A read-only transaction pins its snapshot at begin: every
            read will see exactly the versions committed by now. *)
@@ -371,34 +382,48 @@ let begin_many db tids = List.for_all (fun t -> begin_ db t) tids
 (* ------------------------------------------------------------------ *)
 (* Data operations: the section 4.2 read / write algorithms            *)
 
+(* A blocked request parks until it can be granted, it is no longer
+   pending, or its timeout budget has run out.  A request stops being
+   pending when its transaction aborts (a deadlock victim: abort
+   cancels its pending requests, and the retry's [check_live] unwinds
+   the body) or when a delegation withdraws it (the retry re-registers
+   it, so the waits-for graph keeps the edge).  [rounds] counts the
+   version advances seen while parked: the scheduler evaluates the
+   predicate once per advance. *)
 let acquire_lock db td oid mode =
+  let bound = db.config.lock_wait_timeout_steps in
   let rounds = ref 0 in
   let rec loop () =
     check_live td;
     match Lock.acquire db.locks td.tid oid mode with
     | Lock.Acquired -> ()
     | Lock.Blocked_on blockers ->
-        let bound = db.config.lock_wait_timeout_steps in
         if bound > 0 && !rounds >= bound then begin
           (* The request has stalled past the bound: abort ourselves
              with a distinguishable reason instead of hanging.  The
-             scheduler's stall hook keeps bumping the version while
-             lock waiters exist, so [rounds] advances even when nothing
-             else in the system moves. *)
+             stall hook keeps ticking while lock waiters exist, so
+             [rounds] advances even when nothing else in the system
+             moves. *)
           Asset_util.Stats.Counter.incr db.lock_timeouts;
           td.failure <- Some (Lock_timeout (td.tid, oid));
           ignore (!abort_ref db td.tid)
           (* unreachable: aborting oneself raises Txn_aborted *)
         end;
-        incr rounds;
         Asset_util.Stats.Counter.incr db.lock_waits;
         let reason =
           String.concat ""
             [ "lock "; Oid.to_string oid; "/"; Mode.to_string mode; " held by ";
               String.concat "," (List.map Tid.to_string blockers) ]
         in
-        let v = db.version in
-        wait_for_change db ~reason v;
+        let seen = ref db.version in
+        park db ~reason (fun () ->
+            if db.version > !seen then begin
+              seen := db.version;
+              incr rounds
+            end;
+            Lock.grantable db.locks td.tid oid mode
+            || (not (Lock.is_pending db.locks td.tid oid))
+            || (bound > 0 && !rounds >= bound));
         loop ()
   in
   loop ()
@@ -631,16 +656,8 @@ let rollback_to db sp =
 (* wait                                                                *)
 
 let wait db tid =
-  let rec loop () =
-    match status db tid with
-    | Status.Aborted | Status.Aborting -> false
-    | Status.Completed | Status.Committing | Status.Committed -> true
-    | Status.Initiated | Status.Running ->
-        let v = db.version in
-        wait_for_change db ~reason:("wait(" ^ Tid.to_string tid ^ ")") v;
-        loop ()
-  in
-  loop ()
+  park db ~reason:("wait(" ^ Tid.to_string tid ^ ")") (fun () -> not (is_open (status db tid)));
+  not (is_aborted db tid)
 
 (* ------------------------------------------------------------------ *)
 (* delegate                                                            *)
@@ -778,7 +795,7 @@ let rec finalize_abort db (td : td) =
      CLR-covered prefix via the back-links. *)
   if !clr_missed then Asset_util.Stats.Counter.incr db.abort_log_misses
   else ignore (append_best_effort db (Record.Abort td.tid));
-  td.status <- Status.Aborted;
+  set_status db td Status.Aborted;
   Asset_util.Stats.Counter.incr db.aborts;
   bump db;
   (* Propagate: abort AD/GC dependents (the paper marks them aborting;
@@ -795,7 +812,7 @@ and abort db tid =
       (* Someone is already aborting it; treat as success. *)
       true
   | Status.Initiated | Status.Running | Status.Completed | Status.Committing ->
-      td.status <- Status.Aborting;
+      set_status db td Status.Aborting;
       finalize_abort db td;
       (* If the caller is the transaction itself, unwind its body. *)
       (match self_opt db with
@@ -823,7 +840,8 @@ let () =
 
 (* One attempt at the dependency-resolution steps for [tid] (steps 2-3).
    Returns [`Ready] when every CD/AD/EXC obligation is resolved,
-   [`Retry reason] when the paper says "blocks and retries later", and
+   [`Retry edge] when the paper says "blocks and retries later" (the
+   edge whose master has not yet terminated the right way), and
    [`Must_abort] when an AD master aborted or an EXC partner already
    committed. *)
 let resolve_non_gc_deps db tid =
@@ -837,11 +855,11 @@ let resolve_non_gc_deps db tid =
             match status db e.Dep.master with
             | Status.Committed -> check rest
             | Status.Aborted | Status.Aborting -> `Must_abort
-            | _ -> `Retry ("AD on " ^ Tid.to_string e.Dep.master))
+            | _ -> `Retry e)
         | Dep_type.CD -> (
             match status db e.Dep.master with
             | Status.Committed | Status.Aborted -> check rest
-            | _ -> `Retry ("CD on " ^ Tid.to_string e.Dep.master))
+            | _ -> `Retry e)
         | Dep_type.EXC -> (
             match status db e.Dep.master with
             | Status.Committed -> `Must_abort
@@ -868,11 +886,8 @@ let resolve_non_gc_deps db tid =
    ("fuzzy" refers to the store, not the table). *)
 let capture_att db =
   Hashtbl.fold
-    (fun tid (td : td) acc ->
-      if Status.active td.status then
-        { Record.att_tid = tid; att_updates = List.rev td.updates } :: acc
-      else acc)
-    db.tds []
+    (fun tid (td : td) acc -> { Record.att_tid = tid; att_updates = List.rev td.updates } :: acc)
+    db.active []
 
 (* Non-quiescent checkpoint: capture the ATT, log Begin_ckpt / flush /
    End_ckpt (see [Recovery.checkpoint]), then retire log
@@ -959,7 +974,7 @@ let commit_group db group =
   List.iter
     (fun tid ->
       let td = td db tid in
-      td.status <- Status.Committed;
+      set_status db td Status.Committed;
       td.commit_lsn <- commit_lsn;
       td.updates <- [];
       clear_escrow db tid;
@@ -980,14 +995,7 @@ let commit_group db group =
    must make the transaction a loser — so the acknowledgment parks
    until the quiescence flush forces the batch. *)
 let await_commit_durable db (t : td) =
-  let rec wait () =
-    if t.commit_lsn >= 0 && Log.forced_lsn db.log < t.commit_lsn then begin
-      let v = db.version in
-      wait_for_change db ~reason:"commit: awaiting force" v;
-      wait ()
-    end
-  in
-  wait ()
+  park db ~reason:"commit: awaiting force" (fun () -> Log.forced_lsn db.log >= t.commit_lsn)
 
 let rec commit db tid =
   let t = td db tid in
@@ -1003,42 +1011,46 @@ let rec commit db tid =
       false
   | Status.Initiated | Status.Running ->
       (* commit is blocking: wait for the execution to complete. *)
-      let v = db.version in
-      wait_for_change db ~reason:(commit_reason tid "awaiting completion") v;
+      park db ~reason:(commit_reason tid "awaiting completion") (fun () -> not (is_open t.status));
       commit db tid
   | Status.Completed | Status.Committing -> attempt_commit db tid
 
+(* Check the group: every member must reach Committing with its own
+   non-GC dependencies resolved; an aborted member fails the group. *)
+and group_verdicts db group =
+  let classify m =
+    match status db m with
+    | Status.Aborted | Status.Aborting -> `Abort
+    | Status.Committed -> `Ok (* already committed via an earlier group *)
+    | Status.Committing -> (
+        match resolve_non_gc_deps db m with `Ready -> `Ok | `Retry _ -> `Wait | `Must_abort -> `Abort)
+    | Status.Completed ->
+        (* Step 2c-ii: t_j has not yet invoked commit — invoke it on
+           its behalf by entering its commit path. *)
+        `Invoke
+    | Status.Initiated | Status.Running -> `Wait
+  in
+  List.map (fun m -> (m, classify m)) group
+
 and attempt_commit db tid =
   let t = td db tid in
-  t.status <- Status.Committing;
+  set_status db t Status.Committing;
   match resolve_non_gc_deps db tid with
   | `Must_abort ->
       ignore (abort db tid);
       false
-  | `Retry reason ->
+  | `Retry e ->
+      (* Wait until the blocking edge resolves, or [tid] stops
+         committing (it was aborted meanwhile). *)
       Asset_util.Stats.Counter.incr db.commit_retries;
-      let v = db.version in
-      wait_for_change db ~reason:(commit_reason tid reason) v;
+      let reason = commit_reason tid (Dep_type.to_string e.Dep.dtype ^ " on " ^ Tid.to_string e.Dep.master) in
+      park db ~reason (fun () ->
+          (not (Status.equal t.status Status.Committing))
+          || match resolve_non_gc_deps db tid with `Retry _ -> false | `Ready | `Must_abort -> true);
       commit db tid
   | `Ready -> (
       let group = Dep.gc_group db.deps tid in
-      (* Check the group: every member must reach Committing with its own
-         non-GC dependencies resolved; an aborted member fails the group. *)
-      let classify m =
-        match status db m with
-        | Status.Aborted | Status.Aborting -> `Abort
-        | Status.Committed -> `Ok (* already committed via an earlier group *)
-        | Status.Committing -> ( match resolve_non_gc_deps db m with
-            | `Ready -> `Ok
-            | `Retry _ -> `Wait
-            | `Must_abort -> `Abort)
-        | Status.Completed ->
-            (* Step 2c-ii: t_j has not yet invoked commit — invoke it on
-               its behalf by entering its commit path. *)
-            `Invoke
-        | Status.Initiated | Status.Running -> `Wait
-      in
-      let verdicts = List.map (fun m -> (m, classify m)) group in
+      let verdicts = group_verdicts db group in
       if List.exists (fun (_, v) -> v = `Abort) verdicts then begin
         (* GC: either all commit or none. *)
         abort_many db
@@ -1059,9 +1071,12 @@ and attempt_commit db tid =
         | None ->
             if List.exists (fun (_, v) -> v = `Wait) verdicts
             then begin
+              (* Some member is still running or blocked on its own
+                 dependencies: wait until a member's verdict (or the
+                 group itself) changes. *)
               Asset_util.Stats.Counter.incr db.commit_retries;
-              let v = db.version in
-              wait_for_change db ~reason:(commit_reason tid "group not ready") v;
+              park db ~reason:(commit_reason tid "group not ready") (fun () ->
+                  group_verdicts db (Dep.gc_group db.deps tid) <> verdicts);
               commit db tid
             end
             else begin
@@ -1083,8 +1098,7 @@ and attempt_commit db tid =
 (* ------------------------------------------------------------------ *)
 (* Introspection and stats                                             *)
 
-let active_transactions db =
-  Hashtbl.fold (fun tid td acc -> if Status.active td.status then tid :: acc else acc) db.tds []
+let active_transactions db = Hashtbl.fold (fun tid _ acc -> tid :: acc) db.active []
 
 let version db = db.version
 let store db = db.store
@@ -1117,10 +1131,11 @@ let resolve_deadlock db () =
   if resolved then true
   else if
     (* Lock-wait timeout tick: parked lock waiters can't advance their
-       retry counters while the version is frozen, so a stall with live
-       lock waiters bumps the version to force another retry round;
-       after [lock_wait_timeout_steps] rounds the waiter aborts itself
-       with [Lock_timeout].  Guarded on an actual lock waiter existing
+       counts while the version is frozen, so a stall with live lock
+       waiters bumps it.  Every parked lock waiter sees one more
+       advance; one whose budget that exhausts becomes runnable and
+       aborts itself with [Lock_timeout], and the others park again
+       until the next stall.  Guarded on an actual lock waiter existing
        (a pending request in the lock manager), or a stall caused by
        something else would tick forever. *)
     db.config.lock_wait_timeout_steps > 0 && Lock.has_pending db.locks

@@ -31,7 +31,7 @@ exception Not_in_transaction
 (** A data operation was invoked outside any transaction body. *)
 
 exception Lock_timeout of Tid.t * Oid.t
-(** A lock request stalled past [lock_wait_timeout_steps] retry rounds;
+(** A lock request stalled past [lock_wait_timeout_steps] version advances;
     the requester aborted itself with this as its {!failure_of} reason
     — distinguishable from a deadlock victim (whose failure is
     [None]). *)
@@ -57,11 +57,17 @@ type config = {
       (** Resolve lock deadlocks by aborting a victim; when off, a
           deadlock surfaces as [Scheduler.Deadlock]. *)
   lock_wait_timeout_steps : int;
-      (** Abort a lock requester stalled past this many retry rounds
-          with {!Lock_timeout} instead of hanging — the liveness
-          backstop when [deadlock_detection] is off.  The scheduler's
-          stall hook keeps retry rounds ticking while lock waiters
-          exist.  0 (the default) disables. *)
+      (** Abort a lock requester with {!Lock_timeout} once it has seen
+          this many engine-version advances while parked on one
+          request, instead of hanging — the liveness backstop when
+          [deadlock_detection] is off.  A parked requester resumes only
+          when the lock is grantable, its transaction is aborting or
+          this budget has run out, so the count is of version
+          advances seen while parked, not of resumes.  When nothing
+          else moves, the scheduler's stall hook bumps the version
+          once per stall while lock waiters exist, and a waiter whose
+          budget that tick exhausts becomes runnable.  0 (the default)
+          disables. *)
   checkpoint_log_bytes : int;
       (** Take a fuzzy checkpoint (and retire dead WAL segments) from
           the commit path whenever this many framed log bytes have been
@@ -265,6 +271,10 @@ val flush_pending_commits : t -> unit
     returns); exposed for servers that drive their own scheduler. *)
 
 val active_transactions : t -> Tid.t list
+(** The transactions whose status is {!Status.active}, in no particular
+    order.  O(active): the engine keeps the set up to date on every
+    status transition. *)
+
 val transaction_count : t -> int
 val version : t -> int
 

@@ -116,15 +116,6 @@ let remove_involving t tid =
   List.iter (fun e -> unlink t.by_dependent e.dependent e) inc;
   t.edge_count <- t.edge_count - List.length out - List.length inc
 
-let gc_other edge tid =
-  if Tid.equal edge.master tid then edge.dependent
-  else if Tid.equal edge.dependent tid then edge.master
-  else invalid_arg "Dep_graph.gc_other: tid not on edge"
-
-let gc_edges t tid =
-  List.filter (fun e -> e.dtype = Dep_type.GC) (outgoing t tid)
-  @ List.filter (fun e -> e.dtype = Dep_type.GC) (incoming t tid)
-
 (* The group-commit closure: every transaction reachable from [tid]
    over GC edges (in either direction).  Sorted for determinism. *)
 let gc_group t tid =
@@ -132,7 +123,8 @@ let gc_group t tid =
   let rec visit node =
     if not (Hashtbl.mem seen node) then begin
       Hashtbl.replace seen node ();
-      List.iter (fun e -> visit (gc_other e node)) (gc_edges t node)
+      List.iter (fun e -> if e.dtype = Dep_type.GC then visit e.master) (outgoing t node);
+      List.iter (fun e -> if e.dtype = Dep_type.GC then visit e.dependent) (incoming t node)
     end
   in
   visit tid;

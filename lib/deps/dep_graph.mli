@@ -38,9 +38,6 @@ val edge_count : t -> int
 
 (** {2 Group commit} *)
 
-val gc_other : edge -> Tid.t -> Tid.t
-val gc_edges : t -> Tid.t -> edge list
-
 val gc_group : t -> Tid.t -> Tid.t list
 (** The group-commit closure of [tid] over GC edges in both directions,
     sorted; [\[tid\]] when it has none. *)

@@ -164,13 +164,19 @@ let permits_op obj ~grantor ~grantee op =
   in
   reachable [] grantor
 
-(* The waits-for predicate: does granted/suspended [gl] block waiter
-   [p_tid] requesting [p_mode]? *)
-let blocks_waiter obj p_tid p_mode gl =
-  (not (Tid.equal gl.lrd_tid p_tid))
+(* Step 1b's conflict test, permits aside: does granted or suspended
+   [gl] conflict with [tid] requesting [mode]?  A suspended lock still
+   guards its holder's uncommitted operations against third parties. *)
+let conflicting gl tid mode =
+  (not (Tid.equal gl.lrd_tid tid))
   && (gl.lrd_status = Granted || gl.lrd_status = Suspended)
-  && Mode.conflicts gl.lrd_mode p_mode
-  && not (permits_op obj ~grantor:gl.lrd_tid ~grantee:p_tid p_mode)
+  && Mode.conflicts gl.lrd_mode mode
+
+(* The waits-for predicate, shared by [grantable] and the waits-for
+   graph: [gl] blocks [tid] requesting [mode] when it conflicts and no
+   permit excuses the conflict — exactly what step 1b blocks on. *)
+let blocks_waiter obj tid mode gl =
+  conflicting gl tid mode && not (permits_op obj ~grantor:gl.lrd_tid ~grantee:tid mode)
 
 let blockers_of obj p =
   List.fold_left
@@ -227,21 +233,21 @@ let remove_pending t obj tid =
           Hashtbl.remove h obj.od_oid;
           if Hashtbl.length h = 0 then Hashtbl.remove t.pending_by_txn tid)
 
-(* Step 1b: for every conflicting lock gl in the granted list (granted
-   or suspended — a suspended lock still guards its holder's
-   uncommitted operations against third parties), check the permit
-   list; permitted conflicts suspend gl, unpermitted ones block.
-   Returns the blockers, or [] if the way is clear (after
+(* Step 1a: [tid] holds an unsuspended lock on the object that covers
+   [mode]. *)
+let covered gl mode = gl.lrd_status <> Suspended && Mode.covers ~held:gl.lrd_mode ~requested:mode
+
+(* Step 1b: check every conflicting lock gl in the granted list against
+   the permit list; permitted conflicts suspend gl, unpermitted ones
+   block (the split [blocks_waiter] makes).  One pass over the granted
+   list.  Returns the blockers, or [] if the way is clear (after
    suspensions). *)
 let check_conflicts t obj tid mode =
   let blockers = ref [] in
   let to_suspend = ref [] in
   List.iter
     (fun gl ->
-      if (not (Tid.equal gl.lrd_tid tid))
-         && (gl.lrd_status = Granted || gl.lrd_status = Suspended)
-         && Mode.conflicts gl.lrd_mode mode
-      then
+      if conflicting gl tid mode then
         if permits_op obj ~grantor:gl.lrd_tid ~grantee:tid mode then begin
           if gl.lrd_status = Granted then to_suspend := gl :: !to_suspend
         end
@@ -258,10 +264,20 @@ let check_conflicts t obj tid mode =
   end
   else List.sort_uniq Tid.compare !blockers
 
+(* Would step 1a or 1b succeed now?  Side-effect free: a parked
+   requester's wake condition. *)
+let grantable t tid oid mode =
+  match txn_lrd t.by_txn tid oid with
+  | Some gl when covered gl mode -> true
+  | _ -> (
+      match Hashtbl.find_opt t.objects oid with
+      | None -> true
+      | Some obj -> not (List.exists (blocks_waiter obj tid mode) obj.granted))
+
 let acquire t tid oid mode =
   let obj = od t oid in
   match txn_lrd t.by_txn tid oid with
-  | Some gl when gl.lrd_status <> Suspended && Mode.covers ~held:gl.lrd_mode ~requested:mode ->
+  | Some gl when covered gl mode ->
       (* Step 1a: an unsuspended covering lock of our own.  It may have
          been delegated to us while this request was pending, which the
          request no longer is. *)
@@ -468,6 +484,7 @@ let lock_count t tid =
 (* The waits-for graph, derived from the pending requests              *)
 
 let has_pending t = Hashtbl.length t.pending_by_txn > 0
+let is_pending t tid oid = txn_lrd t.pending_by_txn tid oid <> None
 
 (* The transactions with a pending request, in tid order: the only
    nodes with outgoing waits-for edges. *)

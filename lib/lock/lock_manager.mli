@@ -50,6 +50,12 @@ val acquire : t -> Tid.t -> Oid.t -> Mode.t -> outcome
     conflicting locks excused by permits suspend their holders;
     otherwise block. *)
 
+val grantable : t -> Tid.t -> Oid.t -> Mode.t -> bool
+(** Would {!acquire} succeed now, by step 1a or 1b?  Side-effect free:
+    no suspension, no pending request, no counter or trace event.  It
+    uses the same blocking predicate as {!acquire} and {!waits_for}, so
+    a parked requester can wait on it. *)
+
 val cancel_pending_all : t -> Tid.t -> unit
 
 (** {2 Permits} *)
@@ -90,6 +96,10 @@ val lock_count : t -> Tid.t -> int
 val has_pending : t -> bool
 (** Does any transaction have a pending (blocked or upgrading) request?
     O(1). *)
+
+val is_pending : t -> Tid.t -> Oid.t -> bool
+(** Does [tid] have a pending request on [oid]?  A delegation withdraws
+    the delegator's pending requests. *)
 
 val waits_for : t -> (Tid.t * Tid.t) list
 (** The distinct waits-for edges (requester, holder), sorted: each

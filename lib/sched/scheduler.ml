@@ -20,6 +20,14 @@
    [wake_ready] re-evaluates only those whose watermark the clock has
    passed — O(1) per step while the engine version is unchanged,
    instead of re-running every parked closure after every fiber step.
+   A *retry* waiter ([retry_until]) is version-keyed too, but once the
+   clock passes its watermark [wake_ready] moves it to the run queue
+   as a re-check instead of evaluating it there: when its turn comes
+   the scheduler evaluates the condition and resumes the fiber only if
+   it holds, else parks it again at the new watermark without resuming
+   it.  The fiber keeps the run-queue turn a resume-and-retry would
+   have had, so a precise retry condition removes the useless resumes
+   and leaves the schedule otherwise unchanged.
    A plain waiter (no [~watch], or no clock registered) is re-polled on
    every wake sweep, preserving the original semantics for conditions
    the version counter does not guard.
@@ -41,12 +49,14 @@ type fiber = {
   fid : int;
   label : string;
   mutable resume : unit -> unit;
+  mutable recheck : parked; (* queued as a re-check of this wait; [dummy_parked] when not *)
 }
 
-type parked = {
+and parked = {
   fiber : fiber;
   cond : unit -> bool;
   reason : string;
+  retry : bool; (* re-checked at its run-queue turn, not in the wake sweep *)
   mutable watched : int; (* clock value at which [cond] was last seen false *)
 }
 
@@ -129,10 +139,9 @@ module Ring = struct
     !acc
 end
 
-let dummy_fiber = { fid = -1; label = "<free slot>"; resume = (fun () -> ()) }
-
-let dummy_parked =
-  { fiber = dummy_fiber; cond = (fun () -> false); reason = "<free slot>"; watched = 0 }
+let rec dummy_fiber = { fid = -1; label = "<free slot>"; resume = (fun () -> ()); recheck = dummy_parked }
+and dummy_parked =
+  { fiber = dummy_fiber; cond = (fun () -> false); reason = "<free slot>"; retry = false; watched = 0 }
 
 type t = {
   runnable : fiber Ring.t; (* front = oldest; FIFO pops the front *)
@@ -153,7 +162,7 @@ type t = {
 
 type _ Effect.t +=
   | Yield : unit Effect.t
-  | Wait_until : ((unit -> bool) * string * int option) -> unit Effect.t
+  | Wait_until : ((unit -> bool) * string * int option * bool) -> unit Effect.t
 
 let create ?(policy = Fifo) ?(max_steps = 10_000_000) () =
   {
@@ -240,18 +249,18 @@ let handler t fiber =
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 fiber.resume <- (fun () -> Effect.Deep.continue k ());
                 enqueue t fiber)
-        | Wait_until (cond, reason, watch) ->
+        | Wait_until (cond, reason, watch, retry) ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 fiber.resume <- (fun () -> Effect.Deep.continue k ());
-                park t { fiber; cond; reason; watched = 0 } ~watch)
+                park t { fiber; cond; reason; retry; watched = 0 } ~watch)
         | _ -> None);
   }
 
 let spawn t ~label body =
   let fid = t.next_fid in
   t.next_fid <- fid + 1;
-  let fiber = { fid; label; resume = (fun () -> ()) } in
+  let fiber = { fid; label; resume = (fun () -> ()); recheck = dummy_parked } in
   fiber.resume <- (fun () -> Effect.Deep.match_with body () (handler t fiber));
   if Asset_obs.Trace.on () then Asset_obs.Trace.emit (Asset_obs.Trace.Sched_spawn { fid; label });
   enqueue t fiber;
@@ -261,7 +270,10 @@ let spawn t ~label body =
 let yield () = Effect.perform Yield
 
 let wait_until ?(reason = "condition") ?watch cond =
-  if not (cond ()) then Effect.perform (Wait_until (cond, reason, watch))
+  if not (cond ()) then Effect.perform (Wait_until (cond, reason, watch, false))
+
+let retry_until ?(reason = "condition") ~watch cond =
+  if not (cond ()) then Effect.perform (Wait_until (cond, reason, Some watch, true))
 
 let wake t p = enqueue t p.fiber
 
@@ -269,7 +281,9 @@ let wake t p = enqueue t p.fiber
    are re-polled in park order; version-keyed waiters are re-evaluated
    only while their watermark is behind the clock, and a still-false
    condition is re-queued at the new watermark (the queue stays sorted
-   because the clock is monotone).  Returns true if anything woke. *)
+   because the clock is monotone).  A retry waiter behind the clock is
+   queued to run as a re-check, unevaluated.  Returns true if anything
+   woke or was queued. *)
 let wake_ready t =
   let woke = ref false in
   (match t.polled with
@@ -291,7 +305,12 @@ let wake_ready t =
         if (Ring.peek_front t.waiters).watched >= now then continue := false
         else begin
           let p = Ring.pop_front t.waiters in
-          if p.cond () then begin
+          if p.retry then begin
+            p.fiber.recheck <- p;
+            woke := true;
+            wake t p
+          end
+          else if p.cond () then begin
             woke := true;
             wake t p
           end
@@ -310,11 +329,31 @@ let no_parked t = t.polled = [] && Ring.is_empty t.waiters
 let parked_entries t =
   Ring.fold t.waiters ~init:t.polled ~f:(fun acc p -> p :: acc)
 
+(* A fiber queued as a re-check runs only if its condition holds now;
+   otherwise it parks again at the current clock value, and the turn
+   is not a step. *)
+let ready t fiber =
+  let p = fiber.recheck in
+  p == dummy_parked
+  || begin
+       fiber.recheck <- dummy_parked;
+       p.cond ()
+       || begin
+            (match t.clock with Some clock -> p.watched <- clock () | None -> ());
+            Ring.push_back t.waiters p;
+            false
+          end
+     end
+
 let run t =
   let rec loop () =
+    match pop_runnable t with
+    | Some fiber when not (ready t fiber) -> loop ()
+    | next -> step next
+  and step next =
     t.steps <- t.steps + 1;
     if t.steps > t.max_steps then failwith "Scheduler.run: step budget exhausted (livelock?)";
-    match pop_runnable t with
+    match next with
     | Some fiber ->
         t.current <- Some fiber;
         let resume = fiber.resume in

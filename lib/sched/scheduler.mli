@@ -2,7 +2,7 @@
 
     Every transaction (and the application's main program) runs in a
     fiber; a blocking primitive parks its fiber under a wake condition
-    and the engine re-evaluates conditions on every state change —
+    and the scheduler re-evaluates conditions on every state change —
     preserving the section-4.2 "blocks and retries" structure while
     making every schedule reproducible (FIFO, or seeded random).
 
@@ -80,6 +80,16 @@ val wait_until : ?reason:string -> ?watch:int -> (unit -> bool) -> unit
     the clock passes the point where the condition was last seen
     false.  A stale snapshot is safe: the condition is re-checked at
     park time against the current clock reading. *)
+
+val retry_until : ?reason:string -> watch:int -> (unit -> bool) -> unit
+(** The block-and-retry loop of a fiber that retries on every clock
+    advance, minus the retries that would block again.  Parks like
+    [wait_until ~watch]; once the clock has advanced the fiber takes
+    its turn in the run queue, where it would have retried, and the
+    scheduler evaluates the condition there: the fiber resumes only if
+    it holds, else parks again without resuming and without counting a
+    step.  The schedule is that of the retry loop.  The condition must
+    be true whenever the retry would not block again. *)
 
 (** {2 Introspection} *)
 

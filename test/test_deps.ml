@@ -73,20 +73,18 @@ let test_gc_group_closure () =
     (List.map Tid.to_int (Dg.gc_group g (tid 1)));
   Alcotest.(check (list int)) "closure of 3" [ 1; 2; 3 ]
     (List.map Tid.to_int (Dg.gc_group g (tid 3)));
-  Alcotest.(check (list int)) "disjoint group" [ 5; 6 ]
+  (* Each GC edge is crossed from either end: from its master 1 the
+     walk reaches dependent 2, from dependent 2 it reaches master 1. *)
+  Alcotest.(check (list int)) "closure of 2" [ 1; 2; 3 ]
+    (List.map Tid.to_int (Dg.gc_group g (tid 2)));
+  Alcotest.(check (list int)) "one edge from its dependent" [ 5; 6 ]
+    (List.map Tid.to_int (Dg.gc_group g (tid 6)));
+  (* Only GC edges join a group. *)
+  Dg.add g Dt.CD ~master:(tid 6) ~dependent:(tid 7);
+  Dg.add g Dt.AD ~master:(tid 8) ~dependent:(tid 5);
+  Alcotest.(check (list int)) "disjoint group, other edge types left out" [ 5; 6 ]
     (List.map Tid.to_int (Dg.gc_group g (tid 5)));
   Alcotest.(check (list int)) "singleton" [ 9 ] (List.map Tid.to_int (Dg.gc_group g (tid 9)))
-
-let test_gc_other () =
-  let g = Dg.create () in
-  Dg.add g Dt.GC ~master:(tid 1) ~dependent:(tid 2);
-  match Dg.gc_edges g (tid 1) with
-  | [ e ] ->
-      Alcotest.(check int) "other end of master" 2 (Tid.to_int (Dg.gc_other e (tid 1)));
-      Alcotest.(check int) "other end of dependent" 1 (Tid.to_int (Dg.gc_other e (tid 2)));
-      Alcotest.check_raises "stranger" (Invalid_argument "Dep_graph.gc_other: tid not on edge")
-        (fun () -> ignore (Dg.gc_other e (tid 7)))
-  | l -> Alcotest.failf "expected one GC edge, got %d" (List.length l)
 
 let test_remove_involving () =
   let g = Dg.create () in
@@ -245,7 +243,6 @@ let () =
       ( "gc",
         [
           Alcotest.test_case "group closure" `Quick test_gc_group_closure;
-          Alcotest.test_case "other end" `Quick test_gc_other;
           QCheck_alcotest.to_alcotest prop_gc_group_symmetric;
         ] );
       ( "extensions",

@@ -536,7 +536,10 @@ let test_abort_of_initiated_transaction () =
     (with_db (fun db ->
          let t = E.initiate db (fun () -> ()) in
          Alcotest.(check bool) "abort initiated" true (E.abort db t);
-         Alcotest.(check bool) "begin then fails" false (E.begin_ db t)))
+         Alcotest.(check bool) "begin then fails" false (E.begin_ db t);
+         (* Initiated -> Aborting -> Aborted passes through an active
+            status and must leave the active set again. *)
+         Alcotest.(check int) "not left active" 0 (List.length (E.active_transactions db))))
 
 (* ------------------------------------------------------------------ *)
 (* delegate                                                            *)
@@ -652,6 +655,9 @@ let test_delegate_withdraws_pending_requests () =
                E.delegate db ~from_:t1 ~to_:t3 ~oids:[ oid 1 ];
                Alcotest.(check bool)
                  "pending request withdrawn by delegation" false (pending_has db t1);
+               (* The withdrawal wakes t1, whose retry re-registers the
+                  request, so the waits-for graph keeps its edge. *)
+               Sched.wait_until ~reason:"t1 re-requests" (fun () -> pending_has db t1);
                ignore (E.begin_ db t3);
                (* Holder commits, releasing the lock; t1's body re-requests,
                   acquires, finishes; everyone terminates cleanly. *)
@@ -971,6 +977,27 @@ let test_bd_master_abort_blocks_begin () =
          ignore (E.wait db ti);
          Alcotest.(check bool) "tj cannot begin" false (E.begin_ db tj)))
 
+let test_bd_dependent_aborted_while_gated () =
+  (* tj is aborted while its begin waits for its BD master: once the
+     master commits, the begin must fail rather than run an aborted
+     transaction. *)
+  ignore
+    (with_db (fun db ->
+         let ran = ref false in
+         let ti = E.initiate db (fun () -> ()) in
+         let tj = E.initiate db (fun () -> ran := true) in
+         ignore (E.form_dependency db Dt.BD ti tj);
+         let began = ref true in
+         E.spawn db ~label:"begin-tj" (fun () -> began := E.begin_ db tj);
+         Sched.yield ();
+         ignore (E.abort db tj);
+         ignore (E.begin_ db ti);
+         ignore (E.commit db ti);
+         E.await_terminated db [ ti; tj ];
+         Alcotest.(check bool) "begin refused" false !began;
+         Alcotest.(check bool) "body never ran" false !ran;
+         Alcotest.(check bool) "tj stays aborted" true (E.is_aborted db tj)))
+
 (* Extension: EXC — at most one commits. *)
 let test_exc_excludes_partner () =
   ignore
@@ -1181,6 +1208,219 @@ let test_abort_while_parked_on_lock () =
          Alcotest.(check bool) "waiter aborted" true (E.is_aborted db waiter);
          Alcotest.(check int) "no pending residue" 0
            (List.length (Asset_lock.Lock_manager.pending_of (E.locks db) (oid 1)))))
+
+(* ------------------------------------------------------------------ *)
+(* Wake rule: a parked fiber resumes only once its wait can end         *)
+
+module Trace = Asset_obs.Trace
+
+(* [tid]'s lock actions on [oid], in order. *)
+let lock_actions entries tid oid =
+  List.filter_map
+    (fun (e : Trace.entry) ->
+      match e.ev with
+      | Trace.Lock l when Tid.equal l.tid tid && Oid.equal l.oid oid ->
+          Some (Trace.lock_action_to_string l.action)
+      | _ -> None)
+    entries
+
+(* Initiate, begin and commit a transaction that writes [o]. *)
+let unrelated_commit db o v =
+  let u = E.initiate db (fun () -> E.write db (oid o) (vi v)) in
+  ignore (E.begin_ db u);
+  Alcotest.(check bool) "unrelated transaction commits" true (E.commit db u)
+
+let test_lock_waiter_resumed_once () =
+  (* The waiter is blocked on ob1 while 20 unrelated transactions
+     commit: each moves the engine version, none frees ob1.  It is
+     resumed once, when the holder commits, and its only refused
+     request is the first. *)
+  let n = 20 in
+  let waiter = ref Tid.null in
+  let db = ref None in
+  let (), entries =
+    Trace.with_memory (fun () ->
+        db :=
+          Some
+            (with_db ~objects:(n + 1) (fun db ->
+                 let release = ref false in
+                 let holder =
+                   E.initiate db (fun () ->
+                       E.write db (oid 1) (vi 1);
+                       Sched.wait_until ~reason:"release" (fun () -> !release))
+                 in
+                 waiter := E.initiate db (fun () -> E.write db (oid 1) (vi 2));
+                 ignore (E.begin_ db holder);
+                 Sched.yield ();
+                 ignore (E.begin_ db !waiter);
+                 Sched.yield ();
+                 for i = 1 to n do
+                   unrelated_commit db (i + 1) i
+                 done;
+                 release := true;
+                 Alcotest.(check bool) "holder commits" true (E.commit db holder);
+                 Alcotest.(check bool) "waiter commits" true (E.commit db !waiter))))
+  in
+  let db = Option.get !db in
+  Alcotest.(check (list string)) "one Request/Block pair, then the grant"
+    [ "request"; "block"; "request"; "grant"; "release" ]
+    (lock_actions entries !waiter (oid 1));
+  Alcotest.(check int) "one lock wait" 1 (List.assoc "lock_waits" (E.stats db));
+  Alcotest.(check int) "waiter's write last" 2 (geti db 1)
+
+let test_commit_waiter_resumed_once () =
+  (* A committer parked on "awaiting completion" while 20 unrelated
+     transactions commit is never resumed until its transaction
+     completes: the scheduler steps taken meanwhile are exactly one
+     per unrelated body and one per round of the main fiber. *)
+  let n = 20 in
+  let store = Asset_storage.Heap_store.store () in
+  Asset_storage.Heap_store.populate store ~n:(n + 1) ~value:(fun _ -> vi 0);
+  let db = E.create store in
+  let s = Sched.create () in
+  E.attach_scheduler db s;
+  let go = ref false and committed = ref false and steps = ref (-1) in
+  ignore
+    (Sched.spawn s ~label:"main" (fun () ->
+         let t = E.initiate db (fun () -> Sched.wait_until ~reason:"go" (fun () -> !go)) in
+         ignore (E.begin_ db t);
+         E.spawn db ~label:"committer" (fun () -> committed := E.commit db t);
+         Sched.yield ();
+         let before = Sched.steps s in
+         for i = 1 to n do
+           let u = E.initiate db (fun () -> E.write db (oid (i + 1)) (vi i)) in
+           ignore (E.begin_ db u);
+           Sched.yield ();
+           (* u has completed: its commit does not park *)
+           Alcotest.(check bool) "unrelated transaction commits" true (E.commit db u)
+         done;
+         steps := Sched.steps s - before;
+         go := true;
+         E.await_terminated db [ t ]));
+  Sched.run s;
+  Alcotest.(check int) "no committer resume while its transaction runs" (2 * n) !steps;
+  Alcotest.(check bool) "committed once it completed" true !committed
+
+let test_waiter_wakes_on_delegation () =
+  (* The holder delegates its lock on ob1 to the parked waiter, which
+     then holds a covering lock: step 1a lets it through at once. *)
+  ignore
+    (with_db (fun db ->
+         let waiter = ref Tid.null in
+         let holder =
+           E.initiate db (fun () ->
+               E.write db (oid 1) (vi 1);
+               Sched.yield ();
+               E.delegate db ~oids:[ oid 1 ] ~from_:(E.self db) ~to_:!waiter)
+         in
+         waiter := E.initiate db (fun () -> E.write db (oid 1) (vi 2));
+         ignore (E.begin_many db [ holder; !waiter ]);
+         Alcotest.(check bool) "holder commits" true (E.commit db holder);
+         Alcotest.(check bool) "waiter commits" true (E.commit db !waiter);
+         Alcotest.(check int) "one lock wait" 1 (List.assoc "lock_waits" (E.stats db));
+         Alcotest.(check int) "waiter's write" 2 (geti db 1)))
+
+let test_waiter_wakes_on_permit () =
+  (* The holder keeps running after permitting the parked reader: the
+     permit alone must wake the reader, which reads the holder's
+     uncommitted value and finishes first. *)
+  ignore
+    (with_db (fun db ->
+         let reader = ref Tid.null and seen = ref (-1) and reader_done = ref false in
+         let holder =
+           E.initiate db (fun () ->
+               E.write db (oid 1) (vi 7);
+               Sched.yield ();
+               E.permit db ~to_:!reader ~oids:[ oid 1 ] ~from_:(E.self db);
+               Sched.wait_until ~reason:"reader done" (fun () -> !reader_done))
+         in
+         reader :=
+           E.initiate db (fun () ->
+               seen := Value.to_int (E.read_exn db (oid 1));
+               reader_done := true);
+         ignore (E.begin_many db [ holder; !reader ]);
+         Alcotest.(check bool) "holder commits" true (E.commit db holder);
+         Alcotest.(check bool) "reader commits" true (E.commit db !reader);
+         Alcotest.(check int) "read the permitted value" 7 !seen;
+         Alcotest.(check bool) "holder's lock suspended" true
+           (List.assoc "lock.suspensions" (E.stats db) >= 1)))
+
+let test_aborted_waiter_unwinds_at_once () =
+  (* A parked lock waiter aborted by another fiber must unwind while the
+     lock is still held: the holder waits for that unwinding, so a
+     waiter that woke only once the lock was free would never wake. *)
+  ignore
+    (with_db (fun db ->
+         let unwound = ref false in
+         let holder =
+           E.initiate db (fun () ->
+               E.write db (oid 1) (vi 1);
+               Sched.wait_until ~reason:"waiter unwound" (fun () -> !unwound))
+         in
+         let waiter =
+           E.initiate db (fun () ->
+               Fun.protect ~finally:(fun () -> unwound := true) (fun () -> E.write db (oid 1) (vi 2)))
+         in
+         ignore (E.begin_ db holder);
+         Sched.yield ();
+         ignore (E.begin_ db waiter);
+         Sched.yield ();
+         ignore (E.abort db waiter);
+         Alcotest.(check bool) "holder commits" true (E.commit db holder);
+         Alcotest.(check bool) "waiter unwound" true !unwound;
+         Alcotest.(check int) "holder's write stands" 1 (geti db 1)))
+
+(* A holder of ob1 that waits for [release]; a waiter that requests
+   ob1 under an 8-advance timeout and nothing else to break the wait. *)
+let timeout_config = { E.default_config with deadlock_detection = false; lock_wait_timeout_steps = 8 }
+
+let timed_out_waiter ~traffic =
+  let waiter = ref Tid.null and holder = ref Tid.null and unrelated = ref 0 in
+  let db = ref None in
+  let (), entries =
+    Trace.with_memory (fun () ->
+        db :=
+          Some
+            (with_db ~config:timeout_config ~objects:40 (fun db ->
+                 let release = ref false in
+                 holder :=
+                   E.initiate db (fun () ->
+                       E.write db (oid 1) (vi 1);
+                       Sched.wait_until ~reason:"release" (fun () -> !release));
+                 waiter := E.initiate db (fun () -> E.write db (oid 1) (vi 2));
+                 ignore (E.begin_ db !holder);
+                 Sched.yield ();
+                 ignore (E.begin_ db !waiter);
+                 Sched.yield ();
+                 if traffic then
+                   while (not (E.is_aborted db !waiter)) && !unrelated < 30 do
+                     incr unrelated;
+                     unrelated_commit db (!unrelated + 1) !unrelated
+                   done
+                 else E.await_terminated db [ !waiter ];
+                 release := true;
+                 Alcotest.(check bool) "holder commits" true (E.commit db !holder))))
+  in
+  let db = Option.get !db in
+  (match E.failure_of db !waiter with
+  | Some (E.Lock_timeout _) -> ()
+  | Some e -> Alcotest.failf "wrong failure: %s" (Printexc.to_string e)
+  | None -> Alcotest.fail "waiter did not time out");
+  Alcotest.(check int) "one timeout" 1 (List.assoc "lock_timeouts" (E.stats db));
+  let stalls = List.length (List.filter (fun (e : Trace.entry) -> e.ev = Trace.Sched_stall) entries) in
+  (stalls, !unrelated)
+
+let test_timeout_under_stall_ticks () =
+  let stalls, _ = timed_out_waiter ~traffic:false in
+  Alcotest.(check int) "one stall tick per counted advance" 8 stalls
+
+let test_timeout_under_unrelated_traffic () =
+  let stalls, unrelated = timed_out_waiter ~traffic:true in
+  Alcotest.(check int) "no stall" 0 stalls;
+  Alcotest.(check bool)
+    (Printf.sprintf "timed out after a few unrelated commits (%d)" unrelated)
+    true
+    (unrelated >= 1 && unrelated <= 8)
 
 (* ------------------------------------------------------------------ *)
 (* Savepoints                                                          *)
@@ -1461,6 +1701,8 @@ let () =
           Alcotest.test_case "GC single log record" `Quick test_gc_single_log_record;
           Alcotest.test_case "BD gates begin" `Quick test_bd_gates_begin;
           Alcotest.test_case "BD master abort blocks begin" `Quick test_bd_master_abort_blocks_begin;
+          Alcotest.test_case "BD dependent aborted while gated" `Quick
+            test_bd_dependent_aborted_while_gated;
           Alcotest.test_case "EXC excludes partner" `Quick test_exc_excludes_partner;
         ] );
       ( "increment",
@@ -1484,6 +1726,17 @@ let () =
           Alcotest.test_case "commit of never-begun txn deadlocks" `Quick
             test_commit_of_never_begun_transaction_deadlocks;
           Alcotest.test_case "abort while parked on lock" `Quick test_abort_while_parked_on_lock;
+        ] );
+      ( "wake rule",
+        [
+          Alcotest.test_case "lock waiter resumed once" `Quick test_lock_waiter_resumed_once;
+          Alcotest.test_case "commit waiter resumed once" `Quick test_commit_waiter_resumed_once;
+          Alcotest.test_case "waiter wakes on delegation" `Quick test_waiter_wakes_on_delegation;
+          Alcotest.test_case "waiter wakes on permit" `Quick test_waiter_wakes_on_permit;
+          Alcotest.test_case "aborted waiter unwinds at once" `Quick test_aborted_waiter_unwinds_at_once;
+          Alcotest.test_case "timeout under stall ticks" `Quick test_timeout_under_stall_ticks;
+          Alcotest.test_case "timeout under unrelated traffic" `Quick
+            test_timeout_under_unrelated_traffic;
         ] );
       ( "savepoint",
         [

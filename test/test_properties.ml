@@ -640,7 +640,7 @@ let lock_history_seen = Hashtbl.create 8
 let seen key = Option.value ~default:0 (Hashtbl.find_opt lock_history_seen key)
 let saw key n = Hashtbl.replace lock_history_seen key (seen key + n)
 
-let run_lock_history h =
+let run_lock_history ?(probe = fun _ _ -> ()) h =
   let store = Heap.store () in
   Heap.populate store ~n:3 ~value:(fun _ -> Value.of_int 0);
   Store.write store (oid 4) (Value.of_queue []);
@@ -676,6 +676,7 @@ let run_lock_history h =
                   List.iter
                     (fun op ->
                       apply i op;
+                      probe db tids;
                       Sched.yield ())
                     ops))
           h.txns;
@@ -694,6 +695,7 @@ let run_lock_history h =
     && Lm.pending_of locks (oid o) = []
     && Lm.permits_of locks (oid o) = []
   in
+  probe db tids;
   outcome.R.result = Ok ()
   && Array.for_all (fun t -> Asset_core.Status.terminated (E.status db t)) tids
   && stat "lock.ods" = 0
@@ -713,6 +715,40 @@ let test_lock_table_empties () =
     [
       "deadlock_victims"; "lock.suspensions"; "lock.permit_grants"; "aborts"; "delegations"; "rollbacks";
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The active-transaction set                                          *)
+
+(* The engine keeps its active transactions as a set updated on status
+   transitions.  At every step of a random history, and once all have
+   terminated, [active_transactions] and the ATT a checkpoint captures
+   must name exactly the transactions a fold over every TD finds
+   active. *)
+let active_set_mismatches = ref 0
+
+let check_active_set db tids =
+  let sorted l = List.sort Asset_util.Id.Tid.compare l in
+  let expected =
+    Array.to_list tids
+    |> List.filter (fun t ->
+           (not (Asset_util.Id.Tid.is_null t)) && Asset_core.Status.active (E.status db t))
+    |> sorted
+  in
+  let captured =
+    match Asset_wal.Log.get (E.log db) (E.checkpoint db) with
+    | Asset_wal.Record.Begin_ckpt { active; _ } ->
+        sorted (List.map (fun (e : Asset_wal.Record.att_entry) -> e.att_tid) active)
+    | _ -> []
+  in
+  if sorted (E.active_transactions db) <> expected || captured <> expected then
+    incr active_set_mismatches
+
+let prop_active_set_matches_fold =
+  QCheck2.Test.make ~name:"active set = fold over every TD" ~count:150 ~print:pp_lock_history
+    gen_lock_history (fun h ->
+      active_set_mismatches := 0;
+      ignore (run_lock_history ~probe:check_active_set h);
+      !active_set_mismatches = 0)
 
 let () =
   Alcotest.run "asset_properties"
@@ -757,6 +793,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_engine_undo_matches_recovery;
           Alcotest.test_case "undo of a phantom object" `Quick test_undo_phantom_object;
           Alcotest.test_case "lock table empties" `Quick test_lock_table_empties;
+          QCheck_alcotest.to_alcotest prop_active_set_matches_fold;
         ] );
       ( "workload",
         [

@@ -189,9 +189,10 @@ let test_golden_fifo_trace () =
     "a4d682bd3b56469a52a9ee9bf57c31f5" (digest tr)
 
 let test_golden_engine_trace () =
-  (* A full engine workload (locks, parks, commits) under FIFO: the
-     version-keyed wait queues must wake exactly the same fibers in
-     exactly the same order as the poll-everything implementation. *)
+  (* A full engine workload (locks, parks, commits) under FIFO.  Two
+     digests: the outcome (commit/abort order and final balances) and
+     the full event schedule.  A change that only removes useless
+     retries moves the second and must leave the first. *)
   let module E = Asset_core.Engine in
   let module Bank = Asset_workload.Bank in
   let module Trace = Asset_obs.Trace in
@@ -204,9 +205,25 @@ let test_golden_engine_trace () =
     (S.spawn s ~label:"main" (fun () ->
          ignore (Bank.run_transfers ~seed:5 db ~accounts:4 ~n_txns:8)));
   let (), entries = Trace.with_memory (fun () -> S.run s) in
-  Alcotest.(check int) "event count" 218 (List.length entries);
-  Alcotest.(check string) "same engine schedule as the pre-overhaul engine"
-    "fbd1090fdb34f5f0ecf2d445b45991ce" (digest (List.map Trace.entry_to_json entries))
+  let outcomes =
+    List.filter_map
+      (fun (e : Trace.entry) ->
+        match e.ev with
+        | Trace.Commit _ | Trace.Abort _ -> Some (Format.asprintf "%a" Trace.pp_event e.ev)
+        | _ -> None)
+      entries
+  in
+  let balances =
+    List.init 4 (fun i ->
+        match Asset_storage.Store.read (E.store db) (Bank.account (i + 1)) with
+        | Some v -> string_of_int (Asset_storage.Value.to_int v)
+        | None -> "-")
+  in
+  Alcotest.(check string) "same commit/abort order and balances"
+    "e9437c2f0d8bb030def09c4b20b4612a" (digest (outcomes @ balances));
+  Alcotest.(check int) "event count" 186 (List.length entries);
+  Alcotest.(check string) "same engine schedule"
+    "6f1c4c44b04c6d8bd0b8912e7e08572c" (digest (List.map Trace.entry_to_json entries))
 
 (* ------------------------------------------------------------------ *)
 (* Version-keyed wait queues                                           *)
@@ -293,6 +310,55 @@ let test_watched_wakes_on_version_advance () =
   ignore (S.spawn s ~label:"bump" (fun () -> incr ver));
   S.run s;
   Alcotest.(check (list int)) "all woke in park order" [ 1; 2; 3 ] (List.rev !order)
+
+(* Three ways for fibers A and B to wait for [flag] under a version
+   clock: a loop that resumes and retries on every advance, one
+   [retry_until], and one watched [wait_until].  A parks first; D bumps
+   the clock before B parks, idles a turn, then sets the flag and bumps
+   again.  Returns the order A and B got through, and the steps run. *)
+let two_waiters wait =
+  let s = S.create () in
+  let ver = ref 0 and flag = ref false and order = ref [] in
+  S.set_clock s (fun () -> !ver);
+  let waiter name = ignore (S.spawn s ~label:name (fun () -> wait ver flag; order := name :: !order)) in
+  waiter "A";
+  ignore
+    (S.spawn s ~label:"D" (fun () ->
+         incr ver;
+         S.yield ();
+         S.yield ();
+         flag := true;
+         incr ver));
+  waiter "B";
+  S.run s;
+  (List.rev !order, S.steps s)
+
+let resume_and_retry ver flag =
+  let rec loop () =
+    if not !flag then begin
+      let v = !ver in
+      S.wait_until ~reason:"retry" ~watch:v (fun () -> !ver > v);
+      loop ()
+    end
+  in
+  loop ()
+
+let test_retry_keeps_turn () =
+  (* A's re-check runs at the turn its retry had, after B parked, so B
+     now queues ahead of A — as with the retry loop.  A watched wait is
+     re-evaluated in the wake sweep and keeps A ahead. *)
+  let retry_order, retry_steps = two_waiters resume_and_retry in
+  let order, steps =
+    two_waiters (fun ver flag -> S.retry_until ~reason:"flag" ~watch:!ver (fun () -> !flag))
+  in
+  let watched_order, _ =
+    two_waiters (fun ver flag -> S.wait_until ~reason:"flag" ~watch:!ver (fun () -> !flag))
+  in
+  Alcotest.(check (list string)) "retry loop order" [ "B"; "A" ] retry_order;
+  Alcotest.(check (list string)) "retry_until keeps it" retry_order order;
+  Alcotest.(check (list string)) "watched wait differs" [ "A"; "B" ] watched_order;
+  (* The retry loop resumed A once for nothing; that turn is no step. *)
+  Alcotest.(check int) "one resume fewer" (retry_steps - 1) steps
 
 (* ------------------------------------------------------------------ *)
 (* Deque ordering                                                      *)
@@ -422,6 +488,7 @@ let () =
           Alcotest.test_case "golden engine trace" `Quick test_golden_engine_trace;
           Alcotest.test_case "watched wait not re-polled" `Quick test_watched_wait_not_repolled;
           Alcotest.test_case "unwatched wait still polled" `Quick test_unwatched_wait_still_polled;
+          Alcotest.test_case "retry keeps its turn" `Quick test_retry_keeps_turn;
           Alcotest.test_case "stale watch still wakes" `Quick test_stale_watch_already_true_wakes;
           Alcotest.test_case "watched wake on version advance" `Quick
             test_watched_wakes_on_version_advance;
