@@ -1938,8 +1938,8 @@ let e23_shard () =
           Shard.Coord.drain coord;
           Shard.drain sys)
     in
-    let stats = Shard.stats sys in
     Shard.shutdown sys;
+    let stats = Shard.stats sys in
     let gave_up = List.assoc "gave_up" stats in
     let singles_done = !n_singles - gave_up in
     let logical = singles_done + Shard.Coord.committed coord in

@@ -128,8 +128,8 @@ let run_race db events undo (tasks : task list) =
               | [] -> false (* every contestant aborted *)
               | _ ->
                   let v = E.version db in
-                  Asset_sched.Scheduler.wait_until ~reason:"race: awaiting a completer" (fun () ->
-                      E.version db > v);
+                  Asset_sched.Scheduler.wait_until ~reason:"race: awaiting a completer" ~watch:v
+                    (fun () -> E.version db > v);
                   arbitrate live)
         in
         arbitrate entries

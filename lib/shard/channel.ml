@@ -94,9 +94,12 @@ let try_recv ch =
 
 let wait_nonempty ch =
   Mutex.protect ch.mutex (fun () ->
-      while Queue.is_empty ch.q && not ch.closed do
-        Condition.wait ch.not_empty ch.mutex
-      done;
+      if Queue.is_empty ch.q && not ch.closed then begin
+        ch.recv_blocks <- ch.recv_blocks + 1;
+        while Queue.is_empty ch.q && not ch.closed do
+          Condition.wait ch.not_empty ch.mutex
+        done
+      end;
       not (Queue.is_empty ch.q))
 
 let close ch =

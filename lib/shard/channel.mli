@@ -56,5 +56,7 @@ val length : 'a t -> int
 
 val stats : 'a t -> (string * int) list
 (** Counters: ["sends"], ["recvs"], ["send_blocks"] (sends that had to
-    wait for space — the backpressure observable), ["recv_blocks"],
-    and ["hwm"] (queue-length high-water mark). *)
+    wait for space — the backpressure observable), ["recv_blocks"]
+    ({!recv} and {!wait_nonempty} calls that found the channel empty
+    and open, so had to wait), and ["hwm"] (queue-length high-water
+    mark). *)

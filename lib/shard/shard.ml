@@ -26,8 +26,12 @@ module Rng = Asset_util.Rng
 
 type decision = Commit | Abort
 
-type vote = { v_gid : int; v_shard : int; v_prepared : bool; v_stub : Tid.t }
-type outcome = { o_gid : int; o_shard : int; o_committed : bool; o_retryable : bool }
+(* [v_retryable]: the participant's failure, if any, is
+   [Workload.retryable].  An [outcome] is sent only when a Commit
+   verdict did not commit on [o_shard]: a decided group owes no other
+   reply. *)
+type vote = { v_gid : int; v_shard : int; v_prepared : bool; v_retryable : bool; v_stub : Tid.t }
+type outcome = { o_gid : int; o_shard : int }
 type reply = Vote of vote | Outcome of outcome
 
 type msg =
@@ -85,12 +89,12 @@ let handle_exec st body max_retries =
 (* One cross-shard participant: the paper-native construction.  [part]
    does the shard-local work; [stub] is the decision transaction,
    GC-joined to it.  Participant completion (strict 2PL: locks held,
-   updates undoable) is the "prepared" vote; the verdict then drives
-   the stub, and the GC edge drags [part] along either way. *)
+   updates undoable) is the "prepared" vote; the pump then applies the
+   verdict to the stub ([apply_verdict]), and the GC edge drags [part]
+   along either way.  [decisions] holds the undecided groups: an entry
+   leaves it when its verdict (or presumed abort) is applied. *)
 let handle_participate st decisions gid body reply =
   let eng = st.engine in
-  let dec = ref None in
-  Hashtbl.replace decisions gid dec;
   let part = E.initiate eng (fun () -> body eng) in
   (* The wait condition is re-polled by the scheduler's wake sweep,
      outside any fiber, where [E.self] is null — so the stub watches
@@ -99,7 +103,7 @@ let handle_participate st decisions gid body reply =
   let stub =
     E.initiate eng (fun () ->
         Sched.wait_until ~reason:"xshard decision" (fun () ->
-            !dec <> None
+            (not (Hashtbl.mem decisions gid))
             || ((not (Tid.is_null !stub_tid)) && E.is_aborted eng !stub_tid));
         if E.is_aborted eng !stub_tid then raise (E.Txn_aborted !stub_tid))
   in
@@ -107,49 +111,54 @@ let handle_participate st decisions gid body reply =
   if Tid.is_null part || Tid.is_null stub then begin
     if not (Tid.is_null part) then ignore (E.abort eng part : bool);
     if not (Tid.is_null stub) then ignore (E.abort eng stub : bool);
-    Hashtbl.remove decisions gid;
-    reply_send reply (Vote { v_gid = gid; v_shard = st.id; v_prepared = false; v_stub = Tid.null });
     (* A refusal at [max_transactions] is a lifetime bound: no relaunch
        can get past it. *)
     reply_send reply
-      (Outcome { o_gid = gid; o_shard = st.id; o_committed = false; o_retryable = false })
+      (Vote { v_gid = gid; v_shard = st.id; v_prepared = false; v_retryable = false; v_stub = Tid.null })
   end
   else begin
+    Hashtbl.replace decisions gid (stub, reply);
     ignore (E.form_dependency eng Dep_type.GC part stub : bool);
     ignore (E.begin_ eng part : bool);
     ignore (E.begin_ eng stub : bool);
     E.spawn eng ~label:("xshard-mon g" ^ string_of_int gid) (fun () ->
         let prepared = E.wait eng part in
-        reply_send reply (Vote { v_gid = gid; v_shard = st.id; v_prepared = prepared; v_stub = stub });
-        Sched.wait_until ~reason:"xshard verdict" (fun () -> !dec <> None);
-        let committed =
-          match !dec with
-          | Some Commit -> E.commit eng stub
-          | Some Abort | None ->
-              ignore (E.abort eng stub : bool);
-              false
-        in
-        Hashtbl.remove decisions gid;
-        let o_retryable = Workload.retryable (E.failure_of eng part) in
+        let v_retryable = Workload.retryable (E.failure_of eng part) in
         reply_send reply
-          (Outcome { o_gid = gid; o_shard = st.id; o_committed = committed; o_retryable }))
+          (Vote { v_gid = gid; v_shard = st.id; v_prepared = prepared; v_retryable; v_stub = stub }))
   end
+
+(* Runs on the pump, which takes no further message until the verdict
+   is applied: a shard commits (or aborts) group g before it installs
+   anything that arrives after g's [Decide]. *)
+let apply_verdict st decisions gid verdict =
+  match Hashtbl.find_opt decisions gid with
+  | None -> ()
+  | Some (stub, reply) ->
+      Hashtbl.remove decisions gid;
+      let eng = st.engine in
+      let committed =
+        match verdict with
+        | Commit -> E.commit eng stub
+        | Abort ->
+            ignore (E.abort eng stub : bool);
+            false
+      in
+      if verdict = Commit && not committed then reply_send reply (Outcome { o_gid = gid; o_shard = st.id })
 
 let handle st decisions = function
   | Exec { body; max_retries } -> handle_exec st body max_retries
   | Participate { gid; body; reply } -> handle_participate st decisions gid body reply
-  | Decide { gid; verdict } -> (
-      match Hashtbl.find_opt decisions gid with
-      | Some dec -> if !dec = None then dec := Some verdict
-      | None -> ())
+  | Decide { gid; verdict } -> apply_verdict st decisions gid verdict
 
 (* Presumed abort: the inbox closed with cross-shard transactions
    still undecided — the coordinator is gone and no verdict can ever
    arrive, so every undecided stub aborts (2PC: no decision record
-   means abort).  Their monitors wake, abort, and release everything
-   through the normal GC-propagation path. *)
-let presume_abort decisions =
-  Hashtbl.iter (fun _ dec -> if !dec = None then dec := Some Abort) decisions
+   means abort), releasing everything through the normal
+   GC-propagation path. *)
+let presume_abort st decisions =
+  Hashtbl.iter (fun _ (stub, _) -> ignore (E.abort st.engine stub : bool)) decisions;
+  Hashtbl.reset decisions
 
 (* The pump fiber: drains the inbox from inside the scheduler, so
    message handling interleaves cooperatively with transaction
@@ -161,7 +170,7 @@ let rec pump st decisions =
       handle st decisions m;
       pump st decisions
   | None ->
-      if Channel.is_closed st.inbox then presume_abort decisions
+      if Channel.is_closed st.inbox then presume_abort st decisions
       else begin
         Sched.wait_until ~reason:"shard inbox" (fun () ->
             (not (Channel.is_empty st.inbox)) || Channel.is_closed st.inbox);
@@ -207,7 +216,7 @@ let server st ~trace ~trace_capacity ~max_steps =
       let sched = Sched.create ~max_steps () in
       E.attach_scheduler st.engine sched;
       Sched.set_on_stall sched (make_on_stall st);
-      let decisions : (int, decision option ref) Hashtbl.t = Hashtbl.create 32 in
+      let decisions : (int, Tid.t * reply Channel.t) Hashtbl.t = Hashtbl.create 32 in
       ignore (Sched.spawn sched ~label:"pump" (fun () -> pump st decisions) : int);
       match Sched.run sched with
       | () -> E.flush_pending_commits st.engine
@@ -318,20 +327,20 @@ module Coord = struct
     i_retries : int;
     mutable i_sent : int;
     mutable i_votes : vote list;
-    mutable i_outcomes : outcome list;
   }
 
   type coord = {
     sys : t;
     reply : reply Channel.t;
-    inflight : (int, inflight) Hashtbl.t;
+    inflight : (int, inflight) Hashtbl.t; (* undecided groups *)
+    mixed : (int, unit) Hashtbl.t; (* Commit-decided gids whose commit failed on a shard *)
     max_inflight : int;
     max_retries : int;
     ordered : bool;
     site : Fault.site;
-    mutable c_committed : int;
+    mutable c_replies : int;
+    mutable c_committed : int; (* Commit decisions, [mixed] included *)
     mutable c_aborted : int;
-    mutable c_mixed : int;
   }
 
   let decide_site = "shard.coord.decide"
@@ -340,18 +349,24 @@ module Coord = struct
     if max_inflight < 1 then invalid_arg "Coord.create: max_inflight must be >= 1";
     {
       sys;
-      (* every in-flight gid can owe one vote and one outcome per
-         shard, and sends must never block the shard domains — size
-         for the worst case *)
+      (* A shard's reply send must never block its domain.  It sends
+         one vote per Participate and at most one Outcome per Decide,
+         the Outcome before it takes its next message.  Only undecided
+         groups owe votes: at most n·max_inflight.  If shard s has
+         unread Outcomes for g1…gk, each later gi was installed on s
+         before g1's Decide (else gi's vote follows g1's Outcome, and
+         gi cannot be decided with it unread), so was undecided when g1
+         was decided: k ≤ max_inflight.  Both fit. *)
       reply = Channel.create ~capacity:(2 * sys.n * (max_inflight + 1)) ();
       inflight = Hashtbl.create 32;
+      mixed = Hashtbl.create 1;
       max_inflight;
       max_retries;
       ordered;
       site = Fault.register decide_site;
+      c_replies = 0;
       c_committed = 0;
       c_aborted = 0;
-      c_mixed = 0;
     }
 
   let dispatch c gid f =
@@ -360,12 +375,7 @@ module Coord = struct
     Channel.send c.sys.shards.(s).inbox (Participate { gid; body; reply = c.reply })
 
   (* Install one attempt of a cross-shard transaction under a fresh
-     gid.  Also the retry path: an all-aborted outcome whose every
-     participant reports a [Workload.retryable] failure (a lock-wait
-     timeout or deadlock victim on some shard — transient, contention-
-     induced) is relaunched rather than surfaced, just as [handle_exec]
-     retries transient single-shard aborts; a real body failure is
-     not.
+     gid.
 
      With [ordered], participants are dispatched one at a time, each
      only after the previous one voted to prepare: if callers list
@@ -381,64 +391,61 @@ module Coord = struct
     if c.ordered then dispatch c gid f
     else while f.i_sent < List.length f.i_parts do dispatch c gid f done
 
-  (* Process one reply.  A complete vote set is the decision point: if
-     every participant prepared, chain XGC trace edges over the stubs —
-     the coordinator's commit decision record, and the cross-shard
-     group-commit obligation the oracle checks (aborts are presumed and
-     need no record) — then pass the crash failpoint, then send the
-     verdict to every participant shard. *)
-  let process c = function
+  (* A complete vote set is the decision point, and the decision is the
+     acknowledgement.  If every participant prepared, chain XGC trace
+     edges over the stubs — the coordinator's commit decision record,
+     and the cross-shard group-commit obligation the oracle checks
+     (aborts are presumed and need no record) — then pass the crash
+     failpoint, count the group and send the verdict to every stub.  An
+     abort whose every vote reports a [Workload.retryable] failure or
+     none (a lock-wait timeout or deadlock victim on some shard) is
+     relaunched, as [handle_exec] retries transient single-shard
+     aborts, once its Aborts are sent: each shard undoes the old
+     attempt before it installs the new one. *)
+  let decide c gid f =
+    let votes = List.sort (fun a b -> compare a.v_shard b.v_shard) f.i_votes in
+    let verdict = if List.for_all (fun v -> v.v_prepared) votes then Commit else Abort in
+    if verdict = Commit && Trace.on () then begin
+      let rec chain = function
+        | a :: (b :: _ as rest) ->
+            if not (Tid.is_null a.v_stub || Tid.is_null b.v_stub) then
+              Trace.emit (Trace.Dep { dtype = "XGC"; master = a.v_stub; dependent = b.v_stub });
+            chain rest
+        | _ -> ()
+      in
+      chain votes
+    end;
+    Fault.hit c.site;
+    Hashtbl.remove c.inflight gid;
+    let relaunch =
+      verdict = Abort && f.i_retries < c.max_retries && List.for_all (fun v -> v.v_retryable) votes
+    in
+    if verdict = Commit then c.c_committed <- c.c_committed + 1
+    else if not relaunch then c.c_aborted <- c.c_aborted + 1;
+    List.iter
+      (fun v ->
+        if not (Tid.is_null v.v_stub) then Channel.send c.sys.shards.(v.v_shard).inbox (Decide { gid; verdict }))
+      votes;
+    if relaunch then launch c { f with i_retries = f.i_retries + 1; i_votes = [] }
+
+  let process c r =
+    c.c_replies <- c.c_replies + 1;
+    match r with
+    (* After [shutdown] every shard has presumed abort: a late vote
+       decides nothing. *)
+    | Vote _ when c.sys.closed -> ()
     | Vote v -> (
         match Hashtbl.find_opt c.inflight v.v_gid with
         | None -> ()
         | Some f ->
             f.i_votes <- v :: f.i_votes;
-            if List.length f.i_votes = f.i_sent then begin
-              let all_prepared = List.for_all (fun v -> v.v_prepared) f.i_votes in
-              if all_prepared && f.i_sent < List.length f.i_parts then
+            if List.length f.i_votes = f.i_sent then
+              if v.v_prepared && f.i_sent < List.length f.i_parts then
                 (* ordered dispatch: this vote admits the next
                    participant; the decision point is still ahead *)
                 dispatch c v.v_gid f
-              else begin
-              let votes = List.sort (fun a b -> compare a.v_shard b.v_shard) f.i_votes in
-              let verdict = if all_prepared then Commit else Abort in
-              if verdict = Commit && Trace.on () then begin
-                let rec chain = function
-                  | a :: (b :: _ as rest) ->
-                      if not (Tid.is_null a.v_stub || Tid.is_null b.v_stub) then
-                        Trace.emit (Trace.Dep { dtype = "XGC"; master = a.v_stub; dependent = b.v_stub });
-                      chain rest
-                  | _ -> ()
-                in
-                chain votes
-              end;
-              Fault.hit c.site;
-              List.iter
-                (fun v ->
-                  if not (Tid.is_null v.v_stub) then
-                    Channel.send c.sys.shards.(v.v_shard).inbox (Decide { gid = v.v_gid; verdict }))
-                votes
-              end
-            end)
-    | Outcome o -> (
-        match Hashtbl.find_opt c.inflight o.o_gid with
-        | None -> ()
-        | Some f ->
-            (* [f.i_sent], not the participant count: under ordered
-               dispatch an aborted group may never have dispatched its
-               tail participants, and they owe no outcome. *)
-            f.i_outcomes <- o :: f.i_outcomes;
-            if List.length f.i_outcomes = f.i_sent then begin
-              Hashtbl.remove c.inflight o.o_gid;
-              match List.sort_uniq compare (List.map (fun o -> o.o_committed) f.i_outcomes) with
-              | [ true ] -> c.c_committed <- c.c_committed + 1
-              | [ false ] ->
-                  let retryable = List.for_all (fun o -> o.o_retryable) f.i_outcomes in
-                  if retryable && f.i_retries < c.max_retries then
-                    launch c { f with i_retries = f.i_retries + 1; i_votes = []; i_outcomes = [] }
-                  else c.c_aborted <- c.c_aborted + 1
-              | _ -> c.c_mixed <- c.c_mixed + 1
-            end)
+              else decide c v.v_gid f)
+    | Outcome o -> Hashtbl.replace c.mixed o.o_gid ()
 
   let step c = match Channel.recv c.reply with None -> () | Some r -> process c r
 
@@ -447,6 +454,10 @@ module Coord = struct
      verdicts keep flowing, prepared participants release their locks
      promptly instead of stalling everything queued behind them. *)
   let try_step c = match Channel.try_recv c.reply with None -> false | Some r -> process c r; true
+
+  (* Counts are read after the replies already queued: once [shutdown]
+     has returned every mismatch report is among them. *)
+  let settle c = while try_step c do () done
 
   let inflight_count c = Hashtbl.length c.inflight
 
@@ -458,7 +469,7 @@ module Coord = struct
     while Hashtbl.length c.inflight >= c.max_inflight do
       step c
     done;
-    launch c { i_parts = parts; i_retries = 0; i_sent = 0; i_votes = []; i_outcomes = [] }
+    launch c { i_parts = parts; i_retries = 0; i_sent = 0; i_votes = [] }
 
   let drain c =
     while Hashtbl.length c.inflight > 0 do
@@ -466,7 +477,8 @@ module Coord = struct
       step c
     done
 
-  let committed c = c.c_committed
-  let aborted c = c.c_aborted
-  let mixed c = c.c_mixed
+  let replies c = settle c; c.c_replies
+  let committed c = settle c; c.c_committed - Hashtbl.length c.mixed
+  let aborted c = settle c; c.c_aborted
+  let mixed c = settle c; Hashtbl.length c.mixed
 end

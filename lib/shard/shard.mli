@@ -109,15 +109,18 @@ module Coord : sig
   type coord
   (** A 2PC coordinator over the sharded engine.  It lives on the
       driving domain: {!submit} registers participants,
-      {!step}/{!drain} process votes and outcomes from its reply
-      mailbox.  Multiple transactions are kept in flight, capped at
-      [max_inflight]. *)
+      {!try_step}/{!drain} process votes from its reply mailbox.  A group
+      is decided, and acknowledged, once every participant has voted:
+      the verdict then travels to the shards, but no reply comes back
+      unless a shard's result disagrees with it.  Multiple
+      transactions are kept in flight, capped at [max_inflight]
+      undecided groups. *)
 
   val decide_site : string
   (** Failpoint name ("shard.coord.decide") hit between collecting the
-      last vote and sending any verdict — the classic 2PC
-      coordinator-crash window.  Arm it with [Fault] to test presumed
-      abort. *)
+      last vote and counting the group or sending any verdict — the
+      classic 2PC coordinator-crash window.  Arm it with [Fault] to
+      test presumed abort. *)
 
   val create : ?max_inflight:int -> ?max_retries:int -> ?ordered:bool -> t -> coord
   (** With [~ordered:true] participants are dispatched serially, each
@@ -133,19 +136,23 @@ module Coord : sig
   val submit : coord -> (int * (E.t -> unit)) list -> unit
   (** Register one cross-shard transaction: a participant body per
       (distinct) shard.  Blocks processing replies while [max_inflight]
-      transactions are outstanding.  A group that aborts on every shard
-      with only [Workload.retryable] participant failures (the
-      transient contention outcomes: lock-wait timeout, deadlock
-      victim) is relaunched up to [max_retries] (default 10) times
-      before counting as {!aborted}; a real body failure counts at
-      once.  The coordinator emits its XGC
-      decision record only for Commit verdicts — 2PC presumed abort:
-      aborts leave no decision record.  Under [ordered], list order is
+      groups are undecided.  A group that aborts with only
+      [Workload.retryable] failures in its votes (the transient
+      contention outcomes: lock-wait timeout, deadlock victim; a
+      prepared participant reports none) is relaunched up to
+      [max_retries] (default 10) times before counting as {!aborted};
+      a real body failure or a refusal at the shard's transaction
+      bound counts at once.  The coordinator emits its XGC decision
+      record only for Commit verdicts — 2PC presumed abort: aborts
+      leave no decision record.  Under [ordered], list order is
       dispatch (hence lock-acquisition) order. *)
 
   val drain : coord -> unit
-  (** Process replies until every submitted transaction has a final
-      outcome.  Propagates an armed {!decide_site} crash. *)
+  (** Process replies until every submitted transaction is decided;
+      each is then already counted in {!committed} or {!aborted}.  The
+      shards may still be applying the last verdicts: each applies a
+      verdict before it takes its next message.  Propagates an armed
+      {!decide_site} crash. *)
 
   val try_step : coord -> bool
   (** Process one pending reply without blocking; [false] when none
@@ -153,15 +160,24 @@ module Coord : sig
       flowing while e.g. a single-shard drain is in progress. *)
 
   val inflight_count : coord -> int
-  (** Cross-shard transactions without a final outcome yet. *)
+  (** Cross-shard transactions not yet decided. *)
+
+  val replies : coord -> int
+  (** Replies processed so far: one vote per dispatched participant,
+      plus an Outcome for each participant whose result disagreed
+      with the verdict. *)
+
+  (** The counters below first process the replies already queued, so
+      they are exact once {!Shard.shutdown} has returned. *)
 
   val committed : coord -> int
-  (** Cross-shard transactions whose every participant committed. *)
+  (** Cross-shard transactions decided Commit, less those that moved
+      to {!mixed}. *)
 
   val aborted : coord -> int
-  (** Cross-shard transactions whose every participant aborted. *)
+  (** Cross-shard transactions decided Abort and not relaunched. *)
 
   val mixed : coord -> int
-  (** Transactions with both committed and aborted participants —
-      atomicity violations; must be zero. *)
+  (** Transactions decided Commit whose commit failed on some
+      participant — atomicity violations; must be zero. *)
 end

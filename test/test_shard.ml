@@ -255,9 +255,79 @@ let test_cross_shard_abort_propagates () =
   let merged = Shard.merged_trace sys in
   no_violations "merged trace satisfies strict axioms" (Oracle.check_strict_history merged)
 
+(* The decision is the acknowledgement: a committed group costs one
+   reply per participant (its vote) and no Outcome, and [drain]
+   returns with the group already counted. *)
+let test_cross_shard_one_reply_per_participant () =
+  let sys = Shard.create ~objects:8 ~init:(fun _ -> vi 100) ~domains:2 () in
+  let coord = Shard.Coord.create sys in
+  let n_txns = 5 in
+  for _ = 1 to n_txns do
+    Shard.Coord.submit coord
+      [
+        (0, fun eng -> E.modify eng (oid 2) (fun v -> vi (Value.to_int (Option.get v) - 1)));
+        (1, fun eng -> E.modify eng (oid 1) (fun v -> vi (Value.to_int (Option.get v) + 1)));
+      ];
+    Shard.Coord.drain coord;
+    Alcotest.(check int) "decided at drain" 0 (Shard.Coord.inflight_count coord)
+  done;
+  Alcotest.(check int) "counted before shutdown" n_txns (Shard.Coord.committed coord);
+  Alcotest.(check int) "one vote per participant" (2 * n_txns) (Shard.Coord.replies coord);
+  Shard.shutdown sys;
+  Alcotest.(check int) "no Outcome after shutdown" (2 * n_txns) (Shard.Coord.replies coord);
+  Alcotest.(check int) "all committed" n_txns (Shard.Coord.committed coord);
+  Alcotest.(check int) "no mixed outcomes" 0 (Shard.Coord.mixed coord);
+  Alcotest.(check int) "shard 0 applied" (100 - n_txns)
+    (Value.to_int (Store.read_exn (E.store (Shard.engine sys 0)) (oid 2)));
+  Alcotest.(check int) "shard 1 applied" (100 + n_txns)
+    (Value.to_int (Store.read_exn (E.store (Shard.engine sys 1)) (oid 1)));
+  assert_leak_free ~objects:8 sys
+
+(* Transient failure: a participant fails with a [Workload.retryable]
+   failure on its first run only.  The coordinator relaunches the
+   group from the votes alone (the prepared participant reports no
+   failure), the first attempt is undone on both shards, and the
+   second commits.  A group that keeps failing so counts as aborted
+   after [max_retries] relaunches. *)
+let test_cross_shard_transient_failure_relaunched () =
+  let sys = Shard.create ~objects:8 ~init:(fun _ -> vi 100) ~domains:2 () in
+  let coord = Shard.Coord.create ~max_retries:2 sys in
+  let runs = Atomic.make 0 in
+  Shard.Coord.submit coord
+    [
+      (0, fun eng -> E.modify eng (oid 2) (fun v -> vi (Value.to_int (Option.get v) + 1)));
+      (1, fun eng ->
+        E.modify eng (oid 1) (fun v -> vi (Value.to_int (Option.get v) + 1));
+        if Atomic.fetch_and_add runs 1 = 0 then raise (Fault.Injected "transient"));
+    ];
+  Shard.Coord.drain coord;
+  Alcotest.(check int) "body ran twice" 2 (Atomic.get runs);
+  let always = Atomic.make 0 in
+  Shard.Coord.submit coord
+    [
+      (0, fun eng -> E.modify eng (oid 4) (fun v -> vi (Value.to_int (Option.get v) + 1)));
+      (1, fun _ ->
+        Atomic.incr always;
+        raise (Fault.Injected "every time"));
+    ];
+  Shard.Coord.drain coord;
+  Shard.shutdown sys;
+  Alcotest.(check int) "persistent failure: 1 + max_retries runs" 3 (Atomic.get always);
+  Alcotest.(check int) "committed" 1 (Shard.Coord.committed coord);
+  Alcotest.(check int) "persistent failure aborted" 1 (Shard.Coord.aborted coord);
+  Alcotest.(check int) "no mixed outcomes" 0 (Shard.Coord.mixed coord);
+  Alcotest.(check int) "five attempts, votes only" 10 (Shard.Coord.replies coord);
+  Alcotest.(check int) "persistent failure undone" 100
+    (Value.to_int (Store.read_exn (E.store (Shard.engine sys 0)) (oid 4)));
+  Alcotest.(check int) "shard 0 applied once" 101
+    (Value.to_int (Store.read_exn (E.store (Shard.engine sys 0)) (oid 2)));
+  Alcotest.(check int) "shard 1 applied once" 101
+    (Value.to_int (Store.read_exn (E.store (Shard.engine sys 1)) (oid 1)));
+  assert_leak_free ~objects:8 sys
+
 (* A real body failure is not contention: the group aborts at once
    instead of being relaunched, so the failing body runs exactly once
-   (transient all-abort outcomes are still relaunched — see above). *)
+   (a transient failure is relaunched — see above). *)
 let test_cross_shard_body_failure_not_retried () =
   let sys = Shard.create ~objects:8 ~init:(fun _ -> vi 100) ~domains:2 () in
   let coord = Shard.Coord.create sys in
@@ -467,8 +537,12 @@ let test_channel_backpressure_and_close () =
       | () -> `Sent
       | exception Channel.Closed -> `Closed)
   in
-  (* give the sender time to fill the queue and block *)
-  while Channel.length ch < 2 do Domain.cpu_relax () done;
+  (* give the sender time to fill the queue and block: a full queue
+     alone does not show the blocking send has begun *)
+  let deadline = Unix.gettimeofday () +. 5. in
+  while List.assoc "send_blocks" (Channel.stats ch) < 1 && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
   Channel.close ch;
   Alcotest.(check bool) "sender saw close" true (Domain.join blocked = `Closed);
   (* queued messages remain receivable after close *)
@@ -479,6 +553,29 @@ let test_channel_backpressure_and_close () =
   let stats = Channel.stats ch in
   Alcotest.(check int) "hwm" 2 (List.assoc "hwm" stats);
   Alcotest.(check bool) "a send blocked" true (List.assoc "send_blocks" stats >= 1)
+
+(* A shard domain blocks in [wait_nonempty], never in [recv]: that
+   wait is a receive block too, counted only when it really waits. *)
+let test_channel_wait_nonempty_counts_blocks () =
+  let ch = Channel.create () in
+  let blocks () = List.assoc "recv_blocks" (Channel.stats ch) in
+  Channel.send ch 1;
+  Alcotest.(check bool) "ready at once" true (Channel.wait_nonempty ch);
+  Alcotest.(check int) "no block when nonempty" 0 (blocks ());
+  ignore (Channel.try_recv ch : int option);
+  let waiter = Domain.spawn (fun () -> Channel.wait_nonempty ch) in
+  (* The count is taken under the channel's mutex just before the
+     wait, so once it shows, the send below finds the waiter parked. *)
+  let deadline = Unix.gettimeofday () +. 5. in
+  while blocks () = 0 && Unix.gettimeofday () < deadline do Domain.cpu_relax () done;
+  Channel.send ch 2;
+  Alcotest.(check bool) "woken by the send" true (Domain.join waiter);
+  Alcotest.(check int) "one block counted" 1 (blocks ());
+  Alcotest.(check int) "nothing consumed" 1 (Channel.length ch);
+  ignore (Channel.try_recv ch : int option);
+  Channel.close ch;
+  Alcotest.(check bool) "closed and empty" false (Channel.wait_nonempty ch);
+  Alcotest.(check int) "no block once closed" 1 (blocks ())
 
 let () =
   Alcotest.run "shard"
@@ -497,6 +594,10 @@ let () =
             test_exec_gives_up_at_max_transactions;
           Alcotest.test_case "cross-shard commit" `Quick test_cross_shard_commit;
           Alcotest.test_case "cross-shard abort propagates" `Quick test_cross_shard_abort_propagates;
+          Alcotest.test_case "cross-shard one reply per participant" `Quick
+            test_cross_shard_one_reply_per_participant;
+          Alcotest.test_case "cross-shard transient failure retried" `Quick
+            test_cross_shard_transient_failure_relaunched;
           Alcotest.test_case "cross-shard body failure not retried" `Quick
             test_cross_shard_body_failure_not_retried;
           Alcotest.test_case "ordered dispatch" `Quick test_ordered_dispatch;
@@ -508,5 +609,8 @@ let () =
           Alcotest.test_case "oracle xgc has teeth" `Quick test_oracle_xgc_negative;
         ] );
       ( "channel",
-        [ Alcotest.test_case "backpressure and close" `Quick test_channel_backpressure_and_close ] );
+        [
+          Alcotest.test_case "backpressure and close" `Quick test_channel_backpressure_and_close;
+          Alcotest.test_case "wait_nonempty counts blocks" `Quick test_channel_wait_nonempty_counts_blocks;
+        ] );
     ]
