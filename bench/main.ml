@@ -740,10 +740,10 @@ let e15_workspace () =
    tracked across PRs. *)
 
 (* One busy fiber takes [yields] steps while [parked] fibers sit on a
-   wake condition.  "versioned" parks register a version watch, so the
-   scheduler skips them while the version is unchanged; "polled" parks
-   re-run every condition after every step — the pre-overhaul O(n)
-   behaviour, kept as the in-binary baseline. *)
+   wake condition.  "versioned" parks are keyed ([Sched.park]), so the
+   scheduler skips them while the clock is unchanged; "polled" parks
+   ([Sched.wait_until]) re-run every condition after every step — the
+   pre-overhaul O(n) behaviour, kept as the in-binary baseline. *)
 let hotpath_sched_case ~parked ~yields ~versioned =
   let s = Sched.create () in
   let ver = ref 0 in
@@ -752,7 +752,7 @@ let hotpath_sched_case ~parked ~yields ~versioned =
     ignore
       (Sched.spawn s ~label:"parked" (fun () ->
            let v = !ver in
-           if versioned then Sched.wait_until ~reason:"parked" ~watch:v (fun () -> !ver > v)
+           if versioned then Sched.park ~reason:"parked" (fun () -> !ver > v)
            else Sched.wait_until ~reason:"parked" (fun () -> !ver > v)))
   done;
   ignore
@@ -1546,7 +1546,7 @@ let e22_mvcc () =
                     attempt ();
                     incr finished)
               done;
-              Sched.wait_until ~reason:"await readers" (fun () -> !finished = n_readers);
+              Sched.park ~reason:"await readers" (fun () -> !finished = n_readers);
               stop := true))
     in
     (db, !reader_commits, !reader_aborts, !writer_commits, dt)

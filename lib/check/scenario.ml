@@ -371,7 +371,7 @@ let run_plans db plans =
           cells.(i) <- Some (Agentic.run_plan ~rng:(Asset_util.Rng.create seed) db plan);
           incr done_))
     plans;
-  Sched.wait_until ~reason:"agents-done" (fun () -> !done_ >= n);
+  Sched.park ~reason:"agents-done" (fun () -> !done_ >= n);
   Array.to_list cells |> List.map Option.get
 
 (* One speculation (two alternates: the first fails after doing

@@ -255,14 +255,6 @@ let is_committed db tid = Status.equal (status db tid) Status.Committed
 let parent_of db tid = (td db tid).parent
 let failure_of db tid = (td db tid).failure
 
-(* Park the current fiber until [ends] holds: the paper's "block and
-   retry later", with the retry taken only once the wait can end.
-   Every wait's predicate reads only state whose changes bump the
-   version, so the scheduler re-checks it once per version advance, at
-   the turn the retry would have run, and resumes the fiber only when
-   it holds. *)
-let park db ~reason ends = Sched.retry_until ~reason ~watch:db.version ends
-
 let is_open = function Status.Initiated | Status.Running -> true | _ -> false
 
 (* Park reasons are built on every park and read only when a run
@@ -350,7 +342,7 @@ let run_body db td =
    been aborted meanwhile; true when [tid] may begin. *)
 let bd_gate db tid masters =
   let denied () = is_aborted db tid || List.exists (is_aborted db) masters in
-  park db ~reason:"begin: BD master not committed" (fun () ->
+  Sched.park ~reason:"begin: BD master not committed" (fun () ->
       List.for_all (is_committed db) masters || denied ());
   not (denied ())
 
@@ -416,7 +408,7 @@ let acquire_lock db td oid mode =
               String.concat "," (List.map Tid.to_string blockers) ]
         in
         let seen = ref db.version in
-        park db ~reason (fun () ->
+        Sched.park ~reason (fun () ->
             if db.version > !seen then begin
               seen := db.version;
               incr rounds
@@ -656,7 +648,7 @@ let rollback_to db sp =
 (* wait                                                                *)
 
 let wait db tid =
-  park db ~reason:("wait(" ^ Tid.to_string tid ^ ")") (fun () -> not (is_open (status db tid)));
+  Sched.park ~reason:("wait(" ^ Tid.to_string tid ^ ")") (fun () -> not (is_open (status db tid)));
   not (is_aborted db tid)
 
 (* ------------------------------------------------------------------ *)
@@ -995,7 +987,7 @@ let commit_group db group =
    must make the transaction a loser — so the acknowledgment parks
    until the quiescence flush forces the batch. *)
 let await_commit_durable db (t : td) =
-  park db ~reason:"commit: awaiting force" (fun () -> Log.forced_lsn db.log >= t.commit_lsn)
+  Sched.park ~reason:"commit: awaiting force" (fun () -> Log.forced_lsn db.log >= t.commit_lsn)
 
 let rec commit db tid =
   let t = td db tid in
@@ -1011,7 +1003,7 @@ let rec commit db tid =
       false
   | Status.Initiated | Status.Running ->
       (* commit is blocking: wait for the execution to complete. *)
-      park db ~reason:(commit_reason tid "awaiting completion") (fun () -> not (is_open t.status));
+      Sched.park ~reason:(commit_reason tid "awaiting completion") (fun () -> not (is_open t.status));
       commit db tid
   | Status.Completed | Status.Committing -> attempt_commit db tid
 
@@ -1044,7 +1036,7 @@ and attempt_commit db tid =
          committing (it was aborted meanwhile). *)
       Asset_util.Stats.Counter.incr db.commit_retries;
       let reason = commit_reason tid (Dep_type.to_string e.Dep.dtype ^ " on " ^ Tid.to_string e.Dep.master) in
-      park db ~reason (fun () ->
+      Sched.park ~reason (fun () ->
           (not (Status.equal t.status Status.Committing))
           || match resolve_non_gc_deps db tid with `Retry _ -> false | `Ready | `Must_abort -> true);
       commit db tid
@@ -1075,7 +1067,7 @@ and attempt_commit db tid =
                  dependencies: wait until a member's verdict (or the
                  group itself) changes. *)
               Asset_util.Stats.Counter.incr db.commit_retries;
-              park db ~reason:(commit_reason tid "group not ready") (fun () ->
+              Sched.park ~reason:(commit_reason tid "group not ready") (fun () ->
                   group_verdicts db (Dep.gc_group db.deps tid) <> verdicts);
               commit db tid
             end
@@ -1100,7 +1092,6 @@ and attempt_commit db tid =
 
 let active_transactions db = Hashtbl.fold (fun tid _ acc -> tid :: acc) db.active []
 
-let version db = db.version
 let store db = db.store
 let log db = db.log
 let locks db = db.locks
@@ -1157,11 +1148,13 @@ let spawn db ~label f = ignore (Sched.spawn (sched db) ~label f)
 (* Park the current fiber until every transaction in [tids] has
    terminated. *)
 let await_terminated db tids =
-  (* Terminated-ness only changes on a version bump, so the wait can be
-     version-keyed. *)
-  Sched.wait_until ~reason:"await batch termination" ~watch:db.version (fun () ->
+  Sched.park ~reason:"await batch termination" (fun () ->
       List.for_all (fun t -> Status.terminated (status db t)) tids)
 
+(* The version is the scheduler's clock.  Every engine wait parks on
+   the predicate that ends it (the paper's "block and retry later",
+   with the retry taken only once the wait can end), and each such
+   predicate reads only state whose changes bump the version. *)
 let attach_scheduler db s =
   db.sched <- Some s;
   Sched.set_on_stall s (resolve_deadlock db);

@@ -276,7 +276,6 @@ val active_transactions : t -> Tid.t list
     status transition. *)
 
 val transaction_count : t -> int
-val version : t -> int
 
 val mvcc_current_ts : t -> int
 (** The newest commit timestamp in the version store. *)

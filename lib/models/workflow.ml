@@ -79,6 +79,12 @@ let run_task db events undo (t : task) =
     false
   end
 
+(* A contestant that has finished executing. *)
+let is_completer db tid =
+  match E.status db tid with
+  | Asset_core.Status.Completed | Asset_core.Status.Committing -> true
+  | _ -> false
+
 (* Race: begin every contestant, wait until one *completes* (finishes
    executing), abort the rest, commit the winner.  If the first
    completer fails to commit, the next completer is tried. *)
@@ -92,14 +98,7 @@ let run_race db events undo (tasks : task list) =
         List.iter (fun (_, tid) -> ignore (E.begin_ db tid)) entries;
         let rec arbitrate remaining =
           (* Find a completed contestant; park until one shows up. *)
-          let completed, others =
-            List.partition
-              (fun (_, tid) ->
-                match E.status db tid with
-                | Asset_core.Status.Completed | Asset_core.Status.Committing -> true
-                | _ -> false)
-              remaining
-          in
+          let completed, others = List.partition (fun (_, tid) -> is_completer db tid) remaining in
           match completed with
           | (winner_task, winner_tid) :: rest -> (
               (* "Whichever completes first wins": abort everyone else. *)
@@ -127,9 +126,9 @@ let run_race db events undo (tasks : task list) =
               match live with
               | [] -> false (* every contestant aborted *)
               | _ ->
-                  let v = E.version db in
-                  Asset_sched.Scheduler.wait_until ~reason:"race: awaiting a completer" ~watch:v
-                    (fun () -> E.version db > v);
+                  Asset_sched.Scheduler.park ~reason:"race: awaiting a completer" (fun () ->
+                      List.exists (fun (_, tid) -> is_completer db tid) live
+                      || List.for_all (fun (_, tid) -> E.is_terminated db tid) live);
                   arbitrate live)
         in
         arbitrate entries

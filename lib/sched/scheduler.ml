@@ -3,34 +3,27 @@
    EOS runs transactions as OS processes that block by spinning; the
    section 4.2 algorithms are phrased as "t_i blocks and retries later
    starting at step 1".  Here every transaction (and the application's
-   main program) is a *fiber*; a blocking primitive performs the
-   [Wait_until] effect, which parks the fiber under a wake condition,
-   and the engine re-evaluates conditions whenever its state changes.
-   This preserves exactly the block-and-retry structure while making
-   every schedule reproducible: given the same policy (FIFO, or seeded
-   random) the interleaving is identical run to run.
+   main program) is a *fiber*; a blocking primitive parks its fiber on
+   the predicate that ends its wait.  This preserves exactly the
+   block-and-retry structure while making every schedule reproducible:
+   given the same policy (FIFO, or seeded random) the interleaving is
+   identical run to run.
 
    Hot-path structure.  The run queue is a growable circular-buffer
    deque: FIFO push/pop and the random policy's swap-remove are all
-   O(1).  Parked fibers come in two kinds.  A *version-keyed* waiter
-   (parked via [wait_until ~watch] when a clock has been registered
-   with [set_clock]) promises that its condition only changes value
-   when the clock advances; such waiters live in a queue ordered by the
-   clock value at which their condition was last seen false, and
-   [wake_ready] re-evaluates only those whose watermark the clock has
-   passed — O(1) per step while the engine version is unchanged,
-   instead of re-running every parked closure after every fiber step.
-   A *retry* waiter ([retry_until]) is version-keyed too, but once the
-   clock passes its watermark [wake_ready] moves it to the run queue
-   as a re-check instead of evaluating it there: when its turn comes
-   the scheduler evaluates the condition and resumes the fiber only if
-   it holds, else parks it again at the new watermark without resuming
-   it.  The fiber keeps the run-queue turn a resume-and-retry would
-   have had, so a precise retry condition removes the useless resumes
-   and leaves the schedule otherwise unchanged.
-   A plain waiter (no [~watch], or no clock registered) is re-polled on
-   every wake sweep, preserving the original semantics for conditions
-   the version counter does not guard.
+   O(1).  A fiber parked with [park] is stamped with the clock value at
+   which its predicate was seen false and waits in a queue ordered by
+   stamp.  The clock is the registered one ([set_clock], the engine's
+   version counter) plus the scheduler's own ticks: one per completed
+   fiber and one per stall hook that reports progress.  Once the clock
+   passes a waiter's stamp, [wake_ready] moves it to the run queue as a
+   re-check, unevaluated; at its turn the scheduler evaluates the
+   predicate and resumes the fiber only if it holds, else stamps it
+   again without resuming it.  The fiber keeps the run-queue turn a
+   resume-and-retry would have had, minus the retries that would block
+   again, and a parked fiber costs nothing while the clock stands
+   still.  A [wait_until] waiter, which no clock guards, is re-polled
+   on every wake sweep.
 
    Deadlock becomes observable rather than a hang: when no fiber is
    runnable and no parked condition is true, the scheduler calls the
@@ -56,8 +49,7 @@ and parked = {
   fiber : fiber;
   cond : unit -> bool;
   reason : string;
-  retry : bool; (* re-checked at its run-queue turn, not in the wake sweep *)
-  mutable watched : int; (* clock value at which [cond] was last seen false *)
+  mutable stamp : int; (* clock value at which [cond] was last seen false *)
 }
 
 exception Deadlock of string list
@@ -140,15 +132,14 @@ module Ring = struct
 end
 
 let rec dummy_fiber = { fid = -1; label = "<free slot>"; resume = (fun () -> ()); recheck = dummy_parked }
-and dummy_parked =
-  { fiber = dummy_fiber; cond = (fun () -> false); reason = "<free slot>"; retry = false; watched = 0 }
+and dummy_parked = { fiber = dummy_fiber; cond = (fun () -> false); reason = "<free slot>"; stamp = 0 }
 
 type t = {
   runnable : fiber Ring.t; (* front = oldest; FIFO pops the front *)
   waiters : parked Ring.t;
-      (* version-keyed waiters in park order; [watched] is nondecreasing
-         front to back and never exceeds the current clock value *)
-  mutable polled : parked list; (* plain waiters, newest first, re-polled every sweep *)
+      (* [park] waiters in stamp order; [stamp] is nondecreasing front
+         to back and never exceeds the current clock value *)
+  mutable polled : parked list; (* [wait_until] waiters, newest first, re-polled every sweep *)
   mutable next_fid : int;
   mutable current : fiber option;
   mutable steps : int;
@@ -157,12 +148,14 @@ type t = {
   chooser : (candidate array -> int) option;
   mutable on_stall : unit -> bool;
   mutable on_quiesce : unit -> unit;
-  mutable clock : (unit -> int) option;
+  mutable clock : unit -> int;
+  mutable ticks : int; (* completed fibers plus stalls resolved: the scheduler's part of the clock *)
 }
 
 type _ Effect.t +=
   | Yield : unit Effect.t
-  | Wait_until : ((unit -> bool) * string * int option * bool) -> unit Effect.t
+  | Wait_until : ((unit -> bool) * string) -> unit Effect.t
+  | Park : ((unit -> bool) * string) -> unit Effect.t
 
 let create ?(policy = Fifo) ?(max_steps = 10_000_000) () =
   {
@@ -177,14 +170,50 @@ let create ?(policy = Fifo) ?(max_steps = 10_000_000) () =
     chooser = (match policy with Controlled f -> Some f | Fifo | Random_seeded _ -> None);
     on_stall = (fun () -> false);
     on_quiesce = (fun () -> ());
-    clock = None;
+    clock = (fun () -> 0);
+    ticks = 0;
   }
 
 let set_on_stall t f = t.on_stall <- f
 let set_on_quiesce t f = t.on_quiesce <- f
-let set_clock t f = t.clock <- Some f
+let set_clock t f = t.clock <- f
+let clock t = t.clock () + t.ticks
 
 let enqueue t fiber = Ring.push_back t.runnable fiber
+
+(* Stamp a waiter with the current clock and queue it.  The clock is
+   monotone, so the queue stays in stamp order. *)
+let park_at_clock t p =
+  p.stamp <- clock t;
+  Ring.push_back t.waiters p
+
+(* A fiber queued as a re-check runs only if its condition holds now;
+   otherwise it parks again at the current clock, and the turn is not a
+   step. *)
+let ready t fiber =
+  let p = fiber.recheck in
+  p == dummy_parked
+  || begin
+       fiber.recheck <- dummy_parked;
+       p.cond () || (park_at_clock t p; false)
+     end
+
+(* A queued re-check whose condition is false resumes nothing and has
+   no footprint, so it is no choice point: park it again before the
+   chooser sees the queue.  One that holds stays a re-check and is
+   evaluated again at each later choice point until it runs. *)
+let drop_failed_rechecks t =
+  let i = ref 0 in
+  while !i < Ring.size t.runnable do
+    let fiber = Ring.get t.runnable !i in
+    let p = fiber.recheck in
+    if p == dummy_parked || p.cond () then incr i
+    else begin
+      ignore (Ring.remove_at t.runnable !i);
+      fiber.recheck <- dummy_parked;
+      park_at_clock t p
+    end
+  done
 
 (* Pop the next fiber according to the policy.  FIFO takes the front
    (oldest); random swap-removes a uniformly random element.  The
@@ -192,6 +221,7 @@ let enqueue t fiber = Ring.push_back t.runnable fiber
    newest-first list representation, so a given seed keeps selecting
    the same fiber at each decision point. *)
 let pop_runnable t =
+  if Option.is_some t.chooser then drop_failed_rechecks t;
   let n = Ring.size t.runnable in
   if n = 0 then None
   else
@@ -220,26 +250,11 @@ let pop_runnable t =
 
 let current_fid t = match t.current with Some f -> f.fid | None -> -1
 
-(* Park the current fiber.  A watched park (with a registered clock)
-   re-evaluates the condition once here: the caller's snapshot may be
-   stale — the clock may have advanced between the caller reading it
-   and the park — so a condition that is already true joins the polled
-   list and wakes on the next sweep, and one that is false is enqueued
-   with the *current* clock value as its watermark (the condition was
-   just seen false at this clock reading, so nothing can be missed). *)
-let park t entry ~watch =
-  match (watch, t.clock) with
-  | Some _, Some clock ->
-      if entry.cond () then t.polled <- entry :: t.polled
-      else begin
-        entry.watched <- clock ();
-        Ring.push_back t.waiters entry
-      end
-  | _ -> t.polled <- entry :: t.polled
-
 let handler t fiber =
   {
-    Effect.Deep.retc = (fun () -> ());
+    (* A completed fiber advances the clock, so "N fibers done" can be
+       a [park]. *)
+    Effect.Deep.retc = (fun () -> t.ticks <- t.ticks + 1);
     exnc = (fun e -> raise (Fiber_failed (fiber.label, e)));
     effc =
       (fun (type a) (eff : a Effect.t) ->
@@ -249,11 +264,16 @@ let handler t fiber =
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 fiber.resume <- (fun () -> Effect.Deep.continue k ());
                 enqueue t fiber)
-        | Wait_until (cond, reason, watch, retry) ->
+        | Wait_until (cond, reason) ->
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
                 fiber.resume <- (fun () -> Effect.Deep.continue k ());
-                park t { fiber; cond; reason; retry; watched = 0 } ~watch)
+                t.polled <- { fiber; cond; reason; stamp = 0 } :: t.polled)
+        | Park (cond, reason) ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                fiber.resume <- (fun () -> Effect.Deep.continue k ());
+                park_at_clock t { fiber; cond; reason; stamp = 0 })
         | _ -> None);
   }
 
@@ -269,21 +289,14 @@ let spawn t ~label body =
 (* Primitives available inside fibers. *)
 let yield () = Effect.perform Yield
 
-let wait_until ?(reason = "condition") ?watch cond =
-  if not (cond ()) then Effect.perform (Wait_until (cond, reason, watch, false))
+let wait_until ?(reason = "condition") cond =
+  if not (cond ()) then Effect.perform (Wait_until (cond, reason))
 
-let retry_until ?(reason = "condition") ~watch cond =
-  if not (cond ()) then Effect.perform (Wait_until (cond, reason, Some watch, true))
+let park ?(reason = "condition") cond = if not (cond ()) then Effect.perform (Park (cond, reason))
 
-let wake t p = enqueue t p.fiber
-
-(* Wake every parked fiber whose condition now holds.  Plain waiters
-   are re-polled in park order; version-keyed waiters are re-evaluated
-   only while their watermark is behind the clock, and a still-false
-   condition is re-queued at the new watermark (the queue stays sorted
-   because the clock is monotone).  A retry waiter behind the clock is
-   queued to run as a re-check, unevaluated.  Returns true if anything
-   woke or was queued. *)
+(* Wake every polled waiter whose condition now holds, in park order,
+   and queue every [park] waiter whose stamp the clock has passed as a
+   re-check, unevaluated.  Returns true if anything was queued. *)
 let wake_ready t =
   let woke = ref false in
   (match t.polled with
@@ -294,32 +307,15 @@ let wake_ready t =
       List.iter
         (fun p ->
           woke := true;
-          wake t p)
+          enqueue t p.fiber)
         (List.rev ready));
-  (match t.clock with
-  | None -> ()
-  | Some clock ->
-      let now = clock () in
-      let continue = ref true in
-      while !continue && not (Ring.is_empty t.waiters) do
-        if (Ring.peek_front t.waiters).watched >= now then continue := false
-        else begin
-          let p = Ring.pop_front t.waiters in
-          if p.retry then begin
-            p.fiber.recheck <- p;
-            woke := true;
-            wake t p
-          end
-          else if p.cond () then begin
-            woke := true;
-            wake t p
-          end
-          else begin
-            p.watched <- now;
-            Ring.push_back t.waiters p
-          end
-        end
-      done);
+  let now = clock t in
+  while (not (Ring.is_empty t.waiters)) && (Ring.peek_front t.waiters).stamp < now do
+    let p = Ring.pop_front t.waiters in
+    p.fiber.recheck <- p;
+    woke := true;
+    enqueue t p.fiber
+  done;
   !woke
 
 let no_parked t = t.polled = [] && Ring.is_empty t.waiters
@@ -329,21 +325,8 @@ let no_parked t = t.polled = [] && Ring.is_empty t.waiters
 let parked_entries t =
   Ring.fold t.waiters ~init:t.polled ~f:(fun acc p -> p :: acc)
 
-(* A fiber queued as a re-check runs only if its condition holds now;
-   otherwise it parks again at the current clock value, and the turn
-   is not a step. *)
-let ready t fiber =
-  let p = fiber.recheck in
-  p == dummy_parked
-  || begin
-       fiber.recheck <- dummy_parked;
-       p.cond ()
-       || begin
-            (match t.clock with Some clock -> p.watched <- clock () | None -> ());
-            Ring.push_back t.waiters p;
-            false
-          end
-     end
+let deadlock t =
+  Deadlock (List.map (fun p -> Printf.sprintf "%s: %s" p.fiber.label p.reason) (parked_entries t))
 
 let run t =
   let rec loop () =
@@ -375,17 +358,13 @@ let run t =
           t.on_stall ()
         end
         then begin
+          (* Progress advances the clock: every [park] waiter is
+             re-checked. *)
+          t.ticks <- t.ticks + 1;
           ignore (wake_ready t);
-          if Ring.is_empty t.runnable && not (wake_ready t) then
-            raise
-              (Deadlock
-                 (List.map (fun p -> Printf.sprintf "%s: %s" p.fiber.label p.reason) (parked_entries t)))
-          else loop ()
+          if Ring.is_empty t.runnable then raise (deadlock t) else loop ()
         end
-        else
-          raise
-            (Deadlock
-               (List.map (fun p -> Printf.sprintf "%s: %s" p.fiber.label p.reason) (parked_entries t)))
+        else raise (deadlock t)
   in
   loop ()
 

@@ -1,17 +1,16 @@
 (** Deterministic cooperative scheduler over OCaml 5 effect handlers.
 
     Every transaction (and the application's main program) runs in a
-    fiber; a blocking primitive parks its fiber under a wake condition
-    and the scheduler re-evaluates conditions on every state change —
-    preserving the section-4.2 "blocks and retries" structure while
-    making every schedule reproducible (FIFO, or seeded random).
+    fiber; a blocking primitive parks its fiber on the predicate that
+    ends its wait ({!park}) — the section-4.2 "blocks and retries"
+    structure, minus the retries that would block again, with every
+    schedule reproducible (FIFO, or seeded random).
 
     The hot paths are O(1): the run queue is a circular-buffer deque
     (FIFO pop and the random policy's swap-remove are constant time),
-    and parked fibers whose condition is guarded by the engine's
-    version counter ({!wait_until} with [~watch], after {!set_clock})
-    are only re-evaluated once the counter has advanced past the value
-    at which the condition was last seen false.
+    and a parked predicate is re-checked only once the scheduler's
+    clock has advanced past the value at which it was last seen
+    false.
 
     Deadlock is observable rather than a hang: when no fiber is
     runnable and no parked condition holds, the [on_stall] hook runs
@@ -31,7 +30,9 @@ type policy =
           to run next — the hook systematic explorers drive to
           enumerate every interleaving.  Called even when only one
           fiber is runnable, so strategies observe every segment
-          boundary.  An out-of-range return raises [Invalid_argument]. *)
+          boundary.  A queued {!park} re-check whose predicate is
+          false is parked again first, so it is never a candidate.  An
+          out-of-range return raises [Invalid_argument]. *)
 
 type t
 
@@ -44,7 +45,8 @@ val create : ?policy:policy -> ?max_steps:int -> unit -> t
 
 val set_on_stall : t -> (unit -> bool) -> unit
 (** The hook must return true iff it made progress (e.g. aborted a
-    victim and bumped a version counter). *)
+    victim).  A true return advances the clock, so every {!park}
+    waiter is re-checked. *)
 
 val set_on_quiesce : t -> (unit -> unit) -> unit
 (** Called whenever the run queue empties (before wake conditions are
@@ -52,9 +54,11 @@ val set_on_quiesce : t -> (unit -> unit) -> unit
     log forces.  The hook must not spawn or wake fibers. *)
 
 val set_clock : t -> (unit -> int) -> unit
-(** Register the monotone version counter that guards watched waits
-    (the engine's state-change counter).  Without a clock, [~watch] is
-    ignored and every parked condition is re-polled on each sweep. *)
+(** Register a monotone counter that advances whenever a {!park}
+    predicate may change value (the engine's state-change counter).
+    The scheduler's clock is this counter plus one tick per completed
+    fiber and per stall hook that reports progress; without a
+    registered counter it is the ticks alone. *)
 
 val spawn : t -> label:string -> (unit -> unit) -> int
 (** Enqueue a fiber; returns its id.  Callable from inside or outside
@@ -72,24 +76,21 @@ val run_main : ?policy:policy -> ?max_steps:int -> (unit -> unit) -> t
 
 val yield : unit -> unit
 
-val wait_until : ?reason:string -> ?watch:int -> (unit -> bool) -> unit
-(** Park until the condition holds (checked immediately first).
-    [~watch:v] registers the clock snapshot the caller based its
-    decision on and promises the condition only changes value when the
-    clock advances; the scheduler then skips re-evaluating it until
-    the clock passes the point where the condition was last seen
-    false.  A stale snapshot is safe: the condition is re-checked at
-    park time against the current clock reading. *)
+val park : ?reason:string -> (unit -> bool) -> unit
+(** Park until the condition holds (checked immediately first).  The
+    condition should change value only when the clock advances; a
+    change made otherwise (say, by another domain) is seen at the next
+    advance.  Once
+    the clock passes the value at which it was seen false, the fiber
+    takes its turn in the run queue, where a block-and-retry loop would
+    have retried, and the scheduler evaluates the condition there: the
+    fiber resumes only if it holds, else parks again without resuming
+    and without counting a step. *)
 
-val retry_until : ?reason:string -> watch:int -> (unit -> bool) -> unit
-(** The block-and-retry loop of a fiber that retries on every clock
-    advance, minus the retries that would block again.  Parks like
-    [wait_until ~watch]; once the clock has advanced the fiber takes
-    its turn in the run queue, where it would have retried, and the
-    scheduler evaluates the condition there: the fiber resumes only if
-    it holds, else parks again without resuming and without counting a
-    step.  The schedule is that of the retry loop.  The condition must
-    be true whenever the retry would not block again. *)
+val wait_until : ?reason:string -> (unit -> bool) -> unit
+(** Park until the condition holds (checked immediately first),
+    re-polling it after every step.  For conditions no clock guards;
+    each such waiter costs one evaluation per step. *)
 
 (** {2 Introspection} *)
 

@@ -96,13 +96,13 @@ let handle_exec st body max_retries =
 let handle_participate st decisions gid body reply =
   let eng = st.engine in
   let part = E.initiate eng (fun () -> body eng) in
-  (* The wait condition is re-polled by the scheduler's wake sweep,
-     outside any fiber, where [E.self] is null — so the stub watches
-     its own tid through a ref filled in right after initiate. *)
+  (* The scheduler re-checks the wait condition between fibers, where
+     [E.self] is null — so the stub watches its own tid through a ref
+     filled in right after initiate. *)
   let stub_tid = ref Tid.null in
   let stub =
     E.initiate eng (fun () ->
-        Sched.wait_until ~reason:"xshard decision" (fun () ->
+        Sched.park ~reason:"xshard decision" (fun () ->
             (not (Hashtbl.mem decisions gid))
             || ((not (Tid.is_null !stub_tid)) && E.is_aborted eng !stub_tid));
         if E.is_aborted eng !stub_tid then raise (E.Txn_aborted !stub_tid))
@@ -162,8 +162,12 @@ let presume_abort st decisions =
 
 (* The pump fiber: drains the inbox from inside the scheduler, so
    message handling interleaves cooperatively with transaction
-   fibers.  Parks on a polled condition; the stall hook below does the
-   actual cross-domain blocking. *)
+   fibers.  Parks until the inbox holds a message or is closed.  Another
+   domain fills the inbox without advancing this scheduler's clock, so
+   the pump is re-checked on the next engine bump or fiber completion;
+   when nothing else can run, the stall hook below blocks on the
+   mailbox and reports progress once it is non-empty, which advances
+   the clock. *)
 let rec pump st decisions =
   match Channel.try_recv st.inbox with
   | Some m ->
@@ -172,7 +176,7 @@ let rec pump st decisions =
   | None ->
       if Channel.is_closed st.inbox then presume_abort st decisions
       else begin
-        Sched.wait_until ~reason:"shard inbox" (fun () ->
+        Sched.park ~reason:"shard inbox" (fun () ->
             (not (Channel.is_empty st.inbox)) || Channel.is_closed st.inbox);
         pump st decisions
       end

@@ -356,7 +356,7 @@ let run_agents ?(max_retries = 4) db ~seed ~agents ~docs =
   (* Park until every agent fiber finished; agents run their own
      transactions to completion, so quiescence of the scheduler is
      reached exactly when all are done. *)
-  Sched.wait_until ~reason:"agents-done" (fun () -> !done_ >= agents);
+  Sched.park ~reason:"agents-done" (fun () -> !done_ >= agents);
   Array.to_list outcomes |> List.filter_map Fun.id
 
 let total_spend os = List.fold_left (fun acc o -> acc + o.o_spend) 0 os

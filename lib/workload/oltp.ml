@@ -183,7 +183,7 @@ let run_mix ?(max_retries = 4) ?(snapshot_readers = false) ?(rmw = false) db ~se
         | Gave_up | Failed _ -> st.s_gave_up <- st.s_gave_up + 1);
         incr done_)
   done;
-  Sched.wait_until ~reason:"oltp-done" (fun () -> !done_ >= txns);
+  Sched.park ~reason:"oltp-done" (fun () -> !done_ >= txns);
   stats
 
 (* --- invariants --- *)

@@ -164,7 +164,7 @@ let run_bodies_with_retry ?(max_retries = 3) ~rng db bodies =
           (match outcome with Committed _ -> incr committed | Gave_up | Failed _ -> incr gave_up);
           incr finished))
     bodies;
-  Asset_sched.Scheduler.wait_until ~reason:"await retry drivers" (fun () -> !finished = n);
+  Asset_sched.Scheduler.park ~reason:"await retry drivers" (fun () -> !finished = n);
   { r_committed = !committed; r_retries = !retries; r_gave_up = !gave_up }
 
 let stat db name = List.assoc name (E.stats db)

@@ -19,12 +19,33 @@ let pp_failure = function
 
 (* --- exhaustive exploration of every canned scenario ------------- *)
 
-(* The big scenarios run in a couple of seconds each; the full list is
-   the point of the harness, so all ten are explored exhaustively. *)
+(* POR schedules per scenario, at most.  A choice point that offers
+   only a no-op (a parked fiber whose re-check fails) multiplies the
+   tree; these ceilings keep such choice points from creeping back.
+   Lower them when a change shrinks a tree. *)
+let max_schedules =
+  [
+    ("handoff", 35); ("disjoint-writers", 292); ("split-handoff", 3); ("saga-compensation", 1);
+    ("contingent-alternates", 1); ("coop-permits", 360); ("cross-locks", 117); ("cd-chain", 30);
+    ("stale-permit-chain", 57); ("delegate-pending", 160); ("escrow-bounds", 31);
+    ("snapshot-reader", 460); ("agent-speculation", 141); ("agent-handoff", 98);
+    ("oltp-mini", 2452);
+  ]
+
+(* The full list is the point of the harness, so every scenario is
+   explored exhaustively. *)
 let test_all_scenarios_pass () =
   List.iter
     (fun (s : S.t) ->
       let r = C.explore s in
+      let ceiling =
+        match List.assoc_opt s.name max_schedules with
+        | Some n -> n
+        | None -> Alcotest.failf "%s: no schedule ceiling" s.name
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d schedules <= %d" s.name r.schedules ceiling)
+        true (r.schedules <= ceiling);
       Alcotest.(check bool)
         (Printf.sprintf "%s: tree fully explored" s.name)
         true r.completed;

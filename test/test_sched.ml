@@ -226,10 +226,10 @@ let test_golden_engine_trace () =
     "6f1c4c44b04c6d8bd0b8912e7e08572c" (digest (List.map Trace.entry_to_json entries))
 
 (* ------------------------------------------------------------------ *)
-(* Version-keyed wait queues                                           *)
+(* Keyed parks                                                         *)
 
 let test_watched_wait_not_repolled () =
-  (* While the clock stands still, a watched condition must not be
+  (* While the clock stands still, a parked condition must not be
      re-evaluated on every step — that is the whole point. *)
   let s = S.create () in
   let ver = ref 0 in
@@ -238,7 +238,7 @@ let test_watched_wait_not_repolled () =
   ignore
     (S.spawn s ~label:"waiter" (fun () ->
          let v = !ver in
-         S.wait_until ~reason:"versioned" ~watch:v (fun () ->
+         S.park ~reason:"versioned" (fun () ->
              incr evals;
              !ver > v)));
   ignore
@@ -249,14 +249,13 @@ let test_watched_wait_not_repolled () =
          incr ver));
   S.run s;
   Alcotest.(check bool) "woke" true (S.parked_count s = 0);
-  (* Pre-check + park-time check + the post-bump wakeup: a handful of
-     evaluations, not one per scheduler step. *)
+  (* Pre-check + the post-bump re-check: a handful of evaluations, not
+     one per scheduler step. *)
   Alcotest.(check bool) (Printf.sprintf "few evaluations (%d)" !evals) true (!evals <= 5)
 
 let test_unwatched_wait_still_polled () =
-  (* No watch: the condition is re-polled even though the clock never
-     moves — the legacy contract for conditions the version counter
-     does not guard. *)
+  (* [wait_until] re-polls its condition even though the clock never
+     moves — the contract for conditions no clock guards. *)
   let s = S.create () in
   S.set_clock s (fun () -> 0);
   let flag = ref false in
@@ -269,32 +268,6 @@ let test_unwatched_wait_still_polled () =
   S.run s;
   Alcotest.(check bool) "woke without a version bump" true !woke
 
-let test_stale_watch_already_true_wakes () =
-  (* The caller's snapshot is stale: the condition became true before
-     the park.  The fiber must still wake (the scheduler re-checks the
-     condition at park time). *)
-  let s = S.create () in
-  let ver = ref 10 in
-  S.set_clock s (fun () -> !ver);
-  let woke = ref false in
-  ignore
-    (S.spawn s ~label:"stale" (fun () ->
-         (* Force an actual park by racing: the condition flips while
-            the fiber is between reading the snapshot and parking —
-            modelled by a condition that is true from the start but a
-            stale watch value from long ago. *)
-         S.wait_until ~reason:"stale" ~watch:0
-           (let first = ref true in
-            fun () ->
-              if !first then begin
-                first := false;
-                false (* pre-check: pretend not ready, forcing the park *)
-              end
-              else true);
-         woke := true));
-  S.run s;
-  Alcotest.(check bool) "stale-watched fiber woke" true !woke
-
 let test_watched_wakes_on_version_advance () =
   let s = S.create () in
   let ver = ref 0 in
@@ -304,18 +277,18 @@ let test_watched_wakes_on_version_advance () =
     ignore
       (S.spawn s ~label:(Printf.sprintf "w%d" i) (fun () ->
            let v = !ver in
-           S.wait_until ~reason:"versioned" ~watch:v (fun () -> !ver > v);
+           S.park ~reason:"versioned" (fun () -> !ver > v);
            order := i :: !order))
   done;
   ignore (S.spawn s ~label:"bump" (fun () -> incr ver));
   S.run s;
   Alcotest.(check (list int)) "all woke in park order" [ 1; 2; 3 ] (List.rev !order)
 
-(* Three ways for fibers A and B to wait for [flag] under a version
-   clock: a loop that resumes and retries on every advance, one
-   [retry_until], and one watched [wait_until].  A parks first; D bumps
-   the clock before B parks, idles a turn, then sets the flag and bumps
-   again.  Returns the order A and B got through, and the steps run. *)
+(* Two ways for fibers A and B to wait for [flag] under a version
+   clock: a loop that resumes and retries on every advance, and one
+   [park].  A parks first; D bumps the clock before B parks, idles a
+   turn, then sets the flag and bumps again.  Returns the order A and
+   B got through, and the steps run. *)
 let two_waiters wait =
   let s = S.create () in
   let ver = ref 0 and flag = ref false and order = ref [] in
@@ -337,7 +310,7 @@ let resume_and_retry ver flag =
   let rec loop () =
     if not !flag then begin
       let v = !ver in
-      S.wait_until ~reason:"retry" ~watch:v (fun () -> !ver > v);
+      S.park ~reason:"retry" (fun () -> !ver > v);
       loop ()
     end
   in
@@ -345,20 +318,77 @@ let resume_and_retry ver flag =
 
 let test_retry_keeps_turn () =
   (* A's re-check runs at the turn its retry had, after B parked, so B
-     now queues ahead of A — as with the retry loop.  A watched wait is
-     re-evaluated in the wake sweep and keeps A ahead. *)
+     queues ahead of A — as with the retry loop. *)
   let retry_order, retry_steps = two_waiters resume_and_retry in
-  let order, steps =
-    two_waiters (fun ver flag -> S.retry_until ~reason:"flag" ~watch:!ver (fun () -> !flag))
-  in
-  let watched_order, _ =
-    two_waiters (fun ver flag -> S.wait_until ~reason:"flag" ~watch:!ver (fun () -> !flag))
-  in
+  let order, steps = two_waiters (fun _ flag -> S.park ~reason:"flag" (fun () -> !flag)) in
   Alcotest.(check (list string)) "retry loop order" [ "B"; "A" ] retry_order;
-  Alcotest.(check (list string)) "retry_until keeps it" retry_order order;
-  Alcotest.(check (list string)) "watched wait differs" [ "A"; "B" ] watched_order;
+  Alcotest.(check (list string)) "park keeps it" retry_order order;
   (* The retry loop resumed A once for nothing; that turn is no step. *)
   Alcotest.(check int) "one resume fewer" (retry_steps - 1) steps
+
+let test_failed_recheck_no_choice () =
+  (* W parks on [flag]; D bumps the clock twice with the flag still
+     false, so W is queued as a re-check that fails, then sets it.  The
+     chooser must only ever see W once its condition holds. *)
+  let ver = ref 0 and flag = ref false in
+  let w = ref (-1) and offered = ref [] in
+  let choose (cands : S.candidate array) =
+    if Array.exists (fun (c : S.candidate) -> c.cfid = !w) cands then offered := !flag :: !offered;
+    0
+  in
+  let s = S.create ~policy:(S.Controlled choose) () in
+  S.set_clock s (fun () -> !ver);
+  w := S.spawn s ~label:"W" (fun () -> S.park ~reason:"flag" (fun () -> !flag));
+  ignore
+    (S.spawn s ~label:"D" (fun () ->
+         for _ = 1 to 2 do
+           incr ver;
+           S.yield ()
+         done;
+         flag := true;
+         incr ver;
+         S.yield ()));
+  S.run s;
+  Alcotest.(check int) "W done" 0 (S.parked_count s);
+  (* Only W's first turn, where it parks, sees the flag false; its two
+     failed re-checks are never offered. *)
+  Alcotest.(check int) "W offered with the flag false" 1 (List.length (List.filter not !offered));
+  Alcotest.(check bool) "W offered once it can run" true (List.mem true !offered)
+
+let test_completion_advances_clock () =
+  (* No registered clock: each fiber's completion alone re-checks the
+     "all done" wait. *)
+  let s = S.create () in
+  let done_ = ref 0 and evals = ref 0 and woke = ref false in
+  ignore
+    (S.spawn s ~label:"main" (fun () ->
+         for i = 1 to 3 do
+           ignore
+             (S.spawn s ~label:(string_of_int i) (fun () ->
+                  S.yield ();
+                  incr done_))
+         done;
+         S.park ~reason:"all done" (fun () ->
+             incr evals;
+             !done_ = 3);
+         woke := true));
+  S.run s;
+  Alcotest.(check bool) "woke" true !woke;
+  (* The pre-check and one re-check per completion at most. *)
+  Alcotest.(check bool) (Printf.sprintf "few evaluations (%d)" !evals) true (!evals <= 4)
+
+let test_stall_progress_advances_clock () =
+  let rescued = ref false and woke = ref false in
+  let s = S.create () in
+  S.set_on_stall s (fun () ->
+      rescued := true;
+      true);
+  ignore
+    (S.spawn s ~label:"waiter" (fun () ->
+         S.park ~reason:"rescue" (fun () -> !rescued);
+         woke := true));
+  S.run s;
+  Alcotest.(check bool) "woke" true !woke
 
 (* ------------------------------------------------------------------ *)
 (* Deque ordering                                                      *)
@@ -383,7 +413,7 @@ let test_fifo_deque_multi_round () =
   Alcotest.(check bool) "round robin preserved" true (List.rev !order = expected)
 
 let test_random_with_parks_completes () =
-  (* Random policy (swap-remove path) combined with watched parks:
+  (* Random policy (swap-remove path) combined with keyed parks:
      every fiber still completes and the same seed reproduces the
      schedule. *)
   let run seed =
@@ -395,8 +425,7 @@ let test_random_with_parks_completes () =
       ignore
         (S.spawn s ~label:(string_of_int i) (fun () ->
              S.yield ();
-             let v = !ver in
-             S.wait_until ~reason:"gate" ~watch:v (fun () -> !ver >= 1);
+             S.park ~reason:"gate" (fun () -> !ver >= 1);
              order := i :: !order))
     done;
     ignore
@@ -489,7 +518,11 @@ let () =
           Alcotest.test_case "watched wait not re-polled" `Quick test_watched_wait_not_repolled;
           Alcotest.test_case "unwatched wait still polled" `Quick test_unwatched_wait_still_polled;
           Alcotest.test_case "retry keeps its turn" `Quick test_retry_keeps_turn;
-          Alcotest.test_case "stale watch still wakes" `Quick test_stale_watch_already_true_wakes;
+          Alcotest.test_case "failed re-check is no choice point" `Quick test_failed_recheck_no_choice;
+          Alcotest.test_case "fiber completion advances the clock" `Quick
+            test_completion_advances_clock;
+          Alcotest.test_case "stall progress advances the clock" `Quick
+            test_stall_progress_advances_clock;
           Alcotest.test_case "watched wake on version advance" `Quick
             test_watched_wakes_on_version_advance;
           Alcotest.test_case "fifo deque multi-round" `Quick test_fifo_deque_multi_round;
