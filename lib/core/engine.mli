@@ -69,9 +69,10 @@ type config = {
           budget that tick exhausts becomes runnable.  0 (the default)
           disables. *)
   checkpoint_log_bytes : int;
-      (** Take a fuzzy checkpoint (and retire dead WAL segments) from
-          the commit path whenever this many framed log bytes have been
-          appended since the last checkpoint.  Checked after each
+      (** Take a fuzzy checkpoint (and, over a durable store, retire
+          dead WAL segments) from the commit path whenever this many
+          framed log bytes have been appended since the last
+          checkpoint.  Checked after each
           commit group; a checkpoint that fails with a storage fault is
           skipped (the commit it rode on stays durable) and the meter
           backs off one threshold.  0 (the default) disables. *)
@@ -261,8 +262,12 @@ val checkpoint : t -> int
     [Begin_ckpt]/[End_ckpt] pair around a store flush, then retire WAL
     segments wholly below the begin LSN.  Safe while transactions run
     — the cooperative scheduler makes the captured table a consistent
-    cut.  Returns the begin LSN (the redo watermark).  Also fired
-    automatically from the commit path by [checkpoint_log_bytes]. *)
+    cut.  Returns the begin LSN (the redo watermark).  Over a store
+    that is not {!Asset_storage.Store.durable} only the [Begin_ckpt]
+    is logged: an incomplete pair never anchors recovery, so redo
+    starts at the log's first record, and no segment is retired.
+    Also fired automatically from the commit path by
+    [checkpoint_log_bytes]. *)
 
 val flush_pending_commits : t -> unit
 (** Force the log over any staged commit records and wake the

@@ -21,6 +21,7 @@ let to_store ?(name = "heap") (t : t) : Store.t =
     iter = (fun f -> Hashtbl.iter f t);
     size = (fun () -> Hashtbl.length t);
     flush = (fun () -> ());
+    durable = false;
     mvcc = None;
   }
 

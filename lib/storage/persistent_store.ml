@@ -171,5 +171,6 @@ let to_store ?(name = "persistent") t : Store.t =
     iter = (fun f -> iter t f);
     size = (fun () -> size t);
     flush = (fun () -> flush t);
+    durable = true;
     mvcc = None;
   }

@@ -45,6 +45,7 @@ type t = {
   iter : (Oid.t -> Value.t -> unit) -> unit;
   size : unit -> int;
   flush : unit -> unit;
+  durable : bool; (* whether [flush] makes the contents survive a crash *)
   mvcc : mvcc option;
 }
 
@@ -62,6 +63,7 @@ let exists t oid = t.exists oid
 let iter t f = t.iter f
 let size t = t.size ()
 let flush t = t.flush ()
+let durable t = t.durable
 
 (* Full dump as a sorted association list; used by tests to compare the
    outcome of a concurrent schedule against a serial reference run.

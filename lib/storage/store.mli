@@ -32,6 +32,10 @@ type t = {
   iter : (Oid.t -> Value.t -> unit) -> unit;
   size : unit -> int;
   flush : unit -> unit;
+  durable : bool;
+      (** Whether [flush] makes the contents survive a crash: false for
+          the heap store, true for the persistent store.  A checkpoint
+          over a store that is not durable cannot anchor recovery. *)
   mvcc : mvcc option;
 }
 
@@ -49,6 +53,8 @@ val size : t -> int
 
 val flush : t -> unit
 (** Make the current contents durable (no-op for the heap store). *)
+
+val durable : t -> bool
 
 val dump : t -> (Oid.t * Value.t) list
 (** Full contents as an oid-sorted association list; a debugging

@@ -26,6 +26,14 @@
    from [start_lsn] so the commit-time MVCC publish can still resolve
    live transactions' update LSNs.
 
+   The current segment is zero-filled ahead of its data, 64 KiB at a
+   time up to the segment's limit, so a force overwrites blocks the
+   file already has and its fsync commits no file-size change.
+   [close] cuts the zero tail; a sealed segment never has one (the
+   fill stops at the limit, and rotation waits for the data to reach
+   it).  Only a crash leaves a zero tail, which [load_dir] reads as
+   the end of the data (see [parse_file]) and truncates away.
+
    The sink is a raw [Unix.file_descr], not an [out_channel]: the fault
    harness's simulated power loss ([crash]) must discard exactly the
    staged-but-undrained bytes, which requires the userspace buffering
@@ -37,7 +45,9 @@
    "wal.after_force" once the bytes are durable but before the
    in-memory forced-LSN advances, "wal.torn_write" in the drain itself
    — armed with any policy it writes *half* the staged bytes and then
-   crashes, modelling a torn multi-sector write — and the retirement
+   crashes, modelling a torn multi-sector write — "wal.extend" before
+   a zero fill, "wal.torn_extend" inside it (half the zeros, then a
+   crash), and the retirement
    triple "wal.retire.manifest" / "wal.retire.unlink" /
    "wal.retire.sync_dir" bracketing each step of the delete
    protocol. *)
@@ -61,6 +71,8 @@ let site_append = Fault.register "wal.append"
 let site_force = Fault.register "wal.force"
 let site_after_force = Fault.register "wal.after_force"
 let site_torn = Fault.register "wal.torn_write"
+let site_extend = Fault.register "wal.extend"
+let site_torn_extend = Fault.register "wal.torn_extend"
 let site_retire_manifest = Fault.register "wal.retire.manifest"
 let site_retire_unlink = Fault.register "wal.retire.unlink"
 let site_retire_sync_dir = Fault.register "wal.retire.sync_dir"
@@ -76,7 +88,9 @@ type sink = {
   mutable crashed : bool;
   mutable sealed : seg list; (* oldest first; immutable, fsynced in full *)
   mutable cur : seg;
-  mutable cur_bytes : int;
+  mutable cur_bytes : int; (* framed bytes of [cur], drained or staged *)
+  mutable drained : int; (* the data end: bytes of [cur] written to the file *)
+  mutable zeroed : int; (* the file's zero-filled end; never past [limit] *)
   mutable retired : int;
 }
 
@@ -212,7 +226,21 @@ let read_manifest dir =
    [dir], through [fd]. *)
 let open_segments ~dir ~limit ~retired ~sealed cur cur_bytes fd =
   let buf = Buffer.create 4096 in
-  make (Some { dir; limit; fd; buf; crashed = false; sealed; cur; cur_bytes; retired })
+  make
+    (Some
+       {
+         dir;
+         limit;
+         fd;
+         buf;
+         crashed = false;
+         sealed;
+         cur;
+         cur_bytes;
+         drained = cur_bytes;
+         zeroed = cur_bytes;
+         retired;
+       })
 
 let create_dir ?(segment_bytes = 1 lsl 20) dir =
   let limit = max 1 segment_bytes in
@@ -225,8 +253,42 @@ let create_dir ?(segment_bytes = 1 lsl 20) dir =
 
 (* ---------- appending ---------- *)
 
+(* The current segment is zero-filled ahead of its data, [zero_step]
+   bytes at a time up to the segment's [limit], so a drain overwrites
+   blocks the file already has: the fsync that follows then commits
+   data only, not a file-size change as well.  Loading reads an
+   all-zero frame header followed by nothing but zeros as the end of
+   the data. *)
+let zero_step = 1 lsl 16
+let zeros = Bytes.make zero_step '\000'
+
+(* Zero-fill [zeroed, target) and seek back to the data end. *)
+let extend sink target =
+  let from = sink.zeroed in
+  Fault.io site_extend (fun () ->
+      ignore (Unix.lseek sink.fd from Unix.SEEK_SET);
+      let torn = Fault.check site_torn_extend <> None in
+      let upto = if torn then from + ((target - from) / 2) else target in
+      let rec fill pos =
+        if pos < upto then begin
+          let n = min zero_step (upto - pos) in
+          write_all sink.fd zeros 0 n;
+          fill (pos + n)
+        end
+      in
+      fill from;
+      (* A torn fill: part of the zeros reach the disk, then the
+         machine dies. *)
+      if torn then raise (Fault.Crash "wal.torn_extend");
+      ignore (Unix.lseek sink.fd sink.drained Unix.SEEK_SET));
+  sink.zeroed <- target
+
 let drain sink =
-  if Buffer.length sink.buf > 0 then begin
+  let n = Buffer.length sink.buf in
+  if n > 0 then begin
+    let data_end = sink.drained + n in
+    if data_end > sink.zeroed && sink.zeroed < sink.limit then
+      extend sink (min sink.limit ((data_end / zero_step + 1) * zero_step));
     let staged = Buffer.contents sink.buf in
     match Fault.check site_torn with
     | Some _ ->
@@ -235,12 +297,12 @@ let drain sink =
            process state is irrelevant, the harness discards it. *)
         Buffer.clear sink.buf;
         Fault.protect "wal.drain" (fun () ->
-            write_all sink.fd (Bytes.unsafe_of_string staged) 0 (String.length staged / 2));
+            write_all sink.fd (Bytes.unsafe_of_string staged) 0 (n / 2));
         raise (Fault.Crash "wal.torn_write")
     | None ->
         Buffer.clear sink.buf;
-        Fault.protect "wal.drain" (fun () ->
-            write_all sink.fd (Bytes.unsafe_of_string staged) 0 (String.length staged))
+        Fault.protect "wal.drain" (fun () -> write_all sink.fd (Bytes.unsafe_of_string staged) 0 n);
+        sink.drained <- data_end
   end
 
 let force t =
@@ -267,7 +329,8 @@ let force t =
    and (3) leaves an orphan file that [load_dir] sweeps; a crash
    between (3) and (4) leaves a named empty segment, which loads as
    zero records.  Either way no durable record is ever outside the
-   manifest. *)
+   manifest.  A sealed segment has no zero tail to cut: the fill stops
+   at [limit] and rotation waits until the data reaches it. *)
 let rotate t sink =
   drain sink;
   Fault.protect "wal.rotate" (fun () ->
@@ -282,7 +345,9 @@ let rotate t sink =
       write_manifest sink.dir ~limit:sink.limit ~retired:sink.retired (sink.sealed @ [ { base; file } ]);
       sink.fd <- fd);
   sink.cur <- { base; file };
-  sink.cur_bytes <- 0
+  sink.cur_bytes <- 0;
+  sink.drained <- 0;
+  sink.zeroed <- 0
 
 let append t record =
   let framed =
@@ -353,7 +418,11 @@ let close t =
       if not sink.crashed then begin
         sink.crashed <- true;
         drain sink;
-        Fault.protect "wal.close" (fun () -> Unix.close sink.fd)
+        Fault.protect "wal.close" (fun () ->
+            (* Cut the zero tail: a closed segment holds exactly its
+               frames. *)
+            if sink.zeroed > sink.drained then Unix.ftruncate sink.fd sink.drained;
+            Unix.close sink.fd)
       end
 
 (* Simulated power loss: the staging buffer — everything appended since
@@ -378,7 +447,19 @@ let crash t =
    complete record from there on is counted as dropped.  [p_clean]
    distinguishes "ended exactly on a frame boundary, no corruption"
    from both failure shapes — an *interior* segment that is not clean
-   poisons everything after it. *)
+   poisons everything after it.
+
+   The zero tail a crash leaves behind (see [extend]) follows two
+   rules.  An all-zero frame header ends the data cleanly, but only if
+   every byte after it is zero too; otherwise it is read as a frame
+   like any other (and fails to decode).  A frame that fails its CRC
+   is a torn tail, not corruption, when its last byte and every byte
+   after it are zero, and there is at least one such byte after it:
+   that is what a write cut short over zeros looks like.  A damaged
+   complete final frame that happens to end in a zero byte, in a
+   segment that still has its zero tail, reads as torn too; it is
+   lost either way, only the count differs.  The count after a
+   corruption point follows both rules, so it stops at the zero tail. *)
 type parsed = {
   p_records : Record.t list; (* oldest first *)
   p_valid_end : int; (* byte offset just past the last good record *)
@@ -387,6 +468,35 @@ type parsed = {
 }
 
 let max_sane_record = 1 lsl 26
+
+(* Whether every byte from the channel's position to its end is zero
+   (vacuously so at the end); the position is left where it was. *)
+let rest_is_zero ic =
+  let pos = pos_in ic in
+  let chunk = Bytes.create 4096 in
+  let rec scan () =
+    match input ic chunk 0 (Bytes.length chunk) with
+    | 0 -> true
+    | n ->
+        let rec zero i = i = n || (Bytes.get chunk i = '\000' && zero (i + 1)) in
+        zero 0 && scan ()
+  in
+  let r = scan () in
+  seek_in ic pos;
+  r
+
+let zero_header frame = Bytes.get_int64_le frame 0 = 0L
+
+let crc_ok frame body =
+  Asset_util.Crc32.string (Bytes.unsafe_to_string body) land 0xFFFFFFFF
+  = Int32.to_int (Bytes.get_int32_le frame 4) land 0xFFFFFFFF
+
+(* A complete frame whose CRC failed is torn when the zero tail runs
+   from the last byte of its body on past its end; a frame that ends
+   the file is not (a closed segment has no zero tail). *)
+let torn body ic =
+  let len = Bytes.length body in
+  len > 0 && Bytes.get body (len - 1) = '\000' && pos_in ic < in_channel_length ic && rest_is_zero ic
 
 let parse_file path =
   let ic = Fault.protect "wal.open" (fun () -> open_in_bin path) in
@@ -401,22 +511,24 @@ let parse_file path =
     match really_input ic frame 0 frame_header_size with
     | () ->
         let len = Int32.to_int (Bytes.get_int32_le frame 0) in
-        if len < 0 || len > max_sane_record then ()
+        if (zero_header frame && rest_is_zero ic) || len < 0 || len > max_sane_record then ()
         else begin
           let body = Bytes.create len in
           match really_input ic body 0 len with
           | () ->
-              incr dropped;
-              count_rest ()
+              if crc_ok frame body || not (torn body ic) then begin
+                incr dropped;
+                count_rest ()
+              end
           | exception End_of_file -> ()
         end
     | exception End_of_file -> ()
   in
   let rec loop () =
     match really_input ic frame 0 frame_header_size with
+    | () when zero_header frame && rest_is_zero ic -> (* the zero tail *) ()
     | () ->
         let len = Int32.to_int (Bytes.get_int32_le frame 0) in
-        let crc = Int32.to_int (Bytes.get_int32_le frame 4) land 0xFFFFFFFF in
         if len < 0 || len > max_sane_record then begin
           (* Garbage length on a complete header: corruption. *)
           clean := false;
@@ -426,14 +538,15 @@ let parse_file path =
           let body = Bytes.create len in
           match really_input ic body 0 len with
           | () ->
-              let body = Bytes.unsafe_to_string body in
-              if Asset_util.Crc32.string body land 0xFFFFFFFF <> crc then begin
+              if not (crc_ok frame body) then begin
                 clean := false;
-                incr dropped;
-                count_rest ()
+                if not (torn body ic) then begin
+                  incr dropped;
+                  count_rest ()
+                end
               end
               else begin
-                match Record.decode body with
+                match Record.decode (Bytes.unsafe_to_string body) with
                 | r ->
                     records := r :: !records;
                     valid_end := pos_in ic;

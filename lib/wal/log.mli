@@ -18,11 +18,15 @@
     {!retire} deletes sealed segments wholly below a checkpoint
     watermark — manifest update before unlink, idempotent under
     crashes at any step.  LSNs are global and never reused: after
-    retirement a loaded log starts at {!start_lsn} > 0.
+    retirement a loaded log starts at {!start_lsn} > 0.  The current
+    segment is zero-filled ahead of its data, so a force's fsync
+    commits no file-size change; {!close} cuts the zero tail, and
+    {!load_dir} reads the one a crash leaves as the end of the data.
 
     File I/O is instrumented with failpoints ("wal.append" — byte-
-    sized, so a [Disk_full] budget refuses whole frames — "wal.force",
-    "wal.after_force", "wal.torn_write", "wal.retire.manifest",
+    sized, so a [Disk_full] budget refuses whole frames, never the
+    zero fill — "wal.force", "wal.after_force", "wal.torn_write",
+    "wal.extend", "wal.torn_extend", "wal.retire.manifest",
     "wal.retire.unlink", "wal.retire.sync_dir"; see
     {!Asset_fault.Fault}), and raw I/O failures surface as
     [Fault.Storage_error]. *)
@@ -46,9 +50,11 @@ exception Bad_manifest of string
 val load_dir : string -> t
 (** Read a segment directory back for recovery: parses the manifest's
     segments in order and truncates at the first unclean point — a
-    torn tail (partial final record) on the final segment is the
-    normal crash signature; a CRC-32 mismatch or interior damage
-    condemns every record after it, counted in {!corrupt_dropped}.  It
+    torn tail (partial final record, or a frame cut short over the
+    zero tail) on the final segment is the normal crash signature; a
+    CRC-32 mismatch or interior damage condemns every record after
+    it, counted in {!corrupt_dropped}.  An all-zero frame header
+    followed only by zeros is the clean end of the data.  It
     deletes segment files the manifest does not name — completing any
     retirement or rotation a crash interrupted — and reopens the last
     live segment appendable, so the recovered log accepts further
@@ -129,6 +135,9 @@ val to_list : t -> Record.t list
 (** The in-memory records, oldest first (from {!start_lsn}). *)
 
 val close : t -> unit
+(** Drain the staging buffer and close the file, cutting the current
+    segment's zero tail so it holds exactly its frames.  It does not
+    fsync: call {!force} first for durability. *)
 
 val remove_dir : string -> unit
 (** Delete a closed log's directory and every file in it; a no-op when

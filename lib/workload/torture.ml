@@ -337,6 +337,8 @@ let random_sites =
     "wal.torn_write";
     "wal.force";
     "wal.after_force";
+    "wal.extend";
+    "wal.torn_extend";
     "pager.write_page";
     "pool.flush_frame";
     "pstore.write";

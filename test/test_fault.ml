@@ -127,15 +127,12 @@ let write_sample_log dir n =
   Log.force log;
   Log.close log
 
-let test_crc_detects_bit_flip () =
-  Fault.reset_all ();
-  let dir = tmp "wal" in
-  write_sample_log dir 6;
-  (* Flip a byte inside the 4th record's *body* (walk the framing to
-     find it): a complete frame whose payload no longer matches its
-     checksum — unambiguous corruption, unlike a damaged length header
-     which is indistinguishable from a torn tail. *)
-  let fd = Unix.openfile (first_seg dir) [ Unix.O_RDWR ] 0o644 in
+(* Flip the first byte of the 4th record's *body* (walk the framing to
+   find it): a complete frame whose payload no longer matches its
+   checksum — unambiguous corruption, unlike a damaged length header
+   which is indistinguishable from a torn tail. *)
+let flip_fourth_body path =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
   let hdr = Bytes.create 4 in
   let off = ref 0 in
   for _ = 1 to 3 do
@@ -150,7 +147,13 @@ let test_crc_detects_bit_flip () =
   Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
   ignore (Unix.lseek fd target Unix.SEEK_SET);
   ignore (Unix.write fd b 0 1);
-  Unix.close fd;
+  Unix.close fd
+
+let test_crc_detects_bit_flip () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  write_sample_log dir 6;
+  flip_fourth_body (first_seg dir);
   let log = Log.load_dir dir in
   Alcotest.(check bool) "records dropped" true (Log.corrupt_dropped log > 0);
   Alcotest.(check int) "good prefix survives" 3 (Log.length log);
@@ -206,12 +209,15 @@ let test_log_crash_discards_staging () =
   Log.close log2;
   Log.remove_dir dir
 
+let file_size path = (Unix.stat path).Unix.st_size
+
 let test_torn_wal_write_truncated () =
   Fault.reset_all ();
   let dir = tmp "wal" in
   let log = Log.create_dir dir in
   Log.append log (Record.Begin (Asset_util.Id.Tid.of_int 1)) |> ignore;
   Log.force log;
+  let forced_end = Log.appended_bytes log in
   Log.append log (Record.Update { tid = Asset_util.Id.Tid.of_int 1; oid = oid 1; before = None; after = vi 7 })
   |> ignore;
   Fault.arm (Fault.register "wal.torn_write") Fault.Crash_once;
@@ -220,12 +226,204 @@ let test_torn_wal_write_truncated () =
   | exception Fault.Crash "wal.torn_write" -> ());
   Log.crash log;
   Fault.reset_all ();
-  (* Half the staged bytes hit the segment; load truncates the torn
-     tail back to the forced prefix. *)
+  (* Half the staged bytes hit the segment, inside the zeros already
+     filled ahead of the data: a torn tail, not corruption.  Load
+     truncates it back to the forced prefix. *)
+  Alcotest.(check bool) "the half frame landed in the zero tail" true
+    (file_size (first_seg dir) > Log.appended_bytes log);
   let log2 = Log.load_dir dir in
   Alcotest.(check int) "torn tail truncated" 1 (Log.length log2);
+  Alcotest.(check int) "a torn tail is not corruption" 0 (Log.corrupt_dropped log2);
+  Alcotest.(check int) "segment cut back to the forced frame" forced_end (file_size (first_seg dir));
   Log.close log2;
   Log.remove_dir dir
+
+(* --- the zero-filled segment tail --- *)
+
+(* Whether walking the framing of [path] from offset 0 lands exactly on
+   its end, through frames of nonzero length only: the file holds its
+   frames and nothing else. *)
+let frames_exact path =
+  let ic = open_in_bin path in
+  let size = in_channel_length ic in
+  let hdr = Bytes.create 4 in
+  let rec walk off =
+    off = size
+    || off + 8 <= size
+       && begin
+            seek_in ic off;
+            really_input ic hdr 0 4;
+            let len = Int32.to_int (Bytes.get_int32_le hdr 0) in
+            len > 0 && walk (off + 8 + len)
+          end
+  in
+  let exact = walk 0 in
+  close_in ic;
+  exact
+
+let update i = Record.Update { tid = Asset_util.Id.Tid.of_int i; oid = oid i; before = None; after = vi i }
+
+(* Forces fill the segment with zeros ahead of its data, and a power
+   loss leaves that tail on disk: load must read it as the clean end
+   of the log, not as frames. *)
+let test_crash_over_zero_tail () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
+  for i = 1 to 6 do
+    Log.append log (update i) |> ignore;
+    if i mod 2 = 0 then Log.force log
+  done;
+  let forced_end = Log.appended_bytes log in
+  Log.append log (update 7) |> ignore;
+  Log.crash log;
+  Alcotest.(check bool) "a zero tail past the data" true (file_size (first_seg dir) > forced_end);
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "exactly the forced records" 6 (Log.length log2);
+  Alcotest.(check int) "the zero tail is not corruption" 0 (Log.corrupt_dropped log2);
+  (* The recovered log appends over a segment cut back to its data. *)
+  Log.append log2 (update 8) |> ignore;
+  Log.force log2;
+  Log.crash log2;
+  let log3 = Log.load_dir dir in
+  Alcotest.(check int) "post-recovery append survives" 7 (Log.length log3);
+  Alcotest.(check int) "reload is clean" 0 (Log.corrupt_dropped log3);
+  Log.close log3;
+  Log.remove_dir dir
+
+(* A bit flip in a segment a power loss left with its zero tail: the
+   damaged frame and the two complete frames after it are dropped, and
+   the count stops at the zeros — the same count as over a segment that
+   ends at its last frame. *)
+let test_bit_flip_before_zero_tail () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
+  for i = 1 to 6 do
+    Log.append log (update i) |> ignore
+  done;
+  Log.force log;
+  Log.crash log;
+  flip_fourth_body (first_seg dir);
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "good prefix survives" 3 (Log.length log2);
+  Alcotest.(check int) "the damaged frame and the two after it" 3 (Log.corrupt_dropped log2);
+  Log.close log2;
+  Log.remove_dir dir
+
+(* Zeros in the middle of a segment are damage, not the end of the
+   log: a zeroed third frame with valid frames after it condemns them
+   as corruption.  The count walks the untrusted framing as it always
+   did, so it reads each 8-byte run of zeros as one empty frame and
+   need not land on the frames behind them. *)
+let test_zeroed_header_mid_segment () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  write_sample_log dir 6;
+  let fd = Unix.openfile (first_seg dir) [ Unix.O_RDWR ] 0o644 in
+  let hdr = Bytes.create 4 in
+  let off = ref 0 in
+  for _ = 1 to 2 do
+    ignore (Unix.lseek fd !off Unix.SEEK_SET);
+    ignore (Unix.read fd hdr 0 4);
+    off := !off + 8 + Int32.to_int (Bytes.get_int32_le hdr 0)
+  done;
+  ignore (Unix.lseek fd !off Unix.SEEK_SET);
+  ignore (Unix.read fd hdr 0 4);
+  let frame = 8 + Int32.to_int (Bytes.get_int32_le hdr 0) in
+  ignore (Unix.lseek fd !off Unix.SEEK_SET);
+  ignore (Unix.write fd (Bytes.make frame '\000') 0 frame);
+  Unix.close fd;
+  let log = Log.load_dir dir in
+  Alcotest.(check int) "the prefix before the zeros survives" 2 (Log.length log);
+  Alcotest.(check bool) "the zeroed frame and what follows count as dropped" true
+    (Log.corrupt_dropped log > 0);
+  Log.close log;
+  Log.remove_dir dir
+
+(* Rotation and close cut the zero tail: every sealed segment, and the
+   last one once closed, holds exactly its frames, so a reload's
+   on-disk byte count matches what was appended. *)
+let test_sealed_segments_hold_their_frames () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  let log = Log.create_dir ~segment_bytes:512 dir in
+  for i = 1 to 40 do
+    Log.append log (update i) |> ignore;
+    Log.force log
+  done;
+  Alcotest.(check bool) "rotated" true (Log.segment_count log >= 3);
+  let segs () =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".wal")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
+  let sealed = List.rev (List.tl (List.rev (segs ()))) in
+  List.iter (fun f -> Alcotest.(check bool) (f ^ ": sealed, frames only") true (frames_exact f)) sealed;
+  let appended = Log.appended_bytes log in
+  Log.close log;
+  List.iter (fun f -> Alcotest.(check bool) (f ^ ": closed, frames only") true (frames_exact f)) (segs ());
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "on-disk bytes = appended bytes" appended (Log.appended_bytes log2);
+  Alcotest.(check int) "every record" 40 (Log.length log2);
+  Log.close log2;
+  Log.remove_dir dir
+
+(* A Disk_full budget on wal.append meters frames: the zeros filled
+   ahead of the data are not frames and never spend it. *)
+let test_disk_full_counts_frames_not_fill () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
+  let frame = 8 + String.length (Record.encode (update 1)) in
+  Fault.arm (Fault.register "wal.append") (Fault.Disk_full (3 * frame));
+  let accepted = ref 0 in
+  for i = 1 to 5 do
+    match Log.append log (update i) with
+    | _ ->
+        incr accepted;
+        Log.force log
+    | exception Fault.Storage_error ("wal.append", _) -> ()
+  done;
+  Alcotest.(check int) "whole frames within the budget" 3 !accepted;
+  Log.close log;
+  Fault.reset_all ();
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "exactly the accepted frames" 3 (Log.length log2);
+  Alcotest.(check int) "no torn frame" 0 (Log.corrupt_dropped log2);
+  Log.close log2;
+  Log.remove_dir dir
+
+(* The fill's own failpoints: a crash before the fill, and a fill torn
+   part-way, both lose only the unforced batch. *)
+let test_crash_in_fill () =
+  List.iter
+    (fun site ->
+      Fault.reset_all ();
+      let dir = tmp "wal" in
+      let log = Log.create_dir ~segment_bytes:256 dir in
+      (* Every segment's first drain fills it; the second fill is the
+         successor segment's. *)
+      Fault.arm (Fault.register site) (Fault.Crash_nth 2);
+      let forced = ref 0 in
+      (try
+         for i = 1 to 40 do
+           Log.append log (update i) |> ignore;
+           Log.force log;
+           forced := i
+         done;
+         Alcotest.failf "%s never fired" site
+       with Fault.Crash s when s = site -> ());
+      Log.crash log;
+      Fault.reset_all ();
+      let log2 = Log.load_dir dir in
+      Alcotest.(check bool) (site ^ ": crashed after a rotation") true (!forced > 1);
+      Alcotest.(check int) (site ^ ": every forced record") !forced (Log.length log2);
+      Alcotest.(check int) (site ^ ": nothing dropped") 0 (Log.corrupt_dropped log2);
+      Log.close log2;
+      Log.remove_dir dir)
+    [ "wal.extend"; "wal.torn_extend" ]
 
 (* --- pager torn page write --- *)
 
@@ -327,11 +525,19 @@ let () =
           Alcotest.test_case "bit flip detected" `Quick test_crc_detects_bit_flip;
           Alcotest.test_case "dropped count in report" `Quick test_crc_dropped_in_recovery_report;
           Alcotest.test_case "clean log drops nothing" `Quick test_clean_log_drops_nothing;
+          Alcotest.test_case "bit flip before the zero tail" `Quick test_bit_flip_before_zero_tail;
+          Alcotest.test_case "zeroed header mid-segment" `Quick test_zeroed_header_mid_segment;
+          Alcotest.test_case "sealed segments hold their frames" `Quick
+            test_sealed_segments_hold_their_frames;
+          Alcotest.test_case "disk full counts frames, not fill" `Quick
+            test_disk_full_counts_frames_not_fill;
         ] );
       ( "power_loss",
         [
           Alcotest.test_case "crash discards staging" `Quick test_log_crash_discards_staging;
           Alcotest.test_case "torn WAL write truncated" `Quick test_torn_wal_write_truncated;
+          Alcotest.test_case "crash over the zero tail" `Quick test_crash_over_zero_tail;
+          Alcotest.test_case "crash in the zero fill" `Quick test_crash_in_fill;
           Alcotest.test_case "torn page write" `Quick test_torn_page_write;
           Alcotest.test_case "pool crash mid-flush" `Quick test_pool_crash_mid_flush;
         ] );

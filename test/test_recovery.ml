@@ -281,6 +281,36 @@ let test_delegation_across_fuzzy_checkpoint () =
   Pstore.close ps;
   cleanup pages logf
 
+(* Checkpoints over a store whose flush is not durable: the heap
+   store's contents die with the process, so the log is their only
+   copy.  With small segments and an aggressive trigger, 50
+   acknowledged single-write commits must all come back from the log
+   alone. *)
+let test_checkpoints_over_a_volatile_store () =
+  let logf = tmp "wal" in
+  let log = Log.create_dir ~segment_bytes:256 logf in
+  let store = Asset_storage.Heap_store.store () in
+  let config = { E.default_config with checkpoint_log_bytes = 512 } in
+  let db = E.create ~config ~log store in
+  let acked = ref 0 in
+  R.run_exn db (fun () ->
+      for i = 1 to 50 do
+        match Asset_models.Atomic.run db (fun () -> E.write db (oid i) (vi i)) with
+        | `Committed -> incr acked
+        | _ -> ()
+      done);
+  Alcotest.(check int) "every commit acknowledged" 50 !acked;
+  Alcotest.(check bool) "checkpoints fired" true (List.assoc "fuzzy_ckpts" (E.stats db) > 0);
+  Alcotest.(check int) "no segment retired" 0 (Log.segments_retired log);
+  Log.close log;
+  let recovered_log = Log.load_dir logf in
+  let fresh = Asset_storage.Heap_store.store () in
+  ignore (Recovery.recover recovered_log fresh);
+  Log.close recovered_log;
+  let found = List.length (List.filter (fun i -> Store.exists fresh (oid i)) (List.init 50 succ)) in
+  Alcotest.(check int) "every acknowledged object recovered" 50 found;
+  Log.remove_dir logf
+
 let test_parallel_recovery_matches_serial () =
   let db, ps, log, pages, logf = make_persistent ~objects:50 in
   R.run_exn db (fun () ->
@@ -336,6 +366,8 @@ let () =
             test_fuzzy_checkpoint_with_active_txn;
           Alcotest.test_case "delegation across fuzzy checkpoint" `Quick
             test_delegation_across_fuzzy_checkpoint;
+          Alcotest.test_case "checkpoints over a volatile store" `Quick
+            test_checkpoints_over_a_volatile_store;
           Alcotest.test_case "parallel recovery matches serial" `Quick
             test_parallel_recovery_matches_serial;
         ] );

@@ -444,6 +444,21 @@ let test_pstore_crash_loses_unflushed () =
   Pstore.close ps;
   Sys.remove path
 
+(* Whether a flush survives a crash is a fact of the store: the engine
+   checkpoints over it only when it does. *)
+let test_durable_flush () =
+  let path = tmp_file () in
+  let ps = Pstore.create ~page_size:256 path in
+  let heap = Heap.store () in
+  Alcotest.(check bool) "heap flush is volatile" false (Store.durable heap);
+  Alcotest.(check bool) "persistent flush is durable" true (Store.durable (Pstore.to_store ps));
+  Alcotest.(check bool) "an MVCC wrap keeps it" false
+    (Store.durable (Asset_storage.Mvcc_store.wrap heap));
+  Alcotest.(check bool) "over a durable store too" true
+    (Store.durable (Asset_storage.Mvcc_store.wrap (Pstore.to_store ps)));
+  Pstore.close ps;
+  Sys.remove path
+
 let prop_pstore_model =
   QCheck2.Test.make ~name:"persistent store matches heap store" ~count:60
     QCheck2.Gen.(
@@ -525,6 +540,7 @@ let () =
           Alcotest.test_case "multi-page" `Quick test_pstore_many_objects_multi_page;
           Alcotest.test_case "reopen rebuilds table" `Quick test_pstore_reopen_rebuilds_table;
           Alcotest.test_case "crash loses unflushed" `Quick test_pstore_crash_loses_unflushed;
+          Alcotest.test_case "flush durability is a fact of the store" `Quick test_durable_flush;
           QCheck_alcotest.to_alcotest prop_pstore_model;
         ] );
     ]

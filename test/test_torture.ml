@@ -176,6 +176,26 @@ let test_disk_full_aborts_cleanly () =
   if r.Torture.failures <> [] then
     Alcotest.failf "disk full: %s" (String.concat ", " r.Torture.failures)
 
+(* Crash at every zero fill of a run over small segments (each
+   segment's first drain fills it ahead of its data), before the fill
+   and part-way through it: the zeros must never cost an acknowledged
+   commit.  The workload is deterministic, so the sweep ends at the
+   first k the run never reaches. *)
+let test_crash_at_every_fill () =
+  let spec = { Torture.default_spec with segment_bytes = 512 } in
+  List.iter
+    (fun site ->
+      let rec sweep k =
+        let arm () = ignore (Fault.arm_name site (Fault.Crash_nth k)) in
+        let r = Torture.run_once ~arm ~check_idempotent:true spec in
+        if r.Torture.failures <> [] then
+          Alcotest.failf "%s@%d: %s" site k (String.concat ", " r.Torture.failures);
+        if r.Torture.crashed = Some site && k < 100 then sweep (k + 1) else k - 1
+      in
+      let fills = sweep 1 in
+      Alcotest.(check bool) (Printf.sprintf "%s: crashed at each of %d fills" site fills) true (fills >= 3))
+    [ "wal.extend"; "wal.torn_extend" ]
+
 let test_sustained_run_bounded () =
   let s = Torture.sustained_run ~rounds:12 { Torture.default_spec with segment_bytes = 1024 } in
   if s.Torture.s_failures <> [] then
@@ -529,6 +549,7 @@ let () =
           Alcotest.test_case "120 seeded durability schedules" `Slow
             test_random_durability_schedules;
           Alcotest.test_case "disk full aborts cleanly" `Quick test_disk_full_aborts_cleanly;
+          Alcotest.test_case "crash at every zero fill" `Quick test_crash_at_every_fill;
           Alcotest.test_case "sustained run stays bounded" `Quick test_sustained_run_bounded;
         ] );
       ( "abort_window",
