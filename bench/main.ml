@@ -1155,9 +1155,10 @@ let e19_faults () =
   Table.print t;
   check "E19a: no violations at any boundary"
     (List.for_all (fun (_, (s : Torture.sweep)) -> s.sweep_failures = []) sweeps);
-  (* E19b: seeded random crash schedules across every failpoint site. *)
+  (* E19b: seeded random crash schedules across every failpoint site,
+     over 1 KiB segments so rotations happen mid-run. *)
   let n_schedules = if !smoke then 50 else 500 in
-  let random = Torture.random_crash_schedules ~n:n_schedules spec in
+  let random = Torture.random_crash_schedules ~n:n_schedules { spec with segment_bytes = 1024 } in
   let t =
     Table.create ~title:"E19b: seeded random crash schedules"
       ~header:[ "schedules"; "crashes"; "violations"; "recover ms/run" ]
@@ -1204,6 +1205,8 @@ let e19_faults () =
     (List.for_all
        (fun (_, (r : Torture.retry_outcome)) -> r.committed + r.gave_up = retry_spec.n_txns)
        retry_rows);
+  check "E19c: no give-ups at fault rate 0"
+    (List.for_all (fun (rate, (r : Torture.retry_outcome)) -> rate > 0.0 || r.gave_up = 0) retry_rows);
   check "E19c: engine retries/gave_up = driver sums at every fault rate"
     (List.for_all
        (fun (_, (r : Torture.retry_outcome)) ->
@@ -2160,15 +2163,15 @@ let e24_recovery () =
      updates to the parent of its group of ten (a workflow or
      nested-transaction shape) and the parent takes the commit
      decision, so the log holds one Delegate record per transaction.
-     Returns the log, the disk image at crash time (the checkpoint's
-     flushed store for anchored logs, zeros otherwise) and the
-     committed tids. *)
+     The objects are populated outside the log, so a checkpoint logs
+     their image first.  Returns the log and the committed tids. *)
   let build ~n_updates ~ckpt ~delegating =
     let log = Log.in_memory () in
     let disk = Heap.store () in
     for o = 1 to n_objects do
       Store.write disk (oid o) (vi 0)
     done;
+    ignore (Recovery.checkpoint log disk ~active:[]);
     let rng = Rng.create 29 in
     let per_txn = 10 in
     let n_txns = n_updates / per_txn in
@@ -2176,7 +2179,6 @@ let e24_recovery () =
     let open_tid = Tid.of_int (n_txns + 1) in
     let group = 10 in
     let parent txn = Tid.of_int (n_txns + 2 + ((txn - 1) / group)) in
-    let base = ref [] in
     let committed = ref [] in
     for txn = 1 to n_txns do
       let tid = Tid.of_int txn in
@@ -2199,8 +2201,8 @@ let e24_recovery () =
           ignore (Log.append log (Record.Commit [ t ]));
           committed := t :: !committed
       | _ -> ());
-      if txn = mid then begin
-        (match ckpt with
+      if txn = mid then
+        match ckpt with
         | `None -> ()
         | `Fuzzy ->
             (* Updates by a transaction that stays in flight across the
@@ -2220,20 +2222,9 @@ let e24_recovery () =
             done;
             let att_updates = List.rev !open_updates in
             let active = [ { Record.att_tid = open_tid; att_updates } ] in
-            let dirty = List.map (fun u -> u.Record.cu_oid) att_updates in
-            ignore (Recovery.checkpoint log disk ~active ~dirty));
-        base := Store.dump disk
-      end
+            ignore (Recovery.checkpoint log disk ~active)
     done;
-    let base =
-      match ckpt with `None -> List.init n_objects (fun i -> (oid (i + 1), vi 0)) | _ -> !base
-    in
-    (log, base, List.sort Tid.compare !committed)
-  in
-  let store_from base =
-    let s = Heap.store () in
-    List.iter (fun (o, v) -> Store.write s o v) base;
-    s
+    (log, List.sort Tid.compare !committed)
   in
   let sizes = if !smoke then [ 2_000; 5_000 ] else [ 10_000; 50_000; 200_000 ] in
   let t =
@@ -2245,12 +2236,12 @@ let e24_recovery () =
       (fun n_updates ->
         List.map
           (fun (ckpt, ckpt_name, delegating) ->
-            let log, base, committed = build ~n_updates ~ckpt ~delegating in
+            let log, committed = build ~n_updates ~ckpt ~delegating in
             let delegations =
               Log.fold log ~init:0 ~f:(fun n _ r ->
                   match r with Record.Delegate _ -> n + 1 | _ -> n)
             in
-            let report, dt = time_of (fun () -> Recovery.recover log (store_from base)) in
+            let report, dt = time_of (fun () -> Recovery.recover log (Heap.store ())) in
             if delegating then
               check
                 (Printf.sprintf "E24 delegation (%d updates): winners are the committed parents"

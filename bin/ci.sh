@@ -30,8 +30,10 @@ for src in examples/*.ml; do
 done
 
 # The demo's crash-and-recover run is the CLI's one user of the
-# durable log: it must exit 0, print its recovery report and remove
-# the WAL directory it created.
+# durable log: it checkpoints its populated heap store, runs
+# transactions, loses the store and rebuilds it from the log alone.
+# It must exit 0, print its recovery report and remove the WAL
+# directory it created.
 echo "== demo recover =="
 DEMO_DIR=$(mktemp -d)
 if ! dune exec bin/asset_demo.exe -- recover --dir "$DEMO_DIR" > /tmp/demo_recover.out 2>&1; then
@@ -90,8 +92,9 @@ echo "== shard smoke (E23: 2 domains, cross-shard 2PC, merged-trace oracle) =="
 dune exec bench/main.exe -- --only shard --smoke --domains "${CI_DOMAINS:-2}"
 
 # Durability smoke shard (E24, see DESIGN.md §12): the sustained-write
-# run must show the segmented log staying bounded under
-# checkpoint-driven retirement.
+# run over the heap store must show the segmented log staying bounded
+# under checkpoint-driven retirement, and recover every acknowledged
+# transfer from the log alone.
 echo "== recovery smoke (E24: checkpoint anchors, retirement) =="
 dune exec bench/main.exe -- --only recovery --smoke
 

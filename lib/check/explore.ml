@@ -53,7 +53,7 @@ let atom_of_event = function
   | Trace.Op { oid; op; _ } -> Some (Data (Oid.to_int oid, op))
   | Trace.Snap_read { oid; _ } -> Some (Data (Oid.to_int oid, 'S'))
   | Trace.Lock { oid; mode; _ } -> Some (Data (Oid.to_int oid, mode))
-  | Trace.Wal_append _ | Trace.Wal_force _ | Trace.Ckpt_begin _ | Trace.Ckpt_end _ | Trace.Wal_retire _ -> None
+  | Trace.Wal_append _ | Trace.Wal_force _ | Trace.Ckpt _ | Trace.Wal_retire _ -> None
   | Trace.Initiate _ | Trace.Begin _ | Trace.Commit _ | Trace.Abort _ | Trace.Delegate _
   | Trace.Permit _ | Trace.Dep _ | Trace.Snapshot _ | Trace.Recovery_start
   | Trace.Recovery_done _ | Trace.Sched_spawn _ | Trace.Sched_stall ->

@@ -83,10 +83,10 @@ type config = {
          — the liveness backstop when deadlock detection is off.  0 (the
          default) disables *)
   checkpoint_log_bytes : int;
-      (* take a fuzzy checkpoint — and retire fully-checkpointed log
+      (* take a checkpoint — and retire fully-checkpointed log
          segments — once this many log bytes accumulate since the last
          one, measured at commit time.  0 (the default) disables; only
-         meaningful on a file- or directory-backed log *)
+         meaningful on a directory-backed log *)
 }
 
 let default_config =
@@ -119,11 +119,8 @@ type t = {
      forced, and how many transactions the staged records cover *)
   mutable staged_commit_lsn : int;
   mutable staged_commit_txns : int;
-  (* log bytes at the last fuzzy checkpoint — the trigger baseline *)
+  (* log bytes at the last checkpoint — the trigger baseline *)
   mutable ckpt_bytes_mark : int;
-  (* queues whose full image is in the log since the last Begin_ckpt:
-     a later enqueue on one logs only its item (see [enqueue]) *)
-  queues_imaged : (Oid.t, unit) Hashtbl.t;
   (* statistics *)
   commits : Asset_util.Stats.Counter.t;
   aborts : Asset_util.Stats.Counter.t;
@@ -167,7 +164,6 @@ let create ?(config = default_config) ?log ?tid_gen store =
     staged_commit_lsn = -1;
     staged_commit_txns = 0;
     ckpt_bytes_mark = 0;
-    queues_imaged = Hashtbl.create 8;
     commits = Asset_util.Stats.Counter.create "engine.commits";
     aborts = Asset_util.Stats.Counter.create "engine.aborts";
     group_commits = Asset_util.Stats.Counter.create "engine.group_commits";
@@ -557,13 +553,7 @@ let escrow db oid delta ~lo ~hi =
    abort never clobbers items enqueued concurrently by others.
 
    The record logs the item, not the queue, so an enqueue costs
-   O(item) in log bytes.  Only the first enqueue on [oid] since the
-   last Begin_ckpt also logs the full queue it produced:
-   [checkpoint] empties [queues_imaged] just before appending
-   Begin_ckpt, with no yield in between, so every redo anchor is
-   followed by a physical image of each queue its scan appends to.
-   The oid is marked only once the record is in the log — a refused
-   append must not leave the next enqueue image-less. *)
+   O(item) in log bytes. *)
 let enqueue db oid item =
   let td = current_td db in
   check_live td;
@@ -571,13 +561,9 @@ let enqueue db oid item =
   acquire_lock db td oid Mode.Enqueue;
   if Trace.on () then Trace.emit (Trace.Op { tid = td.tid; oid; op = 'Q' });
   Asset_util.Stats.Counter.incr db.enqueues;
-  let imaged = Hashtbl.mem db.queues_imaged oid in
   logged_update db td oid (fun before ->
       let current = match before with Some v -> v | None -> Value.of_queue [] in
-      let after = Value.queue_push current item in
-      let image = if imaged then None else Some after in
-      (Record.Enqueue { tid = td.tid; oid; item; image }, Record.Ckpt_dequeue item, after));
-  if not imaged then Hashtbl.replace db.queues_imaged oid ()
+      (Record.Enqueue { tid = td.tid; oid; item }, Record.Ckpt_dequeue item, Value.queue_push current item))
 
 (* ------------------------------------------------------------------ *)
 (* Undo: the section 4.2 abort's step 2, shared by savepoints          *)
@@ -865,62 +851,38 @@ let resolve_non_gc_deps db tid =
   | r -> r
 
 (* ------------------------------------------------------------------ *)
-(* Fuzzy checkpointing                                                 *)
+(* Checkpointing                                                      *)
 
-(* Snapshot the active-transaction table for a Begin_ckpt record: for
+(* Snapshot the active-transaction table for a Checkpoint record: for
    every live transaction, the undo entry of each update it is
    currently responsible for, oldest first.  Delegation is already
    reflected — td.updates holds exactly what this transaction would
    have to undo — and any delegation logged after the checkpoint
-   re-attributes the captured entries during recovery's tail scan.
-   The scheduler is cooperative and this runs without yielding, so the
-   capture is a consistent cut even though transactions are mid-flight
-   ("fuzzy" refers to the store, not the table). *)
+   re-attributes the captured entries during recovery's tail scan. *)
 let capture_att db =
   Hashtbl.fold
     (fun tid (td : td) acc -> { Record.att_tid = tid; att_updates = List.rev td.updates } :: acc)
     db.active []
 
-(* Non-quiescent checkpoint: capture the ATT, log Begin_ckpt / flush /
-   End_ckpt (see [Recovery.checkpoint]), then retire log
-   segments wholly below the new redo watermark.  Pending group-commit
+(* Non-quiescent checkpoint: capture the ATT, then log it with the
+   store's image, force and retire ([Recovery.checkpoint]).  Neither
+   capture yields, so the table and the image are one consistent cut
+   even though transactions are mid-flight.  Pending group-commit
    records are forced (and acknowledged) first so the commit ack
-   bookkeeping stays in step with the checkpoint's own force.
-
-   Over a store whose flush is not durable (the heap store) the pair
-   could not keep its promise — "every update logged before begin_lsn
-   is in the store" — because the store dies with the process and the
-   log is the only copy.  So only the Begin_ckpt is logged: recovery
-   skips a pair without its End_ckpt and redoes from the log's start,
-   and nothing is retired. *)
+   bookkeeping stays in step with the checkpoint's own force. *)
 let checkpoint db =
   flush_pending_commits db;
-  let active = capture_att db in
-  let dirty =
-    List.concat_map (fun (e : Record.att_entry) -> List.map (fun u -> u.Record.cu_oid) e.att_updates) active
-    |> List.sort_uniq Oid.compare
-  in
-  (* The next enqueue on every queue logs its full image again: this
-     Begin_ckpt may become a redo anchor. *)
-  Hashtbl.reset db.queues_imaged;
-  let begin_lsn =
-    if Store.durable db.store then begin
-      let begin_lsn = Asset_wal.Recovery.checkpoint db.log db.store ~active ~dirty in
-      ignore (Log.retire db.log ~below:begin_lsn);
-      begin_lsn
-    end
-    else Log.append db.log (Record.Begin_ckpt { active; dirty })
-  in
+  let lsn = Asset_wal.Recovery.checkpoint db.log db.store ~active:(capture_att db) in
   db.ckpt_bytes_mark <- Log.appended_bytes db.log;
   Asset_util.Stats.Counter.incr db.fuzzy_ckpts;
   bump db;
-  begin_lsn
+  lsn
 
 (* The commit-path trigger: once [checkpoint_log_bytes] of log have
    accumulated since the last checkpoint, take one.  A checkpoint that
    fails with an I/O error must not fail the commit that tripped it —
-   the commit is already durable and an incomplete Begin/End pair is
-   ignored by recovery — so back off a full threshold and let a later
+   the commit is already durable and an unforced checkpoint record
+   only fails to gain ground — so back off a full threshold and let a later
    commit retry.  Simulated power loss still propagates. *)
 let maybe_checkpoint db =
   let threshold = db.config.checkpoint_log_bytes in

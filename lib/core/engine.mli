@@ -69,8 +69,8 @@ type config = {
           budget that tick exhausts becomes runnable.  0 (the default)
           disables. *)
   checkpoint_log_bytes : int;
-      (** Take a fuzzy checkpoint (and, over a durable store, retire
-          dead WAL segments) from the commit path whenever this many
+      (** Take a checkpoint (and retire the WAL segments below it)
+          from the commit path whenever this many
           framed log bytes have been appended since the last
           checkpoint.  Checked after each
           commit group; a checkpoint that fails with a storage fault is
@@ -212,9 +212,8 @@ val enqueue : t -> Oid.t -> string -> unit
     compatible Enqueue lock mode: concurrent producers never block each
     other, and undo is logical (remove the item), so an abort preserves
     items enqueued concurrently by others.  Creates a missing object as
-    a one-item queue.  The log record carries the item; only the first
-    enqueue on the object since the last checkpoint also carries the
-    full queue.  Read the queue with {!read} + [Value.to_queue]. *)
+    a one-item queue.  The log record carries the item, not the queue.
+    Read the queue with {!read} + [Value.to_queue]. *)
 
 (** {2 Savepoints}
 
@@ -257,17 +256,15 @@ val await_terminated : t -> Tid.t list -> unit
 (** Park until every listed transaction has terminated. *)
 
 val checkpoint : t -> int
-(** Non-quiescent (fuzzy) checkpoint: capture the active-transaction table
-    (with per-update undo information) and the dirty OID set, write a
-    [Begin_ckpt]/[End_ckpt] pair around a store flush, then retire WAL
-    segments wholly below the begin LSN.  Safe while transactions run
-    — the cooperative scheduler makes the captured table a consistent
-    cut.  Returns the begin LSN (the redo watermark).  Over a store
-    that is not {!Asset_storage.Store.durable} only the [Begin_ckpt]
-    is logged: an incomplete pair never anchors recovery, so redo
-    starts at the log's first record, and no segment is retired.
-    Also fired automatically from the commit path by
-    [checkpoint_log_bytes]. *)
+(** Non-quiescent checkpoint: capture the active-transaction table
+    (with per-update undo information) and the store's image, log
+    both as one [Checkpoint] record, force it, then retire WAL
+    segments wholly below it (see {!Asset_wal.Recovery.checkpoint}).
+    Safe while transactions run — the cooperative scheduler makes the
+    capture a consistent cut.  Returns the record's LSN, recovery's
+    redo anchor.  Anything written to the store outside the log
+    survives a crash only once a checkpoint has logged it.  Also fired
+    automatically from the commit path by [checkpoint_log_bytes]. *)
 
 val flush_pending_commits : t -> unit
 (** Force the log over any staged commit records and wake the

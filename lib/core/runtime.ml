@@ -26,15 +26,18 @@ let run ?policy ?max_steps db program =
      mid-step — make sure nothing staged is left unforced.  Not after a
      simulated power loss, though: the machine is dead, and a flush here
      would persist commit records past the crash point (the injected
-     crash also disarms its one-shot site, so this force would land). *)
-  let crashed =
+     crash also disarms its one-shot site, so this force would land).
+     A failure of this flush is the run's result unless the run had
+     already failed — a failed log fails every later force, so the
+     first error is the one to report. *)
+  let result =
     match result with
-    | Error (Asset_fault.Fault.Crash _) | Error (Sched.Fiber_failed (_, Asset_fault.Fault.Crash _))
-      ->
-        true
-    | _ -> false
+    | Error (Asset_fault.Fault.Crash _ | Sched.Fiber_failed (_, Asset_fault.Fault.Crash _)) -> result
+    | _ -> (
+        match Engine.flush_pending_commits db with
+        | () -> result
+        | exception e -> if Result.is_ok result then Error e else result)
   in
-  if not crashed then Engine.flush_pending_commits db;
   { result; steps = Sched.steps s; deadlocked = (match result with Error (Sched.Deadlock _) -> true | _ -> false) }
 
 (* Run and re-raise any failure: the common path for tests/examples. *)

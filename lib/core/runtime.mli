@@ -16,7 +16,8 @@ type outcome = {
 val run : ?policy:Sched.policy -> ?max_steps:int -> Engine.t -> (unit -> unit) -> outcome
 (** Attach a scheduler (with the engine's deadlock resolver as the
     stall hook), spawn [program] as the first fiber, drive everything
-    to completion. *)
+    to completion, then force any commits still staged.  Never raises:
+    a failure of the run, or else of that final force, is [result]. *)
 
 val run_exn : ?policy:Sched.policy -> ?max_steps:int -> Engine.t -> (unit -> unit) -> unit
 (** Like {!run} but re-raises any failure. *)

@@ -1,6 +1,6 @@
 (* Deterministic fault injection: named failpoints at every I/O site.
 
-   A failpoint is a registered site ("wal.append", "pager.write_page",
+   A failpoint is a registered site ("wal.append", "wal.force",
    ...) holding an injectable policy.  Instrumented code calls [hit]
    (or [check], for sites that need custom semantics such as torn
    writes) on its site at the point where the real I/O happens; with
@@ -16,8 +16,8 @@
 
    - a *crash* raises [Crash], modelling power loss at that
      instruction.  Nothing catches it below the torture harness, which
-     discards all volatile state (staging buffers, buffer pool, object
-     table) and re-opens from disk, exactly as a restart would.
+     discards all volatile state (staging buffers, the object store)
+     and re-opens from disk, exactly as a restart would.
 
    All randomized triggers draw from the repository's SplitMix64 RNG so
    every fault schedule is reproducible from a seed. *)
@@ -30,7 +30,7 @@ exception Injected of string
 
 exception Storage_error of string * exn
 (** A storage-layer primitive failed: the site ("wal.append",
-    "pager.sync", ...) and the underlying cause ([Injected] or a real
+    "wal.force", ...) and the underlying cause ([Injected] or a real
     [Unix.Unix_error]/[Sys_error]). *)
 
 type policy =
@@ -42,8 +42,10 @@ type policy =
   | Crash_nth of int
   | Crash_prob of float * Asset_util.Rng.t
   | Disk_full of int (* byte budget; appends fail once it is exhausted *)
+  | Arm_at of int * site * policy
+      (* on the nth hit from now, arm another site; the hit passes *)
 
-type site = {
+and site = {
   name : string;
   mutable policy : policy;
   mutable hits : int; (* times the site was evaluated *)
@@ -150,6 +152,14 @@ let check site =
         site.fired <- site.fired + 1;
         Some `Fail
       end
+  | Arm_at (n, other, policy) ->
+      if n <= 1 then begin
+        site.policy <- Off;
+        site.fired <- site.fired + 1;
+        other.policy <- policy
+      end
+      else site.policy <- Arm_at (n - 1, other, policy);
+      None
 
 (* Evaluate one hit that wants to consume [bytes] of disk.  [Disk_full]
    is the only size-aware policy: the write passes while the budget
@@ -223,5 +233,6 @@ let pp_site ppf site =
     | Crash_nth n -> Printf.sprintf "crash-nth %d" n
     | Crash_prob (p, _) -> Printf.sprintf "crash-prob %.3f" p
     | Disk_full budget -> Printf.sprintf "disk-full %dB" budget
+    | Arm_at (n, other, _) -> Printf.sprintf "arm %s at hit %d" other.name n
   in
   Format.fprintf ppf "%s: %s (hits=%d fired=%d)" site.name policy site.hits site.fired

@@ -1,7 +1,7 @@
 (** Deterministic fault injection: named failpoints at every I/O site.
 
     Instrumented layers register a {!site} ("wal.append",
-    "pager.write_page", ...) and call {!hit} where the real I/O
+    "wal.force", ...) and call {!hit} where the real I/O
     happens.  Tests and the torture harness {!arm} a site with a
     {!policy}; production leaves every site [Off], which costs one
     load and one branch per hit.  Randomized triggers draw from the
@@ -35,8 +35,13 @@ type policy =
           write fails — and the policy stays armed, because a full
           disk stays full.  Sizeless hits are zero-byte probes: they
           fail only after exhaustion. *)
+  | Arm_at of int * site * policy
+      (** On the nth hit from now (1-based), arm the other site with
+          the policy, then disarm; every hit passes.  Lands a fault on
+          the I/O that follows a particular event, e.g. the write of
+          the n-th checkpoint's frame. *)
 
-type site
+and site
 
 val register : string -> site
 (** Find-or-create: idempotent, so an instrumented module can register

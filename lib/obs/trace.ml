@@ -51,9 +51,7 @@ type event =
   | Lock of { tid : Tid.t; oid : Oid.t; mode : char; action : lock_action }
   | Wal_append of { lsn : int; kind : string }
   | Wal_force of { lsn : int }
-  | Ckpt_begin of { lsn : int; active : int }
-    (* fuzzy checkpoint opened at [lsn], capturing [active] in-flight txns *)
-  | Ckpt_end of { lsn : int; begin_lsn : int }
+  | Ckpt of { lsn : int; active : int; objects : int }
   | Wal_retire of { below : int; segments : int }
     (* [segments] log segments wholly below LSN [below] were deleted *)
   | Recovery_start
@@ -148,8 +146,8 @@ let event_fields = function
       ]
   | Wal_append { lsn; kind } -> [ ("ev", Json.Str "wal_append"); ("lsn", Json.Int lsn); ("kind", Json.Str kind) ]
   | Wal_force { lsn } -> [ ("ev", Json.Str "wal_force"); ("lsn", Json.Int lsn) ]
-  | Ckpt_begin { lsn; active } -> [ ("ev", Json.Str "ckpt_begin"); ("lsn", Json.Int lsn); ("active", Json.Int active) ]
-  | Ckpt_end { lsn; begin_lsn } -> [ ("ev", Json.Str "ckpt_end"); ("lsn", Json.Int lsn); ("begin_lsn", Json.Int begin_lsn) ]
+  | Ckpt { lsn; active; objects } ->
+      [ ("ev", Json.Str "ckpt"); ("lsn", Json.Int lsn); ("active", Json.Int active); ("objects", Json.Int objects) ]
   | Wal_retire { below; segments } ->
       [ ("ev", Json.Str "wal_retire"); ("below", Json.Int below); ("segments", Json.Int segments) ]
   | Recovery_start -> [ ("ev", Json.Str "recovery_start") ]
@@ -194,8 +192,7 @@ let event_of_json j =
       Lock { tid = tid "tid"; oid = oid "oid"; mode = char_of_field j "mode"; action = lock_action_of_string (str "action") }
   | "wal_append" -> Wal_append { lsn = int "lsn"; kind = str "kind" }
   | "wal_force" -> Wal_force { lsn = int "lsn" }
-  | "ckpt_begin" -> Ckpt_begin { lsn = int "lsn"; active = int "active" }
-  | "ckpt_end" -> Ckpt_end { lsn = int "lsn"; begin_lsn = int "begin_lsn" }
+  | "ckpt" -> Ckpt { lsn = int "lsn"; active = int "active"; objects = int "objects" }
   | "wal_retire" -> Wal_retire { below = int "below"; segments = int "segments" }
   | "recovery_start" -> Recovery_start
   | "recovery_done" -> Recovery_done { winners = tids "winners"; losers = tids "losers" }
@@ -334,8 +331,8 @@ let pp_event ppf = function
       Format.fprintf ppf "lock %s %a %a %c" (lock_action_to_string action) Tid.pp tid Oid.pp oid mode
   | Wal_append { lsn; kind } -> Format.fprintf ppf "wal_append lsn=%d %s" lsn kind
   | Wal_force { lsn } -> Format.fprintf ppf "wal_force lsn=%d" lsn
-  | Ckpt_begin { lsn; active } -> Format.fprintf ppf "ckpt_begin lsn=%d active=%d" lsn active
-  | Ckpt_end { lsn; begin_lsn } -> Format.fprintf ppf "ckpt_end lsn=%d begin=%d" lsn begin_lsn
+  | Ckpt { lsn; active; objects } ->
+      Format.fprintf ppf "ckpt lsn=%d active=%d objects=%d" lsn active objects
   | Wal_retire { below; segments } -> Format.fprintf ppf "wal_retire below=%d segments=%d" below segments
   | Recovery_start -> Format.fprintf ppf "recovery_start"
   | Recovery_done { winners; losers } ->

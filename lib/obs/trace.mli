@@ -51,11 +51,10 @@ type event =
   | Lock of { tid : Tid.t; oid : Oid.t; mode : char; action : lock_action }
   | Wal_append of { lsn : int; kind : string }
   | Wal_force of { lsn : int }
-  | Ckpt_begin of { lsn : int; active : int }
-      (** A fuzzy checkpoint opened at [lsn], capturing [active]
-          in-flight transactions. *)
-  | Ckpt_end of { lsn : int; begin_lsn : int }
-      (** The checkpoint opened at [begin_lsn] completed. *)
+  | Ckpt of { lsn : int; active : int; objects : int }
+      (** A checkpoint record at [lsn], capturing [active] in-flight
+          transactions and the image of [objects] stored objects, was
+          forced. *)
   | Wal_retire of { below : int; segments : int }
       (** [segments] log segments wholly below LSN [below] were
           retired (deleted after the manifest stopped naming them). *)

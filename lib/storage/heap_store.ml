@@ -2,8 +2,8 @@
 
    This models the EOS shared object cache in the paper's "operate
    directly on the objects in a shared cache" mode, without the disk
-   behind it.  It is the store used by the concurrency tests and all
-   benchmarks that are not about recovery. *)
+   behind it.  It is the only store: durability comes from the log,
+   whose checkpoints carry the store's image. *)
 
 module Oid = Asset_util.Id.Oid
 
@@ -20,8 +20,6 @@ let to_store ?(name = "heap") (t : t) : Store.t =
     exists = (fun oid -> Hashtbl.mem t oid);
     iter = (fun f -> Hashtbl.iter f t);
     size = (fun () -> Hashtbl.length t);
-    flush = (fun () -> ());
-    durable = false;
     mvcc = None;
   }
 

@@ -1,6 +1,5 @@
-(** In-memory object store: the EOS shared object cache without the
-    disk behind it.  Used by concurrency tests and all benchmarks that
-    are not about recovery. *)
+(** In-memory object store: the EOS shared object cache.  It is not
+    durable by itself; the log is, and a checkpoint logs its image. *)
 
 module Oid = Asset_util.Id.Oid
 

@@ -1,10 +1,9 @@
 (* The object-store interface the transaction engine runs against.
 
-   Two implementations exist: [Heap_store] (in-memory, used by benchmarks
-   and most tests) and [Persistent_store] (paged, buffer-pooled, used by
-   the recovery experiments).  The engine only needs this small surface;
-   recovery-time concerns (flush, close) are handled by whoever owns the
-   store. *)
+   The implementation is [Heap_store], the in-memory object cache.  The
+   store is never durable by itself: the log is, and a checkpoint logs
+   the store's image, so recovery rebuilds the store from the log
+   alone. *)
 
 module Oid = Asset_util.Id.Oid
 
@@ -44,8 +43,6 @@ type t = {
   exists : Oid.t -> bool;
   iter : (Oid.t -> Value.t -> unit) -> unit;
   size : unit -> int;
-  flush : unit -> unit;
-  durable : bool; (* whether [flush] makes the contents survive a crash *)
   mvcc : mvcc option;
 }
 
@@ -62,8 +59,11 @@ let delete t oid = t.delete oid
 let exists t oid = t.exists oid
 let iter t f = t.iter f
 let size t = t.size ()
-let flush t = t.flush ()
-let durable t = t.durable
+
+let clear t =
+  let oids = ref [] in
+  t.iter (fun oid _ -> oids := oid :: !oids);
+  List.iter t.delete !oids
 
 (* Full dump as a sorted association list; used by tests to compare the
    outcome of a concurrent schedule against a serial reference run.

@@ -1,7 +1,8 @@
 (** The object-store interface the transaction engine runs against.
 
-    Implementations: {!Heap_store} (in-memory) and {!Persistent_store}
-    (paged, buffer-pooled, durable via [flush]). *)
+    The one implementation is {!Heap_store}, the in-memory object
+    cache.  A store is never durable by itself: the log is, and a
+    checkpoint logs the store's image (see {!Asset_wal.Recovery}). *)
 
 module Oid = Asset_util.Id.Oid
 
@@ -31,11 +32,6 @@ type t = {
   exists : Oid.t -> bool;
   iter : (Oid.t -> Value.t -> unit) -> unit;
   size : unit -> int;
-  flush : unit -> unit;
-  durable : bool;
-      (** Whether [flush] makes the contents survive a crash: false for
-          the heap store, true for the persistent store.  A checkpoint
-          over a store that is not durable cannot anchor recovery. *)
   mvcc : mvcc option;
 }
 
@@ -51,10 +47,8 @@ val exists : t -> Oid.t -> bool
 val iter : t -> (Oid.t -> Value.t -> unit) -> unit
 val size : t -> int
 
-val flush : t -> unit
-(** Make the current contents durable (no-op for the heap store). *)
-
-val durable : t -> bool
+val clear : t -> unit
+(** Delete every object. *)
 
 val dump : t -> (Oid.t * Value.t) list
 (** Full contents as an oid-sorted association list; a debugging

@@ -45,7 +45,8 @@
    "wal.after_force" once the bytes are durable but before the
    in-memory forced-LSN advances, "wal.torn_write" in the drain itself
    — armed with any policy it writes *half* the staged bytes and then
-   crashes, modelling a torn multi-sector write — "wal.extend" before
+   crashes, modelling a torn multi-sector write — "wal.write" at the
+   drain's write of the staged frames, "wal.extend" before
    a zero fill, "wal.torn_extend" inside it (half the zeros, then a
    crash), and the retirement
    triple "wal.retire.manifest" / "wal.retire.unlink" /
@@ -64,13 +65,13 @@ let record_kind = function
   | Record.Increment _ -> "increment"
   | Record.Enqueue _ -> "enqueue"
   | Record.Clr _ -> "clr"
-  | Record.Begin_ckpt _ -> "begin_ckpt"
-  | Record.End_ckpt _ -> "end_ckpt"
+  | Record.Checkpoint _ -> "checkpoint"
 
 let site_append = Fault.register "wal.append"
 let site_force = Fault.register "wal.force"
 let site_after_force = Fault.register "wal.after_force"
 let site_torn = Fault.register "wal.torn_write"
+let site_write = Fault.register "wal.write"
 let site_extend = Fault.register "wal.extend"
 let site_torn_extend = Fault.register "wal.torn_extend"
 let site_retire_manifest = Fault.register "wal.retire.manifest"
@@ -86,6 +87,7 @@ type sink = {
   mutable fd : Unix.file_descr;
   buf : Buffer.t;
   mutable crashed : bool;
+  mutable failed : bool; (* a write or fsync failed: every later force fails *)
   mutable sealed : seg list; (* oldest first; immutable, fsynced in full *)
   mutable cur : seg;
   mutable cur_bytes : int; (* framed bytes of [cur], drained or staged *)
@@ -137,6 +139,10 @@ let push_mem t record =
   t.len <- t.len + 1
 
 let frame_header_size = 8
+
+(* The largest record body a frame may carry.  The loader reads a
+   longer length as corruption, so [append] refuses one. *)
+let max_record_bytes = 1 lsl 26
 
 let buffer_framed buf body =
   Buffer.add_int32_le buf (Int32.of_int (String.length body));
@@ -234,6 +240,7 @@ let open_segments ~dir ~limit ~retired ~sealed cur cur_bytes fd =
          fd;
          buf;
          crashed = false;
+         failed = false;
          sealed;
          cur;
          cur_bytes;
@@ -283,7 +290,31 @@ let extend sink target =
       ignore (Unix.lseek sink.fd sink.drained Unix.SEEK_SET));
   sink.zeroed <- target
 
+(* Fail-stop: once a write or an fsync of the log has failed, the
+   bytes the kernel holds for it are unknown (a failed fsync may drop
+   dirty pages and clear the error, so a retried one can succeed over
+   lost data).  The sink is marked failed, and every later drain or
+   fsync raises without touching the file, so [forced_lsn] never
+   advances past a record that may not be on disk. *)
+let fail_stop sink f =
+  try f ()
+  with Fault.Storage_error _ as e ->
+    sink.failed <- true;
+    raise e
+
+let check_healthy sink =
+  if sink.failed then
+    raise (Fault.Storage_error ("wal.write", Failure "the log failed an earlier write or fsync"))
+
+let fsync sink =
+  check_healthy sink;
+  fail_stop sink (fun () -> Fault.protect "wal.fsync" (fun () -> Unix.fsync sink.fd))
+
+(* Write the staged frames at the data end.  The buffer is cleared only
+   once the write has succeeded, so a failed write loses no frame from
+   memory — but the log is failed from then on (see [fail_stop]). *)
 let drain sink =
+  check_healthy sink;
   let n = Buffer.length sink.buf in
   if n > 0 then begin
     let data_end = sink.drained + n in
@@ -293,15 +324,14 @@ let drain sink =
     match Fault.check site_torn with
     | Some _ ->
         (* A torn write: half the staged bytes reach the disk, then the
-           machine dies.  The buffer is cleared first — the surviving
-           process state is irrelevant, the harness discards it. *)
-        Buffer.clear sink.buf;
+           machine dies. *)
         Fault.protect "wal.drain" (fun () ->
             write_all sink.fd (Bytes.unsafe_of_string staged) 0 (n / 2));
         raise (Fault.Crash "wal.torn_write")
     | None ->
+        fail_stop sink (fun () ->
+            Fault.io site_write (fun () -> write_all sink.fd (Bytes.unsafe_of_string staged) 0 n));
         Buffer.clear sink.buf;
-        Fault.protect "wal.drain" (fun () -> write_all sink.fd (Bytes.unsafe_of_string staged) 0 n);
         sink.drained <- data_end
   end
 
@@ -312,7 +342,7 @@ let force t =
       Fault.io site_force (fun () ->
           drain sink;
           (* The fsync is what makes the bytes durable. *)
-          Unix.fsync sink.fd);
+          fsync sink);
       (* Crash here = power loss after the force hit the platter but
          before anyone was told: durable yet unacknowledged. *)
       Fault.hit_io site_after_force);
@@ -333,9 +363,8 @@ let force t =
    at [limit] and rotation waits until the data reaches it. *)
 let rotate t sink =
   drain sink;
-  Fault.protect "wal.rotate" (fun () ->
-      Unix.fsync sink.fd;
-      Unix.close sink.fd);
+  fsync sink;
+  Fault.protect "wal.rotate" (fun () -> Unix.close sink.fd);
   t.forced_lsn <- max t.forced_lsn (t.start_lsn + t.len - 1);
   sink.sealed <- sink.sealed @ [ sink.cur ];
   let base = t.start_lsn + t.len in
@@ -355,6 +384,13 @@ let append t record =
     | None -> None
     | Some _ ->
         let body = Record.encode record in
+        if String.length body > max_record_bytes then
+          raise
+            (Fault.Storage_error
+               ( "wal.append",
+                 Failure
+                   (Printf.sprintf "a %d-byte record exceeds the %d-byte frame bound"
+                      (String.length body) max_record_bytes) ));
         (* The size-aware hit lets a [Disk_full] budget refuse the
            whole frame up front: a refused append stages nothing, so
            the segment is never torn by running out of space. *)
@@ -417,7 +453,9 @@ let close t =
   | Some sink ->
       if not sink.crashed then begin
         sink.crashed <- true;
-        drain sink;
+        (* A failed log keeps its unwritten frames: they never reach
+           the file, which ends at the last successful write. *)
+        if not sink.failed then drain sink;
         Fault.protect "wal.close" (fun () ->
             (* Cut the zero tail: a closed segment holds exactly its
                frames. *)
@@ -467,8 +505,6 @@ type parsed = {
   p_clean : bool;
 }
 
-let max_sane_record = 1 lsl 26
-
 (* Whether every byte from the channel's position to its end is zero
    (vacuously so at the end); the position is left where it was. *)
 let rest_is_zero ic =
@@ -511,7 +547,7 @@ let parse_file path =
     match really_input ic frame 0 frame_header_size with
     | () ->
         let len = Int32.to_int (Bytes.get_int32_le frame 0) in
-        if (zero_header frame && rest_is_zero ic) || len < 0 || len > max_sane_record then ()
+        if (zero_header frame && rest_is_zero ic) || len < 0 || len > max_record_bytes then ()
         else begin
           let body = Bytes.create len in
           match really_input ic body 0 len with
@@ -529,7 +565,7 @@ let parse_file path =
     | () when zero_header frame && rest_is_zero ic -> (* the zero tail *) ()
     | () ->
         let len = Int32.to_int (Bytes.get_int32_le frame 0) in
-        if len < 0 || len > max_sane_record then begin
+        if len < 0 || len > max_record_bytes then begin
           (* Garbage length on a complete header: corruption. *)
           clean := false;
           incr dropped

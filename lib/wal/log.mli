@@ -26,10 +26,13 @@
     File I/O is instrumented with failpoints ("wal.append" — byte-
     sized, so a [Disk_full] budget refuses whole frames, never the
     zero fill — "wal.force", "wal.after_force", "wal.torn_write",
-    "wal.extend", "wal.torn_extend", "wal.retire.manifest",
+    "wal.write", "wal.extend", "wal.torn_extend", "wal.retire.manifest",
     "wal.retire.unlink", "wal.retire.sync_dir"; see
     {!Asset_fault.Fault}), and raw I/O failures surface as
-    [Fault.Storage_error]. *)
+    [Fault.Storage_error].  The log is fail-stop: once a write or an
+    fsync of it has failed, every later {!force} raises and
+    {!forced_lsn} never passes the records that may not have reached
+    the file. *)
 
 type t
 
@@ -79,11 +82,20 @@ val append : t -> Record.t -> int
     once its record is durable) lives in the engine, which stages
     commit records, calls {!force} once per batch and acknowledges a
     commit once {!forced_lsn} covers it.  On a segment-directory log
-    this may seal the current segment and rotate. *)
+    this may seal the current segment and rotate.  A record whose body
+    exceeds {!max_record_bytes} is refused with
+    [Fault.Storage_error] before anything is staged. *)
+
+val max_record_bytes : int
+(** The largest record body a frame carries (64 MiB): {!load_dir}
+    reads a longer frame length as corruption. *)
 
 val force : t -> unit
 (** Make everything appended so far durable: drain the staging buffer
-    and fsync the file descriptor. *)
+    and fsync the file descriptor.  The staged frames leave memory only
+    once written.  If the write or the fsync fails, the log is failed
+    for good: this and every later force raise
+    [Fault.Storage_error] and {!forced_lsn} stays where it was. *)
 
 val force_count : t -> int
 (** How many times {!force} ran — the group-commit coalescing metric

@@ -20,15 +20,13 @@ module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
 module Value = Asset_storage.Value
 
-(* Fuzzy-checkpoint capture.  [Begin_ckpt] snapshots the active
+(* Checkpoint capture.  A [Checkpoint] record snapshots the active
    transaction table (ATT) without quiescing: for each live transaction,
    the undo information of every update it is currently responsible for
    — enough for recovery to roll an in-flight loser back without ever
    scanning the log before the checkpoint.  The captured LSNs are the
    updates' real log positions, so undo ordering across seeded and
-   tail records stays globally correct.  [End_ckpt] anchors
-   completeness: analysis only trusts a Begin_ckpt whose matching
-   End_ckpt (the [begin_lsn] backlink) made it to disk. *)
+   tail records stays globally correct. *)
 
 type ckpt_undo =
   | Ckpt_physical of Value.t option (* install the before image; None = delete *)
@@ -38,8 +36,6 @@ type ckpt_undo =
 type ckpt_update = { cu_lsn : int; cu_oid : Oid.t; cu_undo : ckpt_undo }
 type att_entry = { att_tid : Tid.t; att_updates : ckpt_update list }
 
-(* Physical undo never reads [current]: a persistent-store read may hit
-   a failpoint, and the torture sweeps count those hits. *)
 let undo_image undo ~current =
   match undo with
   | Ckpt_physical before -> before
@@ -59,30 +55,23 @@ type t =
          supports *logical* undo — concurrent uncommitted increments by
          other transactions must survive this one's abort, so undo
          subtracts rather than installing a before image. *)
-  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string; image : Value.t option }
+  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string }
       (* A commuting queue append, logged as the operation rather than
          the queue: [item] is both the redo (append it) and the undo
          (remove it — concurrent uncommitted enqueues by other
-         transactions must survive this one's abort).  The first
-         enqueue on an object after each checkpoint also carries the
-         full queue it produced as [image], so every redo scan meets a
-         physical install of the queue before its first append (the
-         full-page-write rule applied to one object). *)
+         transactions must survive this one's abort).  Redo appends to
+         the store's current value, which is sound because redo always
+         starts from exactly the anchor's state (see [Recovery]). *)
   | Clr of { tid : Tid.t; oid : Oid.t; image : Value.t option; undo_lsn : int }
       (* Compensation record: the abort algorithm installed [image]
          (None = the object is deleted) while undoing [tid].  Redo-only,
          ARIES-style: recovery replays CLRs but never undoes them, and a
          loser whose Abort record made it to the log is not re-undone —
          its CLRs already carry the undo. *)
-  | Begin_ckpt of { active : att_entry list; dirty : Oid.t list }
-      (* Fuzzy-checkpoint open: ATT snapshot + the distinct OIDs those
-         in-flight transactions have touched.  The store is flushed
-         between Begin_ckpt and End_ckpt, so everything logged before
-         this record is durably in the store by End_ckpt. *)
-  | End_ckpt of { begin_lsn : int }
-      (* Fuzzy-checkpoint close: backlink to the matching Begin_ckpt.
-         Recovery's redo watermark is the [begin_lsn] of the last
-         End_ckpt-anchored checkpoint. *)
+  | Checkpoint of { active : att_entry list; image : (Oid.t * Value.t) list }
+      (* The store's image and the ATT at one yield-free cut: recovery's
+         redo anchor.  The image includes in-flight transactions'
+         updates; the ATT carries their undo. *)
 
 let pp ppf = function
   | Begin tid -> Format.fprintf ppf "BEGIN %a" Tid.pp tid
@@ -101,30 +90,26 @@ let pp ppf = function
   | Increment { tid; oid; delta; after } ->
       Format.fprintf ppf "INCR %a %a delta=%d after=%a" Tid.pp tid Oid.pp oid delta Value.pp
         after
-  | Enqueue { tid; oid; item; image } ->
-      Format.fprintf ppf "ENQ %a %a item=%S image=%a" Tid.pp tid Oid.pp oid item
-        (Format.pp_print_option Value.pp)
-        image
+  | Enqueue { tid; oid; item } -> Format.fprintf ppf "ENQ %a %a item=%S" Tid.pp tid Oid.pp oid item
   | Clr { tid; oid; image; undo_lsn } ->
       Format.fprintf ppf "CLR %a %a image=%a undo=%d" Tid.pp tid Oid.pp oid
         (Format.pp_print_option Value.pp)
         image undo_lsn
-  | Begin_ckpt { active; dirty } ->
-      Format.fprintf ppf "BEGIN_CKPT active=[%a] dirty=%d"
+  | Checkpoint { active; image } ->
+      Format.fprintf ppf "CHECKPOINT active=[%a] objects=%d"
         (Format.pp_print_list
            ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
            (fun ppf e -> Format.fprintf ppf "%a/%d" Tid.pp e.att_tid (List.length e.att_updates)))
-        active (List.length dirty)
-  | End_ckpt { begin_lsn } -> Format.fprintf ppf "END_CKPT begin=%d" begin_lsn
+        active (List.length image)
 
 (* Binary codec.  Framing (record length) is the log's concern; this
    codec produces and parses the record body.  All integers are
    little-endian. *)
 
-(* Tags 6, 9 and 10 are retired: an old log may still hold them (9
-   and 10 are the earlier Enqueue and Begin_ckpt layouts, which carried
-   after images), so they decode as [Corrupt] and must not be
-   reused. *)
+(* Tags 6 and 9–13 are retired: an old log may still hold them (9 and
+   12 are earlier Enqueue layouts, 10, 11 and 13 the Begin_ckpt /
+   End_ckpt pair that bracketed a store flush), so they decode as
+   [Corrupt] and must not be reused. *)
 let tag = function
   | Begin _ -> 1
   | Update _ -> 2
@@ -133,9 +118,8 @@ let tag = function
   | Delegate _ -> 5
   | Clr _ -> 7
   | Increment _ -> 8
-  | End_ckpt _ -> 11
-  | Enqueue _ -> 12
-  | Begin_ckpt _ -> 13
+  | Checkpoint _ -> 14
+  | Enqueue _ -> 15
 
 let put_int buf i =
   let b = Bytes.create 8 in
@@ -188,12 +172,11 @@ let encode t =
       put_oid buf oid;
       put_int buf delta;
       put_string buf (Value.to_string after)
-  | Enqueue { tid; oid; item; image } ->
+  | Enqueue { tid; oid; item } ->
       put_tid buf tid;
       put_oid buf oid;
-      put_string buf item;
-      put_image buf image
-  | Begin_ckpt { active; dirty } ->
+      put_string buf item
+  | Checkpoint { active; image } ->
       put_int buf (List.length active);
       List.iter
         (fun e ->
@@ -216,9 +199,12 @@ let encode t =
                   put_string buf item))
             e.att_updates)
         active;
-      put_int buf (List.length dirty);
-      List.iter (put_oid buf) dirty
-  | End_ckpt { begin_lsn } -> put_int buf begin_lsn);
+      put_int buf (List.length image);
+      List.iter
+        (fun (oid, v) ->
+          put_oid buf oid;
+          put_string buf (Value.to_string v))
+        image);
   Buffer.contents buf
 
 exception Corrupt of string
@@ -289,14 +275,12 @@ let decode data =
       let delta = get_int c in
       let after = Value.of_string (get_string c) in
       Increment { tid; oid; delta; after }
-  | 11 -> End_ckpt { begin_lsn = get_int c }
-  | 12 ->
+  | 15 ->
       let tid = get_tid c in
       let oid = get_oid c in
       let item = get_string c in
-      let image = get_image c in
-      Enqueue { tid; oid; item; image }
-  | 13 ->
+      Enqueue { tid; oid; item }
+  | 14 ->
       let n_active = get_count c in
       let active =
         List.init n_active (fun _ ->
@@ -318,7 +302,11 @@ let decode data =
             in
             { att_tid; att_updates })
       in
-      let n_dirty = get_count c in
-      let dirty = List.init n_dirty (fun _ -> get_oid c) in
-      Begin_ckpt { active; dirty }
+      let n_objects = get_count c in
+      let image =
+        List.init n_objects (fun _ ->
+            let oid = get_oid c in
+            (oid, Value.of_string (get_string c)))
+      in
+      Checkpoint { active; image }
   | n -> raise (Corrupt (Printf.sprintf "unknown record tag %d" n))

@@ -19,13 +19,12 @@ module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
 module Value = Asset_storage.Value
 
-(** {2 Fuzzy-checkpoint capture}
+(** {2 Checkpoint capture}
 
-    [Begin_ckpt] snapshots the active transaction table without
+    A [Checkpoint] record snapshots the active transaction table without
     quiescing: each in-flight transaction's undo information, with real
     log LSNs so undo ordering across captured and tail records stays
-    globally correct.  [End_ckpt] anchors completeness — analysis only
-    trusts a [Begin_ckpt] whose matching [End_ckpt] reached disk. *)
+    globally correct. *)
 
 type ckpt_undo =
   | Ckpt_physical of Value.t option
@@ -56,14 +55,10 @@ type t =
   | Increment of { tid : Tid.t; oid : Oid.t; delta : int; after : Value.t }
       (** A commuting increment: [after] supports physical
           repeat-history redo, [delta] supports logical undo. *)
-  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string; image : Value.t option }
+  | Enqueue of { tid : Tid.t; oid : Oid.t; item : string }
       (** A commuting queue append, logged as the item: redo appends
           [item], undo removes it (logical, so concurrent producers'
-          items survive).  [image] is the full queue after the append,
-          present only on the first enqueue on [oid] since the last
-          [Begin_ckpt] (or since the engine started), so every redo
-          scan installs the queue physically before appending to
-          it. *)
+          items survive). *)
   | Clr of { tid : Tid.t; oid : Oid.t; image : Value.t option; undo_lsn : int }
       (** Compensation record written by the abort algorithm for each
           installed undo image ([None] = deletion).  Redo-only for the
@@ -72,13 +67,13 @@ type t =
           got and never re-undoes an already-compensated update — the
           CLR-style abort-progress record that closes the
           double-undo window for logical (delta/dequeue) undos. *)
-  | Begin_ckpt of { active : att_entry list; dirty : Oid.t list }
-      (** Fuzzy-checkpoint open: ATT snapshot plus the distinct OIDs
-          those transactions have touched.  The store is flushed
-          between [Begin_ckpt] and [End_ckpt]. *)
-  | End_ckpt of { begin_lsn : int }
-      (** Fuzzy-checkpoint close: backlink to the matching
-          [Begin_ckpt], recovery's redo watermark. *)
+  | Checkpoint of { active : att_entry list; image : (Oid.t * Value.t) list }
+      (** The store's whole contents ([image], oid-sorted) and the
+          active transaction table ([active]), taken at one yield-free
+          cut.  The image holds in-flight transactions' updates too;
+          [active] carries what undoes them.  Recovery installs the
+          newest checkpoint's image and redoes only the records after
+          it. *)
 
 val pp : Format.formatter -> t -> unit
 

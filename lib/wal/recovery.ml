@@ -1,28 +1,35 @@
 (* Crash recovery from the log.
 
-   Physical before/after-image logging admits a simple, idempotent
-   "repeat history, then undo losers" scheme:
+   The log is the only durable copy of the store.  Physical
+   before/after-image logging plus a checkpoint record that carries the
+   store's image admit a simple, idempotent "rebuild, repeat history,
+   then undo losers" scheme:
 
-   analysis —  walk the log forward from the last completed checkpoint,
-               collecting every update together with the transaction
-               *finally responsible* for it.  Delegation records
-               re-attribute earlier updates: an update performed by t_i
-               and then delegated to t_j belongs to t_j ("it will be as
-               if t_j, not t_i, has performed the operations", section
-               2.2).  Winners are the transactions named in commit
-               records (a group-commit record names the whole group).
+   anchor   —  find the newest Checkpoint record.  Clear the store and
+               install its image: the store's contents at the
+               checkpoint's cut, in-flight transactions' updates
+               included.  Without a checkpoint the store starts empty
+               and the scan starts at LSN 0.  A log whose prefix was
+               retired no longer holds what that prefix built, so
+               without a checkpoint it is refused.
+
+   analysis —  walk the log forward from the anchor, collecting every
+               update together with the transaction *finally
+               responsible* for it.  Delegation records re-attribute
+               earlier updates: an update performed by t_i and then
+               delegated to t_j belongs to t_j ("it will be as if t_j,
+               not t_i, has performed the operations", section 2.2).
+               Winners are the transactions named in commit records (a
+               group-commit record names the whole group).
 
    redo     —  reinstall every after image *and every CLR image* in log
-               order, regardless of outcome, repeating history so the
-               cache state matches the log tail whatever subset of
-               writes reached the disk.  An enqueue is logged as its
-               item and redone as an append onto the current value;
-               the first enqueue on each queue after a checkpoint also
-               carries the full queue, so every scan installs a queue
-               before appending to it.  Redo is therefore a
-               deterministic replay from physical images, and a crash
-               part-way through it leaves a store that the next
-               recovery's redo simply overwrites.
+               order, regardless of outcome, repeating history.  An
+               enqueue is logged as its item and redone as an append
+               onto the current value.  That is sound because redo
+               always starts from exactly the anchor's state: the image
+               holds every effect logged before the checkpoint and none
+               after it.  A crash part-way through redo leaves a store
+               that the next recovery clears and rebuilds.
 
    undo     —  walk the loser updates in reverse LSN order, installing
                each one's [Record.undo_image] — the same undo the
@@ -39,18 +46,12 @@
                for logical (delta/dequeue) undos, which are not
                idempotent.
 
-   A checkpoint bounds the scan: a Begin_ckpt/End_ckpt pair taken
-   without stopping the world.  Begin_ckpt carries the
-   active-transaction table: for each in-flight transaction the undo
-   information of every update it is responsible for, at its real LSN.
-   The store is flushed between the pair, so an End_ckpt on disk
-   guarantees every update logged before its begin_lsn is in the store
-   — redo can start at begin_lsn, and undo of a transaction that was
-   already running at the checkpoint works from the captured table
-   instead of the (possibly retired) log prefix.  Tail Delegate records
-   re-attribute captured updates exactly like scanned ones.  A
-   Begin_ckpt without its End_ckpt (crash mid-checkpoint) is ignored
-   and analysis falls back to the previous checkpoint. *)
+   The checkpoint's active-transaction table holds, for each in-flight
+   transaction, the undo information of every update it is responsible
+   for, at its real LSN.  Undo of a transaction that was already running
+   at the checkpoint works from that table instead of the (retired) log
+   prefix, and tail Delegate records re-attribute captured updates
+   exactly like scanned ones. *)
 
 module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
@@ -59,9 +60,8 @@ module Value = Asset_storage.Value
 module Fault = Asset_fault.Fault
 module Trace = Asset_obs.Trace
 
-let site_ckpt_begin = Fault.register "wal.ckpt.begin"
-let site_ckpt_flush = Fault.register "wal.ckpt.flush"
-let site_ckpt_end = Fault.register "wal.ckpt.end"
+let site_ckpt_append = Fault.register "wal.ckpt.append"
+let site_ckpt_forced = Fault.register "wal.ckpt.forced"
 let site_redo = Fault.register "recovery.redo"
 
 type report = {
@@ -73,47 +73,32 @@ type report = {
   log_records_dropped : int;
 }
 
-(* [Append] is an enqueue's redo: push the item onto the store's
-   current value.  It is only sound because the engine logs a full
-   image with the first enqueue on each queue after every Begin_ckpt:
-   in any scan, from any anchor, an install of the queue (that image,
-   an Update's after image or a CLR image) precedes its first append.
-   So every append extends the replayed history's value, whatever the
-   store held before redo — behind the anchor, or ahead of it after
-   pool eviction or a crash part-way through an earlier redo. *)
 type redo_action = Install of Oid.t * Value.t | Remove of Oid.t | Append of Oid.t * string
 
-(* The latest trustworthy scan anchor, found by one backward walk: the
-   begin LSN and captured table of the last End_ckpt whose backlink
-   resolves to a live Begin_ckpt.  An End_ckpt with a dangling backlink
-   (its Begin retired or corrupt) is skipped, as is any Begin_ckpt met
-   on the way back (its End never made it: the checkpoint did not
-   complete). *)
+(* The newest checkpoint, found by one backward walk: its LSN, captured
+   table and store image.  A torn checkpoint frame never loaded, so the
+   walk meets the previous one; retirement only ever deletes what lies
+   below a forced checkpoint. *)
 let find_anchor log =
   let result = ref None in
   (try
      Log.iter_rev log (fun lsn record ->
          match record with
-         | Record.End_ckpt { begin_lsn } when begin_lsn >= Log.start_lsn log && begin_lsn < lsn -> (
-             match Log.get log begin_lsn with
-             | Record.Begin_ckpt { active; _ } ->
-                 result := Some (begin_lsn, active);
-                 raise Exit
-             | _ -> ())
+         | Record.Checkpoint { active; image } ->
+             result := Some (lsn, active, image);
+             raise Exit
          | _ -> ())
    with Exit -> ());
   !result
 
-(* One forward pass from the anchor.  Updates are indexed by the
-   transaction currently responsible for them, so a Delegate moves
-   one transaction's entries instead of walking every update seen so
-   far.  With an anchor the index is seeded from the captured
-   active-transaction table — seeded updates join undo and delegation
-   re-attribution but not redo: the checkpoint's store flush already
-   covers every update logged before begin_lsn.  Returns the updates
-   recovery must undo, newest first, with the redo actions in log
-   order. *)
-let analyze log =
+(* One forward pass from [scan_from].  Updates are indexed by the
+   transaction currently responsible for them, so a Delegate moves one
+   transaction's entries instead of walking every update seen so far.
+   The index is seeded from the anchor's captured table — seeded
+   updates join undo and delegation re-attribution but not redo: the
+   image already holds them.  Returns the updates recovery must undo,
+   newest first, with the redo actions in log order. *)
+let analyze log ~scan_from ~seeds =
   let owned : (Tid.t, Record.ckpt_update list) Hashtbl.t = Hashtbl.create 16 in
   let owned_by tid = Option.value (Hashtbl.find_opt owned tid) ~default:[] in
   let redo = ref [] in
@@ -130,9 +115,6 @@ let analyze log =
     Hashtbl.replace seen tid ();
     Hashtbl.replace owned tid ({ Record.cu_lsn; cu_oid; cu_undo } :: owned_by tid)
   in
-  let scan_from, seeds =
-    match find_anchor log with None -> (Log.start_lsn log, []) | Some anchor -> anchor
-  in
   List.iter
     (fun (e : Record.att_entry) ->
       Hashtbl.replace seen e.att_tid ();
@@ -140,10 +122,7 @@ let analyze log =
     seeds;
   Log.iter ~from:scan_from log (fun lsn record ->
       match record with
-      | Record.Begin_ckpt _ | Record.End_ckpt _ ->
-          (* Anchoring already happened in the backward pass; nothing
-             at or after the anchor changes what must be scanned. *)
-          ()
+      | Record.Checkpoint _ -> (* the anchor, or an older one before it *) ()
       | Record.Begin tid -> Hashtbl.replace seen tid ()
       | Record.Update { tid; oid; before; after } ->
           update tid lsn oid (Record.Ckpt_physical before);
@@ -151,9 +130,9 @@ let analyze log =
       | Record.Increment { tid; oid; delta; after } ->
           update tid lsn oid (Record.Ckpt_delta delta);
           redo := Install (oid, after) :: !redo
-      | Record.Enqueue { tid; oid; item; image } ->
+      | Record.Enqueue { tid; oid; item } ->
           update tid lsn oid (Record.Ckpt_dequeue item);
-          redo := (match image with Some v -> Install (oid, v) | None -> Append (oid, item)) :: !redo
+          redo := Append (oid, item) :: !redo
       | Record.Clr { oid; image; undo_lsn; _ } ->
           Hashtbl.replace compensated undo_lsn ();
           redo :=
@@ -193,7 +172,7 @@ let analyze log =
     |> List.sort (fun a b -> Int.compare b.Record.cu_lsn a.Record.cu_lsn)
   in
   let winners = Hashtbl.fold (fun tid () acc -> tid :: acc) winners [] in
-  (to_undo, List.rev !redo, List.sort Tid.compare winners, List.sort Tid.compare losers, scan_from)
+  (to_undo, List.rev !redo, List.sort Tid.compare winners, List.sort Tid.compare losers)
 
 let apply_action store = function
   | Install (oid, v) -> Store.write store oid v
@@ -204,7 +183,26 @@ let apply_action store = function
 
 let recover log store =
   if Trace.on () then Trace.emit Trace.Recovery_start;
-  let to_undo, redo, winners, losers, from = analyze log in
+  let anchor = find_anchor log in
+  (* Retirement deleted the prefix below a checkpoint that no longer
+     loads (corruption condemned it): no record left can rebuild what
+     the prefix held, so refuse rather than return a partial store. *)
+  if anchor = None && Log.start_lsn log > 0 then
+    raise
+      (Fault.Storage_error
+         ( "recovery",
+           Failure
+             (Printf.sprintf "the log starts at lsn %d, after retirement, and holds no checkpoint"
+                (Log.start_lsn log)) ));
+  Store.clear store;
+  let scan_from, seeds =
+    match anchor with
+    | None -> (0, [])
+    | Some (lsn, active, image) ->
+        List.iter (fun (oid, v) -> Store.write store oid v) image;
+        (lsn, active)
+  in
+  let to_undo, redo, winners, losers = analyze log ~scan_from ~seeds in
   (* Redo: repeat history, including the undo writes (CLRs) of aborts
      that ran before the crash.  The failpoint lets the torture harness
      lose power part-way through. *)
@@ -219,38 +217,34 @@ let recover log store =
       | Some v -> Store.write store oid v
       | None -> Store.delete store oid)
     to_undo;
-  Store.flush store;
   if Trace.on () then Trace.emit (Trace.Recovery_done { winners; losers });
   {
     winners;
     losers;
     updates_redone = List.length redo;
     updates_undone = List.length to_undo;
-    scanned_from = from;
+    scanned_from = scan_from;
     log_records_dropped = Log.corrupt_dropped log;
   }
 
-(* A fuzzy checkpoint: no quiescence needed.  The caller captures the
-   active-transaction table; this logs Begin_ckpt, flushes the store,
-   logs End_ckpt and forces.  One force at the end suffices: log
-   durability is prefix-ordered, so a durable End_ckpt implies a
-   durable Begin_ckpt — and the flush ran between them, establishing
-   the anchor invariant (End_ckpt on disk ⟹ every update logged
-   before begin_lsn is in the store).  A crash anywhere inside leaves
-   an incomplete pair that [find_anchor] skips, falling back to the
-   previous checkpoint: fuzzy checkpointing never loses ground, it
-   only fails to gain it. *)
-let checkpoint log store ~active ~dirty =
-  Fault.hit_io site_ckpt_begin;
-  let begin_lsn = Log.append log (Record.Begin_ckpt { active; dirty }) in
-  if Trace.on () then Trace.emit (Trace.Ckpt_begin { lsn = begin_lsn; active = List.length active });
-  Fault.hit_io site_ckpt_flush;
-  Store.flush store;
-  Fault.hit_io site_ckpt_end;
-  let end_lsn = Log.append log (Record.End_ckpt { begin_lsn }) in
+(* A checkpoint: no quiescence needed.  The caller captures the
+   active-transaction table; this captures the store's image at the
+   same yield-free cut, appends both as one record, forces it and
+   retires every segment wholly below it.  Once the force returns, the
+   record anchors recovery by itself, so nothing below it is needed
+   any more.  A crash before the force leaves at most a torn frame,
+   which loading drops: recovery falls back to the previous checkpoint,
+   whose segments are still live. *)
+let checkpoint log store ~active =
+  Fault.hit_io site_ckpt_append;
+  let image = Store.dump store in
+  let lsn = Log.append log (Record.Checkpoint { active; image }) in
   Log.force log;
-  if Trace.on () then Trace.emit (Trace.Ckpt_end { lsn = end_lsn; begin_lsn });
-  begin_lsn
+  if Trace.on () then
+    Trace.emit (Trace.Ckpt { lsn; active = List.length active; objects = List.length image });
+  Fault.hit_io site_ckpt_forced;
+  ignore (Log.retire log ~below:lsn);
+  lsn
 
 let pp_report ppf r =
   Format.fprintf ppf "recovery: %d winners, %d losers, %d redone, %d undone (from lsn %d)"

@@ -1,22 +1,22 @@
 (* Crash-recovery torture harness.
 
-   One torture run is a bank-transfer workload over a fully persistent
-   stack — slotted pages behind a small buffer pool, segment-directory
-   WAL — with a fault armed at some I/O site.  When the fault fires as
-   [Fault.Crash], the harness treats it as power loss with full
-   fidelity:
+   One torture run is a bank-transfer workload over the heap store and
+   a segment-directory WAL, with a fault armed at some I/O site.  The
+   bank is populated outside the log, so a checkpoint logs its image
+   before the workload starts.  When the fault fires as [Fault.Crash],
+   the harness treats it as power loss with full fidelity:
 
-     - the WAL's staging buffer and the buffer pool's dirty frames are
-       discarded ([Log.crash], [Persistent_store.crash_and_reopen]) —
-       only bytes that reached the files survive;
+     - the WAL's staging buffer and the whole store are lost
+       ([Log.crash], a fresh heap store) — only bytes that reached the
+       files survive;
      - the log is re-read from disk ([Log.load_dir]: torn-tail truncation +
-       CRC verification) and [Recovery.recover] repeats history and
-       undoes losers.
+       CRC verification) and [Recovery.recover] rebuilds the store from
+       the newest checkpoint's image, repeats history and undoes
+       losers.
 
    Each transfer also enqueues one small item onto an audit queue, so
    the sweeps cover the enqueue log shape too: item-only records
-   redone as appends, after a full image of the queue once per
-   checkpoint interval.
+   redone as appends.
 
    The durability invariants checked after every recovery:
 
@@ -38,7 +38,7 @@ module Runtime = Asset_core.Runtime
 module Sched = Asset_sched.Scheduler
 module Log = Asset_wal.Log
 module Recovery = Asset_wal.Recovery
-module Pstore = Asset_storage.Persistent_store
+module Heap_store = Asset_storage.Heap_store
 module Store = Asset_storage.Store
 module Value = Asset_storage.Value
 module Fault = Asset_fault.Fault
@@ -56,10 +56,8 @@ type spec = {
   balance : int;
   n_txns : int;
   seed : int;
-  page_size : int;
-  pool_capacity : int;
   segment_bytes : int; (* WAL segment rotation size *)
-  checkpoint_log_bytes : int; (* > 0: commit-path fuzzy-checkpoint trigger *)
+  checkpoint_log_bytes : int; (* > 0: commit-path checkpoint trigger *)
 }
 
 let default_spec =
@@ -68,17 +66,13 @@ let default_spec =
     balance = 1_000;
     n_txns = 12;
     seed = 42;
-    page_size = 512;
-    pool_capacity = 4;
     segment_bytes = 1 lsl 20;
     checkpoint_log_bytes = 0;
   }
 
 type transfer = { src : int; dst : int; amount : int }
 
-(* The audit queue sits just past the accounts.  Its items are a few
-   bytes each, so a whole run's queue fits in one page of the smallest
-   spec the sweeps use. *)
+(* The audit queue sits just past the accounts. *)
 let audit spec = Asset_util.Id.Oid.of_int (spec.accounts + 1)
 let audit_item i = "t" ^ string_of_int i
 
@@ -106,24 +100,46 @@ type outcome = {
   recovery_crashes : int; (* power losses *during* recovery, each retried *)
   log_length : int; (* records in the recovered log *)
   forces : int; (* log forces before power-off *)
+  site_hits : (Fault.site * int) list; (* per site, hits between [arm] and power-off *)
   failures : string list; (* violated durability invariants, empty = pass *)
 }
 
-let fresh_paths =
+let fresh_wal_path =
   let counter = ref 0 in
   fun () ->
     incr counter;
-    let base =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "asset-torture-%d-%d" (Unix.getpid ()) !counter)
-    in
-    (base ^ ".pages", base ^ ".wal")
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "asset-torture-%d-%d.wal" (Unix.getpid ()) !counter)
+
+(* A fresh bank on a heap store, over a new segment-directory WAL: the
+   accounts and the empty audit queue are written outside the log, so a
+   checkpoint logs the populated store before any transaction runs —
+   without it a crash would lose them. *)
+let setup spec =
+  let wal_path = fresh_wal_path () in
+  let store = Heap_store.store () in
+  for a = 1 to spec.accounts do
+    Store.write store (Bank.account a) (Value.of_int spec.balance)
+  done;
+  Store.write store (audit spec) (Value.of_queue []);
+  let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
+  ignore (Recovery.checkpoint log store ~active:[]);
+  let config = { E.default_config with checkpoint_log_bytes = spec.checkpoint_log_bytes } in
+  (wal_path, log, E.create ~config ~log store)
+
+(* Power on after a clean close or a crash: the store is gone, so
+   recovery rebuilds a fresh one from the log on disk. *)
+let reload wal_path =
+  let rlog = Log.load_dir wal_path in
+  let store = Heap_store.store () in
+  ignore (Recovery.recover rlog store);
+  (rlog, store)
 
 (* [durable_commits] supplements the report's winner list: once a
-   fuzzy checkpoint retires the log prefix, recovery's scan (correctly)
+   checkpoint retires the log prefix, recovery's scan (correctly)
    starts at the anchor and its winners cover only the tail — commits
-   wholly below the watermark are durable through the checkpoint's
-   flush and invisible to analysis.  The harness captures them from the
+   wholly below the anchor are durable through the checkpoint's image
+   and invisible to analysis.  The harness captures them from the
    pre-crash in-memory log (retirement is disk-only), bounded by the
    forced LSN so nothing volatile counts. *)
 let check spec transfers (tids : Tid.t array) acked (report : Recovery.report) ~durable_commits
@@ -181,20 +197,11 @@ let sorted_snapshot store =
    power loss), and check the durability invariants. *)
 let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempotent = false) spec =
   Fault.reset_all ();
-  let pages_path, wal_path = fresh_paths () in
-  let ps = Pstore.create ~page_size:spec.page_size ~pool_capacity:spec.pool_capacity pages_path in
-  let store = Pstore.to_store ps in
-  for a = 1 to spec.accounts do
-    Store.write store (Bank.account a) (Value.of_int spec.balance)
-  done;
-  Store.write store (audit spec) (Value.of_queue []);
-  Store.flush store;
-  let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
-  let config = { E.default_config with checkpoint_log_bytes = spec.checkpoint_log_bytes } in
-  let db = E.create ~config ~log store in
+  let wal_path, log, db = setup spec in
   let transfers = plan spec in
   let tids = Array.make spec.n_txns Tid.null in
   let acked = Array.make spec.n_txns false in
+  let hits_at_arm = List.map (fun site -> (site, Fault.hits site)) (Fault.sites ()) in
   arm ();
   let crashed =
     let main () =
@@ -212,16 +219,12 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
     | { Runtime.result = Error (Fault.Crash site | Sched.Fiber_failed (_, Fault.Crash site)); _ } ->
         Some site
     | { Runtime.result = Error e; _ } -> raise e
-    | exception Fault.Crash site ->
-        (* A crash in the post-run quiescence flush (Runtime's own
-           flush_pending_commits). *)
-        Some site
   in
   (* The durably committed tids, read off the pre-crash in-memory log:
      every Commit record at or below the forced LSN survived power
-     loss.  (Prefix-ordered durability: a checkpoint's End_ckpt force
-     covers every earlier commit, so commits below a retirement
-     watermark are always included here.) *)
+     loss.  (Prefix-ordered durability: a checkpoint's force covers
+     every earlier commit, so commits below a retirement watermark are
+     always included here.) *)
   let durable_commits =
     let fl = Log.forced_lsn log in
     let acc = ref [] in
@@ -232,28 +235,28 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
     !acc
   in
   let forces = Log.force_count log in
+  let site_hits = List.map (fun (site, h) -> (site, Fault.hits site - h)) hits_at_arm in
   (* Power off: disarm everything, lose all volatile state. *)
   Fault.reset_all ();
   (match crashed with Some _ -> Log.crash log | None -> Log.close log);
-  Pstore.crash_and_reopen ps;
-  (* Power on: reload the log from disk and recover.  [arm_recovery]
-     may arm a crash at a recovery site; when it fires the harness
-     powers off again (partial redo that reached disk through pool
-     eviction stays — repeat-history must converge over it) and
-     retries from a fresh load. *)
+  (* Power on: reload the log from disk and recover into an empty
+     store.  [arm_recovery] may arm a crash at a recovery site; when it
+     fires the harness powers off again, losing the partly rebuilt
+     store, and retries from a fresh load. *)
   arm_recovery ();
   let rlog = ref (Log.load_dir wal_path) in
+  let store = ref (Heap_store.store ()) in
   let recovery_crashes = ref 0 in
   let t0 = Unix.gettimeofday () in
   let rec recover_attempt n =
-    match Recovery.recover !rlog store with
+    match Recovery.recover !rlog !store with
     | report -> report
     | exception Fault.Crash _ when n < 3 ->
         incr recovery_crashes;
         Fault.reset_all ();
         Log.crash !rlog;
-        Pstore.crash_and_reopen ps;
         rlog := Log.load_dir wal_path;
+        store := Heap_store.store ();
         recover_attempt (n + 1)
   in
   let report = recover_attempt 0 in
@@ -261,7 +264,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
   (* Recovery survived: disarm any recovery-site fault still pending so
      the idempotence oracle below runs fault-free. *)
   Fault.reset_all ();
-  let rlog = !rlog in
+  let rlog = !rlog and store = !store in
   let failures = check spec transfers tids acked report ~durable_commits store in
   let failures =
     if check_idempotent then begin
@@ -274,8 +277,6 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
   in
   let log_length = Log.length rlog in
   Log.close rlog;
-  Pstore.close ps;
-  Sys.remove pages_path;
   Log.remove_dir wal_path;
   {
     crashed;
@@ -286,6 +287,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
     recovery_crashes = !recovery_crashes;
     log_length;
     forces;
+    site_hits;
     failures;
   }
 
@@ -293,7 +295,7 @@ let run_once ?(arm = fun () -> ()) ?(arm_recovery = fun () -> ()) ?(check_idempo
 (* Schedules                                                           *)
 
 type sweep = {
-  boundaries : int; (* WAL records in the fault-free run *)
+  boundaries : int; (* WAL records the fault-free run appends after set-up *)
   crashes : int; (* runs that actually lost power *)
   runs : int;
   sweep_failures : (string * string list) list; (* (schedule, violations) *)
@@ -306,7 +308,8 @@ type sweep = {
    exactly the reference run's. *)
 let crash_at_every_boundary ?(check_idempotent = false) spec =
   let clean = run_once spec in
-  let boundaries = clean.log_length in
+  (* The set-up checkpoint is appended before any fault is armed. *)
+  let boundaries = clean.log_length - 1 in
   let crashes = ref 0 and failures = ref [] and total_rec = ref 0.0 in
   (match clean.failures with
   | [] -> ()
@@ -327,33 +330,32 @@ let crash_at_every_boundary ?(check_idempotent = false) spec =
     total_recovery_s = !total_rec;
   }
 
-(* The site pool for seeded random crash schedules.  pager.torn_write
-   is deliberately absent: pages carry no checksums yet, so a torn page
-   is undetectable at rebuild time (see DESIGN.md); it is exercised by
-   the pager-level unit tests instead. *)
+(* The site pool for seeded random crash schedules: every I/O site the
+   workload passes. *)
 let random_sites =
   [|
     "wal.append";
     "wal.torn_write";
+    "wal.write";
     "wal.force";
     "wal.after_force";
     "wal.extend";
     "wal.torn_extend";
-    "pager.write_page";
-    "pool.flush_frame";
-    "pstore.write";
   |]
 
-(* One seeded random-crash schedule: pick a site and a hit count from
-   the seed, vary the workload seed alongside, run, recover, check. *)
+(* One seeded random-crash schedule: vary the workload seed, pick a
+   site from the seed, count the hits a fault-free run of that workload
+   makes there, crash at a hit drawn from that count, recover, check.
+   A site the workload never hits draws hit 1 and does not crash. *)
 let random_crash_schedule ?check_idempotent ~schedule_seed spec =
   let rng = Rng.create (0x7073 + schedule_seed) in
   let site = random_sites.(Rng.int rng (Array.length random_sites)) in
-  let nth = 1 + Rng.int rng 40 in
   let spec = { spec with seed = spec.seed + schedule_seed } in
+  let hits = List.assq (Fault.register site) (run_once spec).site_hits in
+  let nth = 1 + Rng.int rng (max 1 hits) in
   let arm () = ignore (Fault.arm_name site (Fault.Crash_nth nth)) in
   let r = run_once ~arm ?check_idempotent spec in
-  (Printf.sprintf "%s@%d seed=%d" site nth spec.seed, r)
+  (Printf.sprintf "%s@%d of %d seed=%d" site nth hits spec.seed, r)
 
 let random_crash_schedules ?check_idempotent ~n spec =
   let crashes = ref 0 and failures = ref [] and total_rec = ref 0.0 in
@@ -372,18 +374,21 @@ let random_crash_schedules ?check_idempotent ~n spec =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Durability schedules: fuzzy checkpoints, retirement, redo            *)
+(* Durability schedules: checkpoints, retirement, redo                 *)
 
 (* The crash windows specific to the sustained-durability machinery.
-   The wal.ckpt.* and wal.retire.* sites fire from the commit path's
-   checkpoint trigger during the workload; recovery.redo only fires
-   during recovery itself, so schedules picking it arm after
-   power-off. *)
+   The wal.ckpt.* and wal.retire.* windows open in the commit path's
+   checkpoint trigger during the workload: before the checkpoint record
+   is appended, a torn write of its frame ("wal.ckpt.torn" is no site
+   of its own: the n-th checkpoint arms "wal.torn_write" for the write
+   that carries its frame), after its force and before retirement, and
+   inside retirement.  recovery.redo only fires during recovery itself,
+   so schedules picking it arm after power-off. *)
 let durability_sites =
   [|
-    "wal.ckpt.begin";
-    "wal.ckpt.flush";
-    "wal.ckpt.end";
+    "wal.ckpt.append";
+    "wal.ckpt.torn";
+    "wal.ckpt.forced";
     "wal.retire.manifest";
     "wal.retire.unlink";
     "wal.retire.sync_dir";
@@ -406,7 +411,13 @@ let random_durability_schedule ?check_idempotent ~schedule_seed spec =
       checkpoint_log_bytes = 768 + (256 * Rng.int rng 4);
     }
   in
-  let do_arm () = ignore (Fault.arm_name site (Fault.Crash_nth nth)) in
+  let do_arm () =
+    if site = "wal.ckpt.torn" then
+      ignore
+        (Fault.arm_name "wal.ckpt.append"
+           (Fault.Arm_at (nth, Fault.register "wal.torn_write", Fault.Crash_once)))
+    else ignore (Fault.arm_name site (Fault.Crash_nth nth))
+  in
   let arm, arm_recovery =
     if site = "recovery.redo" then ((fun () -> ()), do_arm) else (do_arm, fun () -> ())
   in
@@ -437,7 +448,7 @@ let random_durability_schedules ?check_idempotent ~n spec =
 type sustained = {
   s_rounds : int;
   s_txns : int;
-  s_checkpoints : int; (* fuzzy checkpoints the commit path triggered *)
+  s_checkpoints : int; (* checkpoints the commit path triggered *)
   s_segments_created : int;
   s_segments_retired : int;
   s_segments_live : int;
@@ -445,11 +456,11 @@ type sustained = {
 }
 
 (* Run [rounds] batches of transfers against ONE long-lived segmented
-   WAL with the commit-path fuzzy-checkpoint trigger on, then assert
+   WAL with the commit-path checkpoint trigger on, then assert
    the log stayed bounded: segments were retired, and the live segment
    count never outgrew the checkpoint threshold plus slack.  Close
-   cleanly, crash the pool, recover, and verify every round's effects
-   survived. *)
+   cleanly, recover into a fresh store, and verify every round's
+   effects survived. *)
 let sustained_run ?(rounds = 12) spec =
   Fault.reset_all ();
   let spec =
@@ -459,16 +470,7 @@ let sustained_run ?(rounds = 12) spec =
         (if spec.checkpoint_log_bytes > 0 then spec.checkpoint_log_bytes else 2048);
     }
   in
-  let pages_path, wal_path = fresh_paths () in
-  let ps = Pstore.create ~page_size:spec.page_size ~pool_capacity:spec.pool_capacity pages_path in
-  let store = Pstore.to_store ps in
-  for a = 1 to spec.accounts do
-    Store.write store (Bank.account a) (Value.of_int spec.balance)
-  done;
-  Store.flush store;
-  let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
-  let config = { E.default_config with checkpoint_log_bytes = spec.checkpoint_log_bytes } in
-  let db = E.create ~config ~log store in
+  let wal_path, log, db = setup spec in
   let expected = Array.make (spec.accounts + 1) spec.balance in
   let txns = ref 0 in
   for round = 1 to rounds do
@@ -498,7 +500,7 @@ let sustained_run ?(rounds = 12) spec =
   let created = live + retired in
   let failures = ref [] in
   let addf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if checkpoints = 0 then addf "no fuzzy checkpoint fired in %d rounds" rounds;
+  if checkpoints = 0 then addf "no checkpoint fired in %d rounds" rounds;
   if retired = 0 then addf "no segment retired (created %d)" created;
   (* Live segments are bounded by the un-checkpointed window: one
      threshold of log plus the segment being filled and one of slack
@@ -506,9 +508,7 @@ let sustained_run ?(rounds = 12) spec =
   let bound = 2 + ((2 * spec.checkpoint_log_bytes / spec.segment_bytes) + 2) in
   if live > bound then addf "log unbounded: %d live segments (bound %d, retired %d)" live bound retired;
   Log.close log;
-  Pstore.crash_and_reopen ps;
-  let rlog = Log.load_dir wal_path in
-  ignore (Recovery.recover rlog store);
+  let rlog, store = reload wal_path in
   for a = 1 to spec.accounts do
     match Store.read store (Bank.account a) with
     | Some v ->
@@ -518,8 +518,6 @@ let sustained_run ?(rounds = 12) spec =
     | None -> addf "account %d missing after sustained run" a
   done;
   Log.close rlog;
-  Pstore.close ps;
-  Sys.remove pages_path;
   Log.remove_dir wal_path;
   {
     s_rounds = rounds;
@@ -550,15 +548,7 @@ type retry_outcome = {
    be retried. *)
 let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
   Fault.reset_all ();
-  let pages_path, wal_path = fresh_paths () in
-  let ps = Pstore.create ~page_size:spec.page_size ~pool_capacity:spec.pool_capacity pages_path in
-  let store = Pstore.to_store ps in
-  for a = 1 to spec.accounts do
-    Store.write store (Bank.account a) (Value.of_int spec.balance)
-  done;
-  Store.flush store;
-  let log = Log.create_dir ~segment_bytes:spec.segment_bytes wal_path in
-  let db = E.create ~log store in
+  let wal_path, log, db = setup spec in
   let transfers = plan spec in
   if fault_rate > 0.0 then
     Fault.arm site_op (Fault.Fail_prob (fault_rate, Rng.create (spec.seed lxor 0x0fa17)));
@@ -578,9 +568,7 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
   let stats = E.stats db in
   Fault.reset_all ();
   Log.close log;
-  Pstore.crash_and_reopen ps;
-  let rlog = Log.load_dir wal_path in
-  ignore (Recovery.recover rlog store);
+  let rlog, store = reload wal_path in
   let conserved =
     let total = ref 0 in
     for a = 1 to spec.accounts do
@@ -591,8 +579,6 @@ let run_retry_workload ?(fault_rate = 0.0) ?(max_retries = 3) spec =
     !total = spec.accounts * spec.balance
   in
   Log.close rlog;
-  Pstore.close ps;
-  Sys.remove pages_path;
   Log.remove_dir wal_path;
   {
     committed = !metrics.Workload.r_committed;

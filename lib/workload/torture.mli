@@ -1,10 +1,11 @@
 (** Crash-recovery torture harness.
 
-    Runs a deterministic bank-transfer workload over the fully
-    persistent stack (slotted pages + buffer pool + segment-directory
-    WAL) with a
-    failpoint armed, simulates power loss when it fires (all volatile
-    state discarded, files reopened, {!Asset_wal.Recovery.recover}),
+    Runs a deterministic bank-transfer workload over the heap store and
+    a segment-directory WAL (a checkpoint logs the populated bank before
+    the workload starts) with a failpoint armed, simulates power loss
+    when it fires (the store and all other volatile state discarded,
+    the log reloaded, {!Asset_wal.Recovery.recover} into an empty
+    store),
     and checks the durability invariants: acknowledged commits durable,
     loser effects invisible, bank balance conserved, and (optionally)
     recovery idempotent.  In {!run_once} each transfer also enqueues
@@ -24,13 +25,11 @@ type spec = {
   balance : int;
   n_txns : int;
   seed : int;  (** drives the transfer plan and every random choice *)
-  page_size : int;
-  pool_capacity : int;
   segment_bytes : int;
       (** the WAL's segment rotation size (default 1 MiB, so a default
           run writes one segment) *)
   checkpoint_log_bytes : int;
-      (** > 0: the engine's commit-path fuzzy-checkpoint trigger
+      (** > 0: the engine's commit-path checkpoint trigger
           (0, the default, disables it) *)
 }
 
@@ -54,12 +53,15 @@ type outcome = {
   forces : int;
       (** log forces before power-off; fewer forces than acknowledged
           commits means some force covered a batch of commit records *)
+  site_hits : (Asset_fault.Fault.site * int) list;
+      (** per registered failpoint site, its hits between [arm] and
+          power-off *)
   failures : string list;  (** violated durability invariants; empty = pass *)
 }
 
 val run_once :
   ?arm:(unit -> unit) -> ?arm_recovery:(unit -> unit) -> ?check_idempotent:bool -> spec -> outcome
-(** One torture run: set up a clean bank in fresh temp files, call
+(** One torture run: set up a clean bank over a fresh WAL directory, call
     [arm] (e.g. [Fault.arm_name "wal.append" (Crash_nth 5)]), run the
     workload, simulate power loss if a crash fires, recover, check
     invariants, clean up.  All failpoints are reset before and at
@@ -68,7 +70,9 @@ val run_once :
     retried as another full power loss (up to 3 times). *)
 
 type sweep = {
-  boundaries : int;  (** WAL records in the fault-free reference run *)
+  boundaries : int;
+      (** WAL records the fault-free reference run appends after
+          set-up *)
   crashes : int;  (** runs that actually lost power *)
   runs : int;
   sweep_failures : (string * string list) list;
@@ -82,14 +86,20 @@ val crash_at_every_boundary : ?check_idempotent:bool -> spec -> sweep
 
 val random_crash_schedule :
   ?check_idempotent:bool -> schedule_seed:int -> spec -> string * outcome
-(** One seeded schedule: site and hit count drawn from
-    [schedule_seed]; the workload seed varies alongside. *)
+(** One seeded schedule: the workload seed varies with
+    [schedule_seed], which also draws the site and the hit to crash at,
+    out of the hits a fault-free run of the same workload makes there.
+    [spec.segment_bytes] is kept: a small one makes rotations drain,
+    fsync and zero-fill mid-run, so the per-drain sites see more hits. *)
 
 val random_crash_schedules : ?check_idempotent:bool -> n:int -> spec -> sweep
 
 val durability_sites : string array
-(** The crash windows specific to fuzzy checkpoints ("wal.ckpt.*"),
-    segment retirement ("wal.retire.*") and redo ("recovery.redo"). *)
+(** The crash windows specific to checkpoints ("wal.ckpt.append"
+    before the record, "wal.ckpt.torn" — a torn write of the
+    checkpoint's own frame — and "wal.ckpt.forced" between its force
+    and retirement), segment retirement ("wal.retire.*") and redo
+    ("recovery.redo"). *)
 
 val random_durability_schedule :
   ?check_idempotent:bool -> schedule_seed:int -> spec -> string * outcome
@@ -103,7 +113,7 @@ val random_durability_schedules : ?check_idempotent:bool -> n:int -> spec -> swe
 type sustained = {
   s_rounds : int;
   s_txns : int;
-  s_checkpoints : int;  (** fuzzy checkpoints the commit path triggered *)
+  s_checkpoints : int;  (** checkpoints the commit path triggered *)
   s_segments_created : int;
   s_segments_retired : int;
   s_segments_live : int;

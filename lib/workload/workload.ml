@@ -125,13 +125,28 @@ type outcome = Committed of Tid.t | Gave_up | Failed of exn
 (* Every retry in the system goes through here, so the engine's
    ["retries"]/["gave_up"] counters are exactly the drivers' sums: one
    [note_retry] per retried attempt, one [note_give_up] per run that
-   ends without a commit.  The backoff draws a seeded number of
-   scheduler steps whose cap doubles per attempt up to 64, so
-   colliding transactions don't re-collide in lockstep. *)
+   ends without a commit.  Every driver runs it in its own fiber,
+   outside any transaction.  Before a retry the driver waits until
+   every transaction active at the abort has terminated — a restart
+   delay that lets the deadlock cycle or lock queue that aborted the
+   attempt drain, instead of re-entering it.  Then it backs off a
+   seeded number of scheduler steps whose cap doubles per attempt up
+   to 64, so colliding transactions don't re-collide in lockstep. *)
 let retry ~max_retries ~rng db attempt =
   let give_up outcome k =
     E.note_give_up db;
     (outcome, k)
+  in
+  (* Each re-check drops the terminated prefix for good, so it costs
+     the transactions that terminated since the last one, not all of
+     them again. *)
+  let rec live = function t :: rest when E.is_terminated db t -> live rest | l -> l in
+  let restart_delay () =
+    let waiting = ref (E.active_transactions db) in
+    Asset_sched.Scheduler.park ~reason:"retry: awaiting the transactions active at the abort"
+      (fun () ->
+        waiting := live !waiting;
+        !waiting = [])
   in
   let rec go k =
     let t = attempt () in
@@ -143,6 +158,7 @@ let retry ~max_retries ~rng db attempt =
       | _ when k >= max_retries -> give_up Gave_up k
       | _ ->
           E.note_retry db;
+          restart_delay ();
           for _ = 1 to Rng.int rng (min 64 (2 lsl k)) do
             Asset_sched.Scheduler.yield ()
           done;

@@ -58,12 +58,14 @@ val retry :
 (** [retry ~max_retries ~rng db attempt] is the one abort-retry loop.
     [attempt ()] runs one attempt and returns the tid that decides it,
     terminated: committed, aborted, or null (refused).  A {!retryable}
-    abort is retried up to [max_retries] times, each after a seeded
+    abort is retried up to [max_retries] times, each once every
+    transaction active at the abort has terminated and after a seeded
     backoff of [Rng.int rng (min 64 (2 lsl k))] scheduler yields on
     retry [k]; a refusal or a non-retryable failure is not retried.
     Counts one ["retries"] per retry and one ["gave_up"] per
     uncommitted outcome into [E.stats].  Returns the outcome and the
-    number of retries.  Must run inside a fiber. *)
+    number of retries.  Must run inside a fiber that runs no
+    transaction, or the wait would include the caller's own. *)
 
 type retry_metrics = { r_committed : int; r_retries : int; r_gave_up : int }
 

@@ -25,7 +25,6 @@ module Tid = Asset_util.Id.Tid
 module Oid = Asset_util.Id.Oid
 module Value = Asset_storage.Value
 module Store = Asset_storage.Store
-module Pstore = Asset_storage.Persistent_store
 module Log = Asset_wal.Log
 module Recovery = Asset_wal.Recovery
 module Dep_type = Asset_deps.Dep_type
@@ -614,7 +613,7 @@ let test_cursor_stability_legal_but_not_serializable () =
 
 (* ------------------------------------------------------------------ *)
 (* Recovery x dependencies (satellite): run dependent transactions over
-   the persistent stack, lose power, recover — the pre-crash ring tail
+   a segment-directory WAL, lose power, recover — the pre-crash ring tail
    (the recorder lives above the storage stack, so it survives the
    simulated power loss) must show every obligation discharged in the
    durable state, and the checker must flag a fabricated half-group. *)
@@ -627,15 +626,14 @@ let tmp =
       (Printf.sprintf "asset_conf_%d_%d.%s" (Unix.getpid ()) !n ext)
 
 let test_recovery_discharges_obligations () =
-  let pages = tmp "pages" and logf = tmp "wal" in
-  let ps = Pstore.create ~page_size:512 pages in
-  let store = Pstore.to_store ps in
+  let logf = tmp "wal" in
+  let store = Asset_storage.Heap_store.store () in
   for i = 1 to 8 do
     Store.write store (oid i) (vi 0)
   done;
-  Store.flush store;
   let log = Log.create_dir logf in
   let db = E.create ~log store in
+  ignore (E.checkpoint db);
   let ga = ref Tid.null and gb = ref Tid.null in
   let m = ref Tid.null and d = ref Tid.null in
   Trace.start ();
@@ -666,8 +664,7 @@ let test_recovery_discharges_obligations () =
   let tail = Trace.recent () in
   Trace.stop ();
   Log.crash log;
-  Pstore.crash_and_reopen ps;
-  let store = Pstore.to_store ps in
+  let store = Asset_storage.Heap_store.store () in
   let recovered_log = Log.load_dir logf in
   let report = Recovery.recover recovered_log store in
   Log.close recovered_log;
@@ -676,6 +673,10 @@ let test_recovery_discharges_obligations () =
   Alcotest.(check bool) "GC pair won together" true (mem !ga && mem !gb);
   Alcotest.(check bool) "in-flight AD pair lost" true
     ((not (mem !m)) && not (mem !d));
+  Alcotest.(check bool) "the rebuilt store holds the winners only" true
+    (Store.read store (oid 1) = Some (vi 1)
+    && Store.read store (oid 3) = Some (vi 0)
+    && Store.size store = 8);
   passes "recovered obligations" (Oracle.check_recovered_obligations ~winners) tail;
   (* Teeth: drop one GC member from the winner set and the checker must
      object; pretend the AD dependent survived without its master,
@@ -686,8 +687,6 @@ let test_recovery_discharges_obligations () =
   flags "AD dependent without master"
     (Oracle.check_recovered_obligations ~winners:(!d :: winners))
     tail;
-  Pstore.close ps;
-  Sys.remove pages;
   Log.remove_dir logf
 
 (* ------------------------------------------------------------------ *)

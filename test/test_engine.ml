@@ -1582,10 +1582,9 @@ let test_lock_table_bounded () =
   if large > small + 64 then
     Alcotest.failf "lock table grew with history: %d words after 200 txns, %d after 2000" small large
 
-(* The enqueue log shape: an Enqueue record carries its item, and
-   only the first enqueue on each queue since the last checkpoint also
-   carries the full queue it produced. *)
-let test_enqueue_image_once_per_checkpoint () =
+(* The enqueue log shape: an Enqueue record carries its item, never
+   the queue; a checkpoint's image carries the queue as it stands. *)
+let test_enqueue_logs_only_the_item () =
   let db =
     with_db (fun db ->
         let round () =
@@ -1603,22 +1602,15 @@ let test_enqueue_image_once_per_checkpoint () =
   let shape =
     Asset_wal.Log.fold (E.log db) ~init:[] ~f:(fun acc _ r ->
         match r with
-        | Asset_wal.Record.Enqueue { oid = o; image; _ } ->
-            `Enq (Oid.to_int o, Option.map Value.to_queue image) :: acc
-        | Asset_wal.Record.Begin_ckpt _ -> `Ckpt :: acc
+        | Asset_wal.Record.Enqueue { oid = o; item; _ } -> `Enq (Oid.to_int o, item) :: acc
+        | Asset_wal.Record.Checkpoint { image; _ } ->
+            `Ckpt (Option.map Value.to_queue (List.assoc_opt (oid 11) image)) :: acc
         | _ -> acc)
     |> List.rev
   in
-  let expected =
-    [
-      `Enq (11, Some [ "a" ]); `Enq (12, Some [ "b" ]); `Enq (11, None);
-      `Enq (11, None); `Enq (12, None); `Enq (11, None);
-      `Ckpt;
-      `Enq (11, Some [ "a"; "c"; "a"; "c"; "a" ]); `Enq (12, Some [ "b"; "b"; "b" ]); `Enq (11, None);
-    ]
-  in
-  Alcotest.(check bool) "first enqueue per queue per checkpoint carries the image" true
-    (shape = expected);
+  let round = [ `Enq (11, "a"); `Enq (12, "b"); `Enq (11, "c") ] in
+  let expected = round @ round @ [ `Ckpt (Some [ "a"; "c"; "a"; "c" ]) ] @ round in
+  Alcotest.(check bool) "items in the records, the queue in the image" true (shape = expected);
   Alcotest.(check (list string))
     "queue" [ "a"; "c"; "a"; "c"; "a"; "c" ]
     (Value.to_queue (Store.read_exn (E.store db) (oid 11)))
@@ -1709,8 +1701,8 @@ let () =
         [
           Alcotest.test_case "concurrent increments" `Quick test_increments_run_concurrently;
           Alcotest.test_case "logical undo" `Quick test_increment_abort_is_logical;
-          Alcotest.test_case "enqueue image once per checkpoint" `Quick
-            test_enqueue_image_once_per_checkpoint;
+          Alcotest.test_case "enqueue logs only the item" `Quick
+            test_enqueue_logs_only_the_item;
           Alcotest.test_case "conflicts with read/write" `Quick
             test_increment_conflicts_with_read_write;
           Alcotest.test_case "creates object" `Quick test_increment_creates_object;

@@ -7,8 +7,7 @@ module R = Asset_core.Runtime
 module Oid = Asset_util.Id.Oid
 module Value = Asset_storage.Value
 module Store = Asset_storage.Store
-module Pager = Asset_storage.Pager
-module Pool = Asset_storage.Buffer_pool
+module Heap_store = Asset_storage.Heap_store
 module Log = Asset_wal.Log
 module Record = Asset_wal.Record
 module Recovery = Asset_wal.Recovery
@@ -24,8 +23,6 @@ let tmp =
     incr n;
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "asset_fault_%d_%d.%s" (Unix.getpid ()) !n ext)
-
-let cleanup path = try Sys.remove path with Sys_error _ -> ()
 
 (* The first segment of a WAL directory: the whole log while nothing
    has rotated. *)
@@ -101,20 +98,43 @@ let test_real_io_error_wrapped () =
   | _ -> Alcotest.fail "expected Storage_error"
   | exception Fault.Storage_error ("wal.open", Unix.Unix_error (Unix.ENOENT, _, _)) -> ()
 
+(* "wal.force" fires before the force touches the file, so an injected
+   failure there loses nothing: the next force goes through. *)
 let test_injected_error_wrapped () =
   Fault.reset_all ();
-  let path = tmp "pages" in
-  let pager = Pager.create ~page_size:256 path in
-  let pid = Pager.alloc_page pager in
-  Fault.arm (Fault.register "pager.write_page") Fault.Fail_once;
-  (match Pager.write_page pager pid (Bytes.make 256 'x') with
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
+  let lsn = Log.append log (Record.Begin (Asset_util.Id.Tid.of_int 1)) in
+  Fault.arm (Fault.register "wal.force") Fault.Fail_once;
+  (match Log.force log with
   | () -> Alcotest.fail "expected Storage_error"
-  | exception Fault.Storage_error ("pager.write_page", Fault.Injected _) -> ());
-  (* The failure was transient: the next write goes through. *)
-  Pager.write_page pager pid (Bytes.make 256 'y');
-  Alcotest.(check char) "second write landed" 'y' (Bytes.get (Pager.read_page pager pid) 0);
-  Pager.close pager;
-  cleanup path
+  | exception Fault.Storage_error ("wal.force", Fault.Injected _) -> ());
+  Alcotest.(check bool) "nothing forced" true (Log.forced_lsn log < lsn);
+  Log.force log;
+  Alcotest.(check int) "second force landed" lsn (Log.forced_lsn log);
+  Log.close log;
+  Log.remove_dir dir
+
+(* A frame the loader would read as corruption is refused before
+   anything is staged. *)
+let test_oversized_record_refused () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
+  let huge = Value.of_string (String.make Log.max_record_bytes 'x') in
+  let record = Record.Update { tid = Asset_util.Id.Tid.of_int 1; oid = oid 1; before = None; after = huge } in
+  (match Log.append log record with
+  | _ -> Alcotest.fail "expected Storage_error"
+  | exception Fault.Storage_error ("wal.append", Failure _) -> ());
+  Alcotest.(check int) "nothing appended" 0 (Log.length log);
+  Alcotest.(check int) "nothing staged" 0 (Log.appended_bytes log);
+  let lsn = Log.append log (Record.Begin (Asset_util.Id.Tid.of_int 2)) in
+  Log.force log;
+  Log.close log;
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "the later record loads" (lsn + 1) (Log.length log2);
+  Log.close log2;
+  Log.remove_dir dir
 
 (* --- WAL CRC --- *)
 
@@ -127,15 +147,15 @@ let write_sample_log dir n =
   Log.force log;
   Log.close log
 
-(* Flip the first byte of the 4th record's *body* (walk the framing to
-   find it): a complete frame whose payload no longer matches its
-   checksum — unambiguous corruption, unlike a damaged length header
-   which is indistinguishable from a torn tail. *)
-let flip_fourth_body path =
+(* Flip the first byte of the [index]-th record's *body*, 0-based (walk
+   the framing to find it): a complete frame whose payload no longer
+   matches its checksum — unambiguous corruption, unlike a damaged
+   length header which is indistinguishable from a torn tail. *)
+let flip_body path ~index =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
   let hdr = Bytes.create 4 in
   let off = ref 0 in
-  for _ = 1 to 3 do
+  for _ = 1 to index do
     ignore (Unix.lseek fd !off Unix.SEEK_SET);
     ignore (Unix.read fd hdr 0 4);
     off := !off + 8 + Int32.to_int (Bytes.get_int32_le hdr 0)
@@ -153,7 +173,7 @@ let test_crc_detects_bit_flip () =
   Fault.reset_all ();
   let dir = tmp "wal" in
   write_sample_log dir 6;
-  flip_fourth_body (first_seg dir);
+  flip_body (first_seg dir) ~index:3;
   let log = Log.load_dir dir in
   Alcotest.(check bool) "records dropped" true (Log.corrupt_dropped log > 0);
   Alcotest.(check int) "good prefix survives" 3 (Log.length log);
@@ -304,7 +324,7 @@ let test_bit_flip_before_zero_tail () =
   done;
   Log.force log;
   Log.crash log;
-  flip_fourth_body (first_seg dir);
+  flip_body (first_seg dir) ~index:3;
   let log2 = Log.load_dir dir in
   Alcotest.(check int) "good prefix survives" 3 (Log.length log2);
   Alcotest.(check int) "the damaged frame and the two after it" 3 (Log.corrupt_dropped log2);
@@ -425,52 +445,127 @@ let test_crash_in_fill () =
       Log.remove_dir dir)
     [ "wal.extend"; "wal.torn_extend" ]
 
-(* --- pager torn page write --- *)
+(* --- torn checkpoint frame --- *)
 
-let test_torn_page_write () =
+(* A torn write of a checkpoint's frame: loading drops the frame, and
+   recovery rebuilds the store from the previous checkpoint and the
+   records after it. *)
+let test_torn_checkpoint_frame () =
   Fault.reset_all ();
-  let path = tmp "pages" in
-  let pager = Pager.create ~page_size:256 path in
-  let pid = Pager.alloc_page pager in
-  Pager.write_page pager pid (Bytes.make 256 'a');
-  Fault.arm (Fault.register "pager.torn_write") Fault.Crash_once;
-  (match Pager.write_page pager pid (Bytes.make 256 'b') with
-  | () -> Alcotest.fail "expected Crash"
-  | exception Fault.Crash "pager.torn_write" -> ());
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
+  let store = Heap_store.store () in
+  Heap_store.populate store ~n:8 ~value:vi;
+  let anchor = Recovery.checkpoint log store ~active:[] in
+  let t = Asset_util.Id.Tid.of_int 1 in
+  ignore (Log.append log (Record.Update { tid = t; oid = oid 1; before = Some (vi 1); after = vi 100 }));
+  ignore (Log.append log (Record.Commit [ t ]));
+  Log.force log;
+  Store.write store (oid 1) (vi 100);
+  Fault.arm (Fault.register "wal.torn_write") Fault.Crash_once;
+  (match Recovery.checkpoint log store ~active:[] with
+  | _ -> Alcotest.fail "expected Crash"
+  | exception Fault.Crash "wal.torn_write" -> ());
   Fault.reset_all ();
-  let b = Pager.read_page pager pid in
-  Alcotest.(check char) "first half new" 'b' (Bytes.get b 0);
-  Alcotest.(check char) "second half old" 'a' (Bytes.get b 255);
-  Pager.close pager;
-  cleanup path
+  Log.crash log;
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "the torn frame is gone" (anchor + 3) (Log.length log2);
+  let rebuilt = Heap_store.store () in
+  let report = Recovery.recover log2 rebuilt in
+  Alcotest.(check int) "anchored at the previous checkpoint" anchor report.Recovery.scanned_from;
+  Alcotest.(check bool) "rebuilt store matches" true (Store.equal_content store rebuilt);
+  Log.close log2;
+  Log.remove_dir dir
 
-(* --- buffer pool crash mid-flush --- *)
-
-let test_pool_crash_mid_flush () =
+(* A bit flip in the newest checkpoint's frame after retirement
+   deleted the segments below it: the checkpoint no longer loads and
+   nothing older survives, so recovery refuses the log instead of
+   rebuilding a store that lacks the retired prefix's objects. *)
+let test_corrupt_checkpoint_after_retirement () =
   Fault.reset_all ();
-  let path = tmp "pages" in
-  let pager = Pager.create ~page_size:256 path in
-  let pool = Pool.create ~capacity:8 pager in
-  let pids = List.init 3 (fun _ -> Pager.alloc_page pager) in
-  List.iteri
-    (fun i pid ->
-      Pool.with_page pool pid (fun frame ->
-          Bytes.fill frame.Pool.bytes 0 256 (Char.chr (Char.code '0' + i));
-          Pool.mark_dirty frame))
-    pids;
-  Fault.arm (Fault.register "pool.flush_frame") (Fault.Crash_nth 2);
-  (match Pool.flush_all pool with
-  | () -> Alcotest.fail "expected Crash"
-  | exception Fault.Crash "pool.flush_frame" -> ());
-  Fault.reset_all ();
-  (* Exactly one dirty page reached the disk before the power died. *)
-  Pool.crash pool;
-  let on_disk =
-    List.filter (fun pid -> Bytes.get (Pager.read_page pager pid) 0 <> '\000') pids
+  let dir = tmp "wal" in
+  let log = Log.create_dir ~segment_bytes:256 dir in
+  let store = Heap_store.store () in
+  Heap_store.populate store ~n:8 ~value:vi;
+  ignore (Recovery.checkpoint log store ~active:[]);
+  for i = 1 to 12 do
+    let t = Asset_util.Id.Tid.of_int i in
+    let o = oid (1 + (i mod 8)) in
+    ignore (Log.append log (Record.Update { tid = t; oid = o; before = Store.read store o; after = vi (100 + i) }));
+    ignore (Log.append log (Record.Commit [ t ]));
+    Store.write store o (vi (100 + i))
+  done;
+  Log.force log;
+  let anchor = Recovery.checkpoint log store ~active:[] in
+  Alcotest.(check bool) "segments retired" true (Log.segments_retired log > 0);
+  Log.close log;
+  (* The checkpoint's segment: the live one with the highest base at or
+     below its LSN. *)
+  let base, file =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter_map (fun f ->
+           Scanf.sscanf_opt f "seg-%d.wal%!" (fun base -> if base <= anchor then Some (base, f) else None)
+           |> Option.join)
+    |> List.fold_left (fun acc s -> if fst s > fst acc then s else acc) (-1, "")
   in
-  Alcotest.(check int) "one page flushed" 1 (List.length on_disk);
-  Pager.close pager;
-  cleanup path
+  flip_body (Filename.concat dir file) ~index:(anchor - base);
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "the checkpoint frame is dropped" 1 (Log.corrupt_dropped log2);
+  Alcotest.(check bool) "the prefix is retired" true (Log.start_lsn log2 > 0);
+  let rebuilt = Heap_store.store () in
+  Store.write rebuilt (oid 99) (vi 99);
+  (match Recovery.recover log2 rebuilt with
+  | _ -> Alcotest.fail "expected Storage_error"
+  | exception Fault.Storage_error ("recovery", Failure _) -> ());
+  Alcotest.(check (option int)) "the store is untouched" (Some 99)
+    (Option.map Value.to_int (Store.read rebuilt (oid 99)));
+  Log.close log2;
+  Log.remove_dir dir
+
+(* --- a failed WAL write --- *)
+
+(* The drain's write fails under a staged commit.  The frames never
+   reached the file, so the commit is not acknowledged, [forced_lsn]
+   stays below its record, every later force fails too, and the log
+   loaded after a crash agrees. *)
+let test_failed_write_acknowledges_nothing () =
+  Fault.reset_all ();
+  let dir = tmp "wal" in
+  let log = Log.create_dir dir in
+  let db = E.create ~log (Heap_store.store ()) in
+  let commit value =
+    let acked = ref false in
+    let outcome =
+      R.run db (fun () ->
+          let t = E.initiate db (fun () -> E.write db (oid 1) (vi value)) in
+          ignore (E.begin_ db t);
+          acked := E.commit db t)
+    in
+    (outcome.R.result, !acked)
+  in
+  (match commit 1 with
+  | Ok (), true -> ()
+  | _ -> Alcotest.fail "the first commit is acknowledged");
+  let durable = Log.forced_lsn log in
+  Fault.arm (Fault.register "wal.write") Fault.Fail_once;
+  (match commit 2 with
+  | Error (Fault.Storage_error ("wal.write", _)), false -> ()
+  | Error e, _ -> Alcotest.failf "unexpected failure: %s" (Printexc.to_string e)
+  | Ok (), _ -> Alcotest.fail "expected the force to fail");
+  let commit_lsn =
+    Log.fold log ~init:(-1) ~f:(fun acc lsn r -> match r with Record.Commit _ -> lsn | _ -> acc)
+  in
+  Alcotest.(check bool) "the second commit was logged" true (commit_lsn > durable);
+  Alcotest.(check int) "forced_lsn did not move" durable (Log.forced_lsn log);
+  (match Log.force log with
+  | () -> Alcotest.fail "a failed log must not force again"
+  | exception Fault.Storage_error _ -> ());
+  Alcotest.(check int) "still not forced" durable (Log.forced_lsn log);
+  Log.crash log;
+  let log2 = Log.load_dir dir in
+  Alcotest.(check int) "the file ends at the forced records" (durable + 1) (Log.length log2);
+  Log.close log2;
+  Log.remove_dir dir
 
 (* --- engine-level graceful degradation --- *)
 
@@ -519,6 +614,7 @@ let () =
         [
           Alcotest.test_case "real I/O error wrapped" `Quick test_real_io_error_wrapped;
           Alcotest.test_case "injected error wrapped" `Quick test_injected_error_wrapped;
+          Alcotest.test_case "oversized record refused" `Quick test_oversized_record_refused;
         ] );
       ( "wal_crc",
         [
@@ -538,8 +634,11 @@ let () =
           Alcotest.test_case "torn WAL write truncated" `Quick test_torn_wal_write_truncated;
           Alcotest.test_case "crash over the zero tail" `Quick test_crash_over_zero_tail;
           Alcotest.test_case "crash in the zero fill" `Quick test_crash_in_fill;
-          Alcotest.test_case "torn page write" `Quick test_torn_page_write;
-          Alcotest.test_case "pool crash mid-flush" `Quick test_pool_crash_mid_flush;
+          Alcotest.test_case "torn checkpoint frame" `Quick test_torn_checkpoint_frame;
+          Alcotest.test_case "corrupt checkpoint after retirement" `Quick
+            test_corrupt_checkpoint_after_retirement;
+          Alcotest.test_case "failed write acknowledges nothing" `Quick
+            test_failed_write_acknowledges_nothing;
         ] );
       ( "engine",
         [

@@ -501,6 +501,8 @@ let sorted_dump s =
    two undos must agree. *)
 let undo_engine_and_recovery h =
   let db = E.create (undo_initial_store ()) in
+  (* The initial objects reach the log as a checkpoint's image. *)
+  ignore (E.checkpoint db);
   let cut = ref 0 in
   R.run_exn db (fun () ->
       let loser =
@@ -736,7 +738,7 @@ let check_active_set db tids =
   in
   let captured =
     match Asset_wal.Log.get (E.log db) (E.checkpoint db) with
-    | Asset_wal.Record.Begin_ckpt { active; _ } ->
+    | Asset_wal.Record.Checkpoint { active; _ } ->
         sorted (List.map (fun (e : Asset_wal.Record.att_entry) -> e.att_tid) active)
     | _ -> []
   in

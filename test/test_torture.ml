@@ -57,15 +57,17 @@ let test_boundary_sweep_group_commit () =
 
 (* --- seeded random crash schedules over every failpoint site --- *)
 
+(* 1 KiB segments: rotations drain, fsync and zero-fill mid-run, so
+   every site in the pool is hit. *)
 let test_random_crash_schedules () =
   let spec =
-    { Torture.default_spec with accounts = 8; n_txns = 10; pool_capacity = 2; page_size = 256 }
+    { Torture.default_spec with accounts = 8; n_txns = 10; segment_bytes = 1024 }
   in
   let sweep = Torture.random_crash_schedules ~n:500 spec in
   check_sweep "random schedules" sweep;
   Alcotest.(check int) "ran all schedules" 500 sweep.Torture.runs;
   (* Sanity: the schedules actually inject — a decent fraction must
-     really lose power (the rest arm a site/count the run never hits). *)
+     really lose power (the rest pick a site the run never hits). *)
   Alcotest.(check bool) "faults fired" true (sweep.Torture.crashes > 100)
 
 (* --- group commit never acknowledges an unforced commit --- *)
@@ -99,11 +101,11 @@ let test_crash_after_force_durable_but_unacked () =
 (* --- recovery idempotence --- *)
 
 let test_recovery_idempotent_under_random_crashes () =
-  let spec = { Torture.default_spec with n_txns = 8; seed = 1234 } in
+  let spec = { Torture.default_spec with n_txns = 8; seed = 1234; segment_bytes = 1024 } in
   let sweep = Torture.random_crash_schedules ~check_idempotent:true ~n:60 spec in
   check_sweep "idempotence" sweep
 
-(* --- durability at sustained scale: fuzzy ckpt / retirement / redo --- *)
+(* --- durability at sustained scale: checkpoint / retirement / redo --- *)
 
 (* A spec that exercises the whole machine: small WAL segments and an
    aggressive commit-path checkpoint trigger (callers add the
@@ -112,17 +114,23 @@ let durability_spec =
   { Torture.default_spec with n_txns = 20; segment_bytes = 512; checkpoint_log_bytes = 1024 }
 
 let test_crash_mid_fuzzy_checkpoint () =
-  (* Crash inside each window of the Begin_ckpt/flush/End_ckpt
-     protocol: before the pair completes, recovery must fall back to
-     the previous anchor and still satisfy every invariant. *)
+  (* Crash in each window of a checkpoint: before its record is
+     appended, in a torn write of its frame, and after its force but
+     before retirement.  Recovery must anchor at the newest checkpoint
+     whose frame loaded and still satisfy every invariant. *)
+  let torn_frame = Fault.Arm_at (1, Fault.register "wal.torn_write", Fault.Crash_once) in
   List.iter
-    (fun site ->
-      let arm () = ignore (Fault.arm_name site Fault.Crash_once) in
+    (fun (site, armed, policy) ->
+      let arm () = ignore (Fault.arm_name armed policy) in
       let r = Torture.run_once ~arm ~check_idempotent:true durability_spec in
       Alcotest.(check (option string)) "crashed in the window" (Some site) r.Torture.crashed;
       if r.Torture.failures <> [] then
         Alcotest.failf "%s: %s" site (String.concat ", " r.Torture.failures))
-    [ "wal.ckpt.begin"; "wal.ckpt.flush"; "wal.ckpt.end" ]
+    [
+      ("wal.ckpt.append", "wal.ckpt.append", Fault.Crash_once);
+      ("wal.torn_write", "wal.ckpt.append", torn_frame);
+      ("wal.ckpt.forced", "wal.ckpt.forced", Fault.Crash_once);
+    ]
 
 let test_crash_mid_retirement () =
   (* Crash in each window of the retirement protocol (before the
@@ -139,8 +147,8 @@ let test_crash_mid_retirement () =
 
 let test_crash_mid_redo () =
   (* Crash before the first redo action, part-way through redo and at
-     its last action: the harness powers off again (redo writes the
-     pool already evicted stay on disk) and retries; the retried
+     its last action: the harness powers off again (the partly rebuilt
+     store is lost) and retries; the retried
      recovery must converge and satisfy every invariant.  The crash
      points come from the fault-free run's redo count, since where the
      last checkpoint falls (and so how long the redo tail is) depends
@@ -221,7 +229,6 @@ let test_sustained_run_bounded () =
 module Tid = Asset_util.Id.Tid
 module Log = Asset_wal.Log
 module Recovery = Asset_wal.Recovery
-module Pstore = Asset_storage.Persistent_store
 module Store = Asset_storage.Store
 module Heap_store = Asset_storage.Heap_store
 module Record = Asset_wal.Record
@@ -259,14 +266,12 @@ let mid_abort_paths =
 
 let run_mid_abort ?(segment_bytes = 96) ?rollback_arm ~arm () =
   Fault.reset_all ();
-  let base = mid_abort_paths () in
-  let pages_path = base ^ ".pages" and wal_path = base ^ ".wal.d" in
-  let ps = Pstore.create ~page_size:512 ~pool_capacity:4 pages_path in
-  let store = Pstore.to_store ps in
+  let wal_path = mid_abort_paths () in
+  let store = Heap_store.store () in
   Store.write store counter (Value.of_int 100);
   Store.write store audit (Value.of_queue []);
-  Store.flush store;
   let log = Log.create_dir ~segment_bytes wal_path in
+  ignore (Recovery.checkpoint log store ~active:[]);
   let db = E.create ~log store in
   let w = ref Tid.null and l = ref Tid.null and w2 = ref Tid.null in
   let acked_w = ref false and acked_w2 = ref false in
@@ -313,7 +318,6 @@ let run_mid_abort ?(segment_bytes = 96) ?rollback_arm ~arm () =
            harness then simulates power loss below. *)
         None
     | { R.result = Error e; _ } -> raise e
-    | exception Fault.Crash site -> Some site
   in
   let failures = ref [] in
   let addf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
@@ -331,7 +335,6 @@ let run_mid_abort ?(segment_bytes = 96) ?rollback_arm ~arm () =
   (* Power off, power on. *)
   Fault.reset_all ();
   (match crashed with Some _ -> Log.crash log | None -> Log.close log);
-  Pstore.crash_and_reopen ps;
   let rlog = Log.load_dir wal_path in
   let l_clrs = ref 0 and l_terminated = ref false in
   let compensated = Hashtbl.create 8 in
@@ -345,7 +348,7 @@ let run_mid_abort ?(segment_bytes = 96) ?rollback_arm ~arm () =
       | Record.Commit tids when List.exists (Tid.equal !l) tids -> l_terminated := true
       | _ -> ());
   let window = !l_clrs > 0 && not !l_terminated in
-  let pre = Store.dump store in
+  let store = Heap_store.store () in
   let report = Recovery.recover rlog store in
   let winner t = List.exists (Tid.equal t) report.Recovery.winners in
   if !acked_w && not (winner !w) then addf "W acked but not durable";
@@ -363,10 +366,11 @@ let run_mid_abort ?(segment_bytes = 96) ?rollback_arm ~arm () =
       let dups = List.length (List.filter (String.equal "dup") (Value.to_queue v)) in
       if dups <> expected_dups then addf "audit holds %d dups, expected %d" dups expected_dups
   | None -> addf "audit queue missing");
-  (* Shadow replay: a second independent recovery over the same crashed
-     image must converge to the identical state. *)
+  (* Shadow replay: a second independent recovery into a store holding
+     stale contents must converge to the identical state. *)
   let shadow = Heap_store.store ~name:"shadow" () in
-  List.iter (fun (o, v) -> Store.write shadow o v) pre;
+  Store.write shadow counter (Value.of_int (-1));
+  Store.write shadow (oid 99) (Value.of_int 1);
   ignore (Recovery.recover rlog shadow);
   if sorted_dump shadow <> sorted_dump store then addf "shadow replay diverges";
   (* Idempotence: recovering again changes nothing. *)
@@ -375,8 +379,6 @@ let run_mid_abort ?(segment_bytes = 96) ?rollback_arm ~arm () =
   if sorted_dump store <> before then addf "recovery not idempotent";
   let boundaries = Log.length rlog - Log.start_lsn rlog in
   Log.close rlog;
-  Pstore.close ps;
-  Sys.remove pages_path;
   Log.remove_dir wal_path;
   { ma_crashed = crashed; ma_window = window; ma_boundaries = boundaries;
     ma_l_failed = l_failed; ma_failures = List.rev !failures }
